@@ -28,7 +28,7 @@ from .diagrams import (
     shared_basis,
     shared_orbits,
 )
-from .generators import apply_braid, apply_monoid
+from .generators import transition_table
 from .kernel import GroundState, groundstate
 
 
@@ -272,6 +272,16 @@ class MonteCarloReport:
         return self.max_abs_z <= sigma
 
 
+def _event_rows(table) -> list[list[int]]:
+    """Targets of the 3L equally likely events per state, as plain lists.
+
+    Each site gives its monoid target twice and its braid target once; lists,
+    because numpy scalar indexing would dominate the step loop.
+    """
+    size = table.shape[1] // 2
+    return table[:, [c for a in range(size) for c in (a, a, size + a)]].tolist()
+
+
 def monte_carlo_crosscheck(
     length: int,
     samples: int,
@@ -299,15 +309,7 @@ def monte_carlo_crosscheck(
         for m in orbit.members:
             orbit_of[m] = oi
 
-    # 3L equally likely unit-rate events per state: each site contributes the
-    # monoid target twice and the braid target once.
-    transitions = []
-    for diagram in basis.diagrams:
-        row = []
-        for i in range(1, length + 1):
-            m = basis.index_of(apply_monoid(i, diagram))
-            row.extend((m, m, basis.index_of(apply_braid(i, diagram))))
-        transitions.append(row)
+    transitions = _event_rows(transition_table(basis))
 
     if ground_state is None:
         ground_state = groundstate(length, cache_dir=cache_dir)

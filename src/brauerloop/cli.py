@@ -56,17 +56,13 @@ def cmd_enumerate(args) -> int:
 
 def cmd_groundstate(args) -> int:
     cache_dir = resolve_cache_dir(args.cache_dir)
-    state = groundstate(
-        args.length,
-        use_reduction=not args.full,
-        cache_dir=cache_dir,
-        threads=args.threads,
-    )
-    orbits = shared_orbits(args.length)
-    label_lists = [_orbit_labels(args.length, orbit.members) for orbit in orbits]
+    state = groundstate(args.length, cache_dir=cache_dir, threads=args.threads)
     if args.format == "json":
         sys.stdout.write(serialize_groundstate(state))
-    elif args.format == "csv":
+        return EXIT_OK
+    orbits = shared_orbits(args.length)
+    label_lists = [_orbit_labels(args.length, orbit.members) for orbit in orbits]
+    if args.format == "csv":
         print("representative,size,weight,label")
         for ow, labels in zip(state.orbit_weights, label_lists):
             print(f"\"{ow.representative.encode()}\",{ow.size},{ow.weight},{';'.join(labels)}")
@@ -201,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("groundstate", help="compute the exact ground state of one length")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p.add_argument("--full", action="store_true",
-                   help="solve on the full diagram basis instead of the orbit-reduced one")
     add_common(p)
     p.set_defaults(func=cmd_groundstate)
 

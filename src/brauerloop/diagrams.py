@@ -26,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-DEFECT = -1
+import numpy as np
 
-UNDEFINED = None
+DEFECT = -1
 
 
 @dataclass(frozen=True, order=True)
@@ -102,22 +102,48 @@ class ChordDiagram:
 
 
 class DiagramBasis:
-    """Every diagram of one length, in increasing lexicographic order."""
+    """Every diagram of one length, in increasing lexicographic order.
 
-    __slots__ = ("length", "diagrams", "_index")
+    `partners` holds them as an (N, L) int8 array. `rank` reads a row as a
+    mixed-radix key whose digits are the partners, shifted by one for odd L
+    so that DEFECT is digit 0; keys then sort like the diagrams.
+    """
+
+    __slots__ = ("length", "diagrams", "partners", "_keys")
 
     def __init__(self, length: int, diagrams):
         self.length = length
         self.diagrams = tuple(diagrams)
-        self._index = {d.partner: i for i, d in enumerate(self.diagrams)}
+        self.partners = np.array([d.partner for d in self.diagrams], dtype=np.int8)
+        # The largest key is base**L - 1, which has to fit in uint64.
+        if (length + length % 2) ** length > 2**64:
+            raise ValueError(f"length {length} is too long to rank diagrams in 64 bits")
+        self._keys = self._key(self.partners)
+        if np.any(self._keys[1:] <= self._keys[:-1]):
+            raise ValueError("basis diagrams must be in strictly increasing order")
 
-    @property
-    def index(self) -> dict[tuple[int, ...], int]:
-        """Partner tuple -> basis position; the exact inverse of `diagrams`."""
-        return dict(self._index)
+    def _key(self, partners: np.ndarray) -> np.ndarray:
+        shift = self.length % 2
+        base = self.length + shift
+        keys = np.zeros(len(partners), dtype=np.uint64)
+        for column in partners.T:
+            keys *= np.uint64(base)
+            keys += (column + shift).astype(np.uint64)
+        return keys
+
+    def rank(self, partners: np.ndarray) -> np.ndarray:
+        """Basis positions of the rows of an (M, L) partner array; KeyError if absent."""
+        keys = self._key(partners)
+        found = np.searchsorted(self._keys, keys)
+        clipped = np.minimum(found, len(self._keys) - 1)
+        if not np.array_equal(self._keys[clipped], keys):
+            raise KeyError("partner rows that are not diagrams of this basis")
+        return found
 
     def index_of(self, diagram: ChordDiagram) -> int:
-        return self._index[diagram.partner]
+        if diagram.length != self.length:
+            raise KeyError(diagram.partner)
+        return int(self.rank(np.array([diagram.partner], dtype=np.int8))[0])
 
     def __len__(self) -> int:
         return len(self.diagrams)
@@ -179,8 +205,8 @@ class Permutation:
 class PartialPermutation:
     """Injective map of all but one of {1..n+1} onto {1..n}.
 
-    The image tuple has length n+1 with UNDEFINED (None) at the one
-    unmapped point; `reverse()` gives the inverse-direction map on {1..n}.
+    The image tuple has length n+1 with None at the one unmapped point;
+    `reverse()` gives the inverse-direction map on {1..n}.
     """
 
     image: tuple[int | None, ...]
@@ -191,7 +217,7 @@ class PartialPermutation:
             raise ValueError("a partial permutation needs rank at least 1")
         defined = [v for v in self.image if v is not None]
         if len(defined) != n:
-            raise ValueError("exactly one image entry must be UNDEFINED")
+            raise ValueError("exactly one image entry must be None")
         if sorted(defined) != list(range(1, n + 1)):
             raise ValueError(f"defined entries must be 1..{n} without repeats")
 
@@ -294,43 +320,45 @@ def canonical_representative(diagram: ChordDiagram) -> ChordDiagram:
     return ChordDiagram(min(_dihedral_images(diagram.partner)))
 
 
+def rotate_partners(partners: np.ndarray, k: int) -> np.ndarray:
+    """`rotate` applied to every row of an (M, L) partner array."""
+    size = partners.shape[1]
+    # Lookup table for the new partner; the trailing entry maps DEFECT (-1).
+    moved = np.append((np.arange(size) + k) % size, DEFECT).astype(np.int8)
+    return moved[np.roll(partners, k % size, axis=1)]
+
+
+def reflect_partners(partners: np.ndarray) -> np.ndarray:
+    """`reflect` applied to every row of an (M, L) partner array."""
+    size = partners.shape[1]
+    mirrored = np.append(np.arange(size - 1, -1, -1), DEFECT).astype(np.int8)
+    return mirrored[partners[:, ::-1]]
+
+
 def compute_orbits(basis: DiagramBasis) -> list[SymmetryOrbit]:
     """Partition the basis into dihedral orbits, sorted by representative.
 
-    Orbits are connected components under one rotation step and the
-    reflection, which generate the full dihedral group; since the basis is
-    sorted, the smallest member index is the canonical representative.
+    Each diagram's orbit is labelled by the smallest key among its 2L
+    dihedral images, built one (N, L) array at a time. Keys sort like the
+    basis, so the member carrying that key is the canonical representative.
     """
-    n = len(basis)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    lookup = basis._index
-    for idx, diagram in enumerate(basis.diagrams):
-        p = diagram.partner
-        for image in (_rotate_tuple(p, 1), _reflect_tuple(p)):
-            a, b = find(idx), find(lookup[image])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-
-    groups: dict[int, list[int]] = {}
-    for idx in range(n):
-        groups.setdefault(find(idx), []).append(idx)
-    orbits = [
+    mirrored = reflect_partners(basis.partners)
+    smallest = basis._keys.copy()
+    for k in range(basis.length):
+        for source in (basis.partners, mirrored):
+            np.minimum(smallest, basis._key(rotate_partners(source, k)), out=smallest)
+    order = np.argsort(smallest, kind="stable")
+    starts = np.flatnonzero(np.diff(smallest[order])) + 1
+    firsts = order[np.append(0, starts)]
+    assert np.array_equal(basis._keys[firsts], smallest[firsts])
+    return [
         SymmetryOrbit(
             representative=basis.diagrams[members[0]],
             size=len(members),
             members=tuple(members),
         )
-        for members in groups.values()
+        for members in (g.tolist() for g in np.split(order, starts))
     ]
-    orbits.sort(key=lambda orbit: orbit.representative.partner)
-    return orbits
 
 
 def permutation_label(diagram: ChordDiagram) -> Permutation | None:
@@ -373,24 +401,6 @@ def partial_permutation_label(diagram: ChordDiagram) -> PartialPermutation | Non
         j = diagram.partner[i]
         image.append(None if j == DEFECT else j - half)
     return PartialPermutation(tuple(image))
-
-
-def diagram_of_label(label: Permutation | PartialPermutation) -> ChordDiagram:
-    """The unique chord diagram carrying the given (partial) permutation label."""
-    if isinstance(label, Permutation):
-        n = label.n
-        partner = [0] * (2 * n)
-        for i, v in enumerate(label.image):
-            partner[i] = n + v - 1
-            partner[n + v - 1] = i
-        return ChordDiagram(tuple(partner))
-    n = label.rank
-    partner = [DEFECT] * (2 * n + 1)
-    for i, v in enumerate(label.image):
-        if v is not None:
-            partner[i] = n + v
-            partner[n + v] = i
-    return ChordDiagram(tuple(partner))
 
 
 @lru_cache(maxsize=16)

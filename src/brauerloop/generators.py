@@ -8,17 +8,22 @@ and i+1. When i and i+1 are already paired, both act as the identity. A
 former partner may be the immovable virtual centre of an odd diagram, in
 which case whatever would have been joined to it becomes the new defect.
 
-Both maps are pure functions returning new diagrams. `check_relations`
-verifies the defining relations of the algebra on every diagram of a given
-length (or on a sample) and reports a counterexample on failure.
+`apply_monoid` and `apply_braid` act on one diagram and serve as the
+reference; `transition_table` applies both at every site to a whole basis at
+once and is the form every other stage consumes. `check_relations` verifies
+the defining relations of the algebra on every diagram of a given length (or
+on a sample) and reports a counterexample on failure.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 
-from .diagrams import DEFECT, ChordDiagram, enumerate_diagrams, rotate
+import numpy as np
+
+from .diagrams import DEFECT, ChordDiagram, DiagramBasis, enumerate_diagrams, rotate_partners
 
 
 def _check_index(i: int, size: int) -> None:
@@ -76,6 +81,37 @@ def apply_braid(i: int, diagram: ChordDiagram) -> ChordDiagram:
     return ChordDiagram(tuple(out))
 
 
+def transition_table(basis: DiagramBasis) -> np.ndarray:
+    """Basis indices of all generator images, as an (N, 2L) int32 array.
+
+    Column i-1 holds the monoid image at site i and column L+i-1 the braid
+    image. Each site is applied to all diagrams at once, with the case
+    analysis of `apply_monoid` and `apply_braid`: rows where i and i+1 are
+    paired stay fixed, and a DEFECT former partner receives no chord end.
+    """
+    partners = basis.partners
+    n, size = partners.shape
+    table = np.empty((n, 2 * size), dtype=np.int32)
+    for a in range(size):
+        b = (a + 1) % size
+        rows = np.flatnonzero(partners[:, a] != b)
+        pa, pb = partners[rows, a], partners[rows, b]
+        has_a, has_b = pa != DEFECT, pb != DEFECT
+        monoid = partners.copy()
+        monoid[rows, a] = b
+        monoid[rows, b] = a
+        monoid[rows[has_a], pa[has_a]] = pb[has_a]
+        monoid[rows[has_b], pb[has_b]] = pa[has_b]
+        table[:, a] = basis.rank(monoid)
+        braid = partners.copy()
+        braid[rows, a] = pb
+        braid[rows, b] = pa
+        braid[rows[has_b], pb[has_b]] = a
+        braid[rows[has_a], pa[has_a]] = b
+        table[:, size + a] = basis.rank(braid)
+    return table
+
+
 @dataclass(frozen=True)
 class RelationCheck:
     name: str
@@ -125,10 +161,18 @@ def check_relations(
         raise ValueError("relation checks need length >= 3")
     basis = enumerate_diagrams(length)
     if exhaustive:
-        diagrams = list(basis.diagrams)
+        d = np.arange(len(basis))
     else:
         rng = random.Random(seed)
-        diagrams = [basis.diagrams[rng.randrange(len(basis))] for _ in range(sample)]
+        d = np.array([rng.randrange(len(basis)) for _ in range(sample)])
+
+    # Index maps: e[i][x] is the basis index of e_i applied to diagram x, so
+    # a word acts on the tested diagrams d by nested indexing.
+    table = transition_table(basis)
+    e = {i: table[:, i - 1] for i in range(1, length + 1)}
+    b = {i: table[:, length + i - 1] for i in range(1, length + 1)}
+    rot = basis.rank(rotate_partners(basis.partners, 1))
+    rot_back = basis.rank(rotate_partners(basis.partners, length - 1))
 
     sites = range(1, length + 1)
     adjacent = [(i, j) for i in sites for j in sites
@@ -136,90 +180,50 @@ def check_relations(
     distant = [(i, j) for i in sites for j in sites
                if i != j and _cyclic_distance(i, j, length) > 1]
 
-    def e(i):
-        return lambda d: apply_monoid(i, d)
-
-    def b(i):
-        return lambda d: apply_braid(i, d)
-
-    def rot(k):
-        return lambda d: rotate(d, k)
-
-    def word(*ops):
-        def run(d):
-            for op in reversed(ops):
-                d = op(d)
-            return d
-
-        return run
-
-    # Each relation family: (name, [(lhs, rhs, tag), ...] per index choice).
-    families: list[tuple[str, list[tuple]]] = []
-
-    families.append((
-        "monoid idempotent: e_i e_i = e_i",
-        [(word(e(i), e(i)), word(e(i)), f"i={i}") for i in sites],
-    ))
-    families.append((
-        "braid involution: b_i b_i = 1",
-        [(word(b(i), b(i)), word(), f"i={i}") for i in sites],
-    ))
-    families.append((
-        "monoid absorption: e_i e_j e_i = e_i",
-        [(word(e(i), e(j), e(i)), word(e(i)), f"i={i},j={j}") for i, j in adjacent],
-    ))
-    families.append((
-        "braid relation: b_i b_j b_i = b_j b_i b_j",
-        [(word(b(i), b(j), b(i)), word(b(j), b(i), b(j)), f"i={i},j={j}")
-         for i, j in adjacent],
-    ))
-    families.append((
-        "mixed absorption: b_i e_i = e_i b_i = e_i",
-        [(word(b(i), e(i)), word(e(i)), f"i={i} (left)") for i in sites]
-        + [(word(e(i), b(i)), word(e(i)), f"i={i} (right)") for i in sites],
-    ))
-    families.append((
-        "mixed slide: b_i b_j e_i = e_j b_i b_j = e_j e_i",
-        [(word(b(i), b(j), e(i)), word(e(j), e(i)), f"i={i},j={j} (left)")
-         for i, j in adjacent]
-        + [(word(e(j), b(i), b(j)), word(e(j), e(i)), f"i={i},j={j} (middle)")
-           for i, j in adjacent],
-    ))
-    families.append((
-        "monoid commutation: [e_i, e_j] = 0",
-        [(word(e(i), e(j)), word(e(j), e(i)), f"i={i},j={j}")
-         for i, j in distant if i < j],
-    ))
-    families.append((
-        "braid commutation: [b_i, b_j] = 0",
-        [(word(b(i), b(j)), word(b(j), b(i)), f"i={i},j={j}")
-         for i, j in distant if i < j],
-    ))
-    families.append((
-        "mixed commutation: [e_i, b_j] = 0",
-        [(word(e(i), b(j)), word(b(j), e(i)), f"i={i},j={j}") for i, j in distant],
-    ))
-    # Periodic closure: conjugating by one rotation shifts the site index,
-    # so the generator at site L is the wrap-around of the one at site 1.
-    families.append((
-        "rotation covariance: g_{i+1} = r g_i r^-1",
-        [(word(e(i % length + 1)), word(rot(1), e(i), rot(length - 1)), f"e,i={i}")
-         for i in sites]
-        + [(word(b(i % length + 1)), word(rot(1), b(i), rot(length - 1)), f"b,i={i}")
-           for i in sites],
-    ))
+    # Each relation family: (name, (lhs, rhs, tag) per index choice). The
+    # instances are generated lazily, so one pair of image arrays is alive
+    # at a time and a failure stops the family.
+    families = [
+        ("monoid idempotent: e_i e_i = e_i",
+         ((e[i][e[i][d]], e[i][d], f"i={i}") for i in sites)),
+        ("braid involution: b_i b_i = 1",
+         ((b[i][b[i][d]], d, f"i={i}") for i in sites)),
+        ("monoid absorption: e_i e_j e_i = e_i",
+         ((e[i][e[j][e[i][d]]], e[i][d], f"i={i},j={j}") for i, j in adjacent)),
+        ("braid relation: b_i b_j b_i = b_j b_i b_j",
+         ((b[i][b[j][b[i][d]]], b[j][b[i][b[j][d]]], f"i={i},j={j}")
+          for i, j in adjacent)),
+        ("mixed absorption: b_i e_i = e_i b_i = e_i",
+         chain(((b[i][e[i][d]], e[i][d], f"i={i} (left)") for i in sites),
+               ((e[i][b[i][d]], e[i][d], f"i={i} (right)") for i in sites))),
+        ("mixed slide: b_i b_j e_i = e_j b_i b_j = e_j e_i",
+         chain(((b[i][b[j][e[i][d]]], e[j][e[i][d]], f"i={i},j={j} (left)")
+                for i, j in adjacent),
+               ((e[j][b[i][b[j][d]]], e[j][e[i][d]], f"i={i},j={j} (middle)")
+                for i, j in adjacent))),
+        ("monoid commutation: [e_i, e_j] = 0",
+         ((e[i][e[j][d]], e[j][e[i][d]], f"i={i},j={j}") for i, j in distant if i < j)),
+        ("braid commutation: [b_i, b_j] = 0",
+         ((b[i][b[j][d]], b[j][b[i][d]], f"i={i},j={j}") for i, j in distant if i < j)),
+        ("mixed commutation: [e_i, b_j] = 0",
+         ((e[i][b[j][d]], b[j][e[i][d]], f"i={i},j={j}") for i, j in distant)),
+        # Periodic closure: conjugating by one rotation shifts the site index,
+        # so the generator at site L is the wrap-around of the one at site 1.
+        ("rotation covariance: g_{i+1} = r g_i r^-1",
+         chain(((e[i % length + 1][d], rot[e[i][rot_back[d]]], f"e,i={i}") for i in sites),
+               ((b[i % length + 1][d], rot[b[i][rot_back[d]]], f"b,i={i}") for i in sites))),
+    ]
 
     checks = []
     for name, instances in families:
         cases = 0
         failure = None
         for lhs, rhs, tag in instances:
-            for d in diagrams:
-                cases += 1
-                if lhs(d) != rhs(d):
-                    failure = f"{tag} on {d.encode()}"
-                    break
-            if failure:
+            wrong = np.flatnonzero(lhs != rhs)
+            if wrong.size:
+                cases += int(wrong[0]) + 1
+                failure = f"{tag} on {basis.diagrams[d[wrong[0]]].encode()}"
                 break
+            cases += len(d)
         checks.append(RelationCheck(name, failure is None, cases, failure))
     return RelationReport(length, exhaustive, tuple(checks))

@@ -20,10 +20,12 @@ exactly the vector of per-orbit weights.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .diagrams import ChordDiagram, DiagramBasis, SymmetryOrbit
-from .generators import apply_braid, apply_monoid
+import numpy as np
+
+from .diagrams import DiagramBasis, SymmetryOrbit
+from .generators import transition_table
 
 FULL = "full"
 REDUCED = "reduced"
@@ -38,12 +40,6 @@ class IntensityMatrix:
     dimension: int
     columns: tuple[dict[int, int], ...]
 
-    def entry(self, row: int, col: int) -> int:
-        return self.columns[col].get(row, 0)
-
-    def column_sum(self, col: int) -> int:
-        return sum(self.columns[col].values())
-
     def validate(self, basis: DiagramBasis | None = None) -> None:
         """Check the intensity-matrix structure; raises on violation."""
         for c, col in enumerate(self.columns):
@@ -56,38 +52,17 @@ class IntensityMatrix:
             three_l = 3 * self.length
             for c, diagram in enumerate(basis.diagrams):
                 expected = three_l - 3 * diagram.adjacent_pair_count()
-                if self.entry(c, c) != expected:
+                diagonal = self.columns[c].get(c, 0)
+                if diagonal != expected:
                     raise ArithmeticError(
-                        f"diagonal of column {c} is {self.entry(c, c)}, expected {expected}"
+                        f"diagonal of column {c} is {diagonal}, expected {expected}"
                     )
-
-    def to_triplet_text(self) -> str:
-        """Plain-text dump: header "L kind dimension", then "row col value" lines."""
-        lines = [f"{self.length} {self.kind} {self.dimension}"]
-        triplets = sorted(
-            (r, c, v) for c, col in enumerate(self.columns) for r, v in col.items()
-        )
-        lines.extend(f"{r} {c} {v}" for r, c, v in triplets)
-        return "\n".join(lines) + "\n"
-
-
-def _assemble_column(basis: DiagramBasis, diagram: ChordDiagram) -> dict[int, int]:
-    size = basis.length
-    col = {basis.index_of(diagram): 3 * size}
-    for i in range(1, size + 1):
-        m = basis.index_of(apply_monoid(i, diagram))
-        col[m] = col.get(m, 0) - 2
-        b = basis.index_of(apply_braid(i, diagram))
-        col[b] = col.get(b, 0) - 1
-    return {r: v for r, v in col.items() if v}
 
 
 def build_full(basis: DiagramBasis) -> IntensityMatrix:
-    """Assemble the operator column by column over the full diagram basis."""
-    columns = tuple(_assemble_column(basis, d) for d in basis.diagrams)
-    return IntensityMatrix(
-        length=basis.length, kind=FULL, dimension=len(basis), columns=columns
-    )
+    """The operator over the full diagram basis: the lumping over singleton orbits."""
+    singletons = [SymmetryOrbit(d, 1, (i,)) for i, d in enumerate(basis.diagrams)]
+    return replace(build_reduced(basis, singletons), kind=FULL)
 
 
 def build_reduced(
@@ -98,42 +73,57 @@ def build_reduced(
     For each pair of orbits (R, C) the entry is the sum of all full entries
     with row in R and column in C. Equivariance makes the per-row sums
     constant across R; that representative independence is asserted for
-    every column orbit, so a broken symmetry cannot pass silently.
+    every pair of orbits, so a broken symmetry cannot pass silently. A row
+    of R with no entry in the columns of C counts as 0.
     """
-    orbit_of = [-1] * len(basis)
-    seen = 0
-    for oi, orbit in enumerate(orbits):
-        for m in orbit.members:
-            if orbit_of[m] != -1:
-                raise ValueError("orbits overlap: not a partition of the basis")
-            orbit_of[m] = oi
-            seen += 1
-    if seen != len(basis) or any(o == -1 for o in orbit_of):
-        raise ValueError("orbits do not cover the basis")
+    m = len(orbits)
+    sizes = np.array([len(orbit.members) for orbit in orbits], dtype=np.int64)
+    members = np.array([i for orbit in orbits for i in orbit.members], dtype=np.int64)
+    if not np.array_equal(np.sort(members), np.arange(len(basis))):
+        raise ValueError("orbits do not partition the basis")
+    orbit_of = np.empty(len(basis), dtype=np.int64)
+    orbit_of[members] = np.repeat(np.arange(m), sizes)
 
-    columns = []
-    for oi, orbit in enumerate(orbits):
-        acc: dict[int, int] = {}
-        for ci in orbit.members:
-            for r, v in _assemble_column(basis, basis.diagrams[ci]).items():
-                acc[r] = acc.get(r, 0) + v
-        by_row_orbit: dict[int, dict[int, int]] = {}
-        for r, v in acc.items():
-            by_row_orbit.setdefault(orbit_of[r], {})[r] = v
-        col: dict[int, int] = {}
-        for ri, row_values in by_row_orbit.items():
-            members = orbits[ri].members
-            values = [row_values.get(r, 0) for r in members]
-            if any(v != values[0] for v in values):
-                raise ArithmeticError(
-                    "symmetry lumping is not representative-independent for rows "
-                    f"of orbit {ri} against columns of orbit {oi}"
-                )
-            if values[0]:
-                col[ri] = values[0] * len(members)
-        columns.append(col)
+    table = transition_table(basis)
+    size = basis.length
+    offsets = np.append(0, np.cumsum(sizes))
+    columns: list[dict[int, int]] = [{} for _ in range(m)]
+    # Whole column orbits go in chunks of about 2**13 full entries, which
+    # bounds the temporary arrays; the chunks are independent.
+    step = max(1, 2**13 * m // ((2 * size + 1) * len(basis)))
+    for lo in range(0, m, step):
+        cols = members[offsets[lo] : offsets[min(lo + step, m)]]
+        # Column d of the full operator: +3L at d, -2 at each monoid image and
+        # -1 at each braid image. Sum the entries per (row r, column orbit C).
+        rows = np.column_stack([cols, table[cols]]).ravel()
+        vals = np.tile(np.repeat([3 * size, -2, -1], [1, size, size]), len(cols))
+        keys, inverse = np.unique(
+            rows * m + np.repeat(orbit_of[cols], 2 * size + 1), return_inverse=True
+        )
+        sums = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(sums, inverse, vals)
+        keys, sums = keys[sums != 0], sums[sums != 0]
+
+        # Group the nonzero sums by (C, R): every member of R must hold the same.
+        pairs, group, counts = np.unique(
+            keys % m * m + orbit_of[keys // m], return_inverse=True, return_counts=True
+        )
+        col_orbit, row_orbit = pairs // m, pairs % m
+        value = np.zeros(len(pairs), dtype=np.int64)
+        value[group] = sums
+        broken = counts != sizes[row_orbit]
+        broken[group[sums != value[group]]] = True
+        if broken.any():
+            k = int(np.argmax(broken))
+            raise ArithmeticError(
+                "symmetry lumping is not representative-independent for rows "
+                f"of orbit {row_orbit[k]} against columns of orbit {col_orbit[k]}"
+            )
+        entries = (value * sizes[row_orbit]).tolist()
+        for c, r, v in zip(col_orbit.tolist(), row_orbit.tolist(), entries):
+            columns[c][r] = v
     return IntensityMatrix(
-        length=basis.length, kind=REDUCED, dimension=len(orbits), columns=tuple(columns)
+        length=basis.length, kind=REDUCED, dimension=m, columns=tuple(columns)
     )
 
 
@@ -170,16 +160,31 @@ def connectivity_check(matrix: IntensityMatrix) -> bool:
 def annihilates(basis: DiagramBasis, values) -> bool:
     """Exact check that the operator sends the given diagram vector to zero.
 
-    Streams the columns instead of storing the matrix, so it stays cheap
-    even for lengths where the full operator would be bulky.
+    The weights are arbitrary Python integers. They are split into signed
+    31-bit limbs, each limb is pushed through the transition table in int64,
+    and the per-limb results are recombined with exact carries, so the
+    answer does not depend on the size of the weights.
     """
     if len(values) != len(basis):
         raise ValueError("value vector does not match the basis size")
-    out = [0] * len(basis)
-    for ci, diagram in enumerate(basis.diagrams):
-        w = values[ci]
-        if w == 0:
-            continue
-        for r, v in _assemble_column(basis, diagram).items():
-            out[r] += v * w
-    return all(x == 0 for x in out)
+    table = transition_table(basis)
+    n, width = table.shape
+    size = width // 2
+    # A limb has magnitude at most 2**31 and a column's entries sum to 6L in
+    # magnitude, so no accumulated int64 value or carry can reach 2**62.
+    assert 6 * size * n * 2**31 < 2**62, "int64 limb accumulation could overflow"
+    weights = np.array(values, dtype=object)
+    bits = max(abs(w) for w in values).bit_length()
+    carry = np.zeros(n, dtype=np.int64)
+    for shift in range(0, bits + 1, 31):
+        limb = weights >> shift
+        if shift + 31 <= bits:
+            limb = limb & (2**31 - 1)
+        limb = limb.astype(np.int64)
+        out = carry + 3 * size * limb
+        for j in range(width):
+            np.add.at(out, table[:, j], (-2 if j < size else -1) * limb)
+        if np.any(out & (2**31 - 1)):
+            return False
+        carry = out >> 31
+    return not carry.any()

@@ -38,7 +38,6 @@ from .hamiltonian import (
     REDUCED,
     IntensityMatrix,
     annihilates,
-    build_full,
     build_reduced,
     connectivity_check,
 )
@@ -57,7 +56,7 @@ class MixedSignsError(ArithmeticError):
 
 
 class CacheCorruptError(RuntimeError):
-    """A cache file failed its checksum."""
+    """A cache file failed its checksum or holds another length."""
 
 
 # Fixed list of primes just below 2**22. The modular elimination runs on
@@ -74,6 +73,7 @@ PRIMES = (
 
 _BAREISS_LIMIT = 200
 _PANEL = 64
+assert _PANEL * max(PRIMES) ** 2 < 2**53, "modular LU panel is not exact in float64"
 
 
 def kernel_vector(
@@ -482,7 +482,12 @@ def load_cached_groundstate(cache_dir, length: int) -> GroundState | None:
     path = cache_path(cache_dir, length)
     if not path.exists():
         return None
-    return deserialize_groundstate(path.read_text())
+    state = deserialize_groundstate(path.read_text())
+    if state.length != length:
+        raise CacheCorruptError(
+            f"cache file {path.name} holds length {state.length}, not {length}"
+        )
+    return state
 
 
 def save_cached_groundstate(cache_dir, state: GroundState) -> Path:
@@ -495,16 +500,16 @@ def save_cached_groundstate(cache_dir, state: GroundState) -> Path:
 def groundstate(
     length: int,
     *,
-    use_reduction: bool = True,
     cache_dir=None,
     method: str = "auto",
     threads: int | None = None,
 ) -> GroundState:
     """Enumerate, assemble, solve, verify, and (optionally) cache one length.
 
-    The returned state is always re-verified against the full diagram basis
-    in exact arithmetic, whichever solver and basis produced it. A valid
-    cache entry short-circuits the whole pipeline.
+    The kernel is solved on the orbit-reduced matrix and the returned state
+    is always re-verified against the full diagram basis in exact
+    arithmetic, whichever solver produced it. A valid cache entry
+    short-circuits the whole pipeline.
     """
     if length < 2:
         raise ValueError(f"ground states need length >= 2, got {length}")
@@ -515,36 +520,18 @@ def groundstate(
 
     basis = shared_basis(length)
     orbits = shared_orbits(length)
-    matrix = build_reduced(basis, orbits) if use_reduction else build_full(basis)
-    matrix.validate(basis if not use_reduction else None)
-    vec = kernel_vector(matrix, method=method, threads=threads)
-    normalized = normalize_integer(vec)
-
-    if use_reduction:
-        per_orbit = list(normalized)
-    else:
-        per_orbit = []
-        for orbit in orbits:
-            values = {normalized[m] for m in orbit.members}
-            if len(values) != 1:
-                raise ArithmeticError("kernel vector is not constant on an orbit")
-            per_orbit.append(values.pop())
-
-    full_values = [0] * len(basis)
-    for orbit, w in zip(orbits, per_orbit):
-        for m in orbit.members:
-            full_values[m] = w
-    if not annihilates(basis, full_values):
-        raise ArithmeticError("expanded ground state is not annihilated on the full basis")
-
+    matrix = build_reduced(basis, orbits)
+    matrix.validate()
+    per_orbit = normalize_integer(kernel_vector(matrix, method=method, threads=threads))
     state = GroundState(
         length=length,
-        generator=REDUCED if use_reduction else "full",
         orbit_weights=tuple(
             OrbitWeight(representative=o.representative, size=o.size, weight=w)
             for o, w in zip(orbits, per_orbit)
         ),
     )
+    if not annihilates(basis, state.expand()):
+        raise ArithmeticError("expanded ground state is not annihilated on the full basis")
     if cache_dir is not None:
         save_cached_groundstate(cache_dir, state)
     return state

@@ -19,6 +19,9 @@ from brauerloop import (
     verify_maximality,
     verify_sum_rule,
 )
+from brauerloop.checks import _event_rows
+from brauerloop.diagrams import shared_basis
+from brauerloop.generators import apply_braid, apply_monoid, transition_table
 
 # Stored reference constants are write-once: any edit must show up here.
 ORACLE_SHA256 = "171bc7e704bf6ac364cf0a5c04d85880c3b02f94b6475afdb2fca722d21e74c7"
@@ -153,6 +156,18 @@ class TestMonteCarlo:
         for ea, eb in zip(a.estimates, b.estimates):
             band = 5.0 * math.hypot(ea.stderr, eb.stderr)
             assert abs(ea.empirical - eb.empirical) <= band
+
+    @pytest.mark.parametrize("length", range(2, 9))
+    def test_event_rows_match_scalar_generators(self, length):
+        basis = shared_basis(length)
+        expected = []
+        for d in basis:
+            row = []
+            for i in range(1, length + 1):
+                m = basis.index_of(apply_monoid(i, d))
+                row.extend((m, m, basis.index_of(apply_braid(i, d))))
+            expected.append(row)
+        assert _event_rows(transition_table(basis)) == expected
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -70,6 +70,17 @@ class TestGroundstate:
         assert code == 0
         assert second == first
 
+    def test_json_skips_orbit_labels(self, capsys, tmp_path, monkeypatch):
+        import brauerloop.cli as cli_module
+
+        def boom(*args):
+            raise AssertionError("labels are not part of the JSON output")
+
+        monkeypatch.setattr(cli_module, "_orbit_labels", boom)
+        assert main(["groundstate", "--length", "5", "--format", "json",
+                     "--cache-dir", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["length"] == 5
+
 
 class TestVerify:
     def test_all_checks_pass_to_l6(self, capsys, tmp_path):

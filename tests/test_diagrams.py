@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 from brauerloop import (
     DEFECT,
     ChordDiagram,
+    DiagramBasis,
     PartialPermutation,
     Permutation,
     canonical_representative,
     compute_orbits,
-    diagram_of_label,
     enumerate_diagrams,
     partial_permutation_label,
     permutation_label,
@@ -96,7 +96,20 @@ class TestEnumeration:
         assert partners == sorted(partners)
         for i, d in enumerate(basis):
             assert basis.index_of(d) == i
-        assert basis.index == {d.partner: i for i, d in enumerate(basis)}
+
+    def test_index_of_unknown_diagram_raises(self):
+        basis = enumerate_diagrams(4)
+        with pytest.raises(KeyError):
+            basis.index_of(diagram(6, (1, 2), (3, 4), (5, 6)))
+        with pytest.raises(KeyError):
+            basis.index_of(diagram(2, (1, 2)))
+        with pytest.raises(KeyError):
+            DiagramBasis(4, [basis[0], basis[2]]).index_of(basis[1])
+
+    def test_basis_must_be_sorted(self):
+        basis = enumerate_diagrams(4)
+        with pytest.raises(ValueError):
+            DiagramBasis(4, reversed(basis.diagrams))
 
 
 class TestDihedralAction:
@@ -216,16 +229,6 @@ class TestLabels:
         found = [lab for lab in labels if lab is not None]
         assert len(found) == expected
         assert len(set(found)) == expected  # labels are distinct
-
-    def test_diagram_of_label_roundtrip(self):
-        for d in enumerate_diagrams(6):
-            label = permutation_label(d)
-            if label is not None:
-                assert diagram_of_label(label) == d
-        for d in enumerate_diagrams(5):
-            label = partial_permutation_label(d)
-            if label is not None:
-                assert diagram_of_label(label) == d
 
 
 class TestLabelTypes:

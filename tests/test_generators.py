@@ -1,14 +1,61 @@
-import pytest
+from functools import lru_cache
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import brauerloop.generators as generators_module
 from brauerloop import (
+    DEFECT,
+    ChordDiagram,
     apply_braid,
     apply_monoid,
     check_relations,
     enumerate_diagrams,
     permutation_label,
 )
+from brauerloop.diagrams import shared_basis
+from brauerloop.generators import transition_table
 
 from conftest import diagram
+
+
+def scalar_row(basis, d):
+    """Table row of one diagram computed with the scalar generators."""
+    sites = range(1, basis.length + 1)
+    return [basis.index_of(apply_monoid(i, d)) for i in sites] + [
+        basis.index_of(apply_braid(i, d)) for i in sites
+    ]
+
+
+@lru_cache(maxsize=None)
+def shared_table(length):
+    return transition_table(shared_basis(length))
+
+
+@st.composite
+def long_diagrams(draw):
+    length = draw(st.integers(min_value=11, max_value=14))
+    sites = draw(st.permutations(range(length)))
+    partner = [DEFECT] * length
+    for a, b in zip(sites[0::2], sites[1::2]):
+        partner[a], partner[b] = b, a
+    return ChordDiagram(tuple(partner))
+
+
+class TestTransitionTable:
+    @pytest.mark.parametrize("length", range(2, 11))
+    def test_matches_scalar_generators_exhaustively(self, length):
+        basis = enumerate_diagrams(length)
+        table = transition_table(basis)
+        assert table.shape == (len(basis), 2 * length)
+        assert table.tolist() == [scalar_row(basis, d) for d in basis]
+
+    @settings(max_examples=40, deadline=None)
+    @given(long_diagrams())
+    def test_matches_scalar_generators_on_long_diagrams(self, d):
+        basis = shared_basis(d.length)
+        assert shared_table(d.length)[basis.index_of(d)].tolist() == scalar_row(basis, d)
 
 
 class TestMonoid:
@@ -87,6 +134,29 @@ def test_relations_sampled_mode():
     report = check_relations(9, exhaustive=False, sample=25, seed=1)
     assert report.all_passed
     assert not report.exhaustive
+
+
+def test_broken_table_fails_with_counterexample(monkeypatch):
+    # Make e_1 the identity map: idempotence still holds, while absorption
+    # e_1 e_2 e_1 = e_1 fails first on the first diagram that e_2 moves.
+    def broken(basis):
+        table = transition_table(basis)
+        table[:, 0] = range(len(basis))
+        return table
+
+    monkeypatch.setattr(generators_module, "transition_table", broken)
+    length = 6
+    basis = enumerate_diagrams(length)
+    moved = next(k for k, d in enumerate(basis) if apply_monoid(2, d) != d)
+    report = check_relations(length)
+    assert not report.all_passed
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["monoid idempotent: e_i e_i = e_i"].passed
+    absorption = by_name["monoid absorption: e_i e_j e_i = e_i"]
+    assert not absorption.passed
+    assert absorption.counterexample == f"i=1,j=2 on {basis[moved].encode()}"
+    assert absorption.cases == moved + 1
+    assert f"FAIL  ({moved + 1} cases)  counterexample: i=1,j=2 on" in report.to_text()
 
 
 def test_relations_reject_tiny_length():

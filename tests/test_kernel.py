@@ -173,7 +173,8 @@ class TestGroundState:
 
     def test_full_and_reduced_paths_agree(self):
         for length in (4, 5, 6):
-            assert groundstate(length, use_reduction=False) == groundstate(length)
+            full = normalize_integer(kernel_vector(build_full(enumerate_diagrams(length))))
+            assert full == groundstate(length).expand()
 
     def test_expand_matches_orbit_structure(self):
         gs = groundstate(6)
@@ -230,6 +231,14 @@ class TestCache:
         broken = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         with pytest.raises(CacheCorruptError):
             deserialize_groundstate(broken)
+
+    def test_renamed_cache_file_rejected(self, tmp_path):
+        groundstate(4, cache_dir=tmp_path)
+        cache_path(tmp_path, 5).write_bytes(cache_path(tmp_path, 4).read_bytes())
+        with pytest.raises(CacheCorruptError):
+            load_cached_groundstate(tmp_path, 5)
+        with pytest.raises(CacheCorruptError):
+            groundstate(5, cache_dir=tmp_path)
 
     def test_missing_cache_returns_none(self, tmp_path):
         assert load_cached_groundstate(tmp_path, 10) is None
