@@ -23,8 +23,7 @@ from typing import Mapping
 from .diagrams import (
     PartialPermutation,
     Permutation,
-    partial_permutation_label,
-    permutation_label,
+    orbit_labels,
     shared_basis,
     shared_orbits,
 )
@@ -92,24 +91,22 @@ class CheckResult:
 def permutation_weight_table(
     state: GroundState,
 ) -> dict[Permutation, int] | dict[PartialPermutation, int]:
-    """Map every (partial) permutation label to the weight of its diagram."""
-    basis = shared_basis(state.length)
+    """Map every (partial) permutation label to the weight of its diagram.
+
+    Labels are inserted orbit by orbit, members in basis order.
+    """
     orbits = shared_orbits(state.length)
     by_rep = state.weight_by_representative()
-    even = state.length % 2 == 0
     table: dict = {}
-    for orbit in orbits:
+    for orbit, labels in zip(orbits, orbit_labels(shared_basis(state.length), orbits)):
         try:
             weight = by_rep[orbit.representative]
         except KeyError:
             raise ValueError(
                 "ground state orbits do not match the enumerated orbits"
             ) from None
-        for m in orbit.members:
-            diagram = basis.diagrams[m]
-            label = permutation_label(diagram) if even else partial_permutation_label(diagram)
-            if label is not None:
-                table[label] = weight
+        for label in labels:
+            table[label] = weight
     return table
 
 

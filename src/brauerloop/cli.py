@@ -8,12 +8,7 @@ import os
 import sys
 
 from . import checks, counting
-from .diagrams import (
-    partial_permutation_label,
-    permutation_label,
-    shared_basis,
-    shared_orbits,
-)
+from .diagrams import encode_partners, orbit_labels, shared_basis, shared_orbits
 from .kernel import groundstate, serialize_groundstate
 
 EXIT_OK = 0
@@ -32,16 +27,12 @@ def resolve_cache_dir(flag_value):
     return ".brauer-cache"
 
 
-def _orbit_labels(length: int, members) -> list[str]:
-    basis = shared_basis(length)
-    even = length % 2 == 0
-    labels = []
-    for m in members:
-        diagram = basis.diagrams[m]
-        label = permutation_label(diagram) if even else partial_permutation_label(diagram)
-        if label is not None:
-            labels.append(label.compact())
-    return sorted(labels)
+def _orbit_labels(length: int, orbits) -> list[list[str]]:
+    """Per orbit, the sorted compact forms of its members' labels."""
+    return [
+        sorted(label.compact() for label in labels)
+        for labels in orbit_labels(shared_basis(length), orbits)
+    ]
 
 
 def cmd_enumerate(args) -> int:
@@ -49,8 +40,8 @@ def cmd_enumerate(args) -> int:
         for orbit in shared_orbits(args.length):
             print(f"{orbit.representative.encode()} {orbit.size}")
     else:
-        for diagram in shared_basis(args.length):
-            print(diagram.encode())
+        for row in shared_basis(args.length).partners.tolist():
+            print(encode_partners(row))
     return EXIT_OK
 
 
@@ -61,7 +52,7 @@ def cmd_groundstate(args) -> int:
         sys.stdout.write(serialize_groundstate(state))
         return EXIT_OK
     orbits = shared_orbits(args.length)
-    label_lists = [_orbit_labels(args.length, orbit.members) for orbit in orbits]
+    label_lists = _orbit_labels(args.length, orbits)
     if args.format == "csv":
         print("representative,size,weight,label")
         for ow, labels in zip(state.orbit_weights, label_lists):

@@ -10,9 +10,12 @@ fixed virtual point at the centre of the circle.
 Diagrams compare by their partner tuples, with DEFECT (-1) sorting below any
 site index. A basis lists every diagram of one length in increasing
 lexicographic order of partner tuples, which pins the index of each diagram
-and keeps downstream matrices and cache files reproducible. Symmetry orbits
-group basis indices under the 2L rotations and reflections of the circle;
-the orbit representative is the lexicographically smallest member.
+and keeps downstream matrices and cache files reproducible. The basis is an
+(N, L) int8 partner array, built and validated with numpy; `ChordDiagram`
+is the type of single diagrams at I/O boundaries (orbit representatives,
+cache files, text output) and of the per-diagram test oracles. Symmetry
+orbits group basis indices under the 2L rotations and reflections of the
+circle; the orbit representative is the lexicographically smallest member.
 
 Even-length diagrams whose left half-circle connects entirely into the
 right half-circle are labelled by a permutation; odd-length diagrams whose
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -74,14 +78,9 @@ class ChordDiagram:
         """The chords as sorted 0-based pairs (i, j) with i < j."""
         return [(i, j) for i, j in enumerate(self.partner) if j != DEFECT and i < j]
 
-    def adjacent_pair_count(self) -> int:
-        """Number of sites i paired with their cyclic successor i+1."""
-        size = len(self.partner)
-        return sum(1 for i, j in enumerate(self.partner) if j == (i + 1) % size)
-
     def encode(self) -> str:
         """1-based comma-separated partner list with '.' at the defect."""
-        return ",".join("." if j == DEFECT else str(j + 1) for j in self.partner)
+        return encode_partners(self.partner)
 
     @classmethod
     def decode(cls, text: str) -> ChordDiagram:
@@ -101,20 +100,70 @@ class ChordDiagram:
         return self.encode()
 
 
+def encode_partners(partner) -> str:
+    """`ChordDiagram.encode` of one partner row."""
+    return ",".join("." if j == DEFECT else str(j + 1) for j in partner)
+
+
+def _first(mask: np.ndarray) -> tuple[int, int]:
+    row, site = np.argwhere(mask)[0]
+    return int(row), int(site)
+
+
+def _validated(length: int, partners) -> np.ndarray:
+    """The rows as an (N, L) int8 array, each checked to be a diagram.
+
+    Does for the whole array what `ChordDiagram` does for one partner tuple,
+    with int8 and bool temporaries of the array's shape; raises ValueError
+    naming the first offending row.
+    """
+    if length < 2:
+        raise ValueError(f"a diagram needs at least 2 sites, got {length}")
+    p = np.asarray(partners)
+    if p.ndim != 2 or p.shape[1] != length or not np.issubdtype(p.dtype, np.integer):
+        raise ValueError(f"partners must be an integer array with rows of length {length}")
+    outside = (p < DEFECT) | (p >= length)
+    if outside.any():
+        r, i = _first(outside)
+        raise ValueError(f"row {r}: partner {p[r, i]} of site {i} is out of range")
+    p = p.astype(np.int8, copy=False)
+    looped = p == np.arange(length, dtype=np.int8)
+    if looped.any():
+        r, i = _first(looped)
+        raise ValueError(f"row {r}: site {i} is paired with itself")
+    rows = np.arange(len(p))
+    for i in range(length):
+        j = p[:, i]
+        broken = (j != DEFECT) & (p[rows, np.maximum(j, 0)] != i)
+        if broken.any():
+            r = int(np.argmax(broken))
+            raise ValueError(f"row {r}: pairing is not an involution at site {i}")
+    defects = np.count_nonzero(p == DEFECT, axis=1)
+    wrong = np.flatnonzero(defects != length % 2)
+    if wrong.size:
+        r = int(wrong[0])
+        raise ValueError(
+            f"row {r}: length {length} requires exactly {length % 2} defect(s), "
+            f"found {defects[r]}"
+        )
+    return p
+
+
 class DiagramBasis:
     """Every diagram of one length, in increasing lexicographic order.
 
-    `partners` holds them as an (N, L) int8 array. `rank` reads a row as a
-    mixed-radix key whose digits are the partners, shifted by one for odd L
-    so that DEFECT is digit 0; keys then sort like the diagrams.
+    `partners` holds them as an (N, L) int8 array, validated on
+    construction. `rank` reads a row as a mixed-radix key whose digits are
+    the partners, shifted by one for odd L so that DEFECT is digit 0; keys
+    then sort like the diagrams. Indexing and iteration build `ChordDiagram`
+    objects on demand.
     """
 
-    __slots__ = ("length", "diagrams", "partners", "_keys")
+    __slots__ = ("length", "partners", "_keys")
 
-    def __init__(self, length: int, diagrams):
+    def __init__(self, length: int, partners):
         self.length = length
-        self.diagrams = tuple(diagrams)
-        self.partners = np.array([d.partner for d in self.diagrams], dtype=np.int8)
+        self.partners = _validated(length, partners)
         # The largest key is base**L - 1, which has to fit in uint64.
         if (length + length % 2) ** length > 2**64:
             raise ValueError(f"length {length} is too long to rank diagrams in 64 bits")
@@ -146,13 +195,13 @@ class DiagramBasis:
         return int(self.rank(np.array([diagram.partner], dtype=np.int8))[0])
 
     def __len__(self) -> int:
-        return len(self.diagrams)
+        return len(self.partners)
 
     def __iter__(self):
-        return iter(self.diagrams)
+        return (ChordDiagram(tuple(row)) for row in self.partners.tolist())
 
     def __getitem__(self, i: int) -> ChordDiagram:
-        return self.diagrams[i]
+        return ChordDiagram(tuple(self.partners[i].tolist()))
 
 
 @dataclass(frozen=True)
@@ -245,37 +294,40 @@ class PartialPermutation:
         return self._key() < other._key()
 
 
+_FREE = -2  # a site not yet assigned during enumeration
+
+
 def enumerate_diagrams(length: int) -> DiagramBasis:
     """All chord diagrams of the given length, lexicographically ordered.
 
-    There are (L-1)!! diagrams for even L and L*(L-2)!! for odd L.
+    There are (L-1)!! diagrams for even L and L*(L-2)!! for odd L. The rows
+    are built one site at a time: a row whose site i is still free branches
+    into the defect at i (odd L, no defect yet) and then into a chord to
+    each free later site in increasing order, so children follow their
+    parents in lexicographic order and no sort is needed.
     """
     if length < 2:
         raise ValueError(f"diagram enumeration needs length >= 2, got {length}")
-    found: list[tuple[int, ...]] = []
-    partner = [DEFECT] * length
-
-    def fill(free: tuple[int, ...]):
-        if not free:
-            found.append(tuple(partner))
-            return
-        i = free[0]
-        rest = free[1:]
-        for k, j in enumerate(rest):
-            partner[i] = j
-            partner[j] = i
-            fill(rest[:k] + rest[k + 1 :])
-            partner[j] = DEFECT
-        partner[i] = DEFECT
-
-    sites = tuple(range(length))
-    if length % 2:
-        for hole in sites:
-            fill(sites[:hole] + sites[hole + 1 :])
-    else:
-        fill(sites)
-    found.sort()
-    return DiagramBasis(length, [ChordDiagram(p) for p in found])
+    rows = np.full((1, length), _FREE, dtype=np.int8)
+    has_defect = np.zeros(1, dtype=bool)
+    for i in range(length):
+        free = rows[:, i] == _FREE
+        # Choice 0 keeps a row whose site i is taken, 1 puts the defect at i,
+        # and 2 + k pairs i with site i + 1 + k; np.nonzero lists the choices
+        # row by row in that order.
+        choices = np.zeros((len(rows), length - i + 1), dtype=bool)
+        choices[:, 0] = ~free
+        if length % 2:
+            choices[:, 1] = free & ~has_defect
+        choices[:, 2:] = free[:, None] & (rows[:, i + 1 :] == _FREE)
+        parent, choice = np.nonzero(choices)
+        rows, has_defect = rows[parent], has_defect[parent] | (choice == 1)
+        rows[choice == 1, i] = DEFECT
+        paired = np.flatnonzero(choice >= 2)
+        other = choice[paired] + i - 1
+        rows[paired, i] = other
+        rows[paired, other] = i
+    return DiagramBasis(length, rows)
 
 
 def _rotate_tuple(p: tuple[int, ...], k: int) -> tuple[int, ...]:
@@ -353,7 +405,7 @@ def compute_orbits(basis: DiagramBasis) -> list[SymmetryOrbit]:
     assert np.array_equal(basis._keys[firsts], smallest[firsts])
     return [
         SymmetryOrbit(
-            representative=basis.diagrams[members[0]],
+            representative=basis[members[0]],
             size=len(members),
             members=tuple(members),
         )
@@ -401,6 +453,37 @@ def partial_permutation_label(diagram: ChordDiagram) -> PartialPermutation | Non
         j = diagram.partner[i]
         image.append(None if j == DEFECT else j - half)
     return PartialPermutation(tuple(image))
+
+
+def orbit_labels(
+    basis: DiagramBasis, orbits
+) -> list[list[Permutation]] | list[list[PartialPermutation]]:
+    """The labels of each orbit's labelled members, in member order.
+
+    Agrees with `permutation_label` (even L) and `partial_permutation_label`
+    (odd L) on every member. The labelled rows are picked with one mask over
+    the partner array, so label objects are built only for those n! (even)
+    or (n+1)! (odd) rows.
+    """
+    size = basis.length
+    half = size // 2
+    if size % 2 == 0:
+        labelled = np.all(basis.partners[:, :half] >= half, axis=1)
+    else:
+        right = basis.partners[:, half + 1 :]
+        labelled = np.all((right != DEFECT) & (right <= half), axis=1)
+    members = np.fromiter(chain.from_iterable(o.members for o in orbits), dtype=np.int64)
+    hits = np.flatnonzero(labelled[members])
+    owners = np.repeat(np.arange(len(orbits)), [o.size for o in orbits])[hits]
+    images = basis.partners[members[hits], : half + size % 2].tolist()
+    out: list[list] = [[] for _ in orbits]
+    for k, image in zip(owners.tolist(), images):
+        if size % 2:
+            label = PartialPermutation(tuple(None if j == DEFECT else j - half for j in image))
+        else:
+            label = Permutation(tuple(j - half + 1 for j in image))
+        out[k].append(label)
+    return out
 
 
 @lru_cache(maxsize=16)

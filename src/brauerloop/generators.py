@@ -222,7 +222,7 @@ def check_relations(
             wrong = np.flatnonzero(lhs != rhs)
             if wrong.size:
                 cases += int(wrong[0]) + 1
-                failure = f"{tag} on {basis.diagrams[d[wrong[0]]].encode()}"
+                failure = f"{tag} on {basis[int(d[wrong[0]])].encode()}"
                 break
             cases += len(d)
         checks.append(RelationCheck(name, failure is None, cases, failure))

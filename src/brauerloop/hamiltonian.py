@@ -49,9 +49,11 @@ class IntensityMatrix:
                 if r != c and v > 0:
                     raise ArithmeticError(f"positive off-diagonal entry at ({r}, {c})")
         if self.kind == FULL and basis is not None:
-            three_l = 3 * self.length
-            for c, diagram in enumerate(basis.diagrams):
-                expected = three_l - 3 * diagram.adjacent_pair_count()
+            # Each site paired with its cyclic successor is fixed by both
+            # generators there, which cancels 3 of the 3L on the diagonal.
+            successor = (np.arange(self.length, dtype=np.int8) + 1) % self.length
+            adjacent = np.count_nonzero(basis.partners == successor, axis=1)
+            for c, expected in enumerate((3 * self.length - 3 * adjacent).tolist()):
                 diagonal = self.columns[c].get(c, 0)
                 if diagonal != expected:
                     raise ArithmeticError(
@@ -61,12 +63,14 @@ class IntensityMatrix:
 
 def build_full(basis: DiagramBasis) -> IntensityMatrix:
     """The operator over the full diagram basis: the lumping over singleton orbits."""
-    singletons = [SymmetryOrbit(d, 1, (i,)) for i, d in enumerate(basis.diagrams)]
-    return replace(build_reduced(basis, singletons), kind=FULL)
+    singletons = [(i,) for i in range(len(basis))]
+    return replace(_lump(basis, singletons, transition_table(basis)), kind=FULL)
 
 
 def build_reduced(
-    basis: DiagramBasis, orbits: list[SymmetryOrbit] | tuple[SymmetryOrbit, ...]
+    basis: DiagramBasis,
+    orbits: list[SymmetryOrbit] | tuple[SymmetryOrbit, ...],
+    table: np.ndarray | None = None,
 ) -> IntensityMatrix:
     """Lump the full operator over dihedral orbits by summing orbit blocks.
 
@@ -74,17 +78,24 @@ def build_reduced(
     with row in R and column in C. Equivariance makes the per-row sums
     constant across R; that representative independence is asserted for
     every pair of orbits, so a broken symmetry cannot pass silently. A row
-    of R with no entry in the columns of C counts as 0.
+    of R with no entry in the columns of C counts as 0. `table` is the
+    basis's `transition_table`, built here when not given.
     """
-    m = len(orbits)
-    sizes = np.array([len(orbit.members) for orbit in orbits], dtype=np.int64)
-    members = np.array([i for orbit in orbits for i in orbit.members], dtype=np.int64)
+    if table is None:
+        table = transition_table(basis)
+    return _lump(basis, [orbit.members for orbit in orbits], table)
+
+
+def _lump(basis: DiagramBasis, groups, table: np.ndarray) -> IntensityMatrix:
+    """`build_reduced` over groups of basis indices given as member tuples."""
+    m = len(groups)
+    sizes = np.array([len(group) for group in groups], dtype=np.int64)
+    members = np.array([i for group in groups for i in group], dtype=np.int64)
     if not np.array_equal(np.sort(members), np.arange(len(basis))):
         raise ValueError("orbits do not partition the basis")
     orbit_of = np.empty(len(basis), dtype=np.int64)
     orbit_of[members] = np.repeat(np.arange(m), sizes)
 
-    table = transition_table(basis)
     size = basis.length
     offsets = np.append(0, np.cumsum(sizes))
     columns: list[dict[int, int]] = [{} for _ in range(m)]
@@ -157,17 +168,19 @@ def connectivity_check(matrix: IntensityMatrix) -> bool:
     return reaches_all(forward) and reaches_all(backward)
 
 
-def annihilates(basis: DiagramBasis, values) -> bool:
+def annihilates(basis: DiagramBasis, values, table: np.ndarray | None = None) -> bool:
     """Exact check that the operator sends the given diagram vector to zero.
 
     The weights are arbitrary Python integers. They are split into signed
     31-bit limbs, each limb is pushed through the transition table in int64,
     and the per-limb results are recombined with exact carries, so the
-    answer does not depend on the size of the weights.
+    answer does not depend on the size of the weights. `table` is the
+    basis's `transition_table`, built here when not given.
     """
     if len(values) != len(basis):
         raise ValueError("value vector does not match the basis size")
-    table = transition_table(basis)
+    if table is None:
+        table = transition_table(basis)
     n, width = table.shape
     size = width // 2
     # A limb has magnitude at most 2**31 and a column's entries sum to 6L in

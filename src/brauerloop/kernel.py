@@ -26,6 +26,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagrams import ChordDiagram, shared_basis, shared_orbits
+from .generators import transition_table
 from .hamiltonian import (
     REDUCED,
     IntensityMatrix,
@@ -491,9 +494,19 @@ def load_cached_groundstate(cache_dir, length: int) -> GroundState | None:
 
 
 def save_cached_groundstate(cache_dir, state: GroundState) -> Path:
+    """Write the cache file atomically: a temporary file beside it, then a rename.
+
+    A reader sees either the old file or the complete new one, and a write
+    that fails part-way leaves no partial file under the cache name.
+    """
     path = cache_path(cache_dir, state.length)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(serialize_groundstate(state))
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        temporary.write_text(serialize_groundstate(state))
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)
     return path
 
 
@@ -520,7 +533,8 @@ def groundstate(
 
     basis = shared_basis(length)
     orbits = shared_orbits(length)
-    matrix = build_reduced(basis, orbits)
+    table = transition_table(basis)
+    matrix = build_reduced(basis, orbits, table)
     matrix.validate()
     per_orbit = normalize_integer(kernel_vector(matrix, method=method, threads=threads))
     state = GroundState(
@@ -530,7 +544,7 @@ def groundstate(
             for o, w in zip(orbits, per_orbit)
         ),
     )
-    if not annihilates(basis, state.expand()):
+    if not annihilates(basis, state.expand(), table):
         raise ArithmeticError("expanded ground state is not annihilated on the full basis")
     if cache_dir is not None:
         save_cached_groundstate(cache_dir, state)

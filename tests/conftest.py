@@ -25,6 +25,37 @@ def brute_force_count(length):
     )
 
 
+def recursive_partners(length):
+    """Sorted partner tuples of every diagram, built by recursive pairing.
+
+    Pairs the first free site with each later free site in turn; for odd
+    lengths every site takes the defect once. Slow, independent oracle for
+    `enumerate_diagrams`.
+    """
+    found = []
+    partner = [-1] * length
+
+    def fill(free):
+        if not free:
+            found.append(tuple(partner))
+            return
+        i, rest = free[0], free[1:]
+        for k, j in enumerate(rest):
+            partner[i] = j
+            partner[j] = i
+            fill(rest[:k] + rest[k + 1 :])
+            partner[j] = -1
+        partner[i] = -1
+
+    sites = tuple(range(length))
+    if length % 2:
+        for hole in sites:
+            fill(sites[:hole] + sites[hole + 1 :])
+    else:
+        fill(sites)
+    return sorted(found)
+
+
 def brute_force_diagrams(length):
     """All valid partner tuples by filtering raw involutions (small lengths only)."""
     out = set()

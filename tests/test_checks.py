@@ -20,8 +20,15 @@ from brauerloop import (
     verify_sum_rule,
 )
 from brauerloop.checks import _event_rows
-from brauerloop.diagrams import shared_basis
+from brauerloop.diagrams import (
+    ChordDiagram,
+    partial_permutation_label,
+    permutation_label,
+    shared_basis,
+    shared_orbits,
+)
 from brauerloop.generators import apply_braid, apply_monoid, transition_table
+from brauerloop.kernel import GroundState, OrbitWeight
 
 # Stored reference constants are write-once: any edit must show up here.
 ORACLE_SHA256 = "171bc7e704bf6ac364cf0a5c04d85880c3b02f94b6475afdb2fca722d21e74c7"
@@ -65,6 +72,55 @@ class TestWeightTable:
         assert table[PartialPermutation((2, 1, None))] == 3
         assert table[PartialPermutation((1, None, 2))] == 1
         assert len(table) == 6
+
+
+def numbered_state(length):
+    """A stand-in ground state whose orbit weights are 1, 2, 3, ... in orbit order."""
+    return GroundState(
+        length=length,
+        orbit_weights=tuple(
+            OrbitWeight(representative=o.representative, size=o.size, weight=k + 1)
+            for k, o in enumerate(shared_orbits(length))
+        ),
+    )
+
+
+class TestWeightTableOracle:
+    @pytest.mark.parametrize("length", range(2, 13))
+    def test_matches_per_diagram_labels_in_order(self, length):
+        basis = shared_basis(length)
+        label = permutation_label if length % 2 == 0 else partial_permutation_label
+        expected = {}
+        for k, orbit in enumerate(shared_orbits(length)):
+            for m in orbit.members:
+                found = label(basis[m])
+                if found is not None:
+                    expected[found] = k + 1
+        table = permutation_weight_table(numbered_state(length))
+        assert list(table.items()) == list(expected.items())
+
+    def test_unknown_representative_rejected(self):
+        state = numbered_state(6)
+        broken = GroundState(length=6, orbit_weights=state.orbit_weights[1:])
+        with pytest.raises(ValueError, match="do not match"):
+            permutation_weight_table(broken)
+
+    @pytest.mark.parametrize("length", [9, 10])
+    def test_builds_no_diagram_per_basis_row(self, length, monkeypatch):
+        # From cold shared caches through the solve to the table: one
+        # ChordDiagram per orbit representative at most, none per basis row.
+        shared_basis.cache_clear()
+        shared_orbits.cache_clear()
+        built = []
+        original = ChordDiagram.__post_init__
+
+        def counting(self):
+            built.append(self.partner)
+            original(self)
+
+        monkeypatch.setattr(ChordDiagram, "__post_init__", counting)
+        table = permutation_weight_table(groundstate(length))
+        assert len(built) <= len(shared_orbits(length)) + len(table)
 
 
 class TestConcatenation:

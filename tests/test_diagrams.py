@@ -1,3 +1,6 @@
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +22,7 @@ from brauerloop import (
 from brauerloop.counting import double_factorial
 from brauerloop.diagrams import shared_basis
 
-from conftest import brute_force_count, brute_force_diagrams, diagram
+from conftest import brute_force_count, brute_force_diagrams, diagram, recursive_partners
 
 
 @st.composite
@@ -81,6 +84,19 @@ class TestEnumeration:
         enumerated = {d.partner for d in enumerate_diagrams(length)}
         assert enumerated == brute_force_diagrams(length)
 
+    @pytest.mark.parametrize("length", range(2, 13))
+    def test_matches_recursive_oracle(self, length):
+        expected = np.array(recursive_partners(length), dtype=np.int8)
+        partners = enumerate_diagrams(length).partners
+        assert partners.dtype == np.int8
+        assert np.array_equal(partners, expected)
+
+    def test_rows_read_back_as_diagrams(self):
+        basis = enumerate_diagrams(7)
+        assert [d.partner for d in basis] == [tuple(row) for row in basis.partners.tolist()]
+        assert basis[5].partner == tuple(basis.partners[5].tolist())
+        assert basis[-1] == list(basis)[-1]
+
     @pytest.mark.parametrize("length", range(2, 15))
     def test_count_formula_and_recursion(self, length):
         count = len(shared_basis(length))
@@ -104,12 +120,51 @@ class TestEnumeration:
         with pytest.raises(KeyError):
             basis.index_of(diagram(2, (1, 2)))
         with pytest.raises(KeyError):
-            DiagramBasis(4, [basis[0], basis[2]]).index_of(basis[1])
+            DiagramBasis(4, basis.partners[[0, 2]]).index_of(basis[1])
 
     def test_basis_must_be_sorted(self):
         basis = enumerate_diagrams(4)
         with pytest.raises(ValueError):
-            DiagramBasis(4, reversed(basis.diagrams))
+            DiagramBasis(4, basis.partners[::-1])
+
+
+class TestBasisValidation:
+    """The whole-array check rejects what `ChordDiagram` rejects per row."""
+
+    @pytest.mark.parametrize(
+        "length, rows, message",
+        [
+            (3, [[1, 2, 0]], "not an involution"),
+            (4, [[1, 0, 3, 2], [2, 3, 1, 0]], "row 1: pairing is not an involution"),
+            (2, [[0, 1]], "paired with itself"),
+            (4, [[1, 0, 3, 4]], "out of range"),
+            (3, [[-2, 2, 1]], "out of range"),
+            (4, [[1, 0, 3, 200]], "out of range"),
+            (2, [[-1, -1]], "requires exactly 0 defect(s), found 2"),
+            (5, [[1, 0, -1, -1, -1]], "requires exactly 1 defect(s), found 3"),
+            (4, [[1, 0, -1, -1]], "requires exactly 0 defect(s)"),
+        ],
+    )
+    def test_rejects_corrupted_rows(self, length, rows, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DiagramBasis(length, np.array(rows))
+
+    def test_rejects_corruption_inside_a_full_basis(self):
+        partners = enumerate_diagrams(8).partners.copy()
+        # Site 0 now names a site that is paired elsewhere.
+        partners[57, 0] = 1 if partners[57, 0] != 1 else 2
+        with pytest.raises(ValueError, match="row 57: pairing is not an involution at site 0"):
+            DiagramBasis(8, partners)
+
+    def test_rejects_wrong_shape_and_type(self):
+        with pytest.raises(ValueError):
+            DiagramBasis(4, np.array([1, 0, 3, 2]))
+        with pytest.raises(ValueError):
+            DiagramBasis(4, np.array([[1, 0]]))
+        with pytest.raises(ValueError):
+            DiagramBasis(2, np.array([[1.0, 0.0]]))
+        with pytest.raises(ValueError):
+            DiagramBasis(1, np.zeros((1, 1), dtype=np.int8))
 
 
 class TestDihedralAction:

@@ -50,6 +50,31 @@ class TestBuildFull:
         basis = enumerate_diagrams(length)
         build_full(basis).validate(basis)
 
+    @pytest.mark.parametrize("length", range(2, 11))
+    def test_diagonal_matches_adjacent_pairs(self, length):
+        basis = enumerate_diagrams(length)
+        matrix = build_full(basis)
+        for c, d in enumerate(basis):
+            adjacent = sum(1 for i, j in enumerate(d.partner) if j == (i + 1) % length)
+            assert matrix.columns[c].get(c, 0) == 3 * length - 3 * adjacent
+
+    def test_validate_catches_wrong_diagonal(self):
+        basis = enumerate_diagrams(6)
+        matrix = build_full(basis)
+        columns = [dict(col) for col in matrix.columns]
+        # Move weight from an off-diagonal entry to the diagonal: the column
+        # still sums to zero and stays nonpositive off the diagonal.
+        other = next(r for r in columns[4] if r != 4)
+        columns[4][4] += 1
+        columns[4][other] -= 1
+        broken = IntensityMatrix(length=6, kind="full", dimension=15, columns=tuple(columns))
+        expected = matrix.columns[4][4]
+        with pytest.raises(ArithmeticError, match=(
+            f"diagonal of column 4 is {expected + 1}, expected {expected}$"
+        )):
+            broken.validate(basis)
+        broken.validate()  # without a basis only the column structure is checked
+
     def test_validate_catches_broken_column(self):
         matrix = IntensityMatrix(length=4, kind="full", dimension=2,
                                  columns=({0: 1}, {}))

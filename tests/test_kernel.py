@@ -186,6 +186,22 @@ class TestGroundState:
         with pytest.raises(ValueError):
             groundstate(1)
 
+    def test_transition_table_built_once(self, monkeypatch):
+        import brauerloop.hamiltonian as hamiltonian_module
+        import brauerloop.kernel as kernel_module
+
+        calls = []
+        original = kernel_module.transition_table
+
+        def counting(basis):
+            calls.append(basis.length)
+            return original(basis)
+
+        monkeypatch.setattr(kernel_module, "transition_table", counting)
+        monkeypatch.setattr(hamiltonian_module, "transition_table", counting)
+        assert groundstate(7).min_is_one
+        assert calls == [7]
+
     def test_serialization_deterministic_across_threads(self):
         a = groundstate(8, method="modular", threads=1)
         b = groundstate(8, method="modular", threads=2)
@@ -242,6 +258,31 @@ class TestCache:
 
     def test_missing_cache_returns_none(self, tmp_path):
         assert load_cached_groundstate(tmp_path, 10) is None
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        from pathlib import Path
+
+        gs = groundstate(6)
+        text = serialize_groundstate(gs)
+
+        def half_then_fail(self, data, *args, **kwargs):
+            with open(self, "w") as handle:
+                handle.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_cached_groundstate(tmp_path, gs)
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+
+        # A failed rewrite keeps the complete earlier file.
+        save_cached_groundstate(tmp_path, gs)
+        monkeypatch.setattr(Path, "write_text", half_then_fail)
+        with pytest.raises(OSError):
+            save_cached_groundstate(tmp_path, gs)
+        assert [p.name for p in tmp_path.iterdir()] == ["groundstate-L06.json"]
+        assert cache_path(tmp_path, 6).read_text() == text
 
     def test_save_creates_directories(self, tmp_path):
         gs = groundstate(4)
