@@ -18,7 +18,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from itertools import islice
+from typing import Iterator, Mapping
+
+import numpy as np
 
 from .diagrams import (
     PartialPermutation,
@@ -279,6 +282,26 @@ def _event_rows(table) -> list[list[int]]:
     return table[:, [c for a in range(size) for c in (a, a, size + a)]].tolist()
 
 
+_DRAW_WORDS = 2**14  # 32-bit words fetched from the generator per chunk
+
+
+def _uniform_draws(rng: random.Random, n: int) -> Iterator[int]:
+    """The values `rng.randrange(n)` would return call after call, drawn in bulk.
+
+    randrange(n) reads the top n.bit_length() bits of one 32-bit Mersenne
+    Twister output and draws again while the value is >= n; getrandbits
+    of a multiple of 32 bits returns consecutive outputs as little-endian
+    words. So reading a chunk of words and keeping the small enough values
+    yields the same stream, one chunk in memory at a time.
+    """
+    shift = 32 - n.bit_length()
+    assert shift >= 0, "draws must fit in one 32-bit word"
+    while True:
+        words = rng.getrandbits(32 * _DRAW_WORDS).to_bytes(4 * _DRAW_WORDS, "little")
+        draws = np.frombuffer(words, dtype="<u4") >> shift
+        yield from draws[draws < n].tolist()
+
+
 def monte_carlo_crosscheck(
     length: int,
     samples: int,
@@ -313,20 +336,20 @@ def monte_carlo_crosscheck(
     total = ground_state.total
     exact = [Fraction(ow.size * ow.weight, total) for ow in ground_state.orbit_weights]
 
-    rng = random.Random(seed)
-    events = 3 * length
+    draws = _uniform_draws(random.Random(seed), 3 * length)
     state = 0
     burn = samples // 10 if burn_in is None else burn_in
-    for _ in range(burn):
-        state = transitions[state][rng.randrange(events)]
+    for event in islice(draws, burn):
+        state = transitions[state][event]
 
     n_batches = min(100, samples)
     batch_size = samples // n_batches
     used = n_batches * batch_size
     batch_counts = [[0] * len(orbits) for _ in range(n_batches)]
-    for step in range(used):
-        state = transitions[state][rng.randrange(events)]
-        batch_counts[step // batch_size][orbit_of[state]] += 1
+    for counts in batch_counts:
+        for event in islice(draws, batch_size):
+            state = transitions[state][event]
+            counts[orbit_of[state]] += 1
 
     estimates = []
     for oi, orbit in enumerate(orbits):

@@ -387,22 +387,39 @@ def reflect_partners(partners: np.ndarray) -> np.ndarray:
     return mirrored[partners[:, ::-1]]
 
 
+def dihedral_maps(basis: DiagramBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Index maps of one rotation and of the reflection, as int32 arrays.
+
+    step[x] is the basis index of `rotate(basis[x], 1)` and mirror[x] that of
+    `reflect(basis[x])`; every other dihedral image is a composition of the
+    two, so these are the only rows that need ranking.
+    """
+    assert len(basis) < 2**31, "basis indices must fit in int32"
+    step = basis.rank(rotate_partners(basis.partners, 1)).astype(np.int32)
+    mirror = basis.rank(reflect_partners(basis.partners)).astype(np.int32)
+    return step, mirror
+
+
 def compute_orbits(basis: DiagramBasis) -> list[SymmetryOrbit]:
     """Partition the basis into dihedral orbits, sorted by representative.
 
-    Each diagram's orbit is labelled by the smallest key among its 2L
-    dihedral images, built one (N, L) array at a time. Keys sort like the
-    basis, so the member carrying that key is the canonical representative.
+    Each diagram's orbit is labelled by the smallest basis index among its
+    2L dihedral images. With `image` the index map of the k-th rotation, the
+    images of x are image[x] and image[mirror[x]], so the L rotations cost
+    one gather each. The basis is sorted, so the smallest index is the
+    lexicographically smallest image: the canonical representative.
     """
-    mirrored = reflect_partners(basis.partners)
-    smallest = basis._keys.copy()
-    for k in range(basis.length):
-        for source in (basis.partners, mirrored):
-            np.minimum(smallest, basis._key(rotate_partners(source, k)), out=smallest)
+    step, mirror = dihedral_maps(basis)
+    image = np.arange(len(basis), dtype=np.int32)
+    smallest = np.minimum(image, mirror)
+    for _ in range(basis.length - 1):
+        image = step[image]
+        np.minimum(smallest, image, out=smallest)
+        np.minimum(smallest, image[mirror], out=smallest)
     order = np.argsort(smallest, kind="stable")
     starts = np.flatnonzero(np.diff(smallest[order])) + 1
     firsts = order[np.append(0, starts)]
-    assert np.array_equal(basis._keys[firsts], smallest[firsts])
+    assert np.array_equal(smallest[firsts], firsts)
     return [
         SymmetryOrbit(
             representative=basis[members[0]],

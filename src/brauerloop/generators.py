@@ -23,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from .diagrams import DEFECT, ChordDiagram, DiagramBasis, enumerate_diagrams, rotate_partners
+from .diagrams import DEFECT, ChordDiagram, DiagramBasis, dihedral_maps, enumerate_diagrams
 
 
 def _check_index(i: int, size: int) -> None:
@@ -171,8 +171,9 @@ def check_relations(
     table = transition_table(basis)
     e = {i: table[:, i - 1] for i in range(1, length + 1)}
     b = {i: table[:, length + i - 1] for i in range(1, length + 1)}
-    rot = basis.rank(rotate_partners(basis.partners, 1))
-    rot_back = basis.rank(rotate_partners(basis.partners, length - 1))
+    rot, _ = dihedral_maps(basis)
+    rot_back = np.empty_like(rot)
+    rot_back[rot] = np.arange(len(basis), dtype=rot.dtype)
 
     sites = range(1, length + 1)
     adjacent = [(i, j) for i in sites for j in sites

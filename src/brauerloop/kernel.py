@@ -59,7 +59,7 @@ class MixedSignsError(ArithmeticError):
 
 
 class CacheCorruptError(RuntimeError):
-    """A cache file failed its checksum or holds another length."""
+    """A cache file failed its checksum, holds another length or other orbits."""
 
 
 # Fixed list of primes just below 2**22. The modular elimination runs on
@@ -489,6 +489,18 @@ def load_cached_groundstate(cache_dir, length: int) -> GroundState | None:
     if state.length != length:
         raise CacheCorruptError(
             f"cache file {path.name} holds length {state.length}, not {length}"
+        )
+    found = [(ow.representative, ow.size) for ow in state.orbit_weights]
+    expected = [(o.representative, o.size) for o in shared_orbits(length)]
+    if found != expected:
+        for k, (got, want) in enumerate(zip(found, expected)):
+            if got != want:
+                raise CacheCorruptError(
+                    f"cache file {path.name}: orbit {k} is {got[0]} of size {got[1]}, "
+                    f"expected {want[0]} of size {want[1]}"
+                )
+        raise CacheCorruptError(
+            f"cache file {path.name} holds {len(found)} orbits, not {len(expected)}"
         )
     return state
 

@@ -1,6 +1,14 @@
 import itertools
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
 
 from brauerloop import ChordDiagram
+from brauerloop.checks import MonteCarloReport, OrbitEstimate, _event_rows
+from brauerloop.diagrams import SymmetryOrbit, reflect_partners, rotate_partners
+from brauerloop.generators import transition_table
 
 
 def diagram(length, *pairs):
@@ -70,3 +78,68 @@ def brute_force_diagrams(length):
             continue
         out.add(tuple(-1 if perm[i] == i else perm[i] for i in sites))
     return out
+
+
+def orbits_by_image_keys(basis):
+    """Dihedral orbits from the rank keys of all 2L images, one image at a time.
+
+    Labels each diagram by the smallest key among its rotated and reflected
+    partner rows and groups by that label. Slow, independent oracle for
+    `compute_orbits`, which works on index maps instead.
+    """
+    mirrored = reflect_partners(basis.partners)
+    smallest = basis._keys.copy()
+    for k in range(basis.length):
+        for source in (basis.partners, mirrored):
+            np.minimum(smallest, basis._key(rotate_partners(source, k)), out=smallest)
+    order = np.argsort(smallest, kind="stable")
+    starts = np.flatnonzero(np.diff(smallest[order])) + 1
+    return [
+        SymmetryOrbit(representative=basis[members[0]], size=len(members),
+                      members=tuple(members))
+        for members in (g.tolist() for g in np.split(order, starts))
+    ]
+
+
+def monte_carlo_per_step(basis, orbits, ground_state, samples, seed, burn_in=None):
+    """`monte_carlo_crosscheck` with one `rng.randrange(3L)` call per step.
+
+    Oracle for the bulk draws: same chain, same batch means, same report.
+    """
+    length = basis.length
+    orbit_of = [0] * len(basis)
+    for oi, orbit in enumerate(orbits):
+        for m in orbit.members:
+            orbit_of[m] = oi
+    transitions = _event_rows(transition_table(basis))
+    total = ground_state.total
+    exact = [Fraction(ow.size * ow.weight, total) for ow in ground_state.orbit_weights]
+
+    rng = random.Random(seed)
+    events = 3 * length
+    state = 0
+    burn = samples // 10 if burn_in is None else burn_in
+    for _ in range(burn):
+        state = transitions[state][rng.randrange(events)]
+    n_batches = min(100, samples)
+    batch_size = samples // n_batches
+    used = n_batches * batch_size
+    batch_counts = [[0] * len(orbits) for _ in range(n_batches)]
+    for step in range(used):
+        state = transitions[state][rng.randrange(events)]
+        batch_counts[step // batch_size][orbit_of[state]] += 1
+
+    estimates = []
+    for oi, orbit in enumerate(orbits):
+        means = [batch_counts[b][oi] / batch_size for b in range(n_batches)]
+        mean = sum(means) / n_batches
+        variance = sum((m - mean) ** 2 for m in means) / max(n_batches - 1, 1)
+        stderr = math.sqrt(variance / n_batches)
+        gap = mean - float(exact[oi])
+        if stderr > 0:
+            z = gap / stderr
+        else:
+            z = 0.0 if gap == 0 else math.inf
+        estimates.append(OrbitEstimate(orbit.representative.encode(), exact[oi], mean,
+                                       stderr, z))
+    return MonteCarloReport(length, used, seed, burn, tuple(estimates))

@@ -1,6 +1,8 @@
 import hashlib
 import math
+import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -19,7 +21,7 @@ from brauerloop import (
     verify_maximality,
     verify_sum_rule,
 )
-from brauerloop.checks import _event_rows
+from brauerloop.checks import _DRAW_WORDS, _event_rows, _uniform_draws
 from brauerloop.diagrams import (
     ChordDiagram,
     partial_permutation_label,
@@ -28,6 +30,8 @@ from brauerloop.diagrams import (
     shared_orbits,
 )
 from brauerloop.generators import apply_braid, apply_monoid, transition_table
+
+from conftest import monte_carlo_per_step
 from brauerloop.kernel import GroundState, OrbitWeight
 
 # Stored reference constants are write-once: any edit must show up here.
@@ -224,6 +228,35 @@ class TestMonteCarlo:
                 row.extend((m, m, basis.index_of(apply_braid(i, d))))
             expected.append(row)
         assert _event_rows(transition_table(basis)) == expected
+
+    @pytest.mark.parametrize("length", range(2, 15))
+    def test_bulk_draws_equal_randrange(self, length):
+        events = 3 * length
+        # Enough draws to cross at least two chunk boundaries.
+        count = 2 * _DRAW_WORDS + 1000
+        for seed in (0, 1, 2024):
+            rng = random.Random(seed)
+            expected = [rng.randrange(events) for _ in range(count)]
+            draws = _uniform_draws(random.Random(seed), events)
+            assert list(islice(draws, count)) == expected
+
+    @pytest.mark.parametrize(
+        "length, samples, seed, burn_in",
+        [
+            (2, 1000, 0, None),
+            (4, 100_000, 3, 0),
+            (5, 12_345, 42, None),
+            (6, 50_050, 9, 0),
+            (7, 40_000, 1, 17),
+            (8, 33_333, 5, None),
+        ],
+    )
+    def test_matches_per_step_oracle(self, states, length, samples, seed, burn_in):
+        state = states[length]
+        report = monte_carlo_crosscheck(length, samples, seed, burn_in, ground_state=state)
+        oracle = monte_carlo_per_step(shared_basis(length), shared_orbits(length), state,
+                                      samples, seed, burn_in)
+        assert report == oracle
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -98,7 +98,7 @@ class TestClassCount:
         assert (rotation_sum // 3 + involution_term(3) + involution_term(2)) // 4 == 5
         assert class_count(3) == 5
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_orbit_enumeration(self, n):
         assert class_count(n) == len(compute_orbits(enumerate_diagrams(2 * n)))
 

@@ -20,9 +20,15 @@ from brauerloop import (
     rotate,
 )
 from brauerloop.counting import double_factorial
-from brauerloop.diagrams import shared_basis
+from brauerloop.diagrams import dihedral_maps, shared_basis, shared_orbits
 
-from conftest import brute_force_count, brute_force_diagrams, diagram, recursive_partners
+from conftest import (
+    brute_force_count,
+    brute_force_diagrams,
+    diagram,
+    orbits_by_image_keys,
+    recursive_partners,
+)
 
 
 @st.composite
@@ -239,6 +245,28 @@ class TestOrbits:
             assert canon == {orbit.representative}
             seen.extend(orbit.members)
         assert sorted(seen) == list(range(len(basis)))
+
+    @pytest.mark.parametrize("length", range(2, 15))
+    def test_matches_image_key_oracle(self, length):
+        basis = shared_basis(length)
+        assert list(shared_orbits(length)) == orbits_by_image_keys(basis)
+
+    @pytest.mark.parametrize("length", range(2, 10))
+    def test_dihedral_maps_match_scalar_images(self, length):
+        basis = shared_basis(length)
+        step, mirror = dihedral_maps(basis)
+        assert step.dtype == mirror.dtype == np.int32
+        for i, d in enumerate(basis):
+            assert step[i] == basis.index_of(rotate(d, 1))
+            assert mirror[i] == basis.index_of(reflect(d))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=11, max_value=14), st.data())
+    def test_representative_is_canonical_at_large_lengths(self, length, data):
+        basis = shared_basis(length)
+        i = data.draw(st.integers(min_value=0, max_value=len(basis) - 1))
+        owner = next(o for o in shared_orbits(length) if i in o.members)
+        assert canonical_representative(basis[i]) == owner.representative
 
 
 class TestLabels:

@@ -18,6 +18,7 @@ from brauerloop import (
     kernel_vector,
     normalize_integer,
 )
+from brauerloop.diagrams import shared_basis, shared_orbits
 from brauerloop.hamiltonian import IntensityMatrix
 from brauerloop.kernel import (
     CacheCorruptError,
@@ -255,6 +256,65 @@ class TestCache:
             load_cached_groundstate(tmp_path, 5)
         with pytest.raises(CacheCorruptError):
             groundstate(5, cache_dir=tmp_path)
+
+    @staticmethod
+    def rewrite_with_checksum(path, change):
+        import hashlib
+        import json
+
+        payload = json.loads(path.read_text())
+        del payload["checksum"]
+        change(payload["orbits"])
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        payload["checksum"] = hashlib.sha256(canonical.encode()).hexdigest()
+        path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+
+    def test_rechecksummed_swapped_representative_rejected(self, tmp_path):
+        groundstate(6, cache_dir=tmp_path)
+        path = cache_path(tmp_path, 6)
+
+        def swap(orbits):
+            orbits[1]["representative"], orbits[2]["representative"] = (
+                orbits[2]["representative"], orbits[1]["representative"])
+
+        self.rewrite_with_checksum(path, swap)
+        deserialize_groundstate(path.read_text())  # the checksum itself holds
+        with pytest.raises(CacheCorruptError, match=r"groundstate-L06\.json: orbit 1 is"):
+            load_cached_groundstate(tmp_path, 6)
+        with pytest.raises(CacheCorruptError):
+            groundstate(6, cache_dir=tmp_path)
+
+    def test_rechecksummed_non_canonical_representative_rejected(self, tmp_path):
+        groundstate(6, cache_dir=tmp_path)
+        path = cache_path(tmp_path, 6)
+        orbit = shared_orbits(6)[0]
+        other = shared_basis(6)[orbit.members[-1]].encode()
+
+        def replace(orbits):
+            orbits[0]["representative"] = other
+
+        self.rewrite_with_checksum(path, replace)
+        with pytest.raises(CacheCorruptError, match=f"orbit 0 is {other} of size"):
+            load_cached_groundstate(tmp_path, 6)
+
+    def test_rechecksummed_changed_size_rejected(self, tmp_path):
+        groundstate(7, cache_dir=tmp_path)
+        path = cache_path(tmp_path, 7)
+
+        def resize(orbits):
+            orbits[-1]["size"] += 1
+
+        self.rewrite_with_checksum(path, resize)
+        last = len(shared_orbits(7)) - 1
+        with pytest.raises(CacheCorruptError, match=f"groundstate-L07\\.json: orbit {last} is"):
+            load_cached_groundstate(tmp_path, 7)
+
+    def test_rechecksummed_dropped_orbit_rejected(self, tmp_path):
+        groundstate(8, cache_dir=tmp_path)
+        path = cache_path(tmp_path, 8)
+        self.rewrite_with_checksum(path, lambda orbits: orbits.pop())
+        with pytest.raises(CacheCorruptError, match="holds 16 orbits, not 17"):
+            load_cached_groundstate(tmp_path, 8)
 
     def test_missing_cache_returns_none(self, tmp_path):
         assert load_cached_groundstate(tmp_path, 10) is None
