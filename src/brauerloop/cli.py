@@ -47,7 +47,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_groundstate(args) -> int:
     cache_dir = resolve_cache_dir(args.cache_dir)
-    state = groundstate(args.length, cache_dir=cache_dir, threads=args.threads)
+    state = groundstate(args.length, cache_dir=cache_dir)
     if args.format == "json":
         sys.stdout.write(serialize_groundstate(state))
         return EXIT_OK
@@ -69,7 +69,7 @@ def cmd_groundstate(args) -> int:
 def cmd_verify(args) -> int:
     cache_dir = resolve_cache_dir(args.cache_dir)
     states = {
-        length: groundstate(length, cache_dir=cache_dir, threads=args.threads)
+        length: groundstate(length, cache_dir=cache_dir)
         for length in range(2, args.max_length + 1)
     }
     which = args.which
@@ -98,7 +98,7 @@ def cmd_verify(args) -> int:
 def cmd_sequence(args) -> int:
     cache_dir = resolve_cache_dir(args.cache_dir)
     states = {
-        2 * n: groundstate(2 * n, cache_dir=cache_dir, threads=args.threads)
+        2 * n: groundstate(2 * n, cache_dir=cache_dir)
         for n in range(1, args.max_n + 1)
     }
     values = checks.long_permutation_sequence(args.max_n, states)
@@ -171,14 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, cache=True, threads=True):
-        if cache:
-            p.add_argument("--cache-dir", default=None,
-                           help="result cache directory (default: $BRAUER_CACHE_DIR or .brauer-cache)")
-        if threads:
-            p.add_argument("--threads", type=int, default=os.cpu_count(),
-                           help="cap on worker threads for the modular solver "
-                                "(default: available cores)")
+    def add_common(p):
+        p.add_argument("--cache-dir", default=None,
+                       help="result cache directory (default: $BRAUER_CACHE_DIR or .brauer-cache)")
 
     p = sub.add_parser("enumerate", help="list diagrams or symmetry classes")
     p.add_argument("--length", type=int, required=True)

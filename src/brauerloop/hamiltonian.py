@@ -171,11 +171,9 @@ def connectivity_check(matrix: IntensityMatrix) -> bool:
 def annihilates(basis: DiagramBasis, values, table: np.ndarray | None = None) -> bool:
     """Exact check that the operator sends the given diagram vector to zero.
 
-    The weights are arbitrary Python integers. They are split into signed
-    31-bit limbs, each limb is pushed through the transition table in int64,
-    and the per-limb results are recombined with exact carries, so the
-    answer does not depend on the size of the weights. `table` is the
-    basis's `transition_table`, built here when not given.
+    The weights are arbitrary Python integers; `product_is_zero` pushes them
+    through the transition table in 31-bit limbs. `table` is the basis's
+    `transition_table`, built here when not given.
     """
     if len(values) != len(basis):
         raise ValueError("value vector does not match the basis size")
@@ -183,21 +181,38 @@ def annihilates(basis: DiagramBasis, values, table: np.ndarray | None = None) ->
         table = transition_table(basis)
     n, width = table.shape
     size = width // 2
-    # A limb has magnitude at most 2**31 and a column's entries sum to 6L in
-    # magnitude, so no accumulated int64 value or carry can reach 2**62.
-    assert 6 * size * n * 2**31 < 2**62, "int64 limb accumulation could overflow"
+
+    def apply(limb: np.ndarray) -> np.ndarray:
+        out = 3 * size * limb
+        for j in range(width):
+            np.add.at(out, table[:, j], (-2 if j < size else -1) * limb)
+        return out
+
+    # A column's entries sum to 6L in magnitude, so no row exceeds 6L * n.
+    return product_is_zero(apply, values, 6 * size * n)
+
+
+def product_is_zero(apply, values, gain: int) -> bool:
+    """Exact check that an integer linear map sends `values` to zero.
+
+    `apply` maps an int64 vector to its int64 image under the map, and
+    `gain` bounds the absolute row sums of the map. The values are arbitrary
+    Python integers: they are split into signed 31-bit limbs, each limb goes
+    through `apply` in int64, and the per-limb results are recombined with
+    exact carries, so the answer does not depend on the size of the values.
+    """
+    # A limb has magnitude at most 2**31 and a carry at most gain + 1, so no
+    # accumulated int64 value can reach 2**62.
+    assert gain * 2**32 < 2**62, "int64 limb accumulation could overflow"
     weights = np.array(values, dtype=object)
     bits = max(abs(w) for w in values).bit_length()
-    carry = np.zeros(n, dtype=np.int64)
+    carry = 0
     for shift in range(0, bits + 1, 31):
         limb = weights >> shift
         if shift + 31 <= bits:
             limb = limb & (2**31 - 1)
-        limb = limb.astype(np.int64)
-        out = carry + 3 * size * limb
-        for j in range(width):
-            np.add.at(out, table[:, j], (-2 if j < size else -1) * limb)
+        out = carry + apply(limb.astype(np.int64))
         if np.any(out & (2**31 - 1)):
             return False
         carry = out >> 31
-    return not carry.any()
+    return not np.any(carry)

@@ -1,24 +1,20 @@
 """
 Exact one-dimensional kernels of intensity matrices, and ground states.
 
-Two solver paths produce the kernel vector exactly:
+The kernel vector w of an orbit-reduced matrix A is found by one exact
+sparse solver. Orbit 0 is scaled to w[0] = 1 and the rest solves
+B y = b with B = A[1:, 1:] and b = -A[1:, 0]; B is a principal minor of an
+irreducible intensity matrix, hence nonsingular. Numeric-symbolic
+iterative refinement (Wan, J. Symbolic Comput. 41, 2006) wraps a float64
+BiCGSTAB: each step keeps as many bits of the float solution as its
+measured residual allows and updates the residual exactly in int64, within
+bounds asserted at every step. Continued fractions then recover the
+rationals over a common denominator, and a candidate is accepted only when
+A w = 0 holds exactly in integers; a solve that stops contracting or runs
+out of steps raises `RefinementError`.
 
-* fraction-free (Bareiss) elimination on the sparse integer matrix, with a
-  Markowitz pivot choice and a deterministic tie-break (lowest row, then
-  lowest column); every intermediate entry is a minor of the input, so all
-  arithmetic stays integral, and the rank is read off during elimination;
-* an accelerated path that eliminates modulo a fixed list of 22-bit primes
-  (blocked LU over float64, exact because every accumulated value stays
-  below 2**53), combines residues by Chinese remaindering, and recovers the
-  rational entries by rational reconstruction, growing the prime count until
-  the reconstruction stabilises.
-
-Both paths end with the same exact residual check, and the assembled ground
-state is additionally verified against the full diagram basis before it is
-returned or cached, so no correctness rests on the accelerated path. The
-dense modular elimination is sized for the orbit-reduced matrices; solving a
-full basis of more than a few thousand diagrams through it would be
-memory-hungry, so prefer the reduced build at large lengths.
+The assembled ground state is additionally verified against the full
+diagram basis before it is returned or cached.
 """
 
 from __future__ import annotations
@@ -28,9 +24,9 @@ import json
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +39,7 @@ from .hamiltonian import (
     annihilates,
     build_reduced,
     connectivity_check,
+    product_is_zero,
 )
 
 
@@ -62,296 +59,225 @@ class CacheCorruptError(RuntimeError):
     """A cache file failed its checksum, holds another length or other orbits."""
 
 
-# Fixed list of primes just below 2**22. The modular elimination runs on
-# float64: with a panel of 64 columns every accumulated integer stays below
-# 64 * p**2 < 2**53, so all float arithmetic is exact while the heavy updates
-# go through BLAS matrix products instead of elementwise integer loops.
-PRIMES = (
-    4194301, 4194287, 4194277, 4194271, 4194247, 4194217, 4194199, 4194191,
-    4194187, 4194181, 4194173, 4194167, 4194143, 4194137, 4194131, 4194107,
-    4194103, 4194023, 4194011, 4194007, 4193977, 4193971, 4193963, 4193957,
-    4193939, 4193929, 4193909, 4193869, 4193807, 4193803, 4193801, 4193789,
-    4193759, 4193753, 4193743, 4193701, 4193663, 4193633, 4193573, 4193569,
-)
-
-_BAREISS_LIMIT = 200
-_PANEL = 64
-assert _PANEL * max(PRIMES) ** 2 < 2**53, "modular LU panel is not exact in float64"
+class RefinementError(ArithmeticError):
+    """Iterative refinement stopped contracting or ran out of steps."""
 
 
-def kernel_vector(
-    matrix: IntensityMatrix, method: str = "auto", threads: int | None = None
-) -> tuple[Fraction, ...]:
-    """Exact nonzero vector annihilated by the matrix.
+# BiCGSTAB stops at this relative residual; each refinement step then gains
+# about -log2 of it, less a safety margin of 4 bits, in exact precision.
+_TOLERANCE = 1e-12
+_MAX_ITERATIONS = 1000
+# A step gains at least 8 bits; the orbit matrices up to L = 14 need 1 to 4.
+_MAX_STEPS = 64
 
-    Requires a strongly connected transition graph, which guarantees a
-    one-dimensional kernel; the rank is still verified during elimination.
+
+def kernel_vector(matrix: IntensityMatrix) -> tuple[Fraction, ...]:
+    """Exact nonzero vector annihilated by the matrix, scaled so entry 0 is 1.
+
+    The matrix must be an intensity matrix with a strongly connected
+    transition graph: then its kernel is a line spanned by a positive vector,
+    and every principal minor of order dimension - 1 is nonsingular. The
+    solution is accepted only after an exact integer check A w = 0.
     """
+    try:
+        matrix.validate()
+    except ArithmeticError as exc:
+        raise KernelDimensionError(
+            f"{exc}; a one-dimensional kernel is certain only for intensity matrices"
+        ) from exc
     if not connectivity_check(matrix):
         raise DisconnectedMatrixError(
             "transition graph is not strongly connected; kernel may be degenerate"
         )
-    if method == "auto":
-        method = "bareiss" if matrix.dimension <= _BAREISS_LIMIT else "modular"
-    if method == "bareiss":
-        vec = _bareiss_kernel(matrix.columns, matrix.dimension)
-    elif method == "modular":
-        vec = _modular_kernel(matrix, threads=threads)
-    else:
-        raise ValueError(f"unknown solver method {method!r}")
-    if not _residual_is_zero(matrix, vec):
-        raise ArithmeticError("solver produced a vector outside the kernel")
-    # Canonical scale (first nonzero entry = 1) so both paths agree exactly.
-    anchor = next(v for v in vec if v != 0)
-    return tuple(v / anchor for v in vec)
+    if matrix.dimension == 1:
+        return (Fraction(1),)
+    a = _Sparse.from_columns(matrix.columns)
+    den, num = _refine(a, matrix.length)
+    return (Fraction(1),) + tuple(Fraction(v, den) for v in num)
 
 
-def _residual_is_zero(matrix: IntensityMatrix, vec) -> bool:
-    out = [Fraction(0)] * matrix.dimension
-    for c, col in enumerate(matrix.columns):
-        v = vec[c]
-        if v == 0:
-            continue
-        for r, a in col.items():
-            out[r] += a * v
-    return all(x == 0 for x in out)
+@dataclass(frozen=True)
+class _Sparse:
+    """Square int64 matrix as entries sorted by row; every row holds one."""
 
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    starts: np.ndarray  # index of each row's first entry
+    l1: int  # largest absolute row sum
 
-def _bareiss_kernel(columns, dimension: int) -> list[Fraction]:
-    rows: list[dict[int, int]] = [{} for _ in range(dimension)]
-    for c, col in enumerate(columns):
-        for r, v in col.items():
-            if v:
-                rows[r][c] = v
-    active_rows = set(range(dimension))
-    active_cols = set(range(dimension))
-    previous_pivot = 1
-    pivots: list[tuple[int, int]] = []
+    @classmethod
+    def from_triplets(cls, rows, cols, vals, dimension: int) -> _Sparse:
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        counts = np.bincount(rows, minlength=dimension)
+        # np.add.reduceat cannot express an empty segment.
+        assert counts.all(), "sparse matrix has an empty row"
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        l1 = int(np.add.reduceat(np.abs(vals), starts).max())
+        return cls(rows, cols, vals, starts, l1)
 
-    while True:
-        col_count: dict[int, int] = {}
-        for r in active_rows:
-            for c in rows[r]:
-                col_count[c] = col_count.get(c, 0) + 1
-        best = None
-        for r in sorted(active_rows):
-            support = rows[r]
-            if not support:
-                continue
-            nr = len(support) - 1
-            for c in sorted(support):
-                cost = nr * (col_count[c] - 1)
-                if best is None or cost < best[0]:
-                    best = (cost, r, c)
-        if best is None:
-            break
-        _, pr, pc = best
-        pivot = rows[pr][pc]
-        pivot_row = rows[pr]
-        for r in active_rows:
-            if r == pr:
-                continue
-            row = rows[r]
-            v = row.pop(pc, 0)
-            if v:
-                touched = set(row) | set(pivot_row)
-                touched.discard(pc)
-                for c in touched:
-                    val = (pivot * row.get(c, 0) - v * pivot_row.get(c, 0)) // previous_pivot
-                    if val:
-                        row[c] = val
-                    else:
-                        row.pop(c, None)
-            elif previous_pivot != pivot:
-                for c in list(row):
-                    row[c] = (pivot * row[c]) // previous_pivot
-        active_rows.discard(pr)
-        active_cols.discard(pc)
-        pivots.append((pr, pc))
-        previous_pivot = pivot
-
-    rank = len(pivots)
-    if rank != dimension - 1:
-        raise KernelDimensionError(
-            f"rank {rank} of a {dimension}-dimensional matrix; kernel is not a line"
+    @classmethod
+    def from_columns(cls, columns) -> _Sparse:
+        cols = np.repeat(np.arange(len(columns)), [len(col) for col in columns])
+        rows = np.fromiter(chain.from_iterable(columns), np.int64, len(cols))
+        vals = np.fromiter(
+            chain.from_iterable(col.values() for col in columns), np.int64, len(cols)
         )
-    (free_col,) = active_cols
-    solution: list[Fraction | None] = [None] * dimension
-    solution[free_col] = Fraction(1)
-    for r, c in reversed(pivots):
-        total = Fraction(0)
-        for c2, v in rows[r].items():
-            if c2 != c:
-                total += v * solution[c2]
-        solution[c] = -total / rows[r][c]
-    return solution  # type: ignore[return-value]
+        return cls.from_triplets(rows, cols, vals, len(columns))
+
+    def minor(self) -> tuple[_Sparse, np.ndarray]:
+        """B = A[1:, 1:] and b = -A[1:, 0], the system for w[1:] / w[0]."""
+        inner = (self.rows > 0) & (self.cols > 0)
+        first = (self.rows > 0) & (self.cols == 0)
+        b = np.zeros(len(self.starts) - 1, dtype=np.int64)
+        b[self.rows[first] - 1] = -self.vals[first]
+        minor = _Sparse.from_triplets(
+            self.rows[inner] - 1, self.cols[inner] - 1, self.vals[inner], len(b)
+        )
+        return minor, b
+
+    def diagonal(self) -> np.ndarray:
+        on = self.rows == self.cols
+        out = np.zeros(len(self.starts))
+        out[self.rows[on]] = self.vals[on]
+        return out
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """Product with a float vector, or with an int64 one (exact within the callers' bounds)."""
+        return np.add.reduceat(self.vals * x[self.cols], self.starts)
 
 
-def _reduce_block(block: np.ndarray, p: int) -> None:
-    """Exact in-place reduction to [0, p) of integer-valued float64 data.
+def _bicgstab(b_matrix: _Sparse, rhs: np.ndarray) -> np.ndarray:
+    """Approximate solution of B y = rhs by BiCGSTAB (van der Vorst 1992).
 
-    The reciprocal-multiply quotient is off by at most one (values stay
-    below 2**53 and p below 2**22, so the floor error is under 2**-20),
-    which the two fix-up passes absorb; much faster than np.mod.
+    Right-preconditioned by the diagonal of B. Float64 throughout; the
+    refinement around it measures the residual of the result and decides
+    how many of its bits to keep, so stopping early only costs steps. The
+    shadow residual is a fixed random vector: the usual choice, the
+    right-hand side itself, breaks down on some sparse matrices (a directed
+    cycle, for one).
     """
-    q = np.floor(block * (1.0 / p))
-    q *= p
-    block -= q
-    block[block < 0] += p
-    block[block >= p] -= p
+    diagonal = b_matrix.diagonal()
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    r_hat = np.random.default_rng(0).standard_normal(len(rhs))
+    rho = alpha = omega = 1.0
+    v = p = np.zeros_like(rhs)
+    target = _TOLERANCE * np.linalg.norm(rhs)
+    for _ in range(_MAX_ITERATIONS):
+        rho_next = r_hat @ r
+        p = r + (rho_next / rho) * (alpha / omega) * (p - omega * v)
+        p_hat = p / diagonal
+        v = b_matrix @ p_hat
+        alpha = rho_next / (r_hat @ v)
+        s = r - alpha * v
+        if not np.linalg.norm(s) > target:
+            x += alpha * p_hat
+            break
+        s_hat = s / diagonal
+        t = b_matrix @ s_hat
+        omega = (t @ s) / (t @ t)
+        x += alpha * p_hat + omega * s_hat
+        r = s - omega * t
+        rho = rho_next
+        if not np.linalg.norm(r) > target:  # also stops on a breakdown to nan
+            break
+    return x
 
 
-def _kernel_mod_prime(dense: np.ndarray, p: int) -> list[int] | None:
-    """Kernel vector mod p normalised to 1 in entry 0, or None for a bad prime.
+def _refine(a: _Sparse, length: int) -> tuple[int, list[int]]:
+    """Exact solution of B y = b as (den, num) with y = num / den.
 
-    Blocked right-looking LU over float64, which is exact here: with primes
-    below 2**22 and panels of 64 columns, every accumulated value stays under
-    64 * p**2 < 2**53, so panel updates can defer reduction and the trailing
-    update per panel is a single BLAS matrix product. Multipliers are stored
-    in place of the eliminated entries. The strictly positive kernel makes
-    every proper column subset independent over the rationals, so for a good
-    prime the unique free column is the last one; a dependency showing up in
-    any earlier column marks the prime as bad.
+    Numeric-symbolic iterative refinement (Wan 2006): each step solves for
+    the current exact residual r in float64, keeps k bits of the solution
+    as an integer vector d, and updates r <- 2**k r - B d and the
+    accumulated numerators N <- 2**k N + d in exact arithmetic, so that
+    B N = D b - r holds throughout with D = 2**(sum of k). After each step
+    N / D is reconstructed as rationals over a common denominator, and the
+    result is returned only once A (1, y) = 0 holds exactly.
     """
-    a = (dense % p).astype(np.float64)
-    n = a.shape[0]
-    pivot_cols: list[int] = []
-    r = 0
-    for c0 in range(0, n, _PANEL):
-        c1 = min(c0 + _PANEL, n)
-        r0 = r
-        for c in range(c0, c1):
-            _reduce_block(a[r:, c], p)
-            nz = np.nonzero(a[r:, c])[0]
-            if nz.size == 0:
-                if c != n - 1:
-                    return None
-                continue
-            pr = r + int(nz[0])
-            if pr != r:
-                a[[r, pr]] = a[[pr, r]]
-            _reduce_block(a[r, c + 1 : c1], p)
-            inv = pow(int(a[r, c]), p - 2, p)
-            if r + 1 < n:
-                multipliers = a[r + 1 :, c]
-                multipliers *= inv
-                _reduce_block(multipliers, p)
-                if c + 1 < c1:
-                    # deferred reduction: entries grow by < p*p per pivot
-                    a[r + 1 :, c + 1 : c1] -= np.outer(multipliers, a[r, c + 1 : c1])
-            pivot_cols.append(c)
-            r += 1
-        if c1 == n or r == r0:
-            continue
-        # Unit-lower triangular solve on the panel's pivot rows, then one
-        # matrix product updates everything below for the trailing columns.
-        panel = pivot_cols[r0 - r :]
-        for k in range(1, r - r0):
-            row = r0 + k
-            a[row, c1:] -= a[row, panel[:k]] @ a[r0 : r0 + k, c1:]
-            _reduce_block(a[row, c1:], p)
-        if r < n:
-            a[r:, c1:] -= a[r:, panel] @ a[r0:r, c1:]
-            _reduce_block(a[r:, c1:], p)
-    if len(pivot_cols) != n - 1:
-        return None
-    x = np.zeros(n, dtype=np.float64)
-    x[n - 1] = 1.0
-    # Stored multipliers sit in earlier pivot columns, whose x entries are
-    # still zero when their row is reached in reverse order, so a full dot
-    # picks up exactly the unknowns that are already solved.
-    for k in range(n - 2, -1, -1):
-        col = pivot_cols[k]
-        terms = a[k] * x
-        _reduce_block(terms, p)
-        s = int(np.sum(terms)) % p
-        inv = pow(int(a[k, col]), p - 2, p)
-        x[col] = (-s * inv) % p
-    if x[0] == 0:
-        return None
-    inv0 = pow(int(x[0]), p - 2, p)
-    return [(int(v) * inv0) % p for v in x]
-
-
-def rational_reconstruction(residue: int, modulus: int) -> Fraction | None:
-    """Unique fraction n/d congruent to the residue with |n|, d <= sqrt(m/2)."""
-    bound = math.isqrt(modulus // 2)
-    r0, r1 = modulus, residue % modulus
-    s0, s1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    num, den = r1, s1
-    if den == 0:
-        return None
-    if den < 0:
-        num, den = -num, -den
-    if den > bound or math.gcd(num, den) != 1 or math.gcd(den, modulus) != 1:
-        return None
-    return Fraction(num, den)
-
-
-def _modular_kernel(matrix: IntensityMatrix, threads: int | None = None) -> list[Fraction]:
-    n = matrix.dimension
-    dense = np.zeros((n, n), dtype=np.int64)
-    for c, col in enumerate(matrix.columns):
-        for r, v in col.items():
-            dense[r, c] = v
-
-    combined: list[int] | None = None
-    modulus = 1
-    previous = None
-    rejected = 0
-    next_prime = 0
-
-    def solve_batch(count: int) -> None:
-        nonlocal next_prime, rejected, combined, modulus
-        while count > 0:
-            remaining = PRIMES[next_prime:]
-            if not remaining:
-                if rejected >= 5:
-                    raise KernelDimensionError(
-                        "rank fell short of dimension - 1 modulo every tested prime"
-                    )
-                raise RuntimeError("prime list exhausted before reconstruction stabilised")
-            # Prefetching a whole thread-batch may fold in a few spare primes;
-            # that only strengthens the modulus and keeps the merge order fixed.
-            take = remaining[: max(count, threads or 1)]
-            next_prime += len(take)
-            if threads and threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    results = list(pool.map(lambda p: _kernel_mod_prime(dense, p), take))
-            else:
-                results = [_kernel_mod_prime(dense, p) for p in take]
-            for p, vec in zip(take, results):
-                if vec is None:
-                    rejected += 1
-                    continue
-                if combined is None:
-                    combined = list(vec)
-                    modulus = p
-                else:
-                    inv = pow(modulus, -1, p)
-                    new_modulus = modulus * p
-                    combined = [
-                        (x + modulus * (((r - x) * inv) % p)) % new_modulus
-                        for x, r in zip(combined, vec)
-                    ]
-                    modulus = new_modulus
-                count -= 1
-
-    solve_batch(2)
-    while True:
-        solve_batch(1)
-        assert combined is not None
-        candidate = [rational_reconstruction(x, modulus) for x in combined]
-        if all(f is not None for f in candidate):
-            if candidate == previous and _residual_is_zero(matrix, candidate):
-                return candidate  # type: ignore[return-value]
-            previous = candidate
+    b_matrix, r = a.minor()
+    numer = np.zeros(len(r), dtype=object)
+    denom = 1
+    for step in range(1, _MAX_STEPS + 1):
+        y = _bicgstab(b_matrix, r.astype(np.float64))
+        r_norm = int(np.abs(r).max())
+        error = np.abs(r - b_matrix @ y).max() / r_norm
+        y_norm = float(np.abs(y).max())
+        if not (np.isfinite(error) and np.isfinite(y_norm)):
+            raise RefinementError(f"L = {length}, refinement step {step}: float solve failed")
+        # Keep k bits: 2**k * error stays below 1/16, and the bounds that
+        # `_update_residual` asserts hold for r and for d = round(2**k y).
+        k = min(
+            int(-np.log2(error)) - 4 if error > 0 else 62,
+            62 - r_norm.bit_length(),
+            62 - b_matrix.l1.bit_length() - math.frexp(y_norm)[1],
+        )
+        if k < 8:
+            raise RefinementError(
+                f"L = {length}, refinement step {step}: relative residual {error:.3g} "
+                f"leaves {k} bits, fewer than 8"
+            )
+        d = np.rint(np.ldexp(y, k)).astype(np.int64)
+        r = _update_residual(b_matrix, r, d, k)
+        numer = (numer << k) + d.astype(object)
+        denom <<= k
+        if r.any():
+            candidate = _reconstruct(numer, denom)
         else:
-            previous = None
+            candidate = (denom, list(numer))
+        if candidate is not None:
+            den, num = candidate
+            g = math.gcd(den, *num)
+            den, num = den // g, [v // g for v in num]
+            if product_is_zero(lambda x: a @ x, [den, *num], a.l1):
+                return den, num
+    raise RefinementError(
+        f"L = {length}, refinement step {_MAX_STEPS}: no exact kernel vector "
+        "within the step cap"
+    )
+
+
+def _update_residual(b_matrix: _Sparse, r: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
+    """2**k r - B d, exact in int64 within the asserted bounds."""
+    assert int(np.abs(r).max()) << k < 2**62, "2**k * r could overflow int64"
+    assert b_matrix.l1 * int(np.abs(d).max()) < 2**62, "B d could overflow int64"
+    return (r << k) - b_matrix @ d
+
+
+def _reconstruct(numer: np.ndarray, denom: int) -> tuple[int, list[int]] | None:
+    """Rationals num / den with a common den <= sqrt(denom) close to numer / denom.
+
+    An entry is accepted when den * numer / denom lies within 1 / (2 bound)
+    of an integer; otherwise den takes the lcm with the denominator of the
+    entry's last continued-fraction convergent below the bound (Legendre).
+    Returns None when den would exceed the bound or stops growing.
+    """
+    bound = 1 << (denom.bit_length() // 2)
+    den = 1
+    while True:
+        num = (2 * den * numer + denom) // (2 * denom)
+        off = np.flatnonzero(2 * bound * np.abs(den * numer - num * denom) >= denom)
+        if not off.size:
+            return den, num.tolist()
+        q = _convergent_denominator(numer[off[0]], denom, bound)
+        grown = den * q // math.gcd(den, q)
+        if grown == den or grown > bound:
+            return None
+        den = grown
+
+
+def _convergent_denominator(p: int, q: int, bound: int) -> int:
+    """Denominator of the last continued-fraction convergent of p / q not above bound."""
+    q_prev, q_cur = 1, 0
+    while q:
+        a, (p, q) = p // q, (q, p % q)
+        q_next = a * q_cur + q_prev
+        if q_next > bound:
+            break
+        q_prev, q_cur = q_cur, q_next
+    return q_cur
 
 
 def normalize_integer(values) -> tuple[int, ...]:
@@ -469,12 +395,18 @@ def serialize_groundstate(state: GroundState) -> str:
 
 
 def deserialize_groundstate(text: str) -> GroundState:
-    payload = json.loads(text)
-    stored = payload.pop("checksum", None)
-    expected = hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
-    if stored != expected:
-        raise CacheCorruptError("ground-state cache failed its checksum")
-    return GroundState.from_payload(payload)
+    """Parse a cache payload; anything but a valid one raises CacheCorruptError."""
+    try:
+        payload = json.loads(text)
+        stored = payload.pop("checksum", None)
+        expected = hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
+        if stored != expected:
+            raise CacheCorruptError("ground-state cache failed its checksum")
+        return GroundState.from_payload(payload)
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+        raise CacheCorruptError(
+            f"malformed ground-state cache ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def cache_path(cache_dir, length: int) -> Path:
@@ -485,7 +417,10 @@ def load_cached_groundstate(cache_dir, length: int) -> GroundState | None:
     path = cache_path(cache_dir, length)
     if not path.exists():
         return None
-    state = deserialize_groundstate(path.read_text())
+    try:
+        state = deserialize_groundstate(path.read_text())
+    except (CacheCorruptError, UnicodeDecodeError) as exc:
+        raise CacheCorruptError(f"cache file {path.name}: {exc}") from exc
     if state.length != length:
         raise CacheCorruptError(
             f"cache file {path.name} holds length {state.length}, not {length}"
@@ -522,19 +457,12 @@ def save_cached_groundstate(cache_dir, state: GroundState) -> Path:
     return path
 
 
-def groundstate(
-    length: int,
-    *,
-    cache_dir=None,
-    method: str = "auto",
-    threads: int | None = None,
-) -> GroundState:
+def groundstate(length: int, *, cache_dir=None) -> GroundState:
     """Enumerate, assemble, solve, verify, and (optionally) cache one length.
 
     The kernel is solved on the orbit-reduced matrix and the returned state
-    is always re-verified against the full diagram basis in exact
-    arithmetic, whichever solver produced it. A valid cache entry
-    short-circuits the whole pipeline.
+    is re-verified against the full diagram basis in exact arithmetic. A
+    valid cache entry short-circuits the whole pipeline.
     """
     if length < 2:
         raise ValueError(f"ground states need length >= 2, got {length}")
@@ -547,8 +475,7 @@ def groundstate(
     orbits = shared_orbits(length)
     table = transition_table(basis)
     matrix = build_reduced(basis, orbits, table)
-    matrix.validate()
-    per_orbit = normalize_integer(kernel_vector(matrix, method=method, threads=threads))
+    per_orbit = normalize_integer(kernel_vector(matrix))
     state = GroundState(
         length=length,
         orbit_weights=tuple(

@@ -1,0 +1,304 @@
+"""Slow exact kernel solvers kept as oracles for `kernel_vector`.
+
+* `bareiss_kernel`: fraction-free (Bareiss) elimination on the sparse
+  integer matrix, with a Markowitz pivot choice and a deterministic
+  tie-break (lowest row, then lowest column); every intermediate entry is a
+  minor of the input, so all arithmetic stays integral, and the rank is read
+  off during elimination.
+* `modular_kernel`: blocked dense LU modulo a fixed list of 22-bit primes
+  (over float64, exact because every accumulated value stays below 2**53),
+  Chinese remaindering, and rational reconstruction, growing the prime count
+  until the reconstruction stabilises.
+
+Both return the kernel vector as Fractions scaled so that entry 0 is 1, the
+contract of `kernel_vector`, after an exact residual check in Fractions.
+"""
+
+import math
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
+
+import numpy as np
+
+from brauerloop import KernelDimensionError
+from brauerloop.hamiltonian import IntensityMatrix
+
+# Fixed list of primes just below 2**22. The modular elimination runs on
+# float64: with a panel of 64 columns every accumulated integer stays below
+# 64 * p**2 < 2**53, so all float arithmetic is exact while the heavy updates
+# go through BLAS matrix products instead of elementwise integer loops.
+PRIMES = (
+    4194301, 4194287, 4194277, 4194271, 4194247, 4194217, 4194199, 4194191,
+    4194187, 4194181, 4194173, 4194167, 4194143, 4194137, 4194131, 4194107,
+    4194103, 4194023, 4194011, 4194007, 4193977, 4193971, 4193963, 4193957,
+    4193939, 4193929, 4193909, 4193869, 4193807, 4193803, 4193801, 4193789,
+    4193759, 4193753, 4193743, 4193701, 4193663, 4193633, 4193573, 4193569,
+)
+
+_PANEL = 64
+assert _PANEL * max(PRIMES) ** 2 < 2**53, "modular LU panel is not exact in float64"
+
+
+def bareiss_kernel(matrix):
+    """Kernel vector by sparse fraction-free elimination, entry 0 scaled to 1."""
+    return _checked(matrix, _bareiss_kernel(matrix.columns, matrix.dimension))
+
+
+def modular_kernel(matrix, threads=None):
+    """Kernel vector by dense LU modulo primes and CRT, entry 0 scaled to 1."""
+    return _checked(matrix, _modular_kernel(matrix, threads=threads))
+
+
+def _checked(matrix, vec):
+    if not _residual_is_zero(matrix, vec):
+        raise ArithmeticError("solver produced a vector outside the kernel")
+    anchor = next(v for v in vec if v != 0)
+    return tuple(v / anchor for v in vec)
+
+
+def _residual_is_zero(matrix: IntensityMatrix, vec) -> bool:
+    out = [Fraction(0)] * matrix.dimension
+    for c, col in enumerate(matrix.columns):
+        v = vec[c]
+        if v == 0:
+            continue
+        for r, a in col.items():
+            out[r] += a * v
+    return all(x == 0 for x in out)
+
+
+def _bareiss_kernel(columns, dimension: int) -> list[Fraction]:
+    rows: list[dict[int, int]] = [{} for _ in range(dimension)]
+    for c, col in enumerate(columns):
+        for r, v in col.items():
+            if v:
+                rows[r][c] = v
+    active_rows = set(range(dimension))
+    active_cols = set(range(dimension))
+    previous_pivot = 1
+    pivots: list[tuple[int, int]] = []
+
+    while True:
+        col_count: dict[int, int] = {}
+        for r in active_rows:
+            for c in rows[r]:
+                col_count[c] = col_count.get(c, 0) + 1
+        best = None
+        for r in sorted(active_rows):
+            support = rows[r]
+            if not support:
+                continue
+            nr = len(support) - 1
+            for c in sorted(support):
+                cost = nr * (col_count[c] - 1)
+                if best is None or cost < best[0]:
+                    best = (cost, r, c)
+        if best is None:
+            break
+        _, pr, pc = best
+        pivot = rows[pr][pc]
+        pivot_row = rows[pr]
+        for r in active_rows:
+            if r == pr:
+                continue
+            row = rows[r]
+            v = row.pop(pc, 0)
+            if v:
+                touched = set(row) | set(pivot_row)
+                touched.discard(pc)
+                for c in touched:
+                    val = (pivot * row.get(c, 0) - v * pivot_row.get(c, 0)) // previous_pivot
+                    if val:
+                        row[c] = val
+                    else:
+                        row.pop(c, None)
+            elif previous_pivot != pivot:
+                for c in list(row):
+                    row[c] = (pivot * row[c]) // previous_pivot
+        active_rows.discard(pr)
+        active_cols.discard(pc)
+        pivots.append((pr, pc))
+        previous_pivot = pivot
+
+    rank = len(pivots)
+    if rank != dimension - 1:
+        raise KernelDimensionError(
+            f"rank {rank} of a {dimension}-dimensional matrix; kernel is not a line"
+        )
+    (free_col,) = active_cols
+    solution: list[Fraction | None] = [None] * dimension
+    solution[free_col] = Fraction(1)
+    for r, c in reversed(pivots):
+        total = Fraction(0)
+        for c2, v in rows[r].items():
+            if c2 != c:
+                total += v * solution[c2]
+        solution[c] = -total / rows[r][c]
+    return solution  # type: ignore[return-value]
+
+
+def _reduce_block(block: np.ndarray, p: int) -> None:
+    """Exact in-place reduction to [0, p) of integer-valued float64 data.
+
+    The reciprocal-multiply quotient is off by at most one (values stay
+    below 2**53 and p below 2**22, so the floor error is under 2**-20),
+    which the two fix-up passes absorb; much faster than np.mod.
+    """
+    q = np.floor(block * (1.0 / p))
+    q *= p
+    block -= q
+    block[block < 0] += p
+    block[block >= p] -= p
+
+
+def _kernel_mod_prime(dense: np.ndarray, p: int) -> list[int] | None:
+    """Kernel vector mod p normalised to 1 in entry 0, or None for a bad prime.
+
+    Blocked right-looking LU over float64, which is exact here: with primes
+    below 2**22 and panels of 64 columns, every accumulated value stays under
+    64 * p**2 < 2**53, so panel updates can defer reduction and the trailing
+    update per panel is a single BLAS matrix product. Multipliers are stored
+    in place of the eliminated entries. The strictly positive kernel makes
+    every proper column subset independent over the rationals, so for a good
+    prime the unique free column is the last one; a dependency showing up in
+    any earlier column marks the prime as bad.
+    """
+    a = (dense % p).astype(np.float64)
+    n = a.shape[0]
+    pivot_cols: list[int] = []
+    r = 0
+    for c0 in range(0, n, _PANEL):
+        c1 = min(c0 + _PANEL, n)
+        r0 = r
+        for c in range(c0, c1):
+            _reduce_block(a[r:, c], p)
+            nz = np.nonzero(a[r:, c])[0]
+            if nz.size == 0:
+                if c != n - 1:
+                    return None
+                continue
+            pr = r + int(nz[0])
+            if pr != r:
+                a[[r, pr]] = a[[pr, r]]
+            _reduce_block(a[r, c + 1 : c1], p)
+            inv = pow(int(a[r, c]), p - 2, p)
+            if r + 1 < n:
+                multipliers = a[r + 1 :, c]
+                multipliers *= inv
+                _reduce_block(multipliers, p)
+                if c + 1 < c1:
+                    # deferred reduction: entries grow by < p*p per pivot
+                    a[r + 1 :, c + 1 : c1] -= np.outer(multipliers, a[r, c + 1 : c1])
+            pivot_cols.append(c)
+            r += 1
+        if c1 == n or r == r0:
+            continue
+        # Unit-lower triangular solve on the panel's pivot rows, then one
+        # matrix product updates everything below for the trailing columns.
+        panel = pivot_cols[r0 - r :]
+        for k in range(1, r - r0):
+            row = r0 + k
+            a[row, c1:] -= a[row, panel[:k]] @ a[r0 : r0 + k, c1:]
+            _reduce_block(a[row, c1:], p)
+        if r < n:
+            a[r:, c1:] -= a[r:, panel] @ a[r0:r, c1:]
+            _reduce_block(a[r:, c1:], p)
+    if len(pivot_cols) != n - 1:
+        return None
+    x = np.zeros(n, dtype=np.float64)
+    x[n - 1] = 1.0
+    # Stored multipliers sit in earlier pivot columns, whose x entries are
+    # still zero when their row is reached in reverse order, so a full dot
+    # picks up exactly the unknowns that are already solved.
+    for k in range(n - 2, -1, -1):
+        col = pivot_cols[k]
+        terms = a[k] * x
+        _reduce_block(terms, p)
+        s = int(np.sum(terms)) % p
+        inv = pow(int(a[k, col]), p - 2, p)
+        x[col] = (-s * inv) % p
+    if x[0] == 0:
+        return None
+    inv0 = pow(int(x[0]), p - 2, p)
+    return [(int(v) * inv0) % p for v in x]
+
+
+def rational_reconstruction(residue: int, modulus: int) -> Fraction | None:
+    """Unique fraction n/d congruent to the residue with |n|, d <= sqrt(m/2)."""
+    bound = math.isqrt(modulus // 2)
+    r0, r1 = modulus, residue % modulus
+    s0, s1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    num, den = r1, s1
+    if den == 0:
+        return None
+    if den < 0:
+        num, den = -num, -den
+    if den > bound or math.gcd(num, den) != 1 or math.gcd(den, modulus) != 1:
+        return None
+    return Fraction(num, den)
+
+
+def _modular_kernel(matrix: IntensityMatrix, threads: int | None = None) -> list[Fraction]:
+    n = matrix.dimension
+    dense = np.zeros((n, n), dtype=np.int64)
+    for c, col in enumerate(matrix.columns):
+        for r, v in col.items():
+            dense[r, c] = v
+
+    combined: list[int] | None = None
+    modulus = 1
+    previous = None
+    rejected = 0
+    next_prime = 0
+
+    def solve_batch(count: int) -> None:
+        nonlocal next_prime, rejected, combined, modulus
+        while count > 0:
+            remaining = PRIMES[next_prime:]
+            if not remaining:
+                if rejected >= 5:
+                    raise KernelDimensionError(
+                        "rank fell short of dimension - 1 modulo every tested prime"
+                    )
+                raise RuntimeError("prime list exhausted before reconstruction stabilised")
+            # Prefetching a whole thread-batch may fold in a few spare primes;
+            # that only strengthens the modulus and keeps the merge order fixed.
+            take = remaining[: max(count, threads or 1)]
+            next_prime += len(take)
+            if threads and threads > 1:
+                with ThreadPoolExecutor(max_workers=threads) as pool:
+                    results = list(pool.map(lambda p: _kernel_mod_prime(dense, p), take))
+            else:
+                results = [_kernel_mod_prime(dense, p) for p in take]
+            for p, vec in zip(take, results):
+                if vec is None:
+                    rejected += 1
+                    continue
+                if combined is None:
+                    combined = list(vec)
+                    modulus = p
+                else:
+                    inv = pow(modulus, -1, p)
+                    new_modulus = modulus * p
+                    combined = [
+                        (x + modulus * (((r - x) * inv) % p)) % new_modulus
+                        for x, r in zip(combined, vec)
+                    ]
+                    modulus = new_modulus
+                count -= 1
+
+    solve_batch(2)
+    while True:
+        solve_batch(1)
+        assert combined is not None
+        candidate = [rational_reconstruction(x, modulus) for x in combined]
+        if all(f is not None for f in candidate):
+            if candidate == previous and _residual_is_zero(matrix, candidate):
+                return candidate  # type: ignore[return-value]
+            previous = candidate
+        else:
+            previous = None

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +170,22 @@ class TestErrors:
         assert code == 3
         assert "error:" in err
 
+
+    def test_threads_flag_removed(self, capsys):
+        assert run(capsys, "groundstate", "--length", "4", "--threads", "2")[0] == 2
+
+
+def test_import_loads_no_scipy_or_thread_pool():
+    # numpy is the only runtime dependency, and importing the CLI stays light.
+    import brauerloop
+
+    src = str(Path(brauerloop.__file__).parents[1])
+    probe = ("import sys, brauerloop.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+             "or m.startswith('concurrent.futures')))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    assert out.strip() == "[]"
 
 class TestCacheDirResolution:
     def test_flag_wins(self, monkeypatch):

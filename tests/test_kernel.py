@@ -1,15 +1,22 @@
+import hashlib
+import json
 import math
+import tempfile
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import brauerloop.kernel as kernel_module
 from brauerloop import (
     DisconnectedMatrixError,
     GroundState,
     KernelDimensionError,
     MixedSignsError,
+    OrbitWeight,
+    RefinementError,
     build_full,
     build_reduced,
     compute_orbits,
@@ -18,21 +25,27 @@ from brauerloop import (
     kernel_vector,
     normalize_integer,
 )
+from brauerloop.cli import main
 from brauerloop.diagrams import shared_basis, shared_orbits
 from brauerloop.hamiltonian import IntensityMatrix
 from brauerloop.kernel import (
     CacheCorruptError,
-    PRIMES,
-    _bareiss_kernel,
     cache_path,
     deserialize_groundstate,
     load_cached_groundstate,
-    rational_reconstruction,
     save_cached_groundstate,
     serialize_groundstate,
 )
 
 from conftest import diagram
+from oracles import PRIMES, _bareiss_kernel, bareiss_kernel, modular_kernel, rational_reconstruction
+
+
+def checksummed(payload):
+    """Cache text for a payload, with a checksum that matches its content."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    payload = dict(payload, checksum=hashlib.sha256(canonical.encode()).hexdigest())
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def dense_matrix(rows, kind="reduced", length=4):
@@ -66,15 +79,41 @@ class TestKernelVector:
     def test_modular_agrees_with_bareiss(self, length):
         basis = enumerate_diagrams(length)
         matrix = build_reduced(basis, compute_orbits(basis))
-        assert kernel_vector(matrix, method="bareiss") == kernel_vector(
-            matrix, method="modular"
-        )
+        assert kernel_vector(matrix) == bareiss_kernel(matrix) == modular_kernel(matrix)
 
     def test_modular_agrees_on_full_basis(self):
         matrix = build_full(enumerate_diagrams(8))
-        assert kernel_vector(matrix, method="bareiss") == kernel_vector(
-            matrix, method="modular"
-        )
+        assert kernel_vector(matrix) == bareiss_kernel(matrix) == modular_kernel(matrix)
+
+    @pytest.mark.parametrize("length", range(2, 8))
+    def test_solver_equals_bareiss_on_full_basis(self, length):
+        matrix = build_full(enumerate_diagrams(length))
+        assert kernel_vector(matrix) == bareiss_kernel(matrix)
+
+    @pytest.mark.parametrize("length", (11, 12))
+    def test_solver_equals_modular_oracle(self, length):
+        matrix = build_reduced(shared_basis(length), shared_orbits(length))
+        assert kernel_vector(matrix) == modular_kernel(matrix)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_intensity_matrices_match_bareiss(self, data):
+        # A random cycle through all states keeps the graph strongly
+        # connected; extra edges and rates make orbit 0 anything but special.
+        n = data.draw(st.integers(min_value=2, max_value=25))
+        order = data.draw(st.permutations(range(n)))
+        edges = set(zip(order, order[1:] + order[:1]))
+        extra = data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+        edges |= {(a, b) for a, b in extra if a != b}
+        columns = [{} for _ in range(n)]
+        for source, target in sorted(edges):
+            rate = data.draw(st.integers(min_value=1, max_value=50))
+            columns[source][target] = -rate
+            columns[source][source] = columns[source].get(source, 0) + rate
+        matrix = IntensityMatrix(length=n, kind="reduced", dimension=n,
+                                 columns=tuple(columns))
+        assert kernel_vector(matrix) == bareiss_kernel(matrix)
 
     def test_disconnected_matrix_rejected(self):
         block_diagonal = dense_matrix([[0, 0], [0, 0]])
@@ -82,20 +121,73 @@ class TestKernelVector:
             kernel_vector(block_diagonal)
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            kernel_vector(build_full(enumerate_diagrams(4)), method="float")
+        # One solver path: the former method and threads switches are gone.
+        with pytest.raises(TypeError):
+            kernel_vector(build_full(enumerate_diagrams(4)), method="bareiss")
+        with pytest.raises(TypeError):
+            groundstate(4, threads=2)
 
     def test_rank_deficient_matrix_rejected(self):
         # connected but rank 1 on dimension 3: the kernel is a plane
         flat = dense_matrix([[1, 1, 1], [1, 1, 1], [-2, -2, -2]])
         with pytest.raises(KernelDimensionError):
-            kernel_vector(flat, method="bareiss")
+            kernel_vector(flat)
         with pytest.raises(KernelDimensionError):
-            kernel_vector(flat, method="modular")
+            bareiss_kernel(flat)
+        with pytest.raises(KernelDimensionError):
+            modular_kernel(flat)
 
     def test_bareiss_rank_check_direct(self):
         with pytest.raises(KernelDimensionError):
             _bareiss_kernel(({}, {}), 2)
+
+
+class TestRefinementFailures:
+    def test_noisy_float_solve_raises(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(0)
+        monkeypatch.setattr(kernel_module, "_bicgstab",
+                            lambda b_matrix, rhs: rng.standard_normal(len(rhs)))
+        with pytest.raises(RefinementError, match=r"^L = 12, refinement step 1: "):
+            groundstate(12, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+        assert issubclass(RefinementError, ArithmeticError)
+        assert main(["groundstate", "--length", "12", "--cache-dir", str(tmp_path)]) == 3
+        assert "refinement step 1" in capsys.readouterr().err
+
+    def test_step_cap_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(kernel_module, "_MAX_STEPS", 1)
+        with pytest.raises(RefinementError, match=r"^L = 12, refinement step 1: no exact"):
+            groundstate(12, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_wrong_candidate_is_never_accepted(self, monkeypatch):
+        reconstruct = kernel_module._reconstruct
+
+        def off_by_one(numer, denom):
+            found = reconstruct(numer, denom)
+            if found is None:
+                return None
+            den, num = found
+            return den, [num[0] + 1] + num[1:]
+
+        monkeypatch.setattr(kernel_module, "_reconstruct", off_by_one)
+        monkeypatch.setattr(kernel_module, "_MAX_STEPS", 6)
+        matrix = build_reduced(shared_basis(8), shared_orbits(8))
+        with pytest.raises(RefinementError, match=r"^L = 8, refinement step 6: no exact"):
+            kernel_vector(matrix)
+
+    def test_int64_bounds_asserted(self):
+        b_matrix = kernel_module._Sparse.from_triplets(
+            np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]),
+            np.array([5, -3, -4, 6]), 2)
+        assert b_matrix.l1 == 10
+        r = np.array([3, -2], dtype=np.int64)
+        fine = kernel_module._update_residual(b_matrix, r, np.array([2**40, 7]), 20)
+        assert fine.tolist() == [3 * 2**20 - 5 * 2**40 + 21, -2 * 2**20 + 4 * 2**40 - 42]
+        with pytest.raises(AssertionError, match="B d could overflow"):
+            kernel_module._update_residual(b_matrix, r, np.array([2**59, 1]), 20)
+        with pytest.raises(AssertionError, match=r"2\*\*k \* r could overflow"):
+            kernel_module._update_residual(b_matrix, r, np.array([1, 1]), 61)
 
 
 class TestRationalReconstruction:
@@ -204,9 +296,16 @@ class TestGroundState:
         assert calls == [7]
 
     def test_serialization_deterministic_across_threads(self):
-        a = groundstate(8, method="modular", threads=1)
-        b = groundstate(8, method="modular", threads=2)
-        assert serialize_groundstate(a) == serialize_groundstate(b)
+        # The modular oracle solves on a thread pool; with one thread or two
+        # its weights serialise to the bytes of the production ground state.
+        orbits = shared_orbits(8)
+        matrix = build_reduced(shared_basis(8), orbits)
+        expected = serialize_groundstate(groundstate(8))
+        for threads in (1, 2):
+            weights = normalize_integer(modular_kernel(matrix, threads=threads))
+            state = GroundState(8, tuple(
+                OrbitWeight(o.representative, o.size, w) for o, w in zip(orbits, weights)))
+            assert serialize_groundstate(state) == expected
 
 
 class TestCache:
@@ -259,15 +358,10 @@ class TestCache:
 
     @staticmethod
     def rewrite_with_checksum(path, change):
-        import hashlib
-        import json
-
         payload = json.loads(path.read_text())
         del payload["checksum"]
         change(payload["orbits"])
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        payload["checksum"] = hashlib.sha256(canonical.encode()).hexdigest()
-        path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        path.write_text(checksummed(payload))
 
     def test_rechecksummed_swapped_representative_rejected(self, tmp_path):
         groundstate(6, cache_dir=tmp_path)
@@ -315,6 +409,87 @@ class TestCache:
         self.rewrite_with_checksum(path, lambda orbits: orbits.pop())
         with pytest.raises(CacheCorruptError, match="holds 16 orbits, not 17"):
             load_cached_groundstate(tmp_path, 8)
+
+    def test_rechecksummed_malformed_representative_rejected(self, tmp_path, capsys):
+        groundstate(6, cache_dir=tmp_path)
+        path = cache_path(tmp_path, 6)
+
+        def self_paired(orbits):
+            orbits[0]["representative"] = "1,1,4,3,6,5"
+
+        self.rewrite_with_checksum(path, self_paired)
+        with pytest.raises(CacheCorruptError,
+                           match=r"groundstate-L06\.json: .*site 0 is paired with itself"):
+            load_cached_groundstate(tmp_path, 6)
+        assert main(["groundstate", "--length", "6", "--cache-dir", str(tmp_path)]) == 3
+        assert "groundstate-L06.json" in capsys.readouterr().err
+
+    def test_truncated_cache_rejected(self, tmp_path):
+        groundstate(5, cache_dir=tmp_path)
+        path = cache_path(tmp_path, 5)
+        path.write_bytes(path.read_bytes()[:100])
+        with pytest.raises(CacheCorruptError, match=r"groundstate-L05\.json: .*JSONDecodeError"):
+            load_cached_groundstate(tmp_path, 5)
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(CacheCorruptError, match=r"groundstate-L05\.json"):
+            load_cached_groundstate(tmp_path, 5)
+
+    @pytest.mark.parametrize("change, error", [
+        (lambda payload: payload.pop("orbits"), "KeyError"),
+        (lambda payload: payload["orbits"][0].pop("weight"), "KeyError"),
+        (lambda payload: payload.update(orbits=5), "TypeError"),
+        (lambda payload: payload["orbits"][1].update(representative=7), "AttributeError"),
+        (lambda payload: payload["orbits"][1].update(weight=[3]), "TypeError"),
+        (lambda payload: payload["orbits"][1].update(weight="3x"), "ValueError"),
+    ])
+    def test_rechecksummed_missing_keys_and_wrong_types_rejected(self, tmp_path, change, error):
+        groundstate(4, cache_dir=tmp_path)
+        path = cache_path(tmp_path, 4)
+        payload = json.loads(path.read_text())
+        del payload["checksum"]
+        change(payload)
+        path.write_text(checksummed(payload))
+        with pytest.raises(CacheCorruptError, match=rf"groundstate-L04\.json: .*{error}"):
+            load_cached_groundstate(tmp_path, 4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        target=st.sampled_from(["length", "normalization", "generator", "orbits", "row",
+                                "representative", "size", "weight", "drop", "drop-row"]),
+        row=st.integers(min_value=0, max_value=4),
+        value=st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+            | st.sampled_from(["1,1,4,3,6,5", "2,1,4,3,6,5", "4,5,6,1,2,3", ".", "", "9"]),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+            max_leaves=6,
+        ),
+    )
+    def test_fuzzed_payloads_raise_only_cache_errors(self, target, row, value):
+        payload = json.loads(serialize_groundstate(groundstate(6)))
+        del payload["checksum"]
+        orbit = payload["orbits"][row]
+        if target in ("length", "normalization", "generator", "orbits"):
+            payload[target] = value
+        elif target == "row":
+            payload["orbits"][row] = value
+        elif target == "drop":
+            del payload[("length", "normalization", "generator", "orbits")[row % 4]]
+        elif target == "drop-row":
+            del orbit[("representative", "size", "weight")[row % 3]]
+        else:
+            orbit[target] = value
+        text = checksummed(payload)
+        with tempfile.TemporaryDirectory() as directory:
+            cache_path(directory, 6).write_text(text)
+            try:
+                load_cached_groundstate(directory, 6)
+            except CacheCorruptError:
+                pass
+        try:
+            deserialize_groundstate(text)
+        except CacheCorruptError:
+            pass
 
     def test_missing_cache_returns_none(self, tmp_path):
         assert load_cached_groundstate(tmp_path, 10) is None
