@@ -26,8 +26,10 @@ import numpy as np
 from .diagrams import (
     PartialPermutation,
     Permutation,
-    orbit_labels,
+    encode_partners,
+    representative_rows,
     shared_basis,
+    shared_orbit_labels,
     shared_orbits,
 )
 from .generators import transition_table
@@ -98,16 +100,12 @@ def permutation_weight_table(
 
     Labels are inserted orbit by orbit, members in basis order.
     """
-    orbits = shared_orbits(state.length)
-    by_rep = state.weight_by_representative()
+    try:
+        weights = state.weights_by_orbit()
+    except KeyError:
+        raise ValueError("ground state orbits do not match the enumerated orbits") from None
     table: dict = {}
-    for orbit, labels in zip(orbits, orbit_labels(shared_basis(state.length), orbits)):
-        try:
-            weight = by_rep[orbit.representative]
-        except KeyError:
-            raise ValueError(
-                "ground state orbits do not match the enumerated orbits"
-            ) from None
+    for weight, labels in zip(weights, shared_orbit_labels(state.length)):
         for label in labels:
             table[label] = weight
     return table
@@ -323,12 +321,8 @@ def monte_carlo_crosscheck(
     if samples < 100:
         raise ValueError("need at least 100 samples")
     basis = shared_basis(length)
-    orbits = shared_orbits(length)
-    orbit_of = [0] * len(basis)
-    for oi, orbit in enumerate(orbits):
-        for m in orbit.members:
-            orbit_of[m] = oi
-
+    orbit_of = shared_orbits(length).orbit_of.tolist()
+    representatives = representative_rows(length)
     transitions = _event_rows(transition_table(basis))
 
     if ground_state is None:
@@ -345,14 +339,14 @@ def monte_carlo_crosscheck(
     n_batches = min(100, samples)
     batch_size = samples // n_batches
     used = n_batches * batch_size
-    batch_counts = [[0] * len(orbits) for _ in range(n_batches)]
+    batch_counts = [[0] * len(representatives) for _ in range(n_batches)]
     for counts in batch_counts:
         for event in islice(draws, batch_size):
             state = transitions[state][event]
             counts[orbit_of[state]] += 1
 
     estimates = []
-    for oi, orbit in enumerate(orbits):
+    for oi, representative in enumerate(representatives):
         means = [batch_counts[b][oi] / batch_size for b in range(n_batches)]
         mean = sum(means) / n_batches
         variance = sum((m - mean) ** 2 for m in means) / max(n_batches - 1, 1)
@@ -364,7 +358,7 @@ def monte_carlo_crosscheck(
             z = 0.0 if gap == 0 else math.inf
         estimates.append(
             OrbitEstimate(
-                representative=orbit.representative.encode(),
+                representative=encode_partners(representative),
                 exact=exact[oi],
                 empirical=mean,
                 stderr=stderr,

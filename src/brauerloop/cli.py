@@ -8,7 +8,14 @@ import os
 import sys
 
 from . import checks, counting
-from .diagrams import encode_partners, orbit_labels, shared_basis, shared_orbits
+from .diagrams import (
+    BasisTooLargeError,
+    encode_partners,
+    representative_rows,
+    shared_basis,
+    shared_orbit_labels,
+    shared_orbits,
+)
 from .kernel import groundstate, serialize_groundstate
 
 EXIT_OK = 0
@@ -27,18 +34,18 @@ def resolve_cache_dir(flag_value):
     return ".brauer-cache"
 
 
-def _orbit_labels(length: int, orbits) -> list[list[str]]:
+def _orbit_labels(length: int) -> list[list[str]]:
     """Per orbit, the sorted compact forms of its members' labels."""
     return [
-        sorted(label.compact() for label in labels)
-        for labels in orbit_labels(shared_basis(length), orbits)
+        sorted(label.compact() for label in labels) for labels in shared_orbit_labels(length)
     ]
 
 
 def cmd_enumerate(args) -> int:
     if args.classes:
-        for orbit in shared_orbits(args.length):
-            print(f"{orbit.representative.encode()} {orbit.size}")
+        sizes = shared_orbits(args.length).sizes.tolist()
+        for row, size in zip(representative_rows(args.length), sizes):
+            print(f"{encode_partners(row)} {size}")
     else:
         for row in shared_basis(args.length).partners.tolist():
             print(encode_partners(row))
@@ -51,8 +58,7 @@ def cmd_groundstate(args) -> int:
     if args.format == "json":
         sys.stdout.write(serialize_groundstate(state))
         return EXIT_OK
-    orbits = shared_orbits(args.length)
-    label_lists = _orbit_labels(args.length, orbits)
+    label_lists = _orbit_labels(args.length)
     if args.format == "csv":
         print("representative,size,weight,label")
         for ow, labels in zip(state.orbit_weights, label_lists):
@@ -228,6 +234,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
+    except BasisTooLargeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, ArithmeticError, RuntimeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -11,11 +11,14 @@ Diagrams compare by their partner tuples, with DEFECT (-1) sorting below any
 site index. A basis lists every diagram of one length in increasing
 lexicographic order of partner tuples, which pins the index of each diagram
 and keeps downstream matrices and cache files reproducible. The basis is an
-(N, L) int8 partner array, built and validated with numpy; `ChordDiagram`
-is the type of single diagrams at I/O boundaries (orbit representatives,
-cache files, text output) and of the per-diagram test oracles. Symmetry
-orbits group basis indices under the 2L rotations and reflections of the
-circle; the orbit representative is the lexicographically smallest member.
+(N, L) int8 partner array, built in blocks keyed by the partner of site 0
+from the memoised rows of the two shorter lengths, and validated with numpy.
+Symmetry orbits group basis indices under the 2L rotations and reflections
+of the circle; they are one `Orbits` record of index arrays (representative,
+size, members by offset, orbit of each diagram), and the orbit
+representative is the lexicographically smallest member. `ChordDiagram` is
+the type of single diagrams at I/O boundaries (cache files, text output)
+and of the per-diagram test oracles, and is built nowhere else.
 
 Even-length diagrams whose left half-circle connects entirely into the
 right half-circle are labelled by a permutation; odd-length diagrams whose
@@ -28,9 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
+
+from .counting import double_factorial
 
 DEFECT = -1
 
@@ -149,6 +153,15 @@ def _validated(length: int, partners) -> np.ndarray:
     return p
 
 
+class BasisTooLargeError(ValueError):
+    """A length whose diagrams cannot be ranked in 64 bits; raised before any allocation."""
+
+
+def _ranks_fit(length: int) -> bool:
+    """Whether the largest rank key of the length, base**L - 1, fits in uint64 (L <= 16)."""
+    return (length + length % 2) ** length <= 2**64
+
+
 class DiagramBasis:
     """Every diagram of one length, in increasing lexicographic order.
 
@@ -164,8 +177,7 @@ class DiagramBasis:
     def __init__(self, length: int, partners):
         self.length = length
         self.partners = _validated(length, partners)
-        # The largest key is base**L - 1, which has to fit in uint64.
-        if (length + length % 2) ** length > 2**64:
+        if not _ranks_fit(length):
             raise ValueError(f"length {length} is too long to rank diagrams in 64 bits")
         self._keys = self._key(self.partners)
         if np.any(self._keys[1:] <= self._keys[:-1]):
@@ -204,17 +216,40 @@ class DiagramBasis:
         return ChordDiagram(tuple(self.partners[i].tolist()))
 
 
-@dataclass(frozen=True)
-class SymmetryOrbit:
-    """One dihedral symmetry class: canonical representative plus members."""
+@dataclass(frozen=True, eq=False)
+class Orbits:
+    """Dihedral orbits of one basis as index arrays, in order of representative.
 
-    representative: ChordDiagram
-    size: int
-    members: tuple[int, ...]
+    Orbit k holds the `sizes[k]` basis indices `members[offsets[k] :
+    offsets[k + 1]]` in increasing order; its representative
+    `representatives[k]` is the first of them, and `orbit_of[x]` is the
+    orbit of basis index x. All arrays are int64; `len()` is the orbit count.
+    """
 
-    def __post_init__(self):
-        if self.size != len(self.members):
-            raise ValueError("orbit size disagrees with its member list")
+    representatives: np.ndarray
+    sizes: np.ndarray
+    members: np.ndarray
+    offsets: np.ndarray
+    orbit_of: np.ndarray
+
+    @classmethod
+    def grouped(cls, members, sizes) -> Orbits:
+        """The record of orbits given as consecutive groups of `members` with these sizes."""
+        members = np.array(members, dtype=np.int64)
+        sizes = np.array(sizes, dtype=np.int64)
+        offsets = np.append(0, np.cumsum(sizes))
+        orbit_of = np.empty(len(members), dtype=np.int64)
+        orbit_of[members] = np.repeat(np.arange(len(sizes)), sizes)
+        arrays = (members[offsets[:-1]], sizes, members, offsets, orbit_of)
+        for array in arrays:
+            array.flags.writeable = False  # shared through `shared_orbits`
+        return cls(*arrays)
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def members_of(self, k: int) -> np.ndarray:
+        return self.members[self.offsets[k] : self.offsets[k + 1]]
 
 
 @dataclass(frozen=True, order=True)
@@ -294,40 +329,55 @@ class PartialPermutation:
         return self._key() < other._key()
 
 
-_FREE = -2  # a site not yet assigned during enumeration
-
-
 def enumerate_diagrams(length: int) -> DiagramBasis:
     """All chord diagrams of the given length, lexicographically ordered.
 
-    There are (L-1)!! diagrams for even L and L*(L-2)!! for odd L. The rows
-    are built one site at a time: a row whose site i is still free branches
-    into the defect at i (odd L, no defect yet) and then into a chord to
-    each free later site in increasing order, so children follow their
-    parents in lexicographic order and no sort is needed.
+    Raises `BasisTooLargeError` before allocating anything when the
+    length's rank keys would not fit in 64 bits.
     """
     if length < 2:
         raise ValueError(f"diagram enumeration needs length >= 2, got {length}")
-    rows = np.full((1, length), _FREE, dtype=np.int8)
-    has_defect = np.zeros(1, dtype=bool)
-    for i in range(length):
-        free = rows[:, i] == _FREE
-        # Choice 0 keeps a row whose site i is taken, 1 puts the defect at i,
-        # and 2 + k pairs i with site i + 1 + k; np.nonzero lists the choices
-        # row by row in that order.
-        choices = np.zeros((len(rows), length - i + 1), dtype=bool)
-        choices[:, 0] = ~free
-        if length % 2:
-            choices[:, 1] = free & ~has_defect
-        choices[:, 2:] = free[:, None] & (rows[:, i + 1 :] == _FREE)
-        parent, choice = np.nonzero(choices)
-        rows, has_defect = rows[parent], has_defect[parent] | (choice == 1)
-        rows[choice == 1, i] = DEFECT
-        paired = np.flatnonzero(choice >= 2)
-        other = choice[paired] + i - 1
-        rows[paired, i] = other
-        rows[paired, other] = i
-    return DiagramBasis(length, rows)
+    if not _ranks_fit(length):
+        odd = length % 2
+        count = (length if odd else 1) * double_factorial(length - 1 - odd)
+        raise BasisTooLargeError(
+            f"length {length} has {count:,} diagrams ({count * length:,} bytes of "
+            "partner array); ranks fit in 64 bits only up to length 16"
+        )
+    return DiagramBasis(length, _partner_rows(length))
+
+
+@lru_cache(maxsize=16)
+def _partner_rows(length: int) -> np.ndarray:
+    """The sorted partner rows of every diagram on `length` >= 0 sites, read-only.
+
+    The rows come in blocks by the partner of site 0, in increasing order.
+    For odd L the first block puts the defect at site 0 and fills sites
+    1..L-1 with the rows of L-1, shifted by one. Then, for j = 1..L-1, the
+    block pairing site 0 with j fills the remaining sites with the rows of
+    L-2, relabelled in order; the relabelling is increasing and keeps DEFECT
+    lowest, so each block is sorted and so is the whole.
+    """
+    if length < 2:
+        rows = np.full((1, length), DEFECT, dtype=np.int8)
+        rows.flags.writeable = False
+        return rows
+    shorter = _partner_rows(length - 2)
+    start = len(_partner_rows(length - 1)) if length % 2 else 0
+    rows = np.empty((start + (length - 1) * len(shorter), length), dtype=np.int8)
+    if start:
+        rows[:start, 0] = DEFECT
+        rows[:start, 1:] = _partner_rows(length - 1) + 1
+    for j in range(1, length):
+        block = rows[start : start + len(shorter)]
+        rest = np.delete(np.arange(length), [0, j])
+        # The trailing entry maps DEFECT (-1) to itself.
+        block[:, rest] = np.append(rest, DEFECT).astype(np.int8)[shorter]
+        block[:, 0] = j
+        block[:, j] = 0
+        start += len(shorter)
+    rows.flags.writeable = False
+    return rows
 
 
 def _rotate_tuple(p: tuple[int, ...], k: int) -> tuple[int, ...]:
@@ -400,7 +450,7 @@ def dihedral_maps(basis: DiagramBasis) -> tuple[np.ndarray, np.ndarray]:
     return step, mirror
 
 
-def compute_orbits(basis: DiagramBasis) -> list[SymmetryOrbit]:
+def compute_orbits(basis: DiagramBasis) -> Orbits:
     """Partition the basis into dihedral orbits, sorted by representative.
 
     Each diagram's orbit is labelled by the smallest basis index among its
@@ -418,16 +468,9 @@ def compute_orbits(basis: DiagramBasis) -> list[SymmetryOrbit]:
         np.minimum(smallest, image[mirror], out=smallest)
     order = np.argsort(smallest, kind="stable")
     starts = np.flatnonzero(np.diff(smallest[order])) + 1
-    firsts = order[np.append(0, starts)]
-    assert np.array_equal(smallest[firsts], firsts)
-    return [
-        SymmetryOrbit(
-            representative=basis[members[0]],
-            size=len(members),
-            members=tuple(members),
-        )
-        for members in (g.tolist() for g in np.split(order, starts))
-    ]
+    orbits = Orbits.grouped(order, np.diff(np.concatenate(([0], starts, [len(order)]))))
+    assert np.array_equal(smallest[orbits.representatives], orbits.representatives)
+    return orbits
 
 
 def permutation_label(diagram: ChordDiagram) -> Permutation | None:
@@ -473,7 +516,7 @@ def partial_permutation_label(diagram: ChordDiagram) -> PartialPermutation | Non
 
 
 def orbit_labels(
-    basis: DiagramBasis, orbits
+    basis: DiagramBasis, orbits: Orbits
 ) -> list[list[Permutation]] | list[list[PartialPermutation]]:
     """The labels of each orbit's labelled members, in member order.
 
@@ -489,18 +532,22 @@ def orbit_labels(
     else:
         right = basis.partners[:, half + 1 :]
         labelled = np.all((right != DEFECT) & (right <= half), axis=1)
-    members = np.fromiter(chain.from_iterable(o.members for o in orbits), dtype=np.int64)
-    hits = np.flatnonzero(labelled[members])
-    owners = np.repeat(np.arange(len(orbits)), [o.size for o in orbits])[hits]
-    images = basis.partners[members[hits], : half + size % 2].tolist()
-    out: list[list] = [[] for _ in orbits]
-    for k, image in zip(owners.tolist(), images):
+    rows = orbits.members[labelled[orbits.members]]
+    images = basis.partners[rows, : half + size % 2].tolist()
+    out: list[list] = [[] for _ in range(len(orbits))]
+    for k, image in zip(orbits.orbit_of[rows].tolist(), images):
         if size % 2:
             label = PartialPermutation(tuple(None if j == DEFECT else j - half for j in image))
         else:
             label = Permutation(tuple(j - half + 1 for j in image))
         out[k].append(label)
     return out
+
+
+def representative_rows(length: int) -> list[tuple[int, ...]]:
+    """The partner tuples of the orbit representatives of one length, in orbit order."""
+    basis = shared_basis(length)
+    return list(map(tuple, basis.partners[shared_orbits(length).representatives].tolist()))
 
 
 @lru_cache(maxsize=16)
@@ -510,5 +557,11 @@ def shared_basis(length: int) -> DiagramBasis:
 
 
 @lru_cache(maxsize=16)
-def shared_orbits(length: int) -> tuple[SymmetryOrbit, ...]:
-    return tuple(compute_orbits(shared_basis(length)))
+def shared_orbits(length: int) -> Orbits:
+    return compute_orbits(shared_basis(length))
+
+
+@lru_cache(maxsize=16)
+def shared_orbit_labels(length: int) -> tuple[tuple, ...]:
+    """Process-wide memoised `orbit_labels` of the shared basis and orbits."""
+    return tuple(map(tuple, orbit_labels(shared_basis(length), shared_orbits(length))))

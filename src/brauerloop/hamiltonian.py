@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagrams import DiagramBasis, SymmetryOrbit
+from .diagrams import DiagramBasis, Orbits
 from .generators import transition_table
 
 FULL = "full"
@@ -63,14 +63,13 @@ class IntensityMatrix:
 
 def build_full(basis: DiagramBasis) -> IntensityMatrix:
     """The operator over the full diagram basis: the lumping over singleton orbits."""
-    singletons = [(i,) for i in range(len(basis))]
+    n = len(basis)
+    singletons = Orbits.grouped(np.arange(n), np.ones(n, dtype=np.int64))
     return replace(_lump(basis, singletons, transition_table(basis)), kind=FULL)
 
 
 def build_reduced(
-    basis: DiagramBasis,
-    orbits: list[SymmetryOrbit] | tuple[SymmetryOrbit, ...],
-    table: np.ndarray | None = None,
+    basis: DiagramBasis, orbits: Orbits, table: np.ndarray | None = None
 ) -> IntensityMatrix:
     """Lump the full operator over dihedral orbits by summing orbit blocks.
 
@@ -83,21 +82,19 @@ def build_reduced(
     """
     if table is None:
         table = transition_table(basis)
-    return _lump(basis, [orbit.members for orbit in orbits], table)
+    return _lump(basis, orbits, table)
 
 
-def _lump(basis: DiagramBasis, groups, table: np.ndarray) -> IntensityMatrix:
-    """`build_reduced` over groups of basis indices given as member tuples."""
-    m = len(groups)
-    sizes = np.array([len(group) for group in groups], dtype=np.int64)
-    members = np.array([i for group in groups for i in group], dtype=np.int64)
+def _lump(basis: DiagramBasis, orbits: Orbits, table: np.ndarray) -> IntensityMatrix:
+    """`build_reduced` over any grouping of the basis indices."""
+    m = len(orbits)
+    sizes, members, offsets = orbits.sizes, orbits.members, orbits.offsets
     if not np.array_equal(np.sort(members), np.arange(len(basis))):
         raise ValueError("orbits do not partition the basis")
     orbit_of = np.empty(len(basis), dtype=np.int64)
     orbit_of[members] = np.repeat(np.arange(m), sizes)
 
     size = basis.length
-    offsets = np.append(0, np.cumsum(sizes))
     columns: list[dict[int, int]] = [{} for _ in range(m)]
     # Whole column orbits go in chunks of about 2**13 full entries, which
     # bounds the temporary arrays; the chunks are independent.

@@ -24,14 +24,22 @@ import json
 import math
 import os
 import threading
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .diagrams import ChordDiagram, shared_basis, shared_orbits
+from .diagrams import (
+    ChordDiagram,
+    encode_partners,
+    representative_rows,
+    shared_basis,
+    shared_orbits,
+)
 from .generators import transition_table
 from .hamiltonian import (
     REDUCED,
@@ -71,13 +79,15 @@ _MAX_ITERATIONS = 1000
 _MAX_STEPS = 64
 
 
-def kernel_vector(matrix: IntensityMatrix) -> tuple[Fraction, ...]:
+def kernel_vector(matrix: IntensityMatrix, *, integral: bool = False) -> tuple:
     """Exact nonzero vector annihilated by the matrix, scaled so entry 0 is 1.
 
     The matrix must be an intensity matrix with a strongly connected
     transition graph: then its kernel is a line spanned by a positive vector,
     and every principal minor of order dimension - 1 is nonsingular. The
-    solution is accepted only after an exact integer check A w = 0.
+    solution is accepted only after an exact integer check A w = 0. With
+    `integral`, the same vector comes as coprime integers instead of
+    Fractions, as the check saw it.
     """
     try:
         matrix.validate()
@@ -90,9 +100,11 @@ def kernel_vector(matrix: IntensityMatrix) -> tuple[Fraction, ...]:
             "transition graph is not strongly connected; kernel may be degenerate"
         )
     if matrix.dimension == 1:
-        return (Fraction(1),)
+        return (1,) if integral else (Fraction(1),)
     a = _Sparse.from_columns(matrix.columns)
     den, num = _refine(a, matrix.length)
+    if integral:
+        return (den, *num)
     return (Fraction(1),) + tuple(Fraction(v, den) for v in num)
 
 
@@ -285,19 +297,17 @@ def normalize_integer(values) -> tuple[int, ...]:
     fracs = [Fraction(v) for v in values]
     if not fracs:
         raise ValueError("empty vector")
-    if any(f == 0 for f in fracs):
+    denominator = math.lcm(*(f.denominator for f in fracs))
+    return _coprime_positive([int(f * denominator) for f in fracs])
+
+
+def _coprime_positive(ints: list[int]) -> tuple[int, ...]:
+    """A one-signed integer vector divided by its gcd, with the sign made positive."""
+    if not all(ints):
         raise MixedSignsError("kernel vector has a zero entry")
-    if any(f < 0 for f in fracs) and any(f > 0 for f in fracs):
+    if any(v < 0 for v in ints) and any(v > 0 for v in ints):
         raise MixedSignsError("kernel vector has entries of both signs")
-    if fracs[0] < 0:
-        fracs = [-f for f in fracs]
-    denominator = 1
-    for f in fracs:
-        denominator = denominator * f.denominator // math.gcd(denominator, f.denominator)
-    ints = [int(f * denominator) for f in fracs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
+    g = math.gcd(*ints) * (-1 if ints[0] < 0 else 1)
     return tuple(v // g for v in ints)
 
 
@@ -337,20 +347,19 @@ class GroundState:
     def min_is_one(self) -> bool:
         return min(self.weights) == 1
 
-    def weight_by_representative(self) -> dict[ChordDiagram, int]:
-        return {ow.representative: ow.weight for ow in self.orbit_weights}
+    def weights_by_orbit(self) -> list[int]:
+        """The weight of each enumerated orbit, in the order of `shared_orbits`.
+
+        Orbits are matched by representative; KeyError names a representative
+        the state lacks.
+        """
+        by_rep = {ow.representative.partner: ow.weight for ow in self.orbit_weights}
+        return [by_rep[row] for row in representative_rows(self.length)]
 
     def expand(self) -> tuple[int, ...]:
         """Per-diagram weights over the full basis, in basis order."""
-        basis = shared_basis(self.length)
-        orbits = shared_orbits(self.length)
-        by_rep = self.weight_by_representative()
-        values = [0] * len(basis)
-        for orbit in orbits:
-            w = by_rep[orbit.representative]
-            for m in orbit.members:
-                values[m] = w
-        return tuple(values)
+        weights = self.weights_by_orbit()
+        return tuple(map(weights.__getitem__, shared_orbits(self.length).orbit_of.tolist()))
 
     def to_payload(self) -> dict:
         return {
@@ -413,10 +422,37 @@ def cache_path(cache_dir, length: int) -> Path:
     return Path(cache_dir) / f"groundstate-L{length:02d}.json"
 
 
+# A file modified less than this long ago could be modified again within one
+# tick of the file-system clock, size kept, without its stamp changing; such
+# files are re-read on every load instead of memoised.
+_SETTLED_NS = 2 * 10**9
+
+
 def load_cached_groundstate(cache_dir, length: int) -> GroundState | None:
+    """The cached state of one length, checked against its orbits; None when absent.
+
+    A file is decoded and checked once for as long as its path, modification
+    time, size and inode stay the same; later loads return the same state.
+    """
     path = cache_path(cache_dir, length)
-    if not path.exists():
+    try:
+        st = path.stat()
+    except (FileNotFoundError, NotADirectoryError):
         return None
+    if time.time_ns() - st.st_mtime_ns < _SETTLED_NS:
+        return _read_cached(path, length)
+    stamp = (st.st_mtime_ns, st.st_size, st.st_ino)
+    return _memoised_read(os.path.abspath(path), length, stamp)
+
+
+@lru_cache(maxsize=16)
+def _memoised_read(path: str, length: int, stamp: tuple[int, int, int]) -> GroundState:
+    """`_read_cached`, memoised by the path and the file's stamp."""
+    return _read_cached(Path(path), length)
+
+
+def _read_cached(path: Path, length: int) -> GroundState:
+    """Decode one cache file and check it against the enumerated orbits."""
     try:
         state = deserialize_groundstate(path.read_text())
     except (CacheCorruptError, UnicodeDecodeError) as exc:
@@ -425,14 +461,14 @@ def load_cached_groundstate(cache_dir, length: int) -> GroundState | None:
         raise CacheCorruptError(
             f"cache file {path.name} holds length {state.length}, not {length}"
         )
-    found = [(ow.representative, ow.size) for ow in state.orbit_weights]
-    expected = [(o.representative, o.size) for o in shared_orbits(length)]
+    found = [(ow.representative.partner, ow.size) for ow in state.orbit_weights]
+    expected = list(zip(representative_rows(length), shared_orbits(length).sizes.tolist()))
     if found != expected:
         for k, (got, want) in enumerate(zip(found, expected)):
             if got != want:
                 raise CacheCorruptError(
-                    f"cache file {path.name}: orbit {k} is {got[0]} of size {got[1]}, "
-                    f"expected {want[0]} of size {want[1]}"
+                    f"cache file {path.name}: orbit {k} is {encode_partners(got[0])} of size "
+                    f"{got[1]}, expected {encode_partners(want[0])} of size {want[1]}"
                 )
         raise CacheCorruptError(
             f"cache file {path.name} holds {len(found)} orbits, not {len(expected)}"
@@ -475,12 +511,14 @@ def groundstate(length: int, *, cache_dir=None) -> GroundState:
     orbits = shared_orbits(length)
     table = transition_table(basis)
     matrix = build_reduced(basis, orbits, table)
-    per_orbit = normalize_integer(kernel_vector(matrix))
+    per_orbit = _coprime_positive(kernel_vector(matrix, integral=True))
     state = GroundState(
         length=length,
         orbit_weights=tuple(
-            OrbitWeight(representative=o.representative, size=o.size, weight=w)
-            for o, w in zip(orbits, per_orbit)
+            OrbitWeight(representative=ChordDiagram(row), size=size, weight=w)
+            for row, size, w in zip(
+                representative_rows(length), orbits.sizes.tolist(), per_orbit
+            )
         ),
     )
     if not annihilates(basis, state.expand(), table):

@@ -1,19 +1,27 @@
 import itertools
 import math
+import os
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 
 from brauerloop import ChordDiagram
 from brauerloop.checks import MonteCarloReport, OrbitEstimate, _event_rows
-from brauerloop.diagrams import SymmetryOrbit, reflect_partners, rotate_partners
+from brauerloop.diagrams import reflect_partners, rotate_partners
 from brauerloop.generators import transition_table
 
 
 def diagram(length, *pairs):
     """Build a diagram from 1-based site pairs; leftover site is the defect."""
     return ChordDiagram.from_pairs(length, pairs)
+
+
+def settle(path, hours=1):
+    """Date a cache file some hours back, like one written by an earlier run."""
+    past = time.time_ns() - hours * 3600 * 10**9
+    os.utime(path, ns=(past, past))
 
 
 def brute_force_count(length):
@@ -94,11 +102,18 @@ def orbits_by_image_keys(basis):
             np.minimum(smallest, basis._key(rotate_partners(source, k)), out=smallest)
     order = np.argsort(smallest, kind="stable")
     starts = np.flatnonzero(np.diff(smallest[order])) + 1
-    return [
-        SymmetryOrbit(representative=basis[members[0]], size=len(members),
-                      members=tuple(members))
-        for members in (g.tolist() for g in np.split(order, starts))
-    ]
+    return [g.tolist() for g in np.split(order, starts)]
+
+
+def assert_orbits_are(orbits, groups):
+    """An `Orbits` record holds exactly these member lists, in this order."""
+    assert len(orbits) == len(groups)
+    assert orbits.sizes.tolist() == [len(g) for g in groups]
+    assert orbits.representatives.tolist() == [g[0] for g in groups]
+    assert orbits.offsets.tolist() == [0, *itertools.accumulate(len(g) for g in groups)]
+    assert orbits.members.tolist() == [m for g in groups for m in g]
+    owner = {m: k for k, g in enumerate(groups) for m in g}
+    assert orbits.orbit_of.tolist() == [owner[x] for x in range(len(owner))]
 
 
 def monte_carlo_per_step(basis, orbits, ground_state, samples, seed, burn_in=None):
@@ -108,8 +123,8 @@ def monte_carlo_per_step(basis, orbits, ground_state, samples, seed, burn_in=Non
     """
     length = basis.length
     orbit_of = [0] * len(basis)
-    for oi, orbit in enumerate(orbits):
-        for m in orbit.members:
+    for oi in range(len(orbits)):
+        for m in orbits.members_of(oi).tolist():
             orbit_of[m] = oi
     transitions = _event_rows(transition_table(basis))
     total = ground_state.total
@@ -130,7 +145,7 @@ def monte_carlo_per_step(basis, orbits, ground_state, samples, seed, burn_in=Non
         batch_counts[step // batch_size][orbit_of[state]] += 1
 
     estimates = []
-    for oi, orbit in enumerate(orbits):
+    for oi, rep in enumerate(orbits.representatives.tolist()):
         means = [batch_counts[b][oi] / batch_size for b in range(n_batches)]
         mean = sum(means) / n_batches
         variance = sum((m - mean) ** 2 for m in means) / max(n_batches - 1, 1)
@@ -140,6 +155,5 @@ def monte_carlo_per_step(basis, orbits, ground_state, samples, seed, burn_in=Non
             z = gap / stderr
         else:
             z = 0.0 if gap == 0 else math.inf
-        estimates.append(OrbitEstimate(orbit.representative.encode(), exact[oi], mean,
-                                       stderr, z))
+        estimates.append(OrbitEstimate(basis[rep].encode(), exact[oi], mean, stderr, z))
     return MonteCarloReport(length, used, seed, burn, tuple(estimates))

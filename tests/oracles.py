@@ -1,4 +1,9 @@
-"""Slow exact kernel solvers kept as oracles for `kernel_vector`.
+"""Slow implementations kept as oracles for the fast paths of the package.
+
+* `per_site_diagrams`: the lexicographic basis built one site at a time,
+  the oracle of the block-built `enumerate_diagrams`.
+
+The exact kernel solvers are the oracles of `kernel_vector`:
 
 * `bareiss_kernel`: fraction-free (Bareiss) elimination on the sparse
   integer matrix, with a Markowitz pivot choice and a deterministic
@@ -20,8 +25,44 @@ from fractions import Fraction
 
 import numpy as np
 
-from brauerloop import KernelDimensionError
+from brauerloop import DEFECT, DiagramBasis, KernelDimensionError
 from brauerloop.hamiltonian import IntensityMatrix
+
+_FREE = -2  # a site not yet assigned during enumeration
+
+
+def per_site_diagrams(length: int) -> DiagramBasis:
+    """All chord diagrams of the given length, lexicographically ordered.
+
+    There are (L-1)!! diagrams for even L and L*(L-2)!! for odd L. The rows
+    are built one site at a time: a row whose site i is still free branches
+    into the defect at i (odd L, no defect yet) and then into a chord to
+    each free later site in increasing order, so children follow their
+    parents in lexicographic order and no sort is needed.
+    """
+    if length < 2:
+        raise ValueError(f"diagram enumeration needs length >= 2, got {length}")
+    rows = np.full((1, length), _FREE, dtype=np.int8)
+    has_defect = np.zeros(1, dtype=bool)
+    for i in range(length):
+        free = rows[:, i] == _FREE
+        # Choice 0 keeps a row whose site i is taken, 1 puts the defect at i,
+        # and 2 + k pairs i with site i + 1 + k; np.nonzero lists the choices
+        # row by row in that order.
+        choices = np.zeros((len(rows), length - i + 1), dtype=bool)
+        choices[:, 0] = ~free
+        if length % 2:
+            choices[:, 1] = free & ~has_defect
+        choices[:, 2:] = free[:, None] & (rows[:, i + 1 :] == _FREE)
+        parent, choice = np.nonzero(choices)
+        rows, has_defect = rows[parent], has_defect[parent] | (choice == 1)
+        rows[choice == 1, i] = DEFECT
+        paired = np.flatnonzero(choice >= 2)
+        other = choice[paired] + i - 1
+        rows[paired, i] = other
+        rows[paired, other] = i
+    return DiagramBasis(length, rows)
+
 
 # Fixed list of primes just below 2**22. The modular elimination runs on
 # float64: with a panel of 64 columns every accumulated integer stays below

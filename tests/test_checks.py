@@ -21,17 +21,20 @@ from brauerloop import (
     verify_maximality,
     verify_sum_rule,
 )
+import brauerloop.kernel as kernel_module
 from brauerloop.checks import _DRAW_WORDS, _event_rows, _uniform_draws
+from brauerloop.cli import main
 from brauerloop.diagrams import (
     ChordDiagram,
     partial_permutation_label,
     permutation_label,
     shared_basis,
+    shared_orbit_labels,
     shared_orbits,
 )
 from brauerloop.generators import apply_braid, apply_monoid, transition_table
 
-from conftest import monte_carlo_per_step
+from conftest import monte_carlo_per_step, settle
 from brauerloop.kernel import GroundState, OrbitWeight
 
 # Stored reference constants are write-once: any edit must show up here.
@@ -80,11 +83,14 @@ class TestWeightTable:
 
 def numbered_state(length):
     """A stand-in ground state whose orbit weights are 1, 2, 3, ... in orbit order."""
+    basis, orbits = shared_basis(length), shared_orbits(length)
     return GroundState(
         length=length,
         orbit_weights=tuple(
-            OrbitWeight(representative=o.representative, size=o.size, weight=k + 1)
-            for k, o in enumerate(shared_orbits(length))
+            OrbitWeight(representative=basis[rep], size=size, weight=k + 1)
+            for k, (rep, size) in enumerate(
+                zip(orbits.representatives.tolist(), orbits.sizes.tolist())
+            )
         ),
     )
 
@@ -95,8 +101,9 @@ class TestWeightTableOracle:
         basis = shared_basis(length)
         label = permutation_label if length % 2 == 0 else partial_permutation_label
         expected = {}
-        for k, orbit in enumerate(shared_orbits(length)):
-            for m in orbit.members:
+        orbits = shared_orbits(length)
+        for k in range(len(orbits)):
+            for m in orbits.members_of(k).tolist():
                 found = label(basis[m])
                 if found is not None:
                     expected[found] = k + 1
@@ -125,6 +132,33 @@ class TestWeightTableOracle:
         monkeypatch.setattr(ChordDiagram, "__post_init__", counting)
         table = permutation_weight_table(groundstate(length))
         assert len(built) <= len(shared_orbits(length)) + len(table)
+
+    def test_warm_groundstate_and_verify_decode_each_payload_once(self, tmp_path, monkeypatch,
+                                                                   capsys):
+        # A cache built earlier: loading L = 13 and then verifying L = 2..13
+        # builds the ChordDiagrams of one decode per file and no other.
+        for length in range(2, 14):
+            groundstate(length, cache_dir=tmp_path)
+        for path in tmp_path.iterdir():
+            settle(path)
+        for memo in (kernel_module._memoised_read, shared_basis, shared_orbits,
+                     shared_orbit_labels):
+            memo.cache_clear()
+        built = []
+        original = ChordDiagram.__post_init__
+
+        def counting(self):
+            built.append(self.partner)
+            original(self)
+
+        monkeypatch.setattr(ChordDiagram, "__post_init__", counting)
+        monkeypatch.setattr(kernel_module, "kernel_vector",
+                            lambda *a, **k: pytest.fail("warm cache must not solve"))
+        state = groundstate(13, cache_dir=tmp_path)
+        assert main(["verify", "--max-length", "13", "--cache-dir", str(tmp_path)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert groundstate(13, cache_dir=tmp_path) is state
+        assert len(built) == sum(len(shared_orbits(length)) for length in range(2, 14))
 
 
 class TestConcatenation:

@@ -1,4 +1,9 @@
+import os
 import re
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ from hypothesis import strategies as st
 
 from brauerloop import (
     DEFECT,
+    BasisTooLargeError,
     ChordDiagram,
     DiagramBasis,
     PartialPermutation,
@@ -19,16 +25,19 @@ from brauerloop import (
     reflect,
     rotate,
 )
-from brauerloop.counting import double_factorial
+import brauerloop.diagrams as diagrams_module
+from brauerloop.counting import class_count, double_factorial
 from brauerloop.diagrams import dihedral_maps, shared_basis, shared_orbits
 
 from conftest import (
+    assert_orbits_are,
     brute_force_count,
     brute_force_diagrams,
     diagram,
     orbits_by_image_keys,
     recursive_partners,
 )
+from oracles import per_site_diagrams
 
 
 @st.composite
@@ -97,6 +106,30 @@ class TestEnumeration:
         assert partners.dtype == np.int8
         assert np.array_equal(partners, expected)
 
+    @pytest.mark.parametrize("length", range(2, 15))
+    def test_matches_per_site_oracle(self, length):
+        partners = enumerate_diagrams(length).partners
+        expected = per_site_diagrams(length).partners
+        assert partners.dtype == expected.dtype == np.int8
+        assert partners.shape == expected.shape
+        assert partners.tobytes() == expected.tobytes()
+
+    def test_one_enumeration_per_length(self, monkeypatch):
+        # The blocks reuse shorter lengths through a private memo, so a
+        # cold basis costs exactly one call of the public function.
+        calls = []
+        original = diagrams_module.enumerate_diagrams
+
+        def counting(length):
+            calls.append(length)
+            return original(length)
+
+        monkeypatch.setattr(diagrams_module, "enumerate_diagrams", counting)
+        shared_basis.cache_clear()
+        diagrams_module._partner_rows.cache_clear()
+        assert len(shared_basis(13)) == 135135
+        assert calls == [13]
+
     def test_rows_read_back_as_diagrams(self):
         basis = enumerate_diagrams(7)
         assert [d.partner for d in basis] == [tuple(row) for row in basis.partners.tolist()]
@@ -132,6 +165,45 @@ class TestEnumeration:
         basis = enumerate_diagrams(4)
         with pytest.raises(ValueError):
             DiagramBasis(4, basis.partners[::-1])
+
+
+class TestResourceGuard:
+    """Lengths whose ranks overflow 64 bits fail before anything is allocated."""
+
+    @pytest.mark.parametrize("length, count", [(17, 34459425), (18, 34459425), (20, 654729075)])
+    def test_typed_error_names_length_count_and_bytes(self, length, count):
+        with pytest.raises(BasisTooLargeError) as info:
+            enumerate_diagrams(length)
+        message = str(info.value)
+        assert f"length {length} has {count:,} diagrams" in message
+        assert f"({count * length:,} bytes of partner array)" in message
+        assert isinstance(info.value, ValueError)
+
+    def test_sixteen_is_the_last_rankable_length(self):
+        assert diagrams_module._ranks_fit(16)
+        assert not diagrams_module._ranks_fit(17)
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--length", "17"],
+        ["enumerate", "--length", "17", "--classes"],
+        ["groundstate", "--length", "17", "--cache-dir", "unused"],
+    ])
+    def test_cli_exits_2_within_one_gib(self, argv, tmp_path):
+        # Under a 1 GiB address-space limit a guard that fired only after the
+        # 34 M-row enumeration would die with MemoryError instead.
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+        done = subprocess.run(
+            [sys.executable, "-m", "brauerloop.cli", *argv], cwd=tmp_path,
+            preexec_fn=limit, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2, done.stderr
+        assert "MemoryError" not in done.stderr
+        assert "error: length " in done.stderr
+        assert "diagrams" in done.stderr and "bytes of partner array" in done.stderr
 
 
 class TestBasisValidation:
@@ -219,37 +291,55 @@ class TestDihedralAction:
 class TestOrbits:
     def test_l4_orbit_sizes(self):
         orbits = compute_orbits(enumerate_diagrams(4))
-        assert sorted(o.size for o in orbits) == [1, 2]
+        assert sorted(orbits.sizes.tolist()) == [1, 2]
 
     def test_l6_orbit_sizes(self):
         orbits = compute_orbits(enumerate_diagrams(6))
-        assert sorted(o.size for o in orbits) == [1, 2, 3, 3, 6]
+        assert sorted(orbits.sizes.tolist()) == [1, 2, 3, 3, 6]
 
     def test_l8_seventeen_classes(self):
         orbits = compute_orbits(enumerate_diagrams(8))
         assert len(orbits) == 17
-        assert sum(o.size for o in orbits) == 105
+        assert int(orbits.sizes.sum()) == 105
 
     @pytest.mark.parametrize("length", range(2, 11))
     def test_orbit_invariants(self, length):
         basis = enumerate_diagrams(length)
         orbits = compute_orbits(basis)
         seen = []
-        for orbit in orbits:
-            assert (2 * length) % orbit.size == 0
-            assert orbit.size == len(orbit.members)
-            assert list(orbit.members) == sorted(orbit.members)
-            assert orbit.representative == basis[orbit.members[0]]
+        for k in range(len(orbits)):
+            members = orbits.members_of(k).tolist()
+            size = int(orbits.sizes[k])
+            representative = basis[int(orbits.representatives[k])]
+            assert (2 * length) % size == 0
+            assert size == len(members)
+            assert members == sorted(members)
+            assert representative == basis[members[0]]
+            assert orbits.orbit_of[members].tolist() == [k] * size
             # lexicographic minimum over the whole orbit, and constant canonical form
-            canon = {canonical_representative(basis[m]) for m in orbit.members}
-            assert canon == {orbit.representative}
-            seen.extend(orbit.members)
+            canon = {canonical_representative(basis[m]) for m in members}
+            assert canon == {representative}
+            seen.extend(members)
         assert sorted(seen) == list(range(len(basis)))
 
     @pytest.mark.parametrize("length", range(2, 15))
     def test_matches_image_key_oracle(self, length):
         basis = shared_basis(length)
-        assert list(shared_orbits(length)) == orbits_by_image_keys(basis)
+        assert_orbits_are(shared_orbits(length), orbits_by_image_keys(basis))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_even_orbit_counts_match_formula(self, n):
+        assert len(shared_orbits(2 * n)) == class_count(n)
+
+    def test_record_is_read_only(self):
+        orbits = shared_orbits(6)
+        for array in (orbits.representatives, orbits.sizes, orbits.members,
+                      orbits.offsets, orbits.orbit_of):
+            assert array.dtype == np.int64
+            with pytest.raises(ValueError):
+                array[0] = 1
+        with pytest.raises(ValueError):
+            shared_basis(6).partners[0, 0] = 1
 
     @pytest.mark.parametrize("length", range(2, 10))
     def test_dihedral_maps_match_scalar_images(self, length):
@@ -265,8 +355,11 @@ class TestOrbits:
     def test_representative_is_canonical_at_large_lengths(self, length, data):
         basis = shared_basis(length)
         i = data.draw(st.integers(min_value=0, max_value=len(basis) - 1))
-        owner = next(o for o in shared_orbits(length) if i in o.members)
-        assert canonical_representative(basis[i]) == owner.representative
+        orbits = shared_orbits(length)
+        owner = int(orbits.orbit_of[i])
+        assert i in orbits.members_of(owner).tolist()
+        representative = basis[int(orbits.representatives[owner])]
+        assert canonical_representative(basis[i]) == representative
 
 
 class TestLabels:

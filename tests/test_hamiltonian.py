@@ -1,7 +1,7 @@
 import pytest
 
 from brauerloop import (
-    SymmetryOrbit,
+    Orbits,
     annihilates,
     apply_braid,
     apply_monoid,
@@ -102,7 +102,7 @@ class TestBuildReduced:
         orbits = compute_orbits(basis)
         matrix = build_reduced(basis, orbits)
         # orbit 0 = the two parallel diagrams, orbit 1 = the crossing
-        assert [o.size for o in orbits] == [2, 1]
+        assert orbits.sizes.tolist() == [2, 1]
         assert matrix.columns == ({0: 4, 1: -4}, {0: -12, 1: 12})
 
     @pytest.mark.parametrize("length", range(2, 11))
@@ -114,16 +114,15 @@ class TestBuildReduced:
     def test_rejects_non_partition(self):
         basis = enumerate_diagrams(4)
         orbits = compute_orbits(basis)
-        with pytest.raises(ValueError):
-            build_reduced(basis, orbits[:1])
+        first = orbits.members_of(0)
+        alone = Orbits(first[:1], orbits.sizes[:1], first, orbits.offsets[:2], orbits.orbit_of)
+        with pytest.raises(ValueError, match="do not partition"):
+            build_reduced(basis, alone)
 
     def test_rejects_broken_symmetry_grouping(self):
         # gluing the crossing onto one parallel diagram is not an orbit
         basis = enumerate_diagrams(4)
-        fake = [
-            SymmetryOrbit(representative=basis[0], size=2, members=(0, 1)),
-            SymmetryOrbit(representative=basis[2], size=1, members=(2,)),
-        ]
+        fake = Orbits.grouped([0, 1, 2], [2, 1])
         with pytest.raises(ArithmeticError):
             build_reduced(basis, fake)
 

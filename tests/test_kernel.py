@@ -1,8 +1,11 @@
+import builtins
 import hashlib
 import json
 import math
+import os
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from brauerloop import (
     groundstate,
     kernel_vector,
     normalize_integer,
+    permutation_weight_table,
 )
 from brauerloop.cli import main
 from brauerloop.diagrams import shared_basis, shared_orbits
@@ -37,7 +41,7 @@ from brauerloop.kernel import (
     serialize_groundstate,
 )
 
-from conftest import diagram
+from conftest import diagram, settle
 from oracles import PRIMES, _bareiss_kernel, bareiss_kernel, modular_kernel, rational_reconstruction
 
 
@@ -68,6 +72,14 @@ class TestKernelVector:
     def test_l2_trivial(self):
         vec = kernel_vector(build_full(enumerate_diagrams(2)))
         assert vec == (Fraction(1),)
+        assert kernel_vector(build_full(enumerate_diagrams(2)), integral=True) == (1,)
+
+    @pytest.mark.parametrize("length", range(3, 13))
+    def test_integral_is_the_normalised_fraction_vector(self, length):
+        matrix = build_reduced(shared_basis(length), shared_orbits(length))
+        ints = kernel_vector(matrix, integral=True)
+        assert all(type(v) is int for v in ints)
+        assert ints == normalize_integer(kernel_vector(matrix))
 
     def test_l6_reduced_kernel_weights(self):
         basis = enumerate_diagrams(6)
@@ -249,6 +261,31 @@ class TestNormalizeInteger:
         assert math.gcd(*out, 0) == 1 if len(out) > 1 else out[0] == 1
 
 
+class TestCoprimePositive:
+    """The sign and zero checks `groundstate` applies to the integral kernel vector."""
+
+    def test_divides_by_gcd_and_flips_sign(self):
+        assert kernel_module._coprime_positive([4, 6, 2]) == (2, 3, 1)
+        assert kernel_module._coprime_positive([-2, -4]) == (1, 2)
+
+    @pytest.mark.parametrize("vector, message", [
+        ([1, 0, 2], "zero entry"),
+        ([0, -1, -2], "zero entry"),
+        ([3, -1, 2], "both signs"),
+    ])
+    def test_rejects(self, vector, message):
+        with pytest.raises(MixedSignsError, match=message):
+            kernel_module._coprime_positive(vector)
+
+    def test_groundstate_rejects_a_mixed_sign_kernel(self, tmp_path, monkeypatch):
+        dimension = len(shared_orbits(6))
+        monkeypatch.setattr(kernel_module, "kernel_vector",
+                            lambda matrix, integral: (1, -1) + (1,) * (dimension - 2))
+        with pytest.raises(MixedSignsError, match="both signs"):
+            groundstate(6, cache_dir=tmp_path)
+        assert not cache_path(tmp_path, 6).exists()
+
+
 class TestGroundState:
     def test_l5_weights_and_sizes(self):
         gs = groundstate(5)
@@ -298,14 +335,20 @@ class TestGroundState:
     def test_serialization_deterministic_across_threads(self):
         # The modular oracle solves on a thread pool; with one thread or two
         # its weights serialise to the bytes of the production ground state.
-        orbits = shared_orbits(8)
-        matrix = build_reduced(shared_basis(8), orbits)
+        basis, orbits = shared_basis(8), shared_orbits(8)
+        matrix = build_reduced(basis, orbits)
         expected = serialize_groundstate(groundstate(8))
         for threads in (1, 2):
             weights = normalize_integer(modular_kernel(matrix, threads=threads))
             state = GroundState(8, tuple(
-                OrbitWeight(o.representative, o.size, w) for o, w in zip(orbits, weights)))
+                OrbitWeight(basis[rep], size, w) for rep, size, w in
+                zip(orbits.representatives.tolist(), orbits.sizes.tolist(), weights)))
             assert serialize_groundstate(state) == expected
+
+
+def swap_first_representatives(orbits):
+    orbits[1]["representative"], orbits[2]["representative"] = (
+        orbits[2]["representative"], orbits[1]["representative"])
 
 
 class TestCache:
@@ -366,12 +409,7 @@ class TestCache:
     def test_rechecksummed_swapped_representative_rejected(self, tmp_path):
         groundstate(6, cache_dir=tmp_path)
         path = cache_path(tmp_path, 6)
-
-        def swap(orbits):
-            orbits[1]["representative"], orbits[2]["representative"] = (
-                orbits[2]["representative"], orbits[1]["representative"])
-
-        self.rewrite_with_checksum(path, swap)
+        self.rewrite_with_checksum(path, swap_first_representatives)
         deserialize_groundstate(path.read_text())  # the checksum itself holds
         with pytest.raises(CacheCorruptError, match=r"groundstate-L06\.json: orbit 1 is"):
             load_cached_groundstate(tmp_path, 6)
@@ -381,8 +419,7 @@ class TestCache:
     def test_rechecksummed_non_canonical_representative_rejected(self, tmp_path):
         groundstate(6, cache_dir=tmp_path)
         path = cache_path(tmp_path, 6)
-        orbit = shared_orbits(6)[0]
-        other = shared_basis(6)[orbit.members[-1]].encode()
+        other = shared_basis(6)[int(shared_orbits(6).members_of(0)[-1])].encode()
 
         def replace(orbits):
             orbits[0]["representative"] = other
@@ -423,6 +460,63 @@ class TestCache:
             load_cached_groundstate(tmp_path, 6)
         assert main(["groundstate", "--length", "6", "--cache-dir", str(tmp_path)]) == 3
         assert "groundstate-L06.json" in capsys.readouterr().err
+
+    def test_missing_file_is_not_memoised(self, tmp_path):
+        assert load_cached_groundstate(tmp_path, 5) is None
+        groundstate(5, cache_dir=tmp_path)
+        assert load_cached_groundstate(tmp_path, 5) is not None
+
+    def test_second_load_of_unchanged_file_reads_no_bytes(self, tmp_path, monkeypatch):
+        groundstate(7, cache_dir=tmp_path)
+        settle(cache_path(tmp_path, 7))
+        first = load_cached_groundstate(tmp_path, 7)
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("a memoised cache file was read again")
+
+        with monkeypatch.context() as patch:
+            for name in ("read_text", "read_bytes", "open"):
+                patch.setattr(Path, name, no_read)
+            patch.setattr(builtins, "open", no_read)
+            assert load_cached_groundstate(tmp_path, 7) is first
+            assert groundstate(7, cache_dir=tmp_path) is first
+
+    def test_fresh_file_changed_in_place_is_reread(self, tmp_path):
+        # Rewritten at the same size within one tick of a coarse file-system
+        # clock, a file keeps its whole stamp; a file that fresh is never
+        # memoised, so the change is still seen.
+        groundstate(6, cache_dir=tmp_path)
+        path = cache_path(tmp_path, 6)
+        before = path.stat()
+        assert load_cached_groundstate(tmp_path, 6) is not None
+        self.rewrite_with_checksum(path, swap_first_representatives)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_mtime_ns, after.st_size, after.st_ino) == (
+            before.st_mtime_ns, before.st_size, before.st_ino)
+        with pytest.raises(CacheCorruptError, match=r"groundstate-L06\.json: orbit 1 is"):
+            load_cached_groundstate(tmp_path, 6)
+
+    @pytest.mark.parametrize("how", ["os.replace", "in place"])
+    def test_changed_file_is_reread_after_a_memoised_load(self, tmp_path, how):
+        groundstate(6, cache_dir=tmp_path)
+        path = cache_path(tmp_path, 6)
+        settle(path, hours=2)
+        state = load_cached_groundstate(tmp_path, 6)
+        assert load_cached_groundstate(tmp_path, 6) is state
+        target = path.with_name("incoming.json") if how == "os.replace" else path
+        target.write_bytes(path.read_bytes())
+        self.rewrite_with_checksum(target, swap_first_representatives)
+        if how == "os.replace":
+            os.replace(target, path)
+        settle(path, hours=1)
+        with pytest.raises(CacheCorruptError, match=r"groundstate-L06\.json: orbit 1 is"):
+            load_cached_groundstate(tmp_path, 6)
+        with pytest.raises(CacheCorruptError, match="orbit 1 is"):
+            groundstate(6, cache_dir=tmp_path)
+        broken = GroundState(length=6, orbit_weights=state.orbit_weights[1:])
+        with pytest.raises(ValueError, match="do not match"):
+            permutation_weight_table(broken)
 
     def test_truncated_cache_rejected(self, tmp_path):
         groundstate(5, cache_dir=tmp_path)
