@@ -162,14 +162,25 @@ def _ranks_fit(length: int) -> bool:
     return (length + length % 2) ** length <= 2**64
 
 
+def _key(partners: np.ndarray) -> np.ndarray:
+    """The uint64 rank key of each row of an (M, L) partner array (see `DiagramBasis`)."""
+    shift = partners.shape[1] % 2
+    base = partners.shape[1] + shift
+    keys = np.zeros(len(partners), dtype=np.uint64)
+    for column in partners.T:
+        keys *= np.uint64(base)
+        keys += (column + shift).astype(np.uint64)
+    return keys
+
+
 class DiagramBasis:
     """Every diagram of one length, in increasing lexicographic order.
 
     `partners` holds them as an (N, L) int8 array, validated on
-    construction. `rank` reads a row as a mixed-radix key whose digits are
+    construction. `_key` reads a row as a mixed-radix key whose digits are
     the partners, shifted by one for odd L so that DEFECT is digit 0; keys
-    then sort like the diagrams. Indexing and iteration build `ChordDiagram`
-    objects on demand.
+    then sort like the diagrams, and `locate` finds basis positions by key.
+    Indexing and iteration build `ChordDiagram` objects on demand.
     """
 
     __slots__ = ("length", "partners", "_keys")
@@ -179,22 +190,12 @@ class DiagramBasis:
         self.partners = _validated(length, partners)
         if not _ranks_fit(length):
             raise ValueError(f"length {length} is too long to rank diagrams in 64 bits")
-        self._keys = self._key(self.partners)
+        self._keys = _key(self.partners)
         if np.any(self._keys[1:] <= self._keys[:-1]):
             raise ValueError("basis diagrams must be in strictly increasing order")
 
-    def _key(self, partners: np.ndarray) -> np.ndarray:
-        shift = self.length % 2
-        base = self.length + shift
-        keys = np.zeros(len(partners), dtype=np.uint64)
-        for column in partners.T:
-            keys *= np.uint64(base)
-            keys += (column + shift).astype(np.uint64)
-        return keys
-
-    def rank(self, partners: np.ndarray) -> np.ndarray:
-        """Basis positions of the rows of an (M, L) partner array; KeyError if absent."""
-        keys = self._key(partners)
+    def locate(self, keys: np.ndarray) -> np.ndarray:
+        """Basis positions of the diagrams with these rank keys; KeyError if one is absent."""
         found = np.searchsorted(self._keys, keys)
         clipped = np.minimum(found, len(self._keys) - 1)
         if not np.array_equal(self._keys[clipped], keys):
@@ -204,7 +205,7 @@ class DiagramBasis:
     def index_of(self, diagram: ChordDiagram) -> int:
         if diagram.length != self.length:
             raise KeyError(diagram.partner)
-        return int(self.rank(np.array([diagram.partner], dtype=np.int8))[0])
+        return int(self.locate(_key(np.array([diagram.partner], dtype=np.int8)))[0])
 
     def __len__(self) -> int:
         return len(self.partners)
@@ -223,7 +224,9 @@ class Orbits:
     Orbit k holds the `sizes[k]` basis indices `members[offsets[k] :
     offsets[k + 1]]` in increasing order; its representative
     `representatives[k]` is the first of them, and `orbit_of[x]` is the
-    orbit of basis index x. All arrays are int64; `len()` is the orbit count.
+    orbit of basis index x. These arrays are int64, and the int32 maps
+    `step` and `mirror` of `compute_orbits` generate the orbits; `len()` is
+    the orbit count.
     """
 
     representatives: np.ndarray
@@ -231,16 +234,18 @@ class Orbits:
     members: np.ndarray
     offsets: np.ndarray
     orbit_of: np.ndarray
+    step: np.ndarray
+    mirror: np.ndarray
 
     @classmethod
-    def grouped(cls, members, sizes) -> Orbits:
+    def grouped(cls, members, sizes, step, mirror) -> Orbits:
         """The record of orbits given as consecutive groups of `members` with these sizes."""
         members = np.array(members, dtype=np.int64)
         sizes = np.array(sizes, dtype=np.int64)
         offsets = np.append(0, np.cumsum(sizes))
         orbit_of = np.empty(len(members), dtype=np.int64)
         orbit_of[members] = np.repeat(np.arange(len(sizes)), sizes)
-        arrays = (members[offsets[:-1]], sizes, members, offsets, orbit_of)
+        arrays = (members[offsets[:-1]], sizes, members, offsets, orbit_of, step, mirror)
         for array in arrays:
             array.flags.writeable = False  # shared through `shared_orbits`
         return cls(*arrays)
@@ -437,29 +442,19 @@ def reflect_partners(partners: np.ndarray) -> np.ndarray:
     return mirrored[partners[:, ::-1]]
 
 
-def dihedral_maps(basis: DiagramBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Index maps of one rotation and of the reflection, as int32 arrays.
-
-    step[x] is the basis index of `rotate(basis[x], 1)` and mirror[x] that of
-    `reflect(basis[x])`; every other dihedral image is a composition of the
-    two, so these are the only rows that need ranking.
-    """
-    assert len(basis) < 2**31, "basis indices must fit in int32"
-    step = basis.rank(rotate_partners(basis.partners, 1)).astype(np.int32)
-    mirror = basis.rank(reflect_partners(basis.partners)).astype(np.int32)
-    return step, mirror
-
-
 def compute_orbits(basis: DiagramBasis) -> Orbits:
     """Partition the basis into dihedral orbits, sorted by representative.
 
-    Each diagram's orbit is labelled by the smallest basis index among its
-    2L dihedral images. With `image` the index map of the k-th rotation, the
-    images of x are image[x] and image[mirror[x]], so the L rotations cost
-    one gather each. The basis is sorted, so the smallest index is the
-    lexicographically smallest image: the canonical representative.
+    Two images are ranked and kept as int32 maps: step[x] is the basis index
+    of `rotate(basis[x], 1)` and mirror[x] that of `reflect(basis[x])`. Each
+    orbit is labelled by the smallest basis index among its 2L images; with
+    `image` the map of the k-th rotation, the images of x are image[x] and
+    image[mirror[x]], one gather each. The basis is sorted, so the smallest
+    index is the lexicographically smallest image: the canonical representative.
     """
-    step, mirror = dihedral_maps(basis)
+    assert len(basis) < 2**31, "basis indices must fit in int32"
+    step = basis.locate(_key(rotate_partners(basis.partners, 1))).astype(np.int32)
+    mirror = basis.locate(_key(reflect_partners(basis.partners))).astype(np.int32)
     image = np.arange(len(basis), dtype=np.int32)
     smallest = np.minimum(image, mirror)
     for _ in range(basis.length - 1):
@@ -468,7 +463,7 @@ def compute_orbits(basis: DiagramBasis) -> Orbits:
         np.minimum(smallest, image[mirror], out=smallest)
     order = np.argsort(smallest, kind="stable")
     starts = np.flatnonzero(np.diff(smallest[order])) + 1
-    orbits = Orbits.grouped(order, np.diff(np.concatenate(([0], starts, [len(order)]))))
+    orbits = Orbits.grouped(order, np.diff(starts, prepend=0, append=len(order)), step, mirror)
     assert np.array_equal(smallest[orbits.representatives], orbits.representatives)
     return orbits
 

@@ -23,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from .diagrams import DEFECT, ChordDiagram, DiagramBasis, dihedral_maps, enumerate_diagrams
+from .diagrams import DEFECT, ChordDiagram, DiagramBasis, _ranks_fit, shared_basis, shared_orbits
 
 
 def _check_index(i: int, size: int) -> None:
@@ -85,31 +85,36 @@ def transition_table(basis: DiagramBasis) -> np.ndarray:
     """Basis indices of all generator images, as an (N, 2L) int32 array.
 
     Column i-1 holds the monoid image at site i and column L+i-1 the braid
-    image. Each site is applied to all diagrams at once, with the case
-    analysis of `apply_monoid` and `apply_braid`: rows where i and i+1 are
-    paired stay fixed, and a DEFECT former partner receives no chord end.
+    image, located by the rank keys of `_image_keys`.
     """
-    partners = basis.partners
-    n, size = partners.shape
-    table = np.empty((n, 2 * size), dtype=np.int32)
+    size = basis.length
+    table = np.empty((len(basis), 2 * size), dtype=np.int32)
     for a in range(size):
-        b = (a + 1) % size
-        rows = np.flatnonzero(partners[:, a] != b)
-        pa, pb = partners[rows, a], partners[rows, b]
-        has_a, has_b = pa != DEFECT, pb != DEFECT
-        monoid = partners.copy()
-        monoid[rows, a] = b
-        monoid[rows, b] = a
-        monoid[rows[has_a], pa[has_a]] = pb[has_a]
-        monoid[rows[has_b], pb[has_b]] = pa[has_b]
-        table[:, a] = basis.rank(monoid)
-        braid = partners.copy()
-        braid[rows, a] = pb
-        braid[rows, b] = pa
-        braid[rows[has_b], pb[has_b]] = a
-        braid[rows[has_a], pa[has_a]] = b
-        table[:, size + a] = basis.rank(braid)
+        table[:, a::size] = basis.locate(_image_keys(basis.partners, basis._keys, a)).T
     return table
+
+
+def _image_keys(partners: np.ndarray, keys: np.ndarray, a: int) -> np.ndarray:
+    """Rank keys of the monoid (row 0) and braid (row 1) images at 0-based site a.
+
+    An image differs from its row only at a, b = a+1 and their partners pa,
+    pb. With digit d = partner + L%2 (sa, sb: digits of a, b) and weight
+    w[site] = base**(L-1-site), w[DEFECT] = 0, its key is the row's plus
+    (sb-da)(w[a]-w[pb]) + (sa-db)(w[b]-w[pa]) for the monoid, and plus
+    (db-da)(w[a]-w[b]) + (sa-sb)(w[pb]-w[pa]) for the braid unless a and b
+    are paired. Computed modulo 2**64, exact since every key < base**L <= 2**64.
+    """
+    size = partners.shape[1]
+    assert _ranks_fit(size), "rank keys must fit in 64 bits"
+    shift, b = size % 2, (a + 1) % size
+    # uint64 arrays wrap; differences of the Python ints in w are reduced mod 2**64.
+    w = [(size + shift) ** (size - 1 - s) for s in range(size)] + [0]
+    pa, pb = partners[:, a], partners[:, b]
+    da, db = (pa + shift).astype(np.uint64), (pb + shift).astype(np.uint64)
+    wpa, wpb = np.array(w, dtype=np.uint64)[pa], np.array(w, dtype=np.uint64)[pb]
+    monoid = keys + (b + shift - da) * (w[a] - wpb) + (a + shift - db) * (w[b] - wpa)
+    braid = keys + (db - da) * ((w[a] - w[b]) % 2**64) + ((a - b) % 2**64) * (wpb - wpa)
+    return np.stack([monoid, np.where(pa == b, keys, braid)])
 
 
 @dataclass(frozen=True)
@@ -159,7 +164,7 @@ def check_relations(
     """
     if length < 3:
         raise ValueError("relation checks need length >= 3")
-    basis = enumerate_diagrams(length)
+    basis = shared_basis(length)
     if exhaustive:
         d = np.arange(len(basis))
     else:
@@ -171,9 +176,8 @@ def check_relations(
     table = transition_table(basis)
     e = {i: table[:, i - 1] for i in range(1, length + 1)}
     b = {i: table[:, length + i - 1] for i in range(1, length + 1)}
-    rot, _ = dihedral_maps(basis)
-    rot_back = np.empty_like(rot)
-    rot_back[rot] = np.arange(len(basis), dtype=rot.dtype)
+    rot = shared_orbits(length).step
+    rot_back = np.argsort(rot)  # the inverse permutation
 
     sites = range(1, length + 1)
     adjacent = [(i, j) for i in sites for j in sites

@@ -10,17 +10,17 @@ nonpositive and every column sums to zero, so the kernel describes the
 stationary state of a continuous-time chain on diagrams.
 
 The reduced build lumps the matrix over dihedral orbits by summing whole
-orbit blocks. Because the generator action commutes with rotations and
-reflections, each row of an orbit contributes the same per-orbit column
-sums; that agreement is verified entry by entry during assembly rather than
-assumed, and the lumped matrix keeps zero column sums while its kernel is
-exactly the vector of per-orbit weights.
+orbit blocks. Equivariance implies representative independence: as the
+generator action commutes with rotations and reflections, each row of an
+orbit takes, and each column gives, the same per-orbit sums (Buchholz, J.
+Appl. Probab. 31, 1994). Assembly proves that equivariance on the table; the
+lumped matrix has zero column sums and the per-orbit weights as its kernel.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,10 +62,10 @@ class IntensityMatrix:
 
 
 def build_full(basis: DiagramBasis) -> IntensityMatrix:
-    """The operator over the full diagram basis: the lumping over singleton orbits."""
-    n = len(basis)
-    singletons = Orbits.grouped(np.arange(n), np.ones(n, dtype=np.int64))
-    return replace(_lump(basis, singletons, transition_table(basis)), kind=FULL)
+    """The operator over the full diagram basis, summed column by column from the table."""
+    index = np.arange(len(basis))
+    columns = _summed_columns(transition_table(basis), index, index, np.ones_like(index))
+    return IntensityMatrix(length=basis.length, kind=FULL, dimension=len(index), columns=columns)
 
 
 def build_reduced(
@@ -73,66 +73,66 @@ def build_reduced(
 ) -> IntensityMatrix:
     """Lump the full operator over dihedral orbits by summing orbit blocks.
 
-    For each pair of orbits (R, C) the entry is the sum of all full entries
-    with row in R and column in C. Equivariance makes the per-row sums
-    constant across R; that representative independence is asserted for
-    every pair of orbits, so a broken symmetry cannot pass silently. A row
-    of R with no entry in the columns of C counts as 0. `table` is the
-    basis's `transition_table`, built here when not given.
+    Equivariance implies representative independence, and it is proved
+    first: the groups of `orbit_of` partition the basis (else ValueError),
+    are closed under the permutations `step` and `mirror` and one orbit
+    each, and table column a commutes with them as column a+1 (rotation)
+    and L-2-a (reflection) of its family; else ArithmeticError names the
+    column or orbit. Entry (R, C), the block sum, is then |C| times rep(C)'s
+    column summed over R. `table` is the basis's `transition_table`, built
+    here when not given.
     """
     if table is None:
         table = transition_table(basis)
-    return _lump(basis, orbits, table)
-
-
-def _lump(basis: DiagramBasis, orbits: Orbits, table: np.ndarray) -> IntensityMatrix:
-    """`build_reduced` over any grouping of the basis indices."""
-    m = len(orbits)
-    sizes, members, offsets = orbits.sizes, orbits.members, orbits.offsets
-    if not np.array_equal(np.sort(members), np.arange(len(basis))):
+    n, size, m = len(basis), basis.length, len(orbits)
+    orbit_of, representatives = orbits.orbit_of, orbits.representatives
+    sized = len(orbit_of) == n and np.array_equal(np.bincount(orbit_of, minlength=m), orbits.sizes)
+    if not (sized and np.array_equal(orbit_of[representatives], np.arange(m))):
         raise ValueError("orbits do not partition the basis")
-    orbit_of = np.empty(len(basis), dtype=np.int64)
-    orbit_of[members] = np.repeat(np.arange(m), sizes)
+    for name, image, sign, offset in (("rotation", orbits.step, 1, 1),
+                                      ("reflection", orbits.mirror, -1, -2)):
+        if not np.array_equal(np.bincount(image, minlength=n), np.ones(n)):
+            raise ArithmeticError(f"the {name} map is not a permutation of the basis")
+        moved = np.flatnonzero(orbit_of[image] != orbit_of)
+        if moved.size:
+            raise ArithmeticError(f"orbit {orbit_of[moved[0]]} is not closed under the {name}")
+        for a in range(2 * size):
+            shifted = a - a % size + (sign * a + offset) % size
+            if not np.array_equal(table[image, shifted], image[table[:, a]]):
+                raise ArithmeticError(
+                    f"transition table column {a} does not commute with the {name}"
+                )
+    # A closed group is one orbit when each member rotates from its representative or its mirror.
+    reached = np.zeros(n, dtype=bool)
+    for images in (representatives, orbits.mirror[representatives]):
+        for _ in range(size):
+            reached[images] = True
+            images = orbits.step[images]
+    if not reached.all():
+        k = orbit_of[np.argmin(reached)]
+        raise ArithmeticError(f"orbit {k} is not one orbit of the rotation and reflection")
+    columns = _summed_columns(table, representatives, orbit_of, orbits.sizes)
+    return IntensityMatrix(length=basis.length, kind=REDUCED, dimension=m, columns=columns)
 
-    size = basis.length
-    columns: list[dict[int, int]] = [{} for _ in range(m)]
-    # Whole column orbits go in chunks of about 2**13 full entries, which
-    # bounds the temporary arrays; the chunks are independent.
-    step = max(1, 2**13 * m // ((2 * size + 1) * len(basis)))
-    for lo in range(0, m, step):
-        cols = members[offsets[lo] : offsets[min(lo + step, m)]]
-        # Column d of the full operator: +3L at d, -2 at each monoid image and
-        # -1 at each braid image. Sum the entries per (row r, column orbit C).
-        rows = np.column_stack([cols, table[cols]]).ravel()
-        vals = np.tile(np.repeat([3 * size, -2, -1], [1, size, size]), len(cols))
-        keys, inverse = np.unique(
-            rows * m + np.repeat(orbit_of[cols], 2 * size + 1), return_inverse=True
-        )
-        sums = np.zeros(len(keys), dtype=np.int64)
-        np.add.at(sums, inverse, vals)
-        keys, sums = keys[sums != 0], sums[sums != 0]
 
-        # Group the nonzero sums by (C, R): every member of R must hold the same.
-        pairs, group, counts = np.unique(
-            keys % m * m + orbit_of[keys // m], return_inverse=True, return_counts=True
-        )
-        col_orbit, row_orbit = pairs // m, pairs % m
-        value = np.zeros(len(pairs), dtype=np.int64)
-        value[group] = sums
-        broken = counts != sizes[row_orbit]
-        broken[group[sums != value[group]]] = True
-        if broken.any():
-            k = int(np.argmax(broken))
-            raise ArithmeticError(
-                "symmetry lumping is not representative-independent for rows "
-                f"of orbit {row_orbit[k]} against columns of orbit {col_orbit[k]}"
-            )
-        entries = (value * sizes[row_orbit]).tolist()
-        for c, r, v in zip(col_orbit.tolist(), row_orbit.tolist(), entries):
-            columns[c][r] = v
-    return IntensityMatrix(
-        length=basis.length, kind=REDUCED, dimension=m, columns=tuple(columns)
-    )
+def _summed_columns(table, sources, group, scale) -> tuple[dict[int, int], ...]:
+    """Column k: the full column of `sources[k]` summed by `group` of row, times `scale[k]`."""
+    m, size = len(sources), table.shape[1] // 2
+    assert m * m <= 2**63, "pair keys col * m + row must fit in int64"
+    entries = np.repeat([3 * size, -2, -1], [1, size, size])  # +3L at itself, -2 and -1 at images
+    columns: list[dict[int, int]] = []
+    # Blocks of 2**12 columns keep the temporaries near 1 MB each.
+    for cols in np.array_split(np.arange(m), range(2**12, m, 2**12)):
+        keys = cols[:, None] * m + group[np.column_stack([sources[cols], table[sources[cols]]])]
+        order = np.argsort(keys, axis=None)
+        keys, vals = keys.ravel()[order], np.tile(entries, len(cols))[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        sums = np.add.reduceat(vals, starts) * scale[keys[starts] // m]
+        keys, sums = keys[starts][sums != 0], sums[sums != 0]
+        bounds = np.searchsorted(keys, cols[1:] * m)
+        rows, sums = np.split(keys % m, bounds), np.split(sums, bounds)
+        columns += (dict(zip(r.tolist(), v.tolist())) for r, v in zip(rows, sums))
+    return tuple(columns)
 
 
 def connectivity_check(matrix: IntensityMatrix) -> bool:

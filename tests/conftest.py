@@ -9,7 +9,7 @@ import numpy as np
 
 from brauerloop import ChordDiagram
 from brauerloop.checks import MonteCarloReport, OrbitEstimate, _event_rows
-from brauerloop.diagrams import reflect_partners, rotate_partners
+from brauerloop.diagrams import _key, reflect_partners, rotate_partners
 from brauerloop.generators import transition_table
 
 
@@ -99,7 +99,7 @@ def orbits_by_image_keys(basis):
     smallest = basis._keys.copy()
     for k in range(basis.length):
         for source in (basis.partners, mirrored):
-            np.minimum(smallest, basis._key(rotate_partners(source, k)), out=smallest)
+            np.minimum(smallest, _key(rotate_partners(source, k)), out=smallest)
     order = np.argsort(smallest, kind="stable")
     starts = np.flatnonzero(np.diff(smallest[order])) + 1
     return [g.tolist() for g in np.split(order, starts)]

@@ -2,6 +2,9 @@
 
 * `per_site_diagrams`: the lexicographic basis built one site at a time,
   the oracle of the block-built `enumerate_diagrams`.
+* `lump_by_rows`: the lumped operator from every full entry, with
+  representative independence checked row by row; the oracle of
+  `build_reduced` and `build_full`.
 
 The exact kernel solvers are the oracles of `kernel_vector`:
 
@@ -25,8 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from brauerloop import DEFECT, DiagramBasis, KernelDimensionError
-from brauerloop.hamiltonian import IntensityMatrix
+from brauerloop import DEFECT, DiagramBasis, KernelDimensionError, Orbits
+from brauerloop.hamiltonian import REDUCED, IntensityMatrix
 
 _FREE = -2  # a site not yet assigned during enumeration
 
@@ -62,6 +65,61 @@ def per_site_diagrams(length: int) -> DiagramBasis:
         rows[paired, i] = other
         rows[paired, other] = i
     return DiagramBasis(length, rows)
+
+
+def lump_by_rows(basis: DiagramBasis, orbits: Orbits, table: np.ndarray) -> IntensityMatrix:
+    """`build_reduced` over any grouping of the basis indices, proved row by row.
+
+    Sums every full entry per (row, column group), then checks that all rows
+    of a group hold the same sum before scaling it by the group size. The
+    oracle of the equivariance-gated `build_reduced` and of `build_full`.
+    """
+    m = len(orbits)
+    sizes, members, offsets = orbits.sizes, orbits.members, orbits.offsets
+    if not np.array_equal(np.sort(members), np.arange(len(basis))):
+        raise ValueError("orbits do not partition the basis")
+    orbit_of = np.empty(len(basis), dtype=np.int64)
+    orbit_of[members] = np.repeat(np.arange(m), sizes)
+
+    size = basis.length
+    columns: list[dict[int, int]] = [{} for _ in range(m)]
+    # Whole column orbits go in chunks of about 2**13 full entries, which
+    # bounds the temporary arrays; the chunks are independent.
+    step = max(1, 2**13 * m // ((2 * size + 1) * len(basis)))
+    for lo in range(0, m, step):
+        cols = members[offsets[lo] : offsets[min(lo + step, m)]]
+        # Column d of the full operator: +3L at d, -2 at each monoid image and
+        # -1 at each braid image. Sum the entries per (row r, column orbit C).
+        rows = np.column_stack([cols, table[cols]]).ravel()
+        vals = np.tile(np.repeat([3 * size, -2, -1], [1, size, size]), len(cols))
+        keys, inverse = np.unique(
+            rows * m + np.repeat(orbit_of[cols], 2 * size + 1), return_inverse=True
+        )
+        sums = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(sums, inverse, vals)
+        keys, sums = keys[sums != 0], sums[sums != 0]
+
+        # Group the nonzero sums by (C, R): every member of R must hold the same.
+        pairs, group, counts = np.unique(
+            keys % m * m + orbit_of[keys // m], return_inverse=True, return_counts=True
+        )
+        col_orbit, row_orbit = pairs // m, pairs % m
+        value = np.zeros(len(pairs), dtype=np.int64)
+        value[group] = sums
+        broken = counts != sizes[row_orbit]
+        broken[group[sums != value[group]]] = True
+        if broken.any():
+            k = int(np.argmax(broken))
+            raise ArithmeticError(
+                "symmetry lumping is not representative-independent for rows "
+                f"of orbit {row_orbit[k]} against columns of orbit {col_orbit[k]}"
+            )
+        entries = (value * sizes[row_orbit]).tolist()
+        for c, r, v in zip(col_orbit.tolist(), row_orbit.tolist(), entries):
+            columns[c][r] = v
+    return IntensityMatrix(
+        length=basis.length, kind=REDUCED, dimension=m, columns=tuple(columns)
+    )
 
 
 # Fixed list of primes just below 2**22. The modular elimination runs on

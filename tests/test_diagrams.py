@@ -27,7 +27,7 @@ from brauerloop import (
 )
 import brauerloop.diagrams as diagrams_module
 from brauerloop.counting import class_count, double_factorial
-from brauerloop.diagrams import dihedral_maps, shared_basis, shared_orbits
+from brauerloop.diagrams import shared_basis, shared_orbits
 
 from conftest import (
     assert_orbits_are,
@@ -344,7 +344,8 @@ class TestOrbits:
     @pytest.mark.parametrize("length", range(2, 10))
     def test_dihedral_maps_match_scalar_images(self, length):
         basis = shared_basis(length)
-        step, mirror = dihedral_maps(basis)
+        orbits = shared_orbits(length)
+        step, mirror = orbits.step, orbits.mirror
         assert step.dtype == mirror.dtype == np.int32
         for i, d in enumerate(basis):
             assert step[i] == basis.index_of(rotate(d, 1))

@@ -1,9 +1,11 @@
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import brauerloop.diagrams as diagrams_module
 import brauerloop.generators as generators_module
 from brauerloop import (
     DEFECT,
@@ -14,8 +16,8 @@ from brauerloop import (
     enumerate_diagrams,
     permutation_label,
 )
-from brauerloop.diagrams import shared_basis
-from brauerloop.generators import transition_table
+from brauerloop.diagrams import _key, shared_basis, shared_orbits
+from brauerloop.generators import _image_keys, transition_table
 
 from conftest import diagram
 
@@ -34,8 +36,8 @@ def shared_table(length):
 
 
 @st.composite
-def long_diagrams(draw):
-    length = draw(st.integers(min_value=11, max_value=14))
+def long_diagrams(draw, shortest=11, longest=14):
+    length = draw(st.integers(min_value=shortest, max_value=longest))
     sites = draw(st.permutations(range(length)))
     partner = [DEFECT] * length
     for a, b in zip(sites[0::2], sites[1::2]):
@@ -56,6 +58,22 @@ class TestTransitionTable:
     def test_matches_scalar_generators_on_long_diagrams(self, d):
         basis = shared_basis(d.length)
         assert shared_table(d.length)[basis.index_of(d)].tolist() == scalar_row(basis, d)
+
+
+class TestImageKeys:
+    @settings(max_examples=40, deadline=None)
+    @given(long_diagrams(15, 16))
+    def test_delta_keys_are_exact_at_the_wrap(self, d):
+        # No basis: at L = 15 and 16 the keys use all 64 bits and the
+        # intermediate products wrap.
+        def key(image):
+            return _key(np.array([image.partner], dtype=np.int8))[0]
+
+        partners = np.array([d.partner], dtype=np.int8)
+        for a in range(d.length):
+            monoid, braid = _image_keys(partners, _key(partners), a)[:, 0]
+            assert monoid == key(apply_monoid(a + 1, d))
+            assert braid == key(apply_braid(a + 1, d))
 
 
 class TestMonoid:
@@ -122,6 +140,23 @@ def test_generators_preserve_diagram_invariants(length):
 def test_relations_exhaustive(length):
     report = check_relations(length, exhaustive=True)
     assert report.all_passed, report.to_text()
+
+
+def test_relation_case_counts():
+    reports = [check_relations(length) for length in range(3, 11)]
+    assert sum(c.cases for r in reports for c in r.checks) == 525_528
+
+
+def test_relations_reuse_the_shared_basis_and_rotation(monkeypatch):
+    shared_orbits(7)
+
+    def enumerated_again(*args):
+        raise AssertionError("check_relations enumerated or ranked the basis again")
+
+    for name in ("enumerate_diagrams", "compute_orbits", "dihedral_maps"):
+        for module in (diagrams_module, generators_module):
+            monkeypatch.setattr(module, name, enumerated_again, raising=False)
+    assert check_relations(7).all_passed
 
 
 def test_relation_report_text_runs():

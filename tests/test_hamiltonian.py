@@ -1,4 +1,9 @@
+from functools import lru_cache
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brauerloop import (
     Orbits,
@@ -14,9 +19,25 @@ from brauerloop import (
     reflect,
     rotate,
 )
+from brauerloop.diagrams import shared_basis, shared_orbits
+from brauerloop.generators import transition_table
 from brauerloop.hamiltonian import IntensityMatrix
 
 from conftest import diagram
+from oracles import lump_by_rows
+
+
+@lru_cache(maxsize=None)
+def shared_table(length):
+    table = transition_table(shared_basis(length))
+    table.flags.writeable = False
+    return table
+
+
+def regrouped(orbits, groups):
+    """An `Orbits` record of these member groups, with the maps of `orbits`."""
+    return Orbits.grouped(np.concatenate(groups), [len(g) for g in groups],
+                          orbits.step, orbits.mirror)
 
 
 def l4_reference_columns():
@@ -115,16 +136,110 @@ class TestBuildReduced:
         basis = enumerate_diagrams(4)
         orbits = compute_orbits(basis)
         first = orbits.members_of(0)
-        alone = Orbits(first[:1], orbits.sizes[:1], first, orbits.offsets[:2], orbits.orbit_of)
+        alone = Orbits(first[:1], orbits.sizes[:1], first, orbits.offsets[:2], orbits.orbit_of,
+                       orbits.step, orbits.mirror)
         with pytest.raises(ValueError, match="do not partition"):
             build_reduced(basis, alone)
 
     def test_rejects_broken_symmetry_grouping(self):
         # gluing the crossing onto one parallel diagram is not an orbit
         basis = enumerate_diagrams(4)
-        fake = Orbits.grouped([0, 1, 2], [2, 1])
+        orbits = compute_orbits(basis)
+        fake = Orbits.grouped([0, 1, 2], [2, 1], orbits.step, orbits.mirror)
         with pytest.raises(ArithmeticError):
             build_reduced(basis, fake)
+
+
+class TestRowSumOracle:
+    @pytest.mark.parametrize("length", range(2, 13))
+    def test_reduced_matches_row_sums(self, length):
+        basis, orbits, table = shared_basis(length), shared_orbits(length), shared_table(length)
+        expected = lump_by_rows(basis, orbits, table).columns
+        assert build_reduced(basis, orbits, table).columns == expected
+
+    @pytest.mark.parametrize("length", range(2, 10))
+    def test_full_matches_row_sums_over_singletons(self, length):
+        basis = shared_basis(length)
+        n = len(basis)
+        orbits = shared_orbits(length)
+        singletons = Orbits.grouped(np.arange(n), np.ones(n), orbits.step, orbits.mirror)
+        expected = lump_by_rows(basis, singletons, shared_table(length)).columns
+        assert build_full(basis).columns == expected
+
+
+class TestEquivarianceGate:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=3, max_value=9), st.data())
+    def test_rejects_one_corrupt_table_entry(self, length, data):
+        basis, orbits = shared_basis(length), shared_orbits(length)
+        table = shared_table(length).copy()
+        row = data.draw(st.integers(min_value=0, max_value=len(basis) - 1), label="row")
+        col = data.draw(st.integers(min_value=0, max_value=2 * length - 1), label="column")
+        value = data.draw(st.integers(min_value=0, max_value=len(basis) - 1)
+                          .filter(lambda v: v != table[row, col]), label="value")
+        table[row, col] = value
+        with pytest.raises(ArithmeticError, match=r"^transition table column \d+ does not commute"):
+            build_reduced(basis, orbits, table)
+
+    @pytest.mark.parametrize("length", range(5, 10))
+    def test_rejects_a_table_that_commutes_with_the_rotation_only(self, length):
+        # e_i e_{i+1} in place of e_i: rotating shifts i, reflecting reverses the product.
+        basis, orbits = shared_basis(length), shared_orbits(length)
+        table = shared_table(length).copy()
+        table[:, :length] = np.column_stack(
+            [table[table[:, (a + 1) % length], a] for a in range(length)]
+        )
+        with pytest.raises(ArithmeticError, match="does not commute with the reflection$"):
+            build_reduced(basis, orbits, table)
+        # Below L = 7 this lumping happens to be exact anyway; the gate is a
+        # sufficient condition and refuses it all the same.
+        if length >= 7:
+            with pytest.raises(ArithmeticError, match="not representative-independent"):
+                lump_by_rows(basis, orbits, table)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=4, max_value=10), st.data())
+    def test_rejects_merged_orbits(self, length, data):
+        orbits = shared_orbits(length)
+        groups = [orbits.members_of(k) for k in range(len(orbits))]
+        j, k = data.draw(st.lists(st.integers(min_value=0, max_value=len(groups) - 1),
+                                  min_size=2, max_size=2, unique=True))
+        merged = np.concatenate([groups[j], groups[k]])
+        rest = [g for i, g in enumerate(groups) if i not in (j, k)]
+        with pytest.raises(ArithmeticError, match="^orbit 0 is not one orbit of the rotation"):
+            build_reduced(shared_basis(length), regrouped(orbits, [merged, *rest]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=4, max_value=10), st.data())
+    def test_rejects_a_split_orbit(self, length, data):
+        orbits = shared_orbits(length)
+        groups = [orbits.members_of(k) for k in range(len(orbits))]
+        k = data.draw(st.sampled_from([k for k, g in enumerate(groups) if len(g) > 1]))
+        members = data.draw(st.permutations(groups[k].tolist()))
+        cut = data.draw(st.integers(min_value=1, max_value=len(members) - 1))
+        parts = [np.array(members[:cut]), np.array(members[cut:])]
+        grouping = regrouped(orbits, [*groups[:k], *parts, *groups[k + 1 :]])
+        with pytest.raises(ArithmeticError, match="is not closed under the"):
+            build_reduced(shared_basis(length), grouping)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=4, max_value=10), st.data())
+    def test_rejects_a_grouping_not_closed_under_the_maps(self, length, data):
+        orbits = shared_orbits(length)
+        groups = [orbits.members_of(k).tolist() for k in range(len(orbits))]
+        j = data.draw(st.sampled_from([k for k, g in enumerate(groups) if len(g) > 1]))
+        k = data.draw(st.sampled_from([k for k in range(len(groups)) if k != j]))
+        groups[k].append(groups[j].pop(data.draw(st.integers(0, len(groups[j]) - 1))))
+        grouping = regrouped(orbits, [np.array(g) for g in groups])
+        with pytest.raises(ArithmeticError, match="is not closed under the"):
+            build_reduced(shared_basis(length), grouping)
+
+    def test_rejects_maps_that_are_not_permutations(self):
+        basis, orbits = shared_basis(6), shared_orbits(6)
+        constant = Orbits.grouped(orbits.members, orbits.sizes, np.zeros_like(orbits.step),
+                                 orbits.mirror)
+        with pytest.raises(ArithmeticError, match="rotation map is not a permutation"):
+            build_reduced(basis, constant)
 
 
 class TestConnectivity:
