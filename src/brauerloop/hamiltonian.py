@@ -7,7 +7,9 @@ diagonal and, for every site, -2 at the row of the monoid image and -1 at
 the row of the braid image (contributions landing back on d reduce the
 diagonal). The result is an intensity matrix: off-diagonal entries are
 nonpositive and every column sums to zero, so the kernel describes the
-stationary state of a continuous-time chain on diagrams.
+stationary state of a continuous-time chain on diagrams. It is held as
+int64 (row, column, value) arrays sorted by column, then row: the order in
+which the sums come out of the table and which `validate` checks.
 
 The reduced build lumps the matrix over dihedral orbits by summing whole
 orbit blocks. Equivariance implies representative independence: as the
@@ -19,7 +21,6 @@ lumped matrix has zero column sums and the per-orbit weights as its kernel.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,41 +32,62 @@ FULL = "full"
 REDUCED = "reduced"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntensityMatrix:
-    """Column-sparse integer matrix with zero column sums."""
+    """Sparse integer matrix with zero column sums: int64 arrays, entry k is `vals[k]`
+    at (`rows[k]`, `cols[k]`), in strictly increasing (column, row) order."""
 
     length: int
     kind: str
     dimension: int
-    columns: tuple[dict[int, int], ...]
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
 
     def validate(self, basis: DiagramBasis | None = None) -> None:
-        """Check the intensity-matrix structure; raises on violation."""
-        for c, col in enumerate(self.columns):
-            if sum(col.values()) != 0:
-                raise ArithmeticError(f"column {c} does not sum to zero")
-            for r, v in col.items():
-                if r != c and v > 0:
-                    raise ArithmeticError(f"positive off-diagonal entry at ({r}, {c})")
+        """Check the entry arrays and the intensity-matrix structure; raises on violation.
+
+        The first violation in (column, row) order is named, a column's sum
+        before its entries.
+        """
+        rows, cols, vals, n = self.rows, self.cols, self.vals, self.dimension
+        if not len(rows) == len(cols) == len(vals):
+            raise ArithmeticError(f"entry {min(len(rows), len(cols), len(vals))} is incomplete: "
+                                  f"{len(rows)} rows, {len(cols)} columns and {len(vals)} values")
+        if (k := _first((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n))) < len(rows):
+            raise ArithmeticError(f"entry ({rows[k]}, {cols[k]}) is outside the {n} x {n} matrix")
+        if (k := _first(np.diff(cols) * n + np.diff(rows) <= 0) + 1) < len(rows):
+            raise ArithmeticError(f"entry ({rows[k]}, {cols[k]}) does not follow "
+                                  f"({rows[k - 1]}, {cols[k - 1]}) in (column, row) order")
+        sums = np.zeros(n, dtype=np.int64)
+        np.add.at(sums, cols, vals)
+        c = _first(sums != 0)
+        if (k := _first((rows != cols) & (vals > 0))) < len(rows) and cols[k] < c:
+            raise ArithmeticError(f"positive off-diagonal entry at ({rows[k]}, {cols[k]})")
+        if c < n:
+            raise ArithmeticError(f"column {c} does not sum to zero")
         if self.kind == FULL and basis is not None:
             # Each site paired with its cyclic successor is fixed by both
             # generators there, which cancels 3 of the 3L on the diagonal.
             successor = (np.arange(self.length, dtype=np.int8) + 1) % self.length
-            adjacent = np.count_nonzero(basis.partners == successor, axis=1)
-            for c, expected in enumerate((3 * self.length - 3 * adjacent).tolist()):
-                diagonal = self.columns[c].get(c, 0)
-                if diagonal != expected:
-                    raise ArithmeticError(
-                        f"diagonal of column {c} is {diagonal}, expected {expected}"
-                    )
+            expected = 3 * self.length - 3 * np.count_nonzero(basis.partners == successor, axis=1)
+            diagonal = np.zeros(n, dtype=np.int64)
+            diagonal[cols[rows == cols]] = vals[rows == cols]
+            if (c := _first(diagonal != expected)) < n:
+                raise ArithmeticError(f"diagonal of column {c} is {diagonal[c]}, "
+                                      f"expected {expected[c]}")
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True in the mask, or its length when there is none."""
+    return int(np.argmax(mask)) if mask.any() else len(mask)
 
 
 def build_full(basis: DiagramBasis) -> IntensityMatrix:
     """The operator over the full diagram basis, summed column by column from the table."""
     index = np.arange(len(basis))
-    columns = _summed_columns(transition_table(basis), index, index, np.ones_like(index))
-    return IntensityMatrix(length=basis.length, kind=FULL, dimension=len(index), columns=columns)
+    entries = _summed_entries(transition_table(basis), index, index, np.ones_like(index))
+    return IntensityMatrix(basis.length, FULL, len(index), *entries)
 
 
 def build_reduced(
@@ -111,58 +133,47 @@ def build_reduced(
     if not reached.all():
         k = orbit_of[np.argmin(reached)]
         raise ArithmeticError(f"orbit {k} is not one orbit of the rotation and reflection")
-    columns = _summed_columns(table, representatives, orbit_of, orbits.sizes)
-    return IntensityMatrix(length=basis.length, kind=REDUCED, dimension=m, columns=columns)
+    entries = _summed_entries(table, representatives, orbit_of, orbits.sizes)
+    return IntensityMatrix(basis.length, REDUCED, m, *entries)
 
 
-def _summed_columns(table, sources, group, scale) -> tuple[dict[int, int], ...]:
-    """Column k: the full column of `sources[k]` summed by `group` of row, times `scale[k]`."""
+def _summed_entries(table, sources, group, scale) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted int64 (rows, cols, vals), zeros dropped, of the matrix whose column k
+    is the full column of `sources[k]` summed by `group` of row, times `scale[k]`."""
     m, size = len(sources), table.shape[1] // 2
     assert m * m <= 2**63, "pair keys col * m + row must fit in int64"
     entries = np.repeat([3 * size, -2, -1], [1, size, size])  # +3L at itself, -2 and -1 at images
-    columns: list[dict[int, int]] = []
+    keys, sums = [], []
     # Blocks of 2**12 columns keep the temporaries near 1 MB each.
     for cols in np.array_split(np.arange(m), range(2**12, m, 2**12)):
-        keys = cols[:, None] * m + group[np.column_stack([sources[cols], table[sources[cols]]])]
-        order = np.argsort(keys, axis=None)
-        keys, vals = keys.ravel()[order], np.tile(entries, len(cols))[order]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        sums = np.add.reduceat(vals, starts) * scale[keys[starts] // m]
-        keys, sums = keys[starts][sums != 0], sums[sums != 0]
-        bounds = np.searchsorted(keys, cols[1:] * m)
-        rows, sums = np.split(keys % m, bounds), np.split(sums, bounds)
-        columns += (dict(zip(r.tolist(), v.tolist())) for r, v in zip(rows, sums))
-    return tuple(columns)
+        block = cols[:, None] * m + group[np.column_stack([sources[cols], table[sources[cols]]])]
+        order = np.argsort(block, axis=None)
+        block, vals = block.ravel()[order], np.tile(entries, len(cols))[order]
+        starts = np.flatnonzero(np.diff(block, prepend=-1))
+        total = np.add.reduceat(vals, starts) * scale[block[starts] // m]
+        keys.append(block[starts][total != 0])
+        sums.append(total[total != 0])
+    key = np.concatenate(keys)
+    return key % m, key // m, np.concatenate(sums)
 
 
 def connectivity_check(matrix: IntensityMatrix) -> bool:
-    """True iff the off-diagonal transition graph is strongly connected."""
-    n = matrix.dimension
-    if n <= 1:
-        return True
-    forward: list[list[int]] = [[] for _ in range(n)]
-    backward: list[list[int]] = [[] for _ in range(n)]
-    for c, col in enumerate(matrix.columns):
-        for r in col:
-            if r != c:
-                forward[c].append(r)
-                backward[r].append(c)
+    """True iff the off-diagonal transition graph is strongly connected.
 
-    def reaches_all(adj) -> bool:
-        seen = [False] * n
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    count += 1
-                    queue.append(y)
-        return count == n
-
-    return reaches_all(forward) and reaches_all(backward)
+    A breadth-first search from state 0, one whole frontier per pass over
+    the edges, must reach every state along the edges column -> row of the
+    off-diagonal entries and along their reversals.
+    """
+    n, off = matrix.dimension, matrix.rows != matrix.cols
+    edges = (matrix.cols[off], matrix.rows[off])
+    for sources, targets in (edges, edges[::-1]):
+        seen = frontier = np.arange(n) == 0
+        while frontier.any():
+            frontier = np.bincount(targets[frontier[sources]], minlength=n).astype(bool) & ~seen
+            seen |= frontier
+        if not seen.all():
+            return False
+    return True
 
 
 def annihilates(basis: DiagramBasis, values, table: np.ndarray | None = None) -> bool:

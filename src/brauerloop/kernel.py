@@ -11,7 +11,9 @@ measured residual allows and updates the residual exactly in int64, within
 bounds asserted at every step. Continued fractions then recover the
 rationals over a common denominator, and a candidate is accepted only when
 A w = 0 holds exactly in integers; a solve that stops contracting or runs
-out of steps raises `RefinementError`.
+out of steps raises `RefinementError`. The solver takes the matrix's entry
+arrays as they are, re-sorted by row, and returns the accepted vector as
+coprime integers.
 
 The assembled ground state is additionally verified against the full
 diagram basis before it is returned or cached.
@@ -28,7 +30,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -79,15 +80,14 @@ _MAX_ITERATIONS = 1000
 _MAX_STEPS = 64
 
 
-def kernel_vector(matrix: IntensityMatrix, *, integral: bool = False) -> tuple:
-    """Exact nonzero vector annihilated by the matrix, scaled so entry 0 is 1.
+def kernel_vector(matrix: IntensityMatrix) -> tuple[int, ...]:
+    """Exact kernel vector of the matrix as coprime positive integers.
 
     The matrix must be an intensity matrix with a strongly connected
     transition graph: then its kernel is a line spanned by a positive vector,
     and every principal minor of order dimension - 1 is nonsingular. The
-    solution is accepted only after an exact integer check A w = 0. With
-    `integral`, the same vector comes as coprime integers instead of
-    Fractions, as the check saw it.
+    vector is returned only after the exact integer check A w = 0 accepted
+    it, divided by the gcd of its entries.
     """
     try:
         matrix.validate()
@@ -100,12 +100,9 @@ def kernel_vector(matrix: IntensityMatrix, *, integral: bool = False) -> tuple:
             "transition graph is not strongly connected; kernel may be degenerate"
         )
     if matrix.dimension == 1:
-        return (1,) if integral else (Fraction(1),)
-    a = _Sparse.from_columns(matrix.columns)
-    den, num = _refine(a, matrix.length)
-    if integral:
-        return (den, *num)
-    return (Fraction(1),) + tuple(Fraction(v, den) for v in num)
+        return (1,)
+    a = _Sparse.from_triplets(matrix.rows, matrix.cols, matrix.vals, matrix.dimension)
+    return _refine(a, matrix.length)
 
 
 @dataclass(frozen=True)
@@ -128,15 +125,6 @@ class _Sparse:
         starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
         l1 = int(np.add.reduceat(np.abs(vals), starts).max())
         return cls(rows, cols, vals, starts, l1)
-
-    @classmethod
-    def from_columns(cls, columns) -> _Sparse:
-        cols = np.repeat(np.arange(len(columns)), [len(col) for col in columns])
-        rows = np.fromiter(chain.from_iterable(columns), np.int64, len(cols))
-        vals = np.fromiter(
-            chain.from_iterable(col.values() for col in columns), np.int64, len(cols)
-        )
-        return cls.from_triplets(rows, cols, vals, len(columns))
 
     def minor(self) -> tuple[_Sparse, np.ndarray]:
         """B = A[1:, 1:] and b = -A[1:, 0], the system for w[1:] / w[0]."""
@@ -198,8 +186,8 @@ def _bicgstab(b_matrix: _Sparse, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _refine(a: _Sparse, length: int) -> tuple[int, list[int]]:
-    """Exact solution of B y = b as (den, num) with y = num / den.
+def _refine(a: _Sparse, length: int) -> tuple[int, ...]:
+    """Exact solution of B y = b as coprime integers w = (den, *num), y = num / den.
 
     Numeric-symbolic iterative refinement (Wan 2006): each step solves for
     the current exact residual r in float64, keeps k bits of the solution
@@ -207,7 +195,7 @@ def _refine(a: _Sparse, length: int) -> tuple[int, list[int]]:
     accumulated numerators N <- 2**k N + d in exact arithmetic, so that
     B N = D b - r holds throughout with D = 2**(sum of k). After each step
     N / D is reconstructed as rationals over a common denominator, and the
-    result is returned only once A (1, y) = 0 holds exactly.
+    result is returned only once A w = 0 holds exactly.
     """
     b_matrix, r = a.minor()
     numer = np.zeros(len(r), dtype=object)
@@ -242,9 +230,9 @@ def _refine(a: _Sparse, length: int) -> tuple[int, list[int]]:
         if candidate is not None:
             den, num = candidate
             g = math.gcd(den, *num)
-            den, num = den // g, [v // g for v in num]
-            if product_is_zero(lambda x: a @ x, [den, *num], a.l1):
-                return den, num
+            w = tuple(v // g for v in (den, *num))
+            if product_is_zero(lambda x: a @ x, w, a.l1):
+                return w
     raise RefinementError(
         f"L = {length}, refinement step {_MAX_STEPS}: no exact kernel vector "
         "within the step cap"
@@ -511,7 +499,7 @@ def groundstate(length: int, *, cache_dir=None) -> GroundState:
     orbits = shared_orbits(length)
     table = transition_table(basis)
     matrix = build_reduced(basis, orbits, table)
-    per_orbit = _coprime_positive(kernel_vector(matrix, integral=True))
+    per_orbit = _coprime_positive(kernel_vector(matrix))
     state = GroundState(
         length=length,
         orbit_weights=tuple(

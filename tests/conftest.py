@@ -6,8 +6,9 @@ import time
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
-from brauerloop import ChordDiagram
+from brauerloop import ChordDiagram, IntensityMatrix
 from brauerloop.checks import MonteCarloReport, OrbitEstimate, _event_rows
 from brauerloop.diagrams import _key, reflect_partners, rotate_partners
 from brauerloop.generators import transition_table
@@ -16,6 +17,41 @@ from brauerloop.generators import transition_table
 def diagram(length, *pairs):
     """Build a diagram from 1-based site pairs; leftover site is the defect."""
     return ChordDiagram.from_pairs(length, pairs)
+
+
+def matrix_of(columns, kind="reduced", length=4):
+    """An `IntensityMatrix` of hand-written {row: value} dicts, one per column."""
+    entries = sorted((c, r, v) for c, col in enumerate(columns) for r, v in col.items())
+    cols, rows, vals = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+    return IntensityMatrix(length, kind, len(columns), rows, cols, vals)
+
+
+@st.composite
+def intensity_columns(draw):
+    """Random {row: value} columns of an intensity matrix on a strongly
+    connected graph or on a random one that may be disconnected, with up to
+    two planted faults: a positive off-diagonal entry (the diagonal pays
+    for it) or a nonzero column sum."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = {(a, b) for a, b in draw(st.lists(pairs, max_size=3 * n)) if a != b}
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        edges |= {(a, b) for a, b in zip(order, order[1:] + order[:1]) if a != b}
+    columns = [{} for _ in range(n)]
+    for source, target in sorted(edges):
+        rate = draw(st.integers(min_value=1, max_value=50))
+        columns[source][target] = -rate
+        columns[source][source] = columns[source].get(source, 0) + rate
+    faults = st.sampled_from(["positive", "column sum"])
+    for fault, (c, r) in draw(st.lists(st.tuples(faults, pairs), max_size=2)):
+        if fault == "positive" and r != c:
+            value = draw(st.integers(min_value=1, max_value=50))
+            columns[c][c] = columns[c].get(c, 0) - value + columns[c].get(r, 0)
+            columns[c][r] = value
+        elif fault == "column sum":
+            columns[c][r] = columns[c].get(r, 0) + draw(st.integers(-5, 5).filter(bool))
+    return columns
 
 
 def settle(path, hours=1):

@@ -5,6 +5,9 @@
 * `lump_by_rows`: the lumped operator from every full entry, with
   representative independence checked row by row; the oracle of
   `build_reduced` and `build_full`.
+* `validate_by_columns` and `connected_by_bfs`: the intensity-matrix checks
+  as loops over one dict per column and a Python breadth-first search, the
+  oracles of `IntensityMatrix.validate` and `connectivity_check`.
 
 The exact kernel solvers are the oracles of `kernel_vector`:
 
@@ -18,18 +21,21 @@ The exact kernel solvers are the oracles of `kernel_vector`:
   Chinese remaindering, and rational reconstruction, growing the prime count
   until the reconstruction stabilises.
 
-Both return the kernel vector as Fractions scaled so that entry 0 is 1, the
-contract of `kernel_vector`, after an exact residual check in Fractions.
+Both return the kernel vector as Fractions scaled so that entry 0 is 1,
+after an exact residual check in Fractions; `normalize_integer` of it is the
+contract of `kernel_vector`. Every oracle reads the matrix through
+`columns_of`, one dict per column.
 """
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 
 from brauerloop import DEFECT, DiagramBasis, KernelDimensionError, Orbits
-from brauerloop.hamiltonian import REDUCED, IntensityMatrix
+from brauerloop.hamiltonian import FULL, REDUCED, IntensityMatrix
 
 _FREE = -2  # a site not yet assigned during enumeration
 
@@ -82,7 +88,7 @@ def lump_by_rows(basis: DiagramBasis, orbits: Orbits, table: np.ndarray) -> Inte
     orbit_of[members] = np.repeat(np.arange(m), sizes)
 
     size = basis.length
-    columns: list[dict[int, int]] = [{} for _ in range(m)]
+    entries: list[tuple[np.ndarray, ...]] = []
     # Whole column orbits go in chunks of about 2**13 full entries, which
     # bounds the temporary arrays; the chunks are independent.
     step = max(1, 2**13 * m // ((2 * size + 1) * len(basis)))
@@ -114,12 +120,69 @@ def lump_by_rows(basis: DiagramBasis, orbits: Orbits, table: np.ndarray) -> Inte
                 "symmetry lumping is not representative-independent for rows "
                 f"of orbit {row_orbit[k]} against columns of orbit {col_orbit[k]}"
             )
-        entries = (value * sizes[row_orbit]).tolist()
-        for c, r, v in zip(col_orbit.tolist(), row_orbit.tolist(), entries):
-            columns[c][r] = v
-    return IntensityMatrix(
-        length=basis.length, kind=REDUCED, dimension=m, columns=tuple(columns)
-    )
+        entries.append((row_orbit, col_orbit, value * sizes[row_orbit]))
+    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
+    return IntensityMatrix(basis.length, REDUCED, m, rows, cols, vals)
+
+
+def columns_of(matrix: IntensityMatrix) -> tuple[dict[int, int], ...]:
+    """The entries of the matrix as one {row: value} dict per column."""
+    columns: list[dict[int, int]] = [{} for _ in range(matrix.dimension)]
+    for r, c, v in zip(matrix.rows.tolist(), matrix.cols.tolist(), matrix.vals.tolist()):
+        columns[c][r] = v
+    return tuple(columns)
+
+
+def validate_by_columns(matrix: IntensityMatrix, basis: DiagramBasis | None = None) -> None:
+    """`IntensityMatrix.validate` over one dict per column; raises on violation."""
+    columns = columns_of(matrix)
+    for c, col in enumerate(columns):
+        if sum(col.values()) != 0:
+            raise ArithmeticError(f"column {c} does not sum to zero")
+        for r, v in col.items():
+            if r != c and v > 0:
+                raise ArithmeticError(f"positive off-diagonal entry at ({r}, {c})")
+    if matrix.kind == FULL and basis is not None:
+        # Each site paired with its cyclic successor is fixed by both
+        # generators there, which cancels 3 of the 3L on the diagonal.
+        successor = (np.arange(matrix.length, dtype=np.int8) + 1) % matrix.length
+        adjacent = np.count_nonzero(basis.partners == successor, axis=1)
+        for c, expected in enumerate((3 * matrix.length - 3 * adjacent).tolist()):
+            diagonal = columns[c].get(c, 0)
+            if diagonal != expected:
+                raise ArithmeticError(
+                    f"diagonal of column {c} is {diagonal}, expected {expected}"
+                )
+
+
+def connected_by_bfs(matrix: IntensityMatrix) -> bool:
+    """`connectivity_check` by a Python breadth-first search, forward and backward."""
+    n = matrix.dimension
+    if n <= 1:
+        return True
+    forward: list[list[int]] = [[] for _ in range(n)]
+    backward: list[list[int]] = [[] for _ in range(n)]
+    for c, col in enumerate(columns_of(matrix)):
+        for r in col:
+            if r != c:
+                forward[c].append(r)
+                backward[r].append(c)
+
+    def reaches_all(adj) -> bool:
+        seen = [False] * n
+        seen[0] = True
+        queue = deque([0])
+        count = 1
+        while queue:
+            x = queue.popleft()
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    count += 1
+                    queue.append(y)
+        return count == n
+
+    return reaches_all(forward) and reaches_all(backward)
 
 
 # Fixed list of primes just below 2**22. The modular elimination runs on
@@ -140,7 +203,7 @@ assert _PANEL * max(PRIMES) ** 2 < 2**53, "modular LU panel is not exact in floa
 
 def bareiss_kernel(matrix):
     """Kernel vector by sparse fraction-free elimination, entry 0 scaled to 1."""
-    return _checked(matrix, _bareiss_kernel(matrix.columns, matrix.dimension))
+    return _checked(matrix, _bareiss_kernel(columns_of(matrix), matrix.dimension))
 
 
 def modular_kernel(matrix, threads=None):
@@ -157,7 +220,7 @@ def _checked(matrix, vec):
 
 def _residual_is_zero(matrix: IntensityMatrix, vec) -> bool:
     out = [Fraction(0)] * matrix.dimension
-    for c, col in enumerate(matrix.columns):
+    for c, col in enumerate(columns_of(matrix)):
         v = vec[c]
         if v == 0:
             continue
@@ -344,7 +407,7 @@ def rational_reconstruction(residue: int, modulus: int) -> Fraction | None:
 def _modular_kernel(matrix: IntensityMatrix, threads: int | None = None) -> list[Fraction]:
     n = matrix.dimension
     dense = np.zeros((n, n), dtype=np.int64)
-    for c, col in enumerate(matrix.columns):
+    for c, col in enumerate(columns_of(matrix)):
         for r, v in col.items():
             dense[r, c] = v
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brauerloop import (
+    KernelDimensionError,
     Orbits,
     annihilates,
     apply_braid,
@@ -16,6 +17,7 @@ from brauerloop import (
     connectivity_check,
     enumerate_diagrams,
     groundstate,
+    kernel_vector,
     reflect,
     rotate,
 )
@@ -23,8 +25,8 @@ from brauerloop.diagrams import shared_basis, shared_orbits
 from brauerloop.generators import transition_table
 from brauerloop.hamiltonian import IntensityMatrix
 
-from conftest import diagram
-from oracles import lump_by_rows
+from conftest import diagram, intensity_columns, matrix_of
+from oracles import columns_of, connected_by_bfs, lump_by_rows, validate_by_columns
 
 
 @lru_cache(maxsize=None)
@@ -38,6 +40,20 @@ def regrouped(orbits, groups):
     """An `Orbits` record of these member groups, with the maps of `orbits`."""
     return Orbits.grouped(np.concatenate(groups), [len(g) for g in groups],
                           orbits.step, orbits.mirror)
+
+
+def triplets(matrix):
+    """The (rows, cols, vals) of a matrix as lists, for exact comparison."""
+    return matrix.rows.tolist(), matrix.cols.tolist(), matrix.vals.tolist()
+
+
+def verdict(check, *args):
+    """The error text a validation raises, or None when it passes."""
+    try:
+        check(*args)
+    except ArithmeticError as exc:
+        return str(exc)
+    return None
 
 
 def l4_reference_columns():
@@ -59,12 +75,12 @@ class TestBuildFull:
         for col_diagram, entries in l4_reference_columns().items():
             c = basis.index_of(col_diagram)
             expected = {basis.index_of(d): v for d, v in entries.items()}
-            assert matrix.columns[c] == expected
+            assert columns_of(matrix)[c] == expected
 
     def test_l2_is_zero(self):
         matrix = build_full(enumerate_diagrams(2))
         assert matrix.dimension == 1
-        assert matrix.columns == ({},)
+        assert columns_of(matrix) == ({},)
 
     @pytest.mark.parametrize("length", range(2, 11))
     def test_invariants(self, length):
@@ -74,33 +90,78 @@ class TestBuildFull:
     @pytest.mark.parametrize("length", range(2, 11))
     def test_diagonal_matches_adjacent_pairs(self, length):
         basis = enumerate_diagrams(length)
-        matrix = build_full(basis)
+        columns = columns_of(build_full(basis))
         for c, d in enumerate(basis):
             adjacent = sum(1 for i, j in enumerate(d.partner) if j == (i + 1) % length)
-            assert matrix.columns[c].get(c, 0) == 3 * length - 3 * adjacent
+            assert columns[c].get(c, 0) == 3 * length - 3 * adjacent
 
     def test_validate_catches_wrong_diagonal(self):
         basis = enumerate_diagrams(6)
         matrix = build_full(basis)
-        columns = [dict(col) for col in matrix.columns]
+        columns = list(columns_of(matrix))
         # Move weight from an off-diagonal entry to the diagonal: the column
         # still sums to zero and stays nonpositive off the diagonal.
         other = next(r for r in columns[4] if r != 4)
         columns[4][4] += 1
         columns[4][other] -= 1
-        broken = IntensityMatrix(length=6, kind="full", dimension=15, columns=tuple(columns))
-        expected = matrix.columns[4][4]
+        broken = matrix_of(columns, kind="full", length=6)
+        expected = columns_of(matrix)[4][4]
         with pytest.raises(ArithmeticError, match=(
             f"diagonal of column 4 is {expected + 1}, expected {expected}$"
         )):
             broken.validate(basis)
+        assert verdict(broken.validate, basis) == verdict(validate_by_columns, broken, basis)
         broken.validate()  # without a basis only the column structure is checked
 
     def test_validate_catches_broken_column(self):
-        matrix = IntensityMatrix(length=4, kind="full", dimension=2,
-                                 columns=({0: 1}, {}))
+        matrix = matrix_of(({0: 1}, {}), kind="full")
         with pytest.raises(ArithmeticError):
             matrix.validate()
+
+
+class TestEntryArrays:
+    """`validate` refuses entry arrays that do not describe one square matrix."""
+
+    @staticmethod
+    def assert_refused(matrix, message):
+        with pytest.raises(ArithmeticError, match=message):
+            matrix.validate()
+        with pytest.raises(KernelDimensionError, match=message):
+            kernel_vector(matrix)
+
+    def test_rejects_arrays_of_unequal_length(self):
+        matrix = IntensityMatrix(4, "reduced", 2, np.array([0, 1, 0, 1]),
+                                 np.array([0, 0, 1, 1]), np.array([1, -1, -1]))
+        self.assert_refused(matrix, r"^entry 3 is incomplete: 4 rows, 4 columns and 3 values")
+
+    @pytest.mark.parametrize("row, message", [
+        (5, r"^entry \(5, 0\) is outside the 2 x 2 matrix"),
+        (-1, r"^entry \(-1, 0\) is outside the 2 x 2 matrix"),
+    ])
+    def test_rejects_an_index_outside_the_matrix(self, row, message):
+        # Column 0 sums to zero, so only the index is wrong.
+        self.assert_refused(matrix_of(({0: 1, row: -1}, {1: 1, 0: -1})), message)
+        far_column = IntensityMatrix(4, "reduced", 2, np.array([0, 1, 0]),
+                                     np.array([0, 0, 2]), np.array([1, -1, 0]))
+        self.assert_refused(far_column, r"^entry \(0, 2\) is outside")
+
+    def test_rejects_repeated_and_unsorted_entries(self):
+        repeated = IntensityMatrix(4, "reduced", 2, np.array([0, 1, 1, 0, 1]),
+                                   np.array([0, 0, 0, 1, 1]), np.array([2, -1, -1, -1, 1]))
+        self.assert_refused(repeated, r"^entry \(1, 0\) does not follow \(1, 0\) in "
+                                      r"\(column, row\) order")
+        unsorted = IntensityMatrix(4, "reduced", 2, np.array([1, 0, 0, 1]),
+                                   np.array([0, 0, 1, 1]), np.array([-1, 1, -1, 1]))
+        self.assert_refused(unsorted, r"^entry \(0, 0\) does not follow \(1, 0\)")
+
+
+class TestAgainstColumnOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(intensity_columns())
+    def test_random_matrices_get_the_oracles_verdicts(self, columns):
+        matrix = matrix_of(columns)
+        assert verdict(matrix.validate) == verdict(validate_by_columns, matrix)
+        assert connectivity_check(matrix) == connected_by_bfs(matrix)
 
 
 class TestEquivariance:
@@ -124,7 +185,7 @@ class TestBuildReduced:
         matrix = build_reduced(basis, orbits)
         # orbit 0 = the two parallel diagrams, orbit 1 = the crossing
         assert orbits.sizes.tolist() == [2, 1]
-        assert matrix.columns == ({0: 4, 1: -4}, {0: -12, 1: 12})
+        assert columns_of(matrix) == ({0: 4, 1: -4}, {0: -12, 1: 12})
 
     @pytest.mark.parametrize("length", range(2, 11))
     def test_reduced_columns_sum_to_zero(self, length):
@@ -154,8 +215,8 @@ class TestRowSumOracle:
     @pytest.mark.parametrize("length", range(2, 13))
     def test_reduced_matches_row_sums(self, length):
         basis, orbits, table = shared_basis(length), shared_orbits(length), shared_table(length)
-        expected = lump_by_rows(basis, orbits, table).columns
-        assert build_reduced(basis, orbits, table).columns == expected
+        expected = triplets(lump_by_rows(basis, orbits, table))
+        assert triplets(build_reduced(basis, orbits, table)) == expected
 
     @pytest.mark.parametrize("length", range(2, 10))
     def test_full_matches_row_sums_over_singletons(self, length):
@@ -163,8 +224,8 @@ class TestRowSumOracle:
         n = len(basis)
         orbits = shared_orbits(length)
         singletons = Orbits.grouped(np.arange(n), np.ones(n), orbits.step, orbits.mirror)
-        expected = lump_by_rows(basis, singletons, shared_table(length)).columns
-        assert build_full(basis).columns == expected
+        expected = triplets(lump_by_rows(basis, singletons, shared_table(length)))
+        assert triplets(build_full(basis)) == expected
 
 
 class TestEquivarianceGate:
@@ -256,10 +317,7 @@ class TestConnectivity:
         assert connectivity_check(build_reduced(basis, compute_orbits(basis)))
 
     def test_detects_disconnection(self):
-        matrix = IntensityMatrix(
-            length=4, kind="reduced", dimension=2, columns=({}, {})
-        )
-        assert not connectivity_check(matrix)
+        assert not connectivity_check(matrix_of(({}, {})))
 
 
 class TestAnnihilates:

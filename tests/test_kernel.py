@@ -31,7 +31,6 @@ from brauerloop import (
 )
 from brauerloop.cli import main
 from brauerloop.diagrams import shared_basis, shared_orbits
-from brauerloop.hamiltonian import IntensityMatrix
 from brauerloop.kernel import (
     CacheCorruptError,
     cache_path,
@@ -41,8 +40,15 @@ from brauerloop.kernel import (
     serialize_groundstate,
 )
 
-from conftest import diagram, settle
-from oracles import PRIMES, _bareiss_kernel, bareiss_kernel, modular_kernel, rational_reconstruction
+from conftest import diagram, matrix_of, settle
+from oracles import (
+    PRIMES,
+    _bareiss_kernel,
+    _residual_is_zero,
+    bareiss_kernel,
+    modular_kernel,
+    rational_reconstruction,
+)
 
 
 def checksummed(payload):
@@ -54,10 +60,13 @@ def checksummed(payload):
 
 def dense_matrix(rows, kind="reduced", length=4):
     n = len(rows)
-    columns = tuple(
-        {r: rows[r][c] for r in range(n) if rows[r][c]} for c in range(n)
-    )
-    return IntensityMatrix(length=length, kind=kind, dimension=n, columns=columns)
+    return matrix_of([{r: rows[r][c] for r in range(n) if rows[r][c]} for c in range(n)],
+                     kind=kind, length=length)
+
+
+def exact(solver, matrix):
+    """An oracle's Fraction kernel vector as the coprime integers of `kernel_vector`."""
+    return normalize_integer(solver(matrix))
 
 
 class TestKernelVector:
@@ -71,15 +80,16 @@ class TestKernelVector:
 
     def test_l2_trivial(self):
         vec = kernel_vector(build_full(enumerate_diagrams(2)))
-        assert vec == (Fraction(1),)
-        assert kernel_vector(build_full(enumerate_diagrams(2)), integral=True) == (1,)
+        assert vec == (1,)
+        assert type(vec[0]) is int
 
     @pytest.mark.parametrize("length", range(3, 13))
     def test_integral_is_the_normalised_fraction_vector(self, length):
         matrix = build_reduced(shared_basis(length), shared_orbits(length))
-        ints = kernel_vector(matrix, integral=True)
+        ints = kernel_vector(matrix)
         assert all(type(v) is int for v in ints)
-        assert ints == normalize_integer(kernel_vector(matrix))
+        assert ints == normalize_integer(ints)
+        assert _residual_is_zero(matrix, ints)
 
     def test_l6_reduced_kernel_weights(self):
         basis = enumerate_diagrams(6)
@@ -91,21 +101,25 @@ class TestKernelVector:
     def test_modular_agrees_with_bareiss(self, length):
         basis = enumerate_diagrams(length)
         matrix = build_reduced(basis, compute_orbits(basis))
-        assert kernel_vector(matrix) == bareiss_kernel(matrix) == modular_kernel(matrix)
+        weights = kernel_vector(matrix)
+        assert weights == exact(bareiss_kernel, matrix)
+        assert weights == exact(modular_kernel, matrix)
 
     def test_modular_agrees_on_full_basis(self):
         matrix = build_full(enumerate_diagrams(8))
-        assert kernel_vector(matrix) == bareiss_kernel(matrix) == modular_kernel(matrix)
+        weights = kernel_vector(matrix)
+        assert weights == exact(bareiss_kernel, matrix)
+        assert weights == exact(modular_kernel, matrix)
 
     @pytest.mark.parametrize("length", range(2, 8))
     def test_solver_equals_bareiss_on_full_basis(self, length):
         matrix = build_full(enumerate_diagrams(length))
-        assert kernel_vector(matrix) == bareiss_kernel(matrix)
+        assert kernel_vector(matrix) == exact(bareiss_kernel, matrix)
 
     @pytest.mark.parametrize("length", (11, 12))
     def test_solver_equals_modular_oracle(self, length):
         matrix = build_reduced(shared_basis(length), shared_orbits(length))
-        assert kernel_vector(matrix) == modular_kernel(matrix)
+        assert kernel_vector(matrix) == exact(modular_kernel, matrix)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -123,9 +137,8 @@ class TestKernelVector:
             rate = data.draw(st.integers(min_value=1, max_value=50))
             columns[source][target] = -rate
             columns[source][source] = columns[source].get(source, 0) + rate
-        matrix = IntensityMatrix(length=n, kind="reduced", dimension=n,
-                                 columns=tuple(columns))
-        assert kernel_vector(matrix) == bareiss_kernel(matrix)
+        matrix = matrix_of(columns, length=n)
+        assert kernel_vector(matrix) == exact(bareiss_kernel, matrix)
 
     def test_disconnected_matrix_rejected(self):
         block_diagonal = dense_matrix([[0, 0], [0, 0]])
@@ -136,6 +149,8 @@ class TestKernelVector:
         # One solver path: the former method and threads switches are gone.
         with pytest.raises(TypeError):
             kernel_vector(build_full(enumerate_diagrams(4)), method="bareiss")
+        with pytest.raises(TypeError):
+            kernel_vector(build_full(enumerate_diagrams(4)), integral=True)
         with pytest.raises(TypeError):
             groundstate(4, threads=2)
 
@@ -280,7 +295,7 @@ class TestCoprimePositive:
     def test_groundstate_rejects_a_mixed_sign_kernel(self, tmp_path, monkeypatch):
         dimension = len(shared_orbits(6))
         monkeypatch.setattr(kernel_module, "kernel_vector",
-                            lambda matrix, integral: (1, -1) + (1,) * (dimension - 2))
+                            lambda matrix: (1, -1) + (1,) * (dimension - 2))
         with pytest.raises(MixedSignsError, match="both signs"):
             groundstate(6, cache_dir=tmp_path)
         assert not cache_path(tmp_path, 6).exists()
