@@ -26,8 +26,7 @@ import numpy as np
 from .diagrams import (
     PartialPermutation,
     Permutation,
-    encode_partners,
-    representative_rows,
+    representative_codes,
     shared_basis,
     shared_orbit_labels,
     shared_orbits,
@@ -100,12 +99,8 @@ def permutation_weight_table(
 
     Labels are inserted orbit by orbit, members in basis order.
     """
-    try:
-        weights = state.weights_by_orbit()
-    except KeyError:
-        raise ValueError("ground state orbits do not match the enumerated orbits") from None
     table: dict = {}
-    for weight, labels in zip(weights, shared_orbit_labels(state.length)):
+    for weight, labels in zip(state.weights, shared_orbit_labels(state.length)):
         for label in labels:
             table[label] = weight
     return table
@@ -320,15 +315,20 @@ def monte_carlo_crosscheck(
         raise ValueError("simulation needs length >= 2")
     if samples < 100:
         raise ValueError("need at least 100 samples")
+    if ground_state is not None and ground_state.length != length:
+        raise ValueError(
+            f"ground state of length {ground_state.length} given for length {length}"
+        )
     basis = shared_basis(length)
     orbit_of = shared_orbits(length).orbit_of.tolist()
-    representatives = representative_rows(length)
+    representatives = representative_codes(length)
     transitions = _event_rows(transition_table(basis))
 
     if ground_state is None:
         ground_state = groundstate(length, cache_dir=cache_dir)
     total = ground_state.total
-    exact = [Fraction(ow.size * ow.weight, total) for ow in ground_state.orbit_weights]
+    exact = [Fraction(size * weight, total)
+             for size, weight in zip(ground_state.sizes, ground_state.weights)]
 
     draws = _uniform_draws(random.Random(seed), 3 * length)
     state = 0
@@ -358,7 +358,7 @@ def monte_carlo_crosscheck(
             z = 0.0 if gap == 0 else math.inf
         estimates.append(
             OrbitEstimate(
-                representative=encode_partners(representative),
+                representative=representative,
                 exact=exact[oi],
                 empirical=mean,
                 stderr=stderr,

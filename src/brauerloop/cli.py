@@ -11,7 +11,7 @@ from . import checks, counting
 from .diagrams import (
     BasisTooLargeError,
     encode_partners,
-    representative_rows,
+    representative_codes,
     shared_basis,
     shared_orbit_labels,
     shared_orbits,
@@ -44,8 +44,8 @@ def _orbit_labels(length: int) -> list[list[str]]:
 def cmd_enumerate(args) -> int:
     if args.classes:
         sizes = shared_orbits(args.length).sizes.tolist()
-        for row, size in zip(representative_rows(args.length), sizes):
-            print(f"{encode_partners(row)} {size}")
+        for code, size in zip(representative_codes(args.length), sizes):
+            print(f"{code} {size}")
     else:
         for row in shared_basis(args.length).partners.tolist():
             print(encode_partners(row))
@@ -58,17 +58,17 @@ def cmd_groundstate(args) -> int:
     if args.format == "json":
         sys.stdout.write(serialize_groundstate(state))
         return EXIT_OK
-    label_lists = _orbit_labels(args.length)
+    codes = representative_codes(args.length)
+    rows = zip(codes, state.sizes, state.weights, _orbit_labels(args.length))
     if args.format == "csv":
         print("representative,size,weight,label")
-        for ow, labels in zip(state.orbit_weights, label_lists):
-            print(f"\"{ow.representative.encode()}\",{ow.size},{ow.weight},{';'.join(labels)}")
+        for code, size, weight, labels in rows:
+            print(f"\"{code}\",{size},{weight},{';'.join(labels)}")
     else:
-        width = max(len(ow.representative.encode()) for ow in state.orbit_weights)
-        for ow, labels in zip(state.orbit_weights, label_lists):
+        width = max(map(len, codes))
+        for code, size, weight, labels in rows:
             tag = f"  [{' '.join(labels)}]" if labels else ""
-            print(f"{ow.representative.encode().ljust(width)}  size {ow.size:3d}  "
-                  f"weight {ow.weight}{tag}")
+            print(f"{code.ljust(width)}  size {size:3d}  weight {weight}{tag}")
     return EXIT_OK
 
 

@@ -16,9 +16,10 @@ from the memoised rows of the two shorter lengths, and validated with numpy.
 Symmetry orbits group basis indices under the 2L rotations and reflections
 of the circle; they are one `Orbits` record of index arrays (representative,
 size, members by offset, orbit of each diagram), and the orbit
-representative is the lexicographically smallest member. `ChordDiagram` is
-the type of single diagrams at I/O boundaries (cache files, text output)
-and of the per-diagram test oracles, and is built nowhere else.
+representative is the lexicographically smallest member. Text output and
+cache files carry rows as `encode_partners` strings. `ChordDiagram` is the
+type of single diagrams read from text or named in a failure, and of the
+per-diagram test oracles, and is built nowhere else.
 
 Even-length diagrams whose left half-circle connects entirely into the
 right half-circle are labelled by a permutation; odd-length diagrams whose
@@ -539,12 +540,6 @@ def orbit_labels(
     return out
 
 
-def representative_rows(length: int) -> list[tuple[int, ...]]:
-    """The partner tuples of the orbit representatives of one length, in orbit order."""
-    basis = shared_basis(length)
-    return list(map(tuple, basis.partners[shared_orbits(length).representatives].tolist()))
-
-
 @lru_cache(maxsize=16)
 def shared_basis(length: int) -> DiagramBasis:
     """Process-wide memoised basis; enumeration is deterministic, so sharing is safe."""
@@ -554,6 +549,13 @@ def shared_basis(length: int) -> DiagramBasis:
 @lru_cache(maxsize=16)
 def shared_orbits(length: int) -> Orbits:
     return compute_orbits(shared_basis(length))
+
+
+@lru_cache(maxsize=16)
+def representative_codes(length: int) -> tuple[str, ...]:
+    """The encoded orbit representatives of the shared orbits, in orbit order."""
+    rows = shared_basis(length).partners[shared_orbits(length).representatives]
+    return tuple(map(encode_partners, rows.tolist()))
 
 
 @lru_cache(maxsize=16)

@@ -16,7 +16,10 @@ arrays as they are, re-sorted by row, and returns the accepted vector as
 coprime integers.
 
 The assembled ground state is additionally verified against the full
-diagram basis before it is returned or cached.
+diagram basis before it is returned or cached. A `GroundState` is the length
+and the weight of each orbit of `shared_orbits(length)`, in orbit order; the
+cache payload adds each orbit's encoded representative and size, and
+reading it back compares those as strings with the enumerated orbits.
 """
 
 from __future__ import annotations
@@ -24,23 +27,18 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .diagrams import (
-    ChordDiagram,
-    encode_partners,
-    representative_rows,
-    shared_basis,
-    shared_orbits,
-)
+from .diagrams import ChordDiagram, representative_codes, shared_basis, shared_orbits
 from .generators import transition_table
 from .hamiltonian import (
     REDUCED,
@@ -300,106 +298,99 @@ def _coprime_positive(ints: list[int]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class OrbitWeight:
-    representative: ChordDiagram
-    size: int
-    weight: int
-
-
-@dataclass(frozen=True)
 class GroundState:
     """Exact per-orbit weights of the kernel vector, gcd-normalised.
 
-    The minimum weight being 1 is recorded, not assumed: normalisation
-    divides by the gcd, so a counterexample would survive and be reportable.
+    `weights[k]` is the weight of orbit k of `shared_orbits(length)`, which
+    holds the representatives and sizes. The minimum weight being 1 is
+    recorded, not assumed: normalisation divides by the gcd, so a
+    counterexample would survive and be reportable.
     """
 
     length: int
-    orbit_weights: tuple[OrbitWeight, ...]
-    generator: str = field(default=REDUCED, compare=False)
-    normalization: str = "min-entry-one"
+    weights: tuple[int, ...]
 
-    @property
-    def weights(self) -> tuple[int, ...]:
-        return tuple(ow.weight for ow in self.orbit_weights)
+    def __post_init__(self):
+        if len(self.weights) != len(shared_orbits(self.length)):
+            raise ValueError("ground state orbits do not match the enumerated orbits")
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(ow.size for ow in self.orbit_weights)
+        return tuple(shared_orbits(self.length).sizes.tolist())
 
     @property
     def total(self) -> int:
-        return sum(ow.size * ow.weight for ow in self.orbit_weights)
+        return sum(map(operator.mul, self.sizes, self.weights))
 
     @property
     def min_is_one(self) -> bool:
         return min(self.weights) == 1
 
-    def weights_by_orbit(self) -> list[int]:
-        """The weight of each enumerated orbit, in the order of `shared_orbits`.
-
-        Orbits are matched by representative; KeyError names a representative
-        the state lacks.
-        """
-        by_rep = {ow.representative.partner: ow.weight for ow in self.orbit_weights}
-        return [by_rep[row] for row in representative_rows(self.length)]
-
     def expand(self) -> tuple[int, ...]:
         """Per-diagram weights over the full basis, in basis order."""
-        weights = self.weights_by_orbit()
-        return tuple(map(weights.__getitem__, shared_orbits(self.length).orbit_of.tolist()))
+        return tuple(map(self.weights.__getitem__, shared_orbits(self.length).orbit_of.tolist()))
 
-    def to_payload(self) -> dict:
-        return {
-            "length": self.length,
-            "normalization": self.normalization,
-            "generator": self.generator,
-            "orbits": [
-                {
-                    "representative": ow.representative.encode(),
-                    "size": ow.size,
-                    "weight": str(ow.weight),
-                }
-                for ow in self.orbit_weights
-            ],
-        }
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> GroundState:
-        return cls(
-            length=payload["length"],
-            generator=payload["generator"],
-            normalization=payload["normalization"],
-            orbit_weights=tuple(
-                OrbitWeight(
-                    representative=ChordDiagram.decode(row["representative"]),
-                    size=row["size"],
-                    weight=int(row["weight"]),
-                )
-                for row in payload["orbits"]
-            ),
-        )
+# The payload's normalisation field; its generator field is always REDUCED.
+_NORMALIZATION = "min-entry-one"
 
 
 def _canonical_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _checksum(payload: dict) -> str:
+    return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
+
+
 def serialize_groundstate(state: GroundState) -> str:
-    payload = state.to_payload()
-    payload["checksum"] = hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
+    payload = {
+        "length": state.length,
+        "normalization": _NORMALIZATION,
+        "generator": REDUCED,
+        "orbits": [
+            {"representative": code, "size": size, "weight": str(weight)}
+            for code, size, weight in zip(
+                representative_codes(state.length), state.sizes, state.weights
+            )
+        ],
+    }
+    payload["checksum"] = _checksum(payload)
     return _canonical_json(payload) + "\n"
 
 
-def deserialize_groundstate(text: str) -> GroundState:
-    """Parse a cache payload; anything but a valid one raises CacheCorruptError."""
+def deserialize_groundstate(text: str, length: int) -> GroundState:
+    """Parse the cache payload of one length; anything else raises CacheCorruptError.
+
+    The checksum is checked first, then the length, before any orbit is
+    enumerated, then the constant fields, and last each orbit's
+    representative and size against `shared_orbits(length)`. Only the first
+    mismatching representative is decoded, so that a malformed one is named
+    by what is wrong with it.
+    """
     try:
         payload = json.loads(text)
-        stored = payload.pop("checksum", None)
-        expected = hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
-        if stored != expected:
+        if payload.pop("checksum", None) != _checksum(payload):
             raise CacheCorruptError("ground-state cache failed its checksum")
-        return GroundState.from_payload(payload)
+        if type(payload["length"]) is not int or payload["length"] != length:
+            raise CacheCorruptError(f"holds length {payload['length']!r}, not {length}")
+        for key, value in (("generator", REDUCED), ("normalization", _NORMALIZATION)):
+            if payload[key] != value:
+                raise CacheCorruptError(f"{key} is {payload[key]!r}, not {value!r}")
+        rows = payload["orbits"]
+        weights = tuple(int(row["weight"]) for row in rows)
+        found = [(row["representative"], row["size"]) for row in rows]
+        expected = list(zip(representative_codes(length), shared_orbits(length).sizes.tolist()))
+        for k, (got, want) in enumerate(zip(found, expected)):
+            if got != want:
+                ChordDiagram.decode(got[0])
+                raise CacheCorruptError(
+                    f"orbit {k} is {got[0]} of size {got[1]}, "
+                    f"expected {want[0]} of size {want[1]}"
+                )
+        if len(found) != len(expected):
+            raise CacheCorruptError(f"holds {len(found)} orbits, not {len(expected)}")
+        return GroundState(length, weights)
     except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise CacheCorruptError(
             f"malformed ground-state cache ({type(exc).__name__}: {exc})"
@@ -440,28 +431,11 @@ def _memoised_read(path: str, length: int, stamp: tuple[int, int, int]) -> Groun
 
 
 def _read_cached(path: Path, length: int) -> GroundState:
-    """Decode one cache file and check it against the enumerated orbits."""
+    """`deserialize_groundstate` of one cache file, naming the file in any error."""
     try:
-        state = deserialize_groundstate(path.read_text())
+        return deserialize_groundstate(path.read_text(), length)
     except (CacheCorruptError, UnicodeDecodeError) as exc:
         raise CacheCorruptError(f"cache file {path.name}: {exc}") from exc
-    if state.length != length:
-        raise CacheCorruptError(
-            f"cache file {path.name} holds length {state.length}, not {length}"
-        )
-    found = [(ow.representative.partner, ow.size) for ow in state.orbit_weights]
-    expected = list(zip(representative_rows(length), shared_orbits(length).sizes.tolist()))
-    if found != expected:
-        for k, (got, want) in enumerate(zip(found, expected)):
-            if got != want:
-                raise CacheCorruptError(
-                    f"cache file {path.name}: orbit {k} is {encode_partners(got[0])} of size "
-                    f"{got[1]}, expected {encode_partners(want[0])} of size {want[1]}"
-                )
-        raise CacheCorruptError(
-            f"cache file {path.name} holds {len(found)} orbits, not {len(expected)}"
-        )
-    return state
 
 
 def save_cached_groundstate(cache_dir, state: GroundState) -> Path:
@@ -499,16 +473,7 @@ def groundstate(length: int, *, cache_dir=None) -> GroundState:
     orbits = shared_orbits(length)
     table = transition_table(basis)
     matrix = build_reduced(basis, orbits, table)
-    per_orbit = _coprime_positive(kernel_vector(matrix))
-    state = GroundState(
-        length=length,
-        orbit_weights=tuple(
-            OrbitWeight(representative=ChordDiagram(row), size=size, weight=w)
-            for row, size, w in zip(
-                representative_rows(length), orbits.sizes.tolist(), per_orbit
-            )
-        ),
-    )
+    state = GroundState(length, _coprime_positive(kernel_vector(matrix)))
     if not annihilates(basis, state.expand(), table):
         raise ArithmeticError("expanded ground state is not annihilated on the full basis")
     if cache_dir is not None:

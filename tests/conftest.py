@@ -164,7 +164,8 @@ def monte_carlo_per_step(basis, orbits, ground_state, samples, seed, burn_in=Non
             orbit_of[m] = oi
     transitions = _event_rows(transition_table(basis))
     total = ground_state.total
-    exact = [Fraction(ow.size * ow.weight, total) for ow in ground_state.orbit_weights]
+    exact = [Fraction(size * weight, total)
+             for size, weight in zip(ground_state.sizes, ground_state.weights)]
 
     rng = random.Random(seed)
     events = 3 * length

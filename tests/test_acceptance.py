@@ -55,7 +55,7 @@ def states():
 
 
 def weight_size_pairs(gs):
-    return {(ow.weight, ow.size) for ow in gs.orbit_weights}
+    return set(zip(gs.weights, gs.sizes))
 
 
 def test_criterion_01_groundstate_l4():

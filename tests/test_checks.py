@@ -28,6 +28,7 @@ from brauerloop.diagrams import (
     ChordDiagram,
     partial_permutation_label,
     permutation_label,
+    representative_codes,
     shared_basis,
     shared_orbit_labels,
     shared_orbits,
@@ -35,7 +36,7 @@ from brauerloop.diagrams import (
 from brauerloop.generators import apply_braid, apply_monoid, transition_table
 
 from conftest import monte_carlo_per_step, settle
-from brauerloop.kernel import GroundState, OrbitWeight
+from brauerloop.kernel import GroundState
 
 # Stored reference constants are write-once: any edit must show up here.
 ORACLE_SHA256 = "171bc7e704bf6ac364cf0a5c04d85880c3b02f94b6475afdb2fca722d21e74c7"
@@ -83,16 +84,7 @@ class TestWeightTable:
 
 def numbered_state(length):
     """A stand-in ground state whose orbit weights are 1, 2, 3, ... in orbit order."""
-    basis, orbits = shared_basis(length), shared_orbits(length)
-    return GroundState(
-        length=length,
-        orbit_weights=tuple(
-            OrbitWeight(representative=basis[rep], size=size, weight=k + 1)
-            for k, (rep, size) in enumerate(
-                zip(orbits.representatives.tolist(), orbits.sizes.tolist())
-            )
-        ),
-    )
+    return GroundState(length, tuple(range(1, len(shared_orbits(length)) + 1)))
 
 
 class TestWeightTableOracle:
@@ -112,37 +104,14 @@ class TestWeightTableOracle:
 
     def test_unknown_representative_rejected(self):
         state = numbered_state(6)
-        broken = GroundState(length=6, orbit_weights=state.orbit_weights[1:])
         with pytest.raises(ValueError, match="do not match"):
-            permutation_weight_table(broken)
+            permutation_weight_table(GroundState(6, state.weights[1:]))
 
     @pytest.mark.parametrize("length", [9, 10])
-    def test_builds_no_diagram_per_basis_row(self, length, monkeypatch):
-        # From cold shared caches through the solve to the table: one
-        # ChordDiagram per orbit representative at most, none per basis row.
-        shared_basis.cache_clear()
-        shared_orbits.cache_clear()
-        built = []
-        original = ChordDiagram.__post_init__
-
-        def counting(self):
-            built.append(self.partner)
-            original(self)
-
-        monkeypatch.setattr(ChordDiagram, "__post_init__", counting)
-        table = permutation_weight_table(groundstate(length))
-        assert len(built) <= len(shared_orbits(length)) + len(table)
-
-    def test_warm_groundstate_and_verify_decode_each_payload_once(self, tmp_path, monkeypatch,
-                                                                   capsys):
-        # A cache built earlier: loading L = 13 and then verifying L = 2..13
-        # builds the ChordDiagrams of one decode per file and no other.
-        for length in range(2, 14):
-            groundstate(length, cache_dir=tmp_path)
-        for path in tmp_path.iterdir():
-            settle(path)
-        for memo in (kernel_module._memoised_read, shared_basis, shared_orbits,
-                     shared_orbit_labels):
+    def test_builds_no_diagram_per_basis_row(self, length, monkeypatch, tmp_path):
+        # From cold shared caches through the solve and the cache file to the
+        # table: no ChordDiagram at all, neither per basis row nor per orbit.
+        for memo in (shared_basis, shared_orbits, representative_codes):
             memo.cache_clear()
         built = []
         original = ChordDiagram.__post_init__
@@ -152,13 +121,45 @@ class TestWeightTableOracle:
             original(self)
 
         monkeypatch.setattr(ChordDiagram, "__post_init__", counting)
+        table = permutation_weight_table(groundstate(length, cache_dir=tmp_path))
+        assert len(table) == math.factorial(length // 2 + length % 2)
+        assert built == []
+
+    def test_warm_groundstate_and_verify_decode_each_payload_once(self, tmp_path, monkeypatch,
+                                                                   capsys):
+        # A cache built earlier: loading L = 13 and then verifying L = 2..13
+        # decodes each file once and builds no ChordDiagram.
+        for length in range(2, 14):
+            groundstate(length, cache_dir=tmp_path)
+        for path in tmp_path.iterdir():
+            settle(path)
+        for memo in (kernel_module._memoised_read, shared_basis, shared_orbits,
+                     representative_codes, shared_orbit_labels):
+            memo.cache_clear()
+        built = []
+        original = ChordDiagram.__post_init__
+
+        def counting(self):
+            built.append(self.partner)
+            original(self)
+
+        decoded = []
+        original_decode = kernel_module.deserialize_groundstate
+
+        def counting_decode(text, length):
+            decoded.append(length)
+            return original_decode(text, length)
+
+        monkeypatch.setattr(ChordDiagram, "__post_init__", counting)
+        monkeypatch.setattr(kernel_module, "deserialize_groundstate", counting_decode)
         monkeypatch.setattr(kernel_module, "kernel_vector",
                             lambda *a, **k: pytest.fail("warm cache must not solve"))
         state = groundstate(13, cache_dir=tmp_path)
         assert main(["verify", "--max-length", "13", "--cache-dir", str(tmp_path)]) == 0
         assert "FAIL" not in capsys.readouterr().out
         assert groundstate(13, cache_dir=tmp_path) is state
-        assert len(built) == sum(len(shared_orbits(length)) for length in range(2, 14))
+        assert sorted(decoded) == list(range(2, 14))
+        assert built == []
 
 
 class TestConcatenation:
@@ -297,3 +298,10 @@ class TestMonteCarlo:
             monte_carlo_crosscheck(1, 1000, seed=0)
         with pytest.raises(ValueError):
             monte_carlo_crosscheck(4, 10, seed=0)
+
+    @pytest.mark.parametrize("length, other", [(3, 2), (8, 6)])
+    def test_rejects_ground_state_of_another_length(self, length, other):
+        # The L = 2 state would give L = 3 wrong frequencies without an
+        # error; the L = 6 state would index past its weights at L = 8.
+        with pytest.raises(ValueError, match=f"length {other} given for length {length}"):
+            monte_carlo_crosscheck(length, 1000, seed=0, ground_state=groundstate(other))

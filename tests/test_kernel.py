@@ -18,7 +18,6 @@ from brauerloop import (
     GroundState,
     KernelDimensionError,
     MixedSignsError,
-    OrbitWeight,
     RefinementError,
     build_full,
     build_reduced,
@@ -355,10 +354,7 @@ class TestGroundState:
         expected = serialize_groundstate(groundstate(8))
         for threads in (1, 2):
             weights = normalize_integer(modular_kernel(matrix, threads=threads))
-            state = GroundState(8, tuple(
-                OrbitWeight(basis[rep], size, w) for rep, size, w in
-                zip(orbits.representatives.tolist(), orbits.sizes.tolist(), weights)))
-            assert serialize_groundstate(state) == expected
+            assert serialize_groundstate(GroundState(8, weights)) == expected
 
 
 def swap_first_representatives(orbits):
@@ -404,7 +400,7 @@ class TestCache:
         payload["length"] = 5  # checksum is now stale
         broken = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         with pytest.raises(CacheCorruptError):
-            deserialize_groundstate(broken)
+            deserialize_groundstate(broken, 4)
 
     def test_renamed_cache_file_rejected(self, tmp_path):
         groundstate(4, cache_dir=tmp_path)
@@ -425,11 +421,53 @@ class TestCache:
         groundstate(6, cache_dir=tmp_path)
         path = cache_path(tmp_path, 6)
         self.rewrite_with_checksum(path, swap_first_representatives)
-        deserialize_groundstate(path.read_text())  # the checksum itself holds
+        with pytest.raises(CacheCorruptError, match="orbit 1 is"):
+            deserialize_groundstate(path.read_text(), 6)
         with pytest.raises(CacheCorruptError, match=r"groundstate-L06\.json: orbit 1 is"):
             load_cached_groundstate(tmp_path, 6)
         with pytest.raises(CacheCorruptError):
             groundstate(6, cache_dir=tmp_path)
+
+    @pytest.mark.parametrize("key, value", [("generator", "full"), ("normalization", "none")])
+    def test_rechecksummed_other_constant_rejected(self, tmp_path, key, value):
+        groundstate(6, cache_dir=tmp_path)
+        path = cache_path(tmp_path, 6)
+        payload = json.loads(path.read_text())
+        del payload["checksum"]
+        payload[key] = value
+        path.write_text(checksummed(payload))
+        with pytest.raises(CacheCorruptError,
+                           match=rf"groundstate-L06\.json: {key} is '{value}', not"):
+            load_cached_groundstate(tmp_path, 6)
+
+    @pytest.mark.parametrize("claimed", [16, 6.0])
+    def test_rechecksummed_other_length_rejected_before_enumerating(self, tmp_path, monkeypatch,
+                                                                     claimed):
+        # A file claiming length 16, or 6 as a float, is refused on its
+        # length field alone: nothing is enumerated, neither length 16 nor 6.
+        groundstate(6, cache_dir=tmp_path)
+        path = cache_path(tmp_path, 6)
+        payload = json.loads(path.read_text())
+        del payload["checksum"]
+        payload["length"] = claimed
+        path.write_text(checksummed(payload))
+
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("a diagram basis or its orbits were built")
+
+        import brauerloop.diagrams as diagrams_module
+
+        for module, name in [(diagrams_module, "enumerate_diagrams"),
+                             (diagrams_module, "shared_basis"),
+                             (diagrams_module, "shared_orbits"),
+                             (diagrams_module, "representative_codes"),
+                             (kernel_module, "shared_basis"),
+                             (kernel_module, "shared_orbits"),
+                             (kernel_module, "representative_codes")]:
+            monkeypatch.setattr(module, name, no_enumeration)
+        with pytest.raises(CacheCorruptError,
+                           match=rf"groundstate-L06\.json: holds length {claimed}, not 6"):
+            load_cached_groundstate(tmp_path, 6)
 
     def test_rechecksummed_non_canonical_representative_rejected(self, tmp_path):
         groundstate(6, cache_dir=tmp_path)
@@ -529,9 +567,8 @@ class TestCache:
             load_cached_groundstate(tmp_path, 6)
         with pytest.raises(CacheCorruptError, match="orbit 1 is"):
             groundstate(6, cache_dir=tmp_path)
-        broken = GroundState(length=6, orbit_weights=state.orbit_weights[1:])
         with pytest.raises(ValueError, match="do not match"):
-            permutation_weight_table(broken)
+            permutation_weight_table(GroundState(6, state.weights[1:]))
 
     def test_truncated_cache_rejected(self, tmp_path):
         groundstate(5, cache_dir=tmp_path)
@@ -596,7 +633,7 @@ class TestCache:
             except CacheCorruptError:
                 pass
         try:
-            deserialize_groundstate(text)
+            deserialize_groundstate(text, 6)
         except CacheCorruptError:
             pass
 
