@@ -18,14 +18,14 @@ of the circle; they are one `Orbits` record of index arrays (representative,
 size, members by offset, orbit of each diagram), and the orbit
 representative is the lexicographically smallest member. Text output and
 cache files carry rows as `encode_partners` strings. `ChordDiagram` is the
-type of single diagrams read from text or named in a failure, and of the
-per-diagram test oracles, and is built nowhere else.
+type of a single diagram read from text, and is built nowhere else.
 
 Even-length diagrams whose left half-circle connects entirely into the
 right half-circle are labelled by a permutation; odd-length diagrams whose
 right half-circle connects entirely into the left half-circle are labelled
-by a partial permutation (the defect sits on the left). These labels drive
-the verification suite in :mod:`brauerloop.checks`.
+by a partial permutation (the defect sits on the left). `orbit_labels` reads
+these labels off the partner array; they drive the verification suite in
+:mod:`brauerloop.checks`.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ class DiagramBasis:
     construction. `_key` reads a row as a mixed-radix key whose digits are
     the partners, shifted by one for odd L so that DEFECT is digit 0; keys
     then sort like the diagrams, and `locate` finds basis positions by key.
-    Indexing and iteration build `ChordDiagram` objects on demand.
+    Indexing builds a `ChordDiagram` on demand.
     """
 
     __slots__ = ("length", "partners", "_keys")
@@ -203,16 +203,8 @@ class DiagramBasis:
             raise KeyError("partner rows that are not diagrams of this basis")
         return found
 
-    def index_of(self, diagram: ChordDiagram) -> int:
-        if diagram.length != self.length:
-            raise KeyError(diagram.partner)
-        return int(self.locate(_key(np.array([diagram.partner], dtype=np.int8)))[0])
-
     def __len__(self) -> int:
         return len(self.partners)
-
-    def __iter__(self):
-        return (ChordDiagram(tuple(row)) for row in self.partners.tolist())
 
     def __getitem__(self, i: int) -> ChordDiagram:
         return ChordDiagram(tuple(self.partners[i].tolist()))
@@ -253,9 +245,6 @@ class Orbits:
 
     def __len__(self) -> int:
         return len(self.sizes)
-
-    def members_of(self, k: int) -> np.ndarray:
-        return self.members[self.offsets[k] : self.offsets[k + 1]]
 
 
 @dataclass(frozen=True, order=True)
@@ -386,50 +375,8 @@ def _partner_rows(length: int) -> np.ndarray:
     return rows
 
 
-def _rotate_tuple(p: tuple[int, ...], k: int) -> tuple[int, ...]:
-    size = len(p)
-    k %= size
-    out = [DEFECT] * size
-    for i, j in enumerate(p):
-        out[(i + k) % size] = DEFECT if j == DEFECT else (j + k) % size
-    return tuple(out)
-
-
-def _reflect_tuple(p: tuple[int, ...]) -> tuple[int, ...]:
-    size = len(p)
-    out = [DEFECT] * size
-    for i, j in enumerate(p):
-        out[size - 1 - i] = DEFECT if j == DEFECT else size - 1 - j
-    return tuple(out)
-
-
-def rotate(diagram: ChordDiagram, k: int) -> ChordDiagram:
-    """Rotate every site (and the defect) forward by k positions."""
-    return ChordDiagram(_rotate_tuple(diagram.partner, k))
-
-
-def reflect(diagram: ChordDiagram) -> ChordDiagram:
-    """Mirror the circle: site i goes to site L-1-i."""
-    return ChordDiagram(_reflect_tuple(diagram.partner))
-
-
-def _dihedral_images(p: tuple[int, ...]):
-    straight = p
-    mirrored = _reflect_tuple(p)
-    for _ in range(len(p)):
-        yield straight
-        yield mirrored
-        straight = _rotate_tuple(straight, 1)
-        mirrored = _rotate_tuple(mirrored, 1)
-
-
-def canonical_representative(diagram: ChordDiagram) -> ChordDiagram:
-    """Lexicographically smallest of the 2L dihedral images of the diagram."""
-    return ChordDiagram(min(_dihedral_images(diagram.partner)))
-
-
 def rotate_partners(partners: np.ndarray, k: int) -> np.ndarray:
-    """`rotate` applied to every row of an (M, L) partner array."""
+    """Every row of an (M, L) partner array with its sites and defect moved forward by k."""
     size = partners.shape[1]
     # Lookup table for the new partner; the trailing entry maps DEFECT (-1).
     moved = np.append((np.arange(size) + k) % size, DEFECT).astype(np.int8)
@@ -437,7 +384,7 @@ def rotate_partners(partners: np.ndarray, k: int) -> np.ndarray:
 
 
 def reflect_partners(partners: np.ndarray) -> np.ndarray:
-    """`reflect` applied to every row of an (M, L) partner array."""
+    """Every row of an (M, L) partner array mirrored: site i goes to site L-1-i."""
     size = partners.shape[1]
     mirrored = np.append(np.arange(size - 1, -1, -1), DEFECT).astype(np.int8)
     return mirrored[partners[:, ::-1]]
@@ -447,11 +394,12 @@ def compute_orbits(basis: DiagramBasis) -> Orbits:
     """Partition the basis into dihedral orbits, sorted by representative.
 
     Two images are ranked and kept as int32 maps: step[x] is the basis index
-    of `rotate(basis[x], 1)` and mirror[x] that of `reflect(basis[x])`. Each
-    orbit is labelled by the smallest basis index among its 2L images; with
-    `image` the map of the k-th rotation, the images of x are image[x] and
-    image[mirror[x]], one gather each. The basis is sorted, so the smallest
-    index is the lexicographically smallest image: the canonical representative.
+    of row x rotated forward by one site and mirror[x] that of its mirror
+    image. Each orbit is labelled by the smallest basis index among its 2L
+    images; with `image` the map of the k-th rotation, the images of x are
+    image[x] and image[mirror[x]], one gather each. The basis is sorted, so
+    the smallest index is the lexicographically smallest image: the
+    canonical representative.
     """
     assert len(basis) < 2**31, "basis indices must fit in int32"
     step = basis.locate(_key(rotate_partners(basis.partners, 1))).astype(np.int32)
@@ -469,57 +417,19 @@ def compute_orbits(basis: DiagramBasis) -> Orbits:
     return orbits
 
 
-def permutation_label(diagram: ChordDiagram) -> Permutation | None:
-    """Label of an even diagram whose left half maps onto its right half.
-
-    With 1-based sites and L = 2n, a labelled diagram pairs site i of the
-    left block {1..n} with site n + pi(i) of the right block. Returns None
-    when any left-block site pairs inside the left block.
-    """
-    size = diagram.length
-    if size % 2:
-        raise ValueError("permutation labels require an even number of sites")
-    half = size // 2
-    image = []
-    for i in range(half):
-        j = diagram.partner[i]
-        if j < half:
-            return None
-        image.append(j - half + 1)
-    return Permutation(tuple(image))
-
-
-def partial_permutation_label(diagram: ChordDiagram) -> PartialPermutation | None:
-    """Label of an odd diagram whose right half maps into its left half.
-
-    With L = 2n+1 the left block {1..n+1} holds the defect; each right-block
-    site n+1+k pairs with some left site. Returns None when a right-block
-    site pairs inside the right block or carries the defect.
-    """
-    size = diagram.length
-    if size % 2 == 0:
-        raise ValueError("partial permutation labels require an odd number of sites")
-    half = size // 2
-    for i in range(half + 1, size):
-        j = diagram.partner[i]
-        if j == DEFECT or j > half:
-            return None
-    image = []
-    for i in range(half + 1):
-        j = diagram.partner[i]
-        image.append(None if j == DEFECT else j - half)
-    return PartialPermutation(tuple(image))
-
-
 def orbit_labels(
     basis: DiagramBasis, orbits: Orbits
 ) -> list[list[Permutation]] | list[list[PartialPermutation]]:
     """The labels of each orbit's labelled members, in member order.
 
-    Agrees with `permutation_label` (even L) and `partial_permutation_label`
-    (odd L) on every member. The labelled rows are picked with one mask over
-    the partner array, so label objects are built only for those n! (even)
-    or (n+1)! (odd) rows.
+    With 1-based sites and L = 2n, a diagram whose left block {1..n} pairs
+    only into the right block is labelled by the permutation pi with site i
+    paired to n + pi(i). With L = 2n+1, a diagram whose right block
+    {n+2..L} pairs only into the left block {1..n+1} is labelled by the
+    partial permutation sending left site i to its partner minus (n + 1),
+    and the defect site to None. The labelled rows are picked with one mask
+    over the partner array, so label objects are built only for those n!
+    (even) or (n+1)! (odd) rows.
     """
     size = basis.length
     half = size // 2

@@ -1,5 +1,5 @@
 """
-Sparse integer assembly of the loop Hamiltonian over a diagram basis.
+Sparse integer assembly of the loop Hamiltonian, lumped over dihedral orbits.
 
 The operator is the sum over all L sites of (3 - 2*monoid_i - braid_i).
 Columns are input diagrams: the column of a diagram d carries +3L on the
@@ -11,12 +11,14 @@ stationary state of a continuous-time chain on diagrams. It is held as
 int64 (row, column, value) arrays sorted by column, then row: the order in
 which the sums come out of the table and which `validate` checks.
 
-The reduced build lumps the matrix over dihedral orbits by summing whole
-orbit blocks. Equivariance implies representative independence: as the
+The only matrix assembled is the lump over dihedral orbits, the sum of
+whole orbit blocks. Equivariance implies representative independence: as the
 generator action commutes with rotations and reflections, each row of an
 orbit takes, and each column gives, the same per-orbit sums (Buchholz, J.
 Appl. Probab. 31, 1994). Assembly proves that equivariance on the table; the
 lumped matrix has zero column sums and the per-orbit weights as its kernel.
+The operator over the full basis is applied to a vector by `annihilates`,
+straight from the table, and never assembled.
 """
 
 from __future__ import annotations
@@ -28,9 +30,6 @@ import numpy as np
 from .diagrams import DiagramBasis, Orbits
 from .generators import transition_table
 
-FULL = "full"
-REDUCED = "reduced"
-
 
 @dataclass(frozen=True, eq=False)
 class IntensityMatrix:
@@ -38,13 +37,12 @@ class IntensityMatrix:
     at (`rows[k]`, `cols[k]`), in strictly increasing (column, row) order."""
 
     length: int
-    kind: str
     dimension: int
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
 
-    def validate(self, basis: DiagramBasis | None = None) -> None:
+    def validate(self) -> None:
         """Check the entry arrays and the intensity-matrix structure; raises on violation.
 
         The first violation in (column, row) order is named, a column's sum
@@ -66,28 +64,11 @@ class IntensityMatrix:
             raise ArithmeticError(f"positive off-diagonal entry at ({rows[k]}, {cols[k]})")
         if c < n:
             raise ArithmeticError(f"column {c} does not sum to zero")
-        if self.kind == FULL and basis is not None:
-            # Each site paired with its cyclic successor is fixed by both
-            # generators there, which cancels 3 of the 3L on the diagonal.
-            successor = (np.arange(self.length, dtype=np.int8) + 1) % self.length
-            expected = 3 * self.length - 3 * np.count_nonzero(basis.partners == successor, axis=1)
-            diagonal = np.zeros(n, dtype=np.int64)
-            diagonal[cols[rows == cols]] = vals[rows == cols]
-            if (c := _first(diagonal != expected)) < n:
-                raise ArithmeticError(f"diagonal of column {c} is {diagonal[c]}, "
-                                      f"expected {expected[c]}")
 
 
 def _first(mask: np.ndarray) -> int:
     """Index of the first True in the mask, or its length when there is none."""
     return int(np.argmax(mask)) if mask.any() else len(mask)
-
-
-def build_full(basis: DiagramBasis) -> IntensityMatrix:
-    """The operator over the full diagram basis, summed column by column from the table."""
-    index = np.arange(len(basis))
-    entries = _summed_entries(transition_table(basis), index, index, np.ones_like(index))
-    return IntensityMatrix(basis.length, FULL, len(index), *entries)
 
 
 def build_reduced(
@@ -134,7 +115,7 @@ def build_reduced(
         k = orbit_of[np.argmin(reached)]
         raise ArithmeticError(f"orbit {k} is not one orbit of the rotation and reflection")
     entries = _summed_entries(table, representatives, orbit_of, orbits.sizes)
-    return IntensityMatrix(basis.length, REDUCED, m, *entries)
+    return IntensityMatrix(basis.length, m, *entries)
 
 
 def _summed_entries(table, sources, group, scale) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -41,7 +41,6 @@ import numpy as np
 from .diagrams import ChordDiagram, representative_codes, shared_basis, shared_orbits
 from .generators import transition_table
 from .hamiltonian import (
-    REDUCED,
     IntensityMatrix,
     annihilates,
     build_reduced,
@@ -116,7 +115,11 @@ class _Sparse:
     @classmethod
     def from_triplets(cls, rows, cols, vals, dimension: int) -> _Sparse:
         order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
+        return cls.from_sorted(rows[order], cols[order], vals[order], dimension)
+
+    @classmethod
+    def from_sorted(cls, rows, cols, vals, dimension: int) -> _Sparse:
+        """The matrix of entries already in (row, column) order."""
         counts = np.bincount(rows, minlength=dimension)
         # np.add.reduceat cannot express an empty segment.
         assert counts.all(), "sparse matrix has an empty row"
@@ -125,12 +128,15 @@ class _Sparse:
         return cls(rows, cols, vals, starts, l1)
 
     def minor(self) -> tuple[_Sparse, np.ndarray]:
-        """B = A[1:, 1:] and b = -A[1:, 0], the system for w[1:] / w[0]."""
+        """B = A[1:, 1:] and b = -A[1:, 0], the system for w[1:] / w[0].
+
+        Dropping row and column 0 keeps the (row, column) order of the rest.
+        """
         inner = (self.rows > 0) & (self.cols > 0)
         first = (self.rows > 0) & (self.cols == 0)
         b = np.zeros(len(self.starts) - 1, dtype=np.int64)
         b[self.rows[first] - 1] = -self.vals[first]
-        minor = _Sparse.from_triplets(
+        minor = _Sparse.from_sorted(
             self.rows[inner] - 1, self.cols[inner] - 1, self.vals[inner], len(b)
         )
         return minor, b
@@ -331,7 +337,8 @@ class GroundState:
         return tuple(map(self.weights.__getitem__, shared_orbits(self.length).orbit_of.tolist()))
 
 
-# The payload's normalisation field; its generator field is always REDUCED.
+# The payload's constant generator and normalisation fields.
+_GENERATOR = "reduced"
 _NORMALIZATION = "min-entry-one"
 
 
@@ -347,7 +354,7 @@ def serialize_groundstate(state: GroundState) -> str:
     payload = {
         "length": state.length,
         "normalization": _NORMALIZATION,
-        "generator": REDUCED,
+        "generator": _GENERATOR,
         "orbits": [
             {"representative": code, "size": size, "weight": str(weight)}
             for code, size, weight in zip(
@@ -363,10 +370,11 @@ def deserialize_groundstate(text: str, length: int) -> GroundState:
     """Parse the cache payload of one length; anything else raises CacheCorruptError.
 
     The checksum is checked first, then the length, before any orbit is
-    enumerated, then the constant fields, and last each orbit's
-    representative and size against `shared_orbits(length)`. Only the first
-    mismatching representative is decoded, so that a malformed one is named
-    by what is wrong with it.
+    enumerated, then the constant fields, and last, orbit by orbit, the
+    representative and the int size against `shared_orbits(length)` and the
+    weight, a decimal string of a positive integer without sign, space or
+    underscore. Only the first mismatching representative is decoded, so
+    that a malformed one is named by what is wrong with it.
     """
     try:
         payload = json.loads(text)
@@ -374,23 +382,29 @@ def deserialize_groundstate(text: str, length: int) -> GroundState:
             raise CacheCorruptError("ground-state cache failed its checksum")
         if type(payload["length"]) is not int or payload["length"] != length:
             raise CacheCorruptError(f"holds length {payload['length']!r}, not {length}")
-        for key, value in (("generator", REDUCED), ("normalization", _NORMALIZATION)):
+        for key, value in (("generator", _GENERATOR), ("normalization", _NORMALIZATION)):
             if payload[key] != value:
                 raise CacheCorruptError(f"{key} is {payload[key]!r}, not {value!r}")
         rows = payload["orbits"]
-        weights = tuple(int(row["weight"]) for row in rows)
-        found = [(row["representative"], row["size"]) for row in rows]
         expected = list(zip(representative_codes(length), shared_orbits(length).sizes.tolist()))
-        for k, (got, want) in enumerate(zip(found, expected)):
-            if got != want:
+        weights = []
+        for k, (row, want) in enumerate(zip(rows, expected)):
+            got, weight = (row["representative"], row["size"]), row["weight"]
+            if got != want or type(got[1]) is not int:
                 ChordDiagram.decode(got[0])
                 raise CacheCorruptError(
-                    f"orbit {k} is {got[0]} of size {got[1]}, "
+                    f"orbit {k} is {got[0]} of size {got[1]!r}, "
                     f"expected {want[0]} of size {want[1]}"
                 )
-        if len(found) != len(expected):
-            raise CacheCorruptError(f"holds {len(found)} orbits, not {len(expected)}")
-        return GroundState(length, weights)
+            # Only the string that `serialize_groundstate` writes for a positive weight.
+            value = int(weight)
+            if value <= 0 or str(value) != weight:
+                raise CacheCorruptError(f"orbit {k} has weight {weight!r}, "
+                                        "not a positive integer in decimal")
+            weights.append(value)
+        if len(rows) != len(expected):
+            raise CacheCorruptError(f"holds {len(rows)} orbits, not {len(expected)}")
+        return GroundState(length, tuple(weights))
     except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise CacheCorruptError(
             f"malformed ground-state cache ({type(exc).__name__}: {exc})"

@@ -19,11 +19,28 @@ def diagram(length, *pairs):
     return ChordDiagram.from_pairs(length, pairs)
 
 
-def matrix_of(columns, kind="reduced", length=4):
+def diagrams_of(basis):
+    """The diagrams of a basis in basis order, one `ChordDiagram` per row."""
+    return (ChordDiagram(tuple(row)) for row in basis.partners.tolist())
+
+
+def index_of(basis, diagram):
+    """Basis index of one diagram, found by its rank key; KeyError when absent."""
+    if diagram.length != basis.length:
+        raise KeyError(diagram.partner)
+    return int(basis.locate(_key(np.array([diagram.partner], dtype=np.int8)))[0])
+
+
+def members_of(orbits, k):
+    """The basis indices of orbit k, in increasing order."""
+    return orbits.members[orbits.offsets[k] : orbits.offsets[k + 1]]
+
+
+def matrix_of(columns, length=4):
     """An `IntensityMatrix` of hand-written {row: value} dicts, one per column."""
     entries = sorted((c, r, v) for c, col in enumerate(columns) for r, v in col.items())
     cols, rows, vals = np.array(entries, dtype=np.int64).reshape(-1, 3).T
-    return IntensityMatrix(length, kind, len(columns), rows, cols, vals)
+    return IntensityMatrix(length, len(columns), rows, cols, vals)
 
 
 @st.composite
@@ -160,7 +177,7 @@ def monte_carlo_per_step(basis, orbits, ground_state, samples, seed, burn_in=Non
     length = basis.length
     orbit_of = [0] * len(basis)
     for oi in range(len(orbits)):
-        for m in orbits.members_of(oi).tolist():
+        for m in members_of(orbits, oi).tolist():
             orbit_of[m] = oi
     transitions = _event_rows(transition_table(basis))
     total = ground_state.total

@@ -2,12 +2,22 @@
 
 * `per_site_diagrams`: the lexicographic basis built one site at a time,
   the oracle of the block-built `enumerate_diagrams`.
+* `apply_monoid` and `apply_braid`: the generator action on one
+  `ChordDiagram`, the oracles of `transition_table`.
+* `rotate`, `reflect` and `canonical_representative`: the dihedral action on
+  one diagram and its lexicographically smallest image, the oracles of the
+  `step` and `mirror` maps and the representatives of `compute_orbits`.
+* `permutation_label` and `partial_permutation_label`: the label of one
+  diagram, the oracles of `orbit_labels`.
+* `build_full`: the operator over the full basis, summed column by column
+  from the table; its kernel is compared with the reduced one.
 * `lump_by_rows`: the lumped operator from every full entry, with
   representative independence checked row by row; the oracle of
   `build_reduced` and `build_full`.
 * `validate_by_columns` and `connected_by_bfs`: the intensity-matrix checks
   as loops over one dict per column and a Python breadth-first search, the
-  oracles of `IntensityMatrix.validate` and `connectivity_check`.
+  oracles of `IntensityMatrix.validate` and `connectivity_check`. Given the
+  basis, `validate_by_columns` also checks the diagonal of a full matrix.
 
 The exact kernel solvers are the oracles of `kernel_vector`:
 
@@ -34,8 +44,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from brauerloop import DEFECT, DiagramBasis, KernelDimensionError, Orbits
-from brauerloop.hamiltonian import FULL, REDUCED, IntensityMatrix
+from brauerloop import (
+    DEFECT,
+    ChordDiagram,
+    DiagramBasis,
+    KernelDimensionError,
+    Orbits,
+    PartialPermutation,
+    Permutation,
+)
+from brauerloop.generators import transition_table
+from brauerloop.hamiltonian import IntensityMatrix, _summed_entries
 
 _FREE = -2  # a site not yet assigned during enumeration
 
@@ -71,6 +90,155 @@ def per_site_diagrams(length: int) -> DiagramBasis:
         rows[paired, i] = other
         rows[paired, other] = i
     return DiagramBasis(length, rows)
+
+
+def _check_index(i: int, size: int) -> None:
+    if not 1 <= i <= size:
+        raise IndexError(f"generator index {i} out of range 1..{size}")
+
+
+def apply_monoid(i: int, diagram: ChordDiagram) -> ChordDiagram:
+    """Join sites i and i+1, and rejoin their former partners."""
+    size = diagram.length
+    _check_index(i, size)
+    a = i - 1
+    b = i % size
+    p = diagram.partner
+    pa, pb = p[a], p[b]
+    if pa == b:
+        return diagram
+    out = list(p)
+    out[a] = b
+    out[b] = a
+    if pa == DEFECT:
+        out[pb] = DEFECT
+    elif pb == DEFECT:
+        out[pa] = DEFECT
+    else:
+        out[pa] = pb
+        out[pb] = pa
+    return ChordDiagram(tuple(out))
+
+
+def apply_braid(i: int, diagram: ChordDiagram) -> ChordDiagram:
+    """Swap the partners of sites i and i+1."""
+    size = diagram.length
+    _check_index(i, size)
+    a = i - 1
+    b = i % size
+    p = diagram.partner
+    pa, pb = p[a], p[b]
+    if pa == b:
+        return diagram
+    out = list(p)
+    if pa == DEFECT:
+        out[a] = pb
+        out[pb] = a
+        out[b] = DEFECT
+    elif pb == DEFECT:
+        out[b] = pa
+        out[pa] = b
+        out[a] = DEFECT
+    else:
+        out[a] = pb
+        out[pb] = a
+        out[b] = pa
+        out[pa] = b
+    return ChordDiagram(tuple(out))
+
+
+
+def _rotate_tuple(p: tuple[int, ...], k: int) -> tuple[int, ...]:
+    size = len(p)
+    k %= size
+    out = [DEFECT] * size
+    for i, j in enumerate(p):
+        out[(i + k) % size] = DEFECT if j == DEFECT else (j + k) % size
+    return tuple(out)
+
+
+def _reflect_tuple(p: tuple[int, ...]) -> tuple[int, ...]:
+    size = len(p)
+    out = [DEFECT] * size
+    for i, j in enumerate(p):
+        out[size - 1 - i] = DEFECT if j == DEFECT else size - 1 - j
+    return tuple(out)
+
+
+def rotate(diagram: ChordDiagram, k: int) -> ChordDiagram:
+    """Rotate every site (and the defect) forward by k positions."""
+    return ChordDiagram(_rotate_tuple(diagram.partner, k))
+
+
+def reflect(diagram: ChordDiagram) -> ChordDiagram:
+    """Mirror the circle: site i goes to site L-1-i."""
+    return ChordDiagram(_reflect_tuple(diagram.partner))
+
+
+def _dihedral_images(p: tuple[int, ...]):
+    straight = p
+    mirrored = _reflect_tuple(p)
+    for _ in range(len(p)):
+        yield straight
+        yield mirrored
+        straight = _rotate_tuple(straight, 1)
+        mirrored = _rotate_tuple(mirrored, 1)
+
+
+def canonical_representative(diagram: ChordDiagram) -> ChordDiagram:
+    """Lexicographically smallest of the 2L dihedral images of the diagram."""
+    return ChordDiagram(min(_dihedral_images(diagram.partner)))
+
+
+
+def permutation_label(diagram: ChordDiagram) -> Permutation | None:
+    """Label of an even diagram whose left half maps onto its right half.
+
+    With 1-based sites and L = 2n, a labelled diagram pairs site i of the
+    left block {1..n} with site n + pi(i) of the right block. Returns None
+    when any left-block site pairs inside the left block.
+    """
+    size = diagram.length
+    if size % 2:
+        raise ValueError("permutation labels require an even number of sites")
+    half = size // 2
+    image = []
+    for i in range(half):
+        j = diagram.partner[i]
+        if j < half:
+            return None
+        image.append(j - half + 1)
+    return Permutation(tuple(image))
+
+
+def partial_permutation_label(diagram: ChordDiagram) -> PartialPermutation | None:
+    """Label of an odd diagram whose right half maps into its left half.
+
+    With L = 2n+1 the left block {1..n+1} holds the defect; each right-block
+    site n+1+k pairs with some left site. Returns None when a right-block
+    site pairs inside the right block or carries the defect.
+    """
+    size = diagram.length
+    if size % 2 == 0:
+        raise ValueError("partial permutation labels require an odd number of sites")
+    half = size // 2
+    for i in range(half + 1, size):
+        j = diagram.partner[i]
+        if j == DEFECT or j > half:
+            return None
+    image = []
+    for i in range(half + 1):
+        j = diagram.partner[i]
+        image.append(None if j == DEFECT else j - half)
+    return PartialPermutation(tuple(image))
+
+
+
+def build_full(basis: DiagramBasis) -> IntensityMatrix:
+    """The operator over the full diagram basis, summed column by column from the table."""
+    index = np.arange(len(basis))
+    entries = _summed_entries(transition_table(basis), index, index, np.ones_like(index))
+    return IntensityMatrix(basis.length, len(index), *entries)
 
 
 def lump_by_rows(basis: DiagramBasis, orbits: Orbits, table: np.ndarray) -> IntensityMatrix:
@@ -122,7 +290,7 @@ def lump_by_rows(basis: DiagramBasis, orbits: Orbits, table: np.ndarray) -> Inte
             )
         entries.append((row_orbit, col_orbit, value * sizes[row_orbit]))
     rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
-    return IntensityMatrix(basis.length, REDUCED, m, rows, cols, vals)
+    return IntensityMatrix(basis.length, m, rows, cols, vals)
 
 
 def columns_of(matrix: IntensityMatrix) -> tuple[dict[int, int], ...]:
@@ -142,7 +310,7 @@ def validate_by_columns(matrix: IntensityMatrix, basis: DiagramBasis | None = No
         for r, v in col.items():
             if r != c and v > 0:
                 raise ArithmeticError(f"positive off-diagonal entry at ({r}, {c})")
-    if matrix.kind == FULL and basis is not None:
+    if basis is not None:
         # Each site paired with its cyclic successor is fixed by both
         # generators there, which cancels 3 of the 3L on the diagonal.
         successor = (np.arange(matrix.length, dtype=np.int8) + 1) % matrix.length

@@ -1,0 +1,63 @@
+"""The public surface: the pipeline's names, and none of the per-diagram oracles.
+
+The per-diagram generator, dihedral and label functions and `build_full`
+live in `tests/oracles.py`; the package keeps one form of each.
+"""
+
+import dataclasses
+import importlib
+import inspect
+
+import pytest
+
+import brauerloop
+from brauerloop.diagrams import DiagramBasis, Orbits
+from brauerloop.generators import RelationReport, check_relations
+from brauerloop.hamiltonian import IntensityMatrix
+
+PUBLIC = [
+    "REFERENCE", "CheckResult", "MonteCarloReport", "ReferenceOracles", "concatenate_labels",
+    "long_permutation_sequence", "monte_carlo_crosscheck", "permutation_weight_table",
+    "verify_degrees", "verify_factorization", "verify_integrality", "verify_maximality",
+    "verify_sum_rule", "NonIntegerError", "OddProductError", "class_count", "double_factorial",
+    "euler_totient", "involution_term", "pairings_fixed_by_rotation", "DEFECT",
+    "BasisTooLargeError", "ChordDiagram", "DiagramBasis", "Orbits", "PartialPermutation",
+    "Permutation", "compute_orbits", "enumerate_diagrams", "RelationReport", "check_relations",
+    "IntensityMatrix", "annihilates", "build_reduced", "connectivity_check",
+    "CacheCorruptError", "DisconnectedMatrixError", "GroundState", "KernelDimensionError",
+    "MixedSignsError", "RefinementError", "groundstate", "kernel_vector", "normalize_integer",
+    "__version__",
+]
+
+ORACLES = [
+    "apply_monoid", "apply_braid", "_check_index",
+    "rotate", "reflect", "_rotate_tuple", "_reflect_tuple", "_dihedral_images",
+    "canonical_representative", "permutation_label", "partial_permutation_label",
+    "build_full", "FULL", "REDUCED",
+]
+
+MODULES = ["brauerloop"] + [f"brauerloop.{name}" for name in (
+    "checks", "cli", "counting", "diagrams", "generators", "hamiltonian", "kernel")]
+
+
+def test_exports_are_the_pipeline():
+    assert brauerloop.__all__ == PUBLIC
+    assert len(PUBLIC) == 45
+    for name in PUBLIC:
+        assert getattr(brauerloop, name) is not None
+
+
+@pytest.mark.parametrize("name", ORACLES)
+def test_oracles_are_not_in_the_package(name):
+    for module in MODULES:
+        assert not hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_no_test_only_fields_or_parameters():
+    assert "kind" not in [field.name for field in dataclasses.fields(IntensityMatrix)]
+    assert list(inspect.signature(IntensityMatrix.validate).parameters) == ["self"]
+    assert list(inspect.signature(check_relations).parameters) == ["length"]
+    assert "exhaustive" not in [field.name for field in dataclasses.fields(RelationReport)]
+    for owner, name in ((DiagramBasis, "index_of"), (DiagramBasis, "__iter__"),
+                        (Orbits, "members_of")):
+        assert not hasattr(owner, name), f"{owner.__name__}.{name}"

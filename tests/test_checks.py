@@ -26,16 +26,15 @@ from brauerloop.checks import _DRAW_WORDS, _event_rows, _uniform_draws
 from brauerloop.cli import main
 from brauerloop.diagrams import (
     ChordDiagram,
-    partial_permutation_label,
-    permutation_label,
     representative_codes,
     shared_basis,
     shared_orbit_labels,
     shared_orbits,
 )
-from brauerloop.generators import apply_braid, apply_monoid, transition_table
+from brauerloop.generators import transition_table
 
-from conftest import monte_carlo_per_step, settle
+from conftest import diagrams_of, index_of, members_of, monte_carlo_per_step, settle
+from oracles import apply_braid, apply_monoid, partial_permutation_label, permutation_label
 from brauerloop.kernel import GroundState
 
 # Stored reference constants are write-once: any edit must show up here.
@@ -95,7 +94,7 @@ class TestWeightTableOracle:
         expected = {}
         orbits = shared_orbits(length)
         for k in range(len(orbits)):
-            for m in orbits.members_of(k).tolist():
+            for m in members_of(orbits, k).tolist():
                 found = label(basis[m])
                 if found is not None:
                     expected[found] = k + 1
@@ -256,11 +255,11 @@ class TestMonteCarlo:
     def test_event_rows_match_scalar_generators(self, length):
         basis = shared_basis(length)
         expected = []
-        for d in basis:
+        for d in diagrams_of(basis):
             row = []
             for i in range(1, length + 1):
-                m = basis.index_of(apply_monoid(i, d))
-                row.extend((m, m, basis.index_of(apply_braid(i, d))))
+                m = index_of(basis, apply_monoid(i, d))
+                row.extend((m, m, index_of(basis, apply_braid(i, d))))
             expected.append(row)
         assert _event_rows(transition_table(basis)) == expected
 

@@ -7,26 +7,19 @@ from hypothesis import strategies as st
 
 import brauerloop.diagrams as diagrams_module
 import brauerloop.generators as generators_module
-from brauerloop import (
-    DEFECT,
-    ChordDiagram,
-    apply_braid,
-    apply_monoid,
-    check_relations,
-    enumerate_diagrams,
-    permutation_label,
-)
+from brauerloop import DEFECT, ChordDiagram, check_relations, enumerate_diagrams
 from brauerloop.diagrams import _key, shared_basis, shared_orbits
 from brauerloop.generators import _image_keys, transition_table
 
-from conftest import diagram
+from conftest import diagram, diagrams_of, index_of
+from oracles import apply_braid, apply_monoid, permutation_label
 
 
 def scalar_row(basis, d):
     """Table row of one diagram computed with the scalar generators."""
     sites = range(1, basis.length + 1)
-    return [basis.index_of(apply_monoid(i, d)) for i in sites] + [
-        basis.index_of(apply_braid(i, d)) for i in sites
+    return [index_of(basis, apply_monoid(i, d)) for i in sites] + [
+        index_of(basis, apply_braid(i, d)) for i in sites
     ]
 
 
@@ -51,13 +44,13 @@ class TestTransitionTable:
         basis = enumerate_diagrams(length)
         table = transition_table(basis)
         assert table.shape == (len(basis), 2 * length)
-        assert table.tolist() == [scalar_row(basis, d) for d in basis]
+        assert table.tolist() == [scalar_row(basis, d) for d in diagrams_of(basis)]
 
     @settings(max_examples=40, deadline=None)
     @given(long_diagrams())
     def test_matches_scalar_generators_on_long_diagrams(self, d):
         basis = shared_basis(d.length)
-        assert shared_table(d.length)[basis.index_of(d)].tolist() == scalar_row(basis, d)
+        assert shared_table(d.length)[index_of(basis, d)].tolist() == scalar_row(basis, d)
 
 
 class TestImageKeys:
@@ -114,7 +107,7 @@ class TestBraid:
 
     def test_involution_everywhere(self):
         for length in (4, 5, 6, 7):
-            for d in enumerate_diagrams(length):
+            for d in diagrams_of(enumerate_diagrams(length)):
                 for i in range(1, length + 1):
                     assert apply_braid(i, apply_braid(i, d)) == d
 
@@ -129,7 +122,7 @@ class TestBraid:
 def test_generators_preserve_diagram_invariants(length):
     # ChordDiagram.__post_init__ revalidates, so constructing the image suffices;
     # additionally the defect count must be conserved.
-    for d in enumerate_diagrams(length):
+    for d in diagrams_of(enumerate_diagrams(length)):
         for i in range(1, length + 1):
             for image in (apply_monoid(i, d), apply_braid(i, d)):
                 assert image.length == length
@@ -138,7 +131,7 @@ def test_generators_preserve_diagram_invariants(length):
 
 @pytest.mark.parametrize("length", range(3, 9))
 def test_relations_exhaustive(length):
-    report = check_relations(length, exhaustive=True)
+    report = check_relations(length)
     assert report.all_passed, report.to_text()
 
 
@@ -165,12 +158,6 @@ def test_relation_report_text_runs():
     assert "pass" in text
 
 
-def test_relations_sampled_mode():
-    report = check_relations(9, exhaustive=False, sample=25, seed=1)
-    assert report.all_passed
-    assert not report.exhaustive
-
-
 def test_broken_table_fails_with_counterexample(monkeypatch):
     # Make e_1 the identity map: idempotence still holds, while absorption
     # e_1 e_2 e_1 = e_1 fails first on the first diagram that e_2 moves.
@@ -182,8 +169,18 @@ def test_broken_table_fails_with_counterexample(monkeypatch):
     monkeypatch.setattr(generators_module, "transition_table", broken)
     length = 6
     basis = enumerate_diagrams(length)
-    moved = next(k for k, d in enumerate(basis) if apply_monoid(2, d) != d)
+    moved = next(k for k, d in enumerate(diagrams_of(basis)) if apply_monoid(2, d) != d)
+    # The counterexample is named from its partner row: no diagram is built.
+    built = []
+    original = ChordDiagram.__post_init__
+
+    def counting(self):
+        built.append(self.partner)
+        original(self)
+
+    monkeypatch.setattr(ChordDiagram, "__post_init__", counting)
     report = check_relations(length)
+    assert built == []
     assert not report.all_passed
     by_name = {c.name: c for c in report.checks}
     assert by_name["monoid idempotent: e_i e_i = e_i"].passed
@@ -202,7 +199,7 @@ def test_relations_reject_tiny_length():
 @pytest.mark.parametrize("length", (4, 6, 8))
 def test_braid_keeps_labels_away_from_block_boundaries(length):
     half = length // 2
-    for d in enumerate_diagrams(length):
+    for d in diagrams_of(enumerate_diagrams(length)):
         if permutation_label(d) is None:
             continue
         for i in range(1, length + 1):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +20,6 @@ from brauerloop import (
     KernelDimensionError,
     MixedSignsError,
     RefinementError,
-    build_full,
     build_reduced,
     compute_orbits,
     enumerate_diagrams,
@@ -39,12 +39,13 @@ from brauerloop.kernel import (
     serialize_groundstate,
 )
 
-from conftest import diagram, matrix_of, settle
+from conftest import diagram, index_of, matrix_of, members_of, settle
 from oracles import (
     PRIMES,
     _bareiss_kernel,
     _residual_is_zero,
     bareiss_kernel,
+    build_full,
     modular_kernel,
     rational_reconstruction,
 )
@@ -57,10 +58,10 @@ def checksummed(payload):
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def dense_matrix(rows, kind="reduced", length=4):
+def dense_matrix(rows, length=4):
     n = len(rows)
     return matrix_of([{r: rows[r][c] for r in range(n) if rows[r][c]} for c in range(n)],
-                     kind=kind, length=length)
+                     length=length)
 
 
 def exact(solver, matrix):
@@ -73,9 +74,9 @@ class TestKernelVector:
         basis = enumerate_diagrams(4)
         vec = kernel_vector(build_full(basis))
         w = normalize_integer(vec)
-        assert w[basis.index_of(diagram(4, (1, 2), (3, 4)))] == 3
-        assert w[basis.index_of(diagram(4, (2, 3), (4, 1)))] == 3
-        assert w[basis.index_of(diagram(4, (1, 3), (2, 4)))] == 1
+        assert w[index_of(basis, diagram(4, (1, 2), (3, 4)))] == 3
+        assert w[index_of(basis, diagram(4, (2, 3), (4, 1)))] == 3
+        assert w[index_of(basis, diagram(4, (1, 3), (2, 4)))] == 1
 
     def test_l2_trivial(self):
         vec = kernel_vector(build_full(enumerate_diagrams(2)))
@@ -214,6 +215,23 @@ class TestRefinementFailures:
             kernel_module._update_residual(b_matrix, r, np.array([2**59, 1]), 20)
         with pytest.raises(AssertionError, match=r"2\*\*k \* r could overflow"):
             kernel_module._update_residual(b_matrix, r, np.array([1, 1]), 61)
+
+
+class TestSparseMinor:
+    @pytest.mark.parametrize("length", range(4, 13))
+    def test_minor_keeps_the_sorted_order(self, length):
+        # L = 2 and 3 have a single orbit, hence no minor.
+        matrix = build_reduced(shared_basis(length), shared_orbits(length))
+        a = kernel_module._Sparse.from_triplets(matrix.rows, matrix.cols, matrix.vals,
+                                                matrix.dimension)
+        minor, _ = a.minor()
+        inner = (matrix.rows > 0) & (matrix.cols > 0)
+        lexsorted = kernel_module._Sparse.from_triplets(
+            matrix.rows[inner] - 1, matrix.cols[inner] - 1, matrix.vals[inner],
+            matrix.dimension - 1)
+        for name in ("rows", "cols", "vals", "starts"):
+            assert getattr(minor, name).tolist() == getattr(lexsorted, name).tolist()
+        assert minor.l1 == lexsorted.l1
 
 
 class TestRationalReconstruction:
@@ -472,7 +490,7 @@ class TestCache:
     def test_rechecksummed_non_canonical_representative_rejected(self, tmp_path):
         groundstate(6, cache_dir=tmp_path)
         path = cache_path(tmp_path, 6)
-        other = shared_basis(6)[int(shared_orbits(6).members_of(0)[-1])].encode()
+        other = shared_basis(6)[int(members_of(shared_orbits(6), 0)[-1])].encode()
 
         def replace(orbits):
             orbits[0]["representative"] = other
@@ -492,6 +510,31 @@ class TestCache:
         last = len(shared_orbits(7)) - 1
         with pytest.raises(CacheCorruptError, match=f"groundstate-L07\\.json: orbit {last} is"):
             load_cached_groundstate(tmp_path, 7)
+
+    @pytest.mark.parametrize("weight", ["0", "-3", " 7", "1_0", "+1", 5])
+    def test_rechecksummed_non_canonical_weight_rejected(self, tmp_path, weight):
+        # Each passes the checksum, the representatives and the sizes; only the
+        # string that serialization writes for a positive weight is accepted.
+        groundstate(6, cache_dir=tmp_path)
+        path = cache_path(tmp_path, 6)
+        self.rewrite_with_checksum(path, lambda orbits: orbits[2].update(weight=weight))
+        with pytest.raises(CacheCorruptError, match=(
+            rf"groundstate-L06\.json: orbit 2 has weight {re.escape(repr(weight))}, "
+            "not a positive integer in decimal$"
+        )):
+            load_cached_groundstate(tmp_path, 6)
+
+    @pytest.mark.parametrize("retype", [bool, float])
+    def test_rechecksummed_size_of_another_type_rejected(self, tmp_path, retype):
+        # True == 1 and 1.0 == 1, so only the type tells them from the size.
+        groundstate(6, cache_dir=tmp_path)
+        path = cache_path(tmp_path, 6)
+        k = shared_orbits(6).sizes.tolist().index(1)
+        self.rewrite_with_checksum(path, lambda orbits: orbits[k].update(size=retype(1)))
+        with pytest.raises(CacheCorruptError, match=(
+            rf"groundstate-L06\.json: orbit {k} is \S+ of size {retype(1)!r}, expected"
+        )):
+            load_cached_groundstate(tmp_path, 6)
 
     def test_rechecksummed_dropped_orbit_rejected(self, tmp_path):
         groundstate(8, cache_dir=tmp_path)
