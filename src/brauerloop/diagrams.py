@@ -12,11 +12,17 @@ site index. A basis lists every diagram of one length in increasing
 lexicographic order of partner tuples, which pins the index of each diagram
 and keeps downstream matrices and cache files reproducible. The basis is an
 (N, L) int8 partner array, built in blocks keyed by the partner of site 0
-from the memoised rows of the two shorter lengths, and validated with numpy.
+from the memoised rows of the two shorter lengths, and validated with numpy
+one column at a time.
 Symmetry orbits group basis indices under the 2L rotations and reflections
 of the circle; they are one `Orbits` record of index arrays (representative,
 size, members by offset, orbit of each diagram), and the orbit
-representative is the lexicographically smallest member. Text output and
+representative is the lexicographically smallest member. The one-site
+rotation is ranked from the rows' keys by digit arithmetic, and only the
+smallest row of each rotation class (about N/L seeds) is reflected and
+ranked; the reflection of every other row follows from its seed's along
+the class, since reflecting after a rotation equals rotating back after
+reflecting (s r = r^-1 s in the dihedral group). Text output and
 cache files carry rows as `encode_partners` strings. `ChordDiagram` is the
 type of a single diagram read from text, and is built nowhere else.
 
@@ -119,31 +125,40 @@ def _validated(length: int, partners) -> np.ndarray:
     """The rows as an (N, L) int8 array, each checked to be a diagram.
 
     Does for the whole array what `ChordDiagram` does for one partner tuple,
-    with int8 and bool temporaries of the array's shape; raises ValueError
-    naming the first offending row.
+    column by column with temporaries of length N; raises ValueError naming
+    the first offending row (for the involution, the first offending site
+    and then its first row).
     """
     if length < 2:
         raise ValueError(f"a diagram needs at least 2 sites, got {length}")
     p = np.asarray(partners)
     if p.ndim != 2 or p.shape[1] != length or not np.issubdtype(p.dtype, np.integer):
         raise ValueError(f"partners must be an integer array with rows of length {length}")
-    outside = (p < DEFECT) | (p >= length)
-    if outside.any():
-        r, i = _first(outside)
+    if len(p) and (p.min() < DEFECT or p.max() >= length):
+        r, i = _first((p < DEFECT) | (p >= length))
         raise ValueError(f"row {r}: partner {p[r, i]} of site {i} is out of range")
     p = p.astype(np.int8, copy=False)
-    looped = p == np.arange(length, dtype=np.int8)
-    if looped.any():
-        r, i = _first(looped)
-        raise ValueError(f"row {r}: site {i} is paired with itself")
-    rows = np.arange(len(p))
+    flat = p.reshape(-1)
+    starts = np.arange(0, flat.size, length)
+    defects = np.zeros(len(p), dtype=np.int16)
+    looped, broken_at = [], None
     for i in range(length):
-        j = p[:, i]
-        broken = (j != DEFECT) & (p[rows, np.maximum(j, 0)] != i)
-        if broken.any():
-            r = int(np.argmax(broken))
-            raise ValueError(f"row {r}: pairing is not an involution at site {i}")
-    defects = np.count_nonzero(p == DEFECT, axis=1)
+        j = p[:, i].copy()
+        if np.any(j == i):
+            looped.append(i)
+        defect = j == DEFECT
+        defects += defect
+        # At DEFECT (-1) this reads an entry of another row, which `defect` masks.
+        broken = flat[starts + j] != i
+        broken &= ~defect
+        if broken_at is None and broken.any():
+            broken_at = int(np.argmax(broken)), i
+    if looped:
+        r, i = min((int(np.argmax(p[:, i] == i)), i) for i in looped)
+        raise ValueError(f"row {r}: site {i} is paired with itself")
+    if broken_at is not None:
+        r, i = broken_at
+        raise ValueError(f"row {r}: pairing is not an involution at site {i}")
     wrong = np.flatnonzero(defects != length % 2)
     if wrong.size:
         r = int(wrong[0])
@@ -181,10 +196,12 @@ class DiagramBasis:
     construction. `_key` reads a row as a mixed-radix key whose digits are
     the partners, shifted by one for odd L so that DEFECT is digit 0; keys
     then sort like the diagrams, and `locate` finds basis positions by key.
-    Indexing builds a `ChordDiagram` on demand.
+    Indexing builds a `ChordDiagram` on demand; iteration is refused, since
+    it would build one per row.
     """
 
     __slots__ = ("length", "partners", "_keys")
+    __iter__ = None
 
     def __init__(self, length: int, partners):
         self.length = length
@@ -375,14 +392,6 @@ def _partner_rows(length: int) -> np.ndarray:
     return rows
 
 
-def rotate_partners(partners: np.ndarray, k: int) -> np.ndarray:
-    """Every row of an (M, L) partner array with its sites and defect moved forward by k."""
-    size = partners.shape[1]
-    # Lookup table for the new partner; the trailing entry maps DEFECT (-1).
-    moved = np.append((np.arange(size) + k) % size, DEFECT).astype(np.int8)
-    return moved[np.roll(partners, k % size, axis=1)]
-
-
 def reflect_partners(partners: np.ndarray) -> np.ndarray:
     """Every row of an (M, L) partner array mirrored: site i goes to site L-1-i."""
     size = partners.shape[1]
@@ -390,30 +399,90 @@ def reflect_partners(partners: np.ndarray) -> np.ndarray:
     return mirrored[partners[:, ::-1]]
 
 
+def _step_keys(partners: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Rank keys of every row rotated forward by one site, from the rows' keys.
+
+    The rotation moves site s to s+1 and relabels each partner the same way.
+    With d the digits of a key and w[s] = base**(L-2-s) the weight of site
+    s once moved, the new key is the old one without its last digit,
+    key // base, plus w[s] for each moved site s < L-1 that is not the
+    defect, minus L * w[p[L-1]] for the site whose partner L-1 wraps to 0,
+    plus the digit of partner p[L-1] + 1 at site 0 (the DEFECT digit if
+    site L-1 is the defect). For odd L the defect site is
+    L(L-1)/2 - 1 minus the row's sum of partners, since every other site is
+    some site's partner. Computed modulo 2**64, exact since every key <
+    base**L <= 2**64.
+    """
+    size = partners.shape[1]
+    assert _ranks_fit(size), "rank keys must fit in 64 bits"
+    shift = size % 2
+    base = size + shift
+    w = [base ** (size - 2 - s) for s in range(size - 1)] + [0]
+    # Indexed by the partner of site L-1; the trailing entry is DEFECT's.
+    head = [(sum(w) - size * w[j] + (j + 1 + shift) * base ** (size - 1)) % 2**64
+            for j in range(size)] + [sum(w)]
+    step = keys // np.uint64(base)
+    step += np.array(head, dtype=np.uint64)[partners[:, size - 1]]
+    if shift:
+        defect = partners.sum(axis=1, dtype=np.int32)
+        np.subtract(size * (size - 1) // 2 - 1, defect, out=defect)
+        step -= np.array(w, dtype=np.uint64)[defect]
+    return step
+
+
 def compute_orbits(basis: DiagramBasis) -> Orbits:
     """Partition the basis into dihedral orbits, sorted by representative.
 
-    Two images are ranked and kept as int32 maps: step[x] is the basis index
-    of row x rotated forward by one site and mirror[x] that of its mirror
-    image. Each orbit is labelled by the smallest basis index among its 2L
-    images; with `image` the map of the k-th rotation, the images of x are
-    image[x] and image[mirror[x]], one gather each. The basis is sorted, so
-    the smallest index is the lexicographically smallest image: the
-    canonical representative.
+    Two images are kept as int32 maps: step[x] is the basis index of row x
+    rotated forward by one site and mirror[x] that of its mirror image.
+    `step` is located from keys computed by digit arithmetic (`_step_keys`),
+    and its first L-1 powers give rmin[x], the smallest index in the
+    rotation class of x. Only the seeds, the rows with rmin[x] == x, are
+    reflected and ranked; the rest of `mirror` follows along each rotation
+    class from mirror[step[x]] = step^-1[mirror[x]]. That is the dihedral
+    relation s r = r^-1 s, so it holds exactly, and it reaches every row,
+    since each rotation class is its seed's images under `step`. The orbit
+    of x is its rotation class
+    joined with that of mirror[x], so min(rmin, rmin[mirror]) labels it by
+    its smallest basis index, which, the basis being sorted, is the
+    lexicographically smallest image: the canonical representative. Each
+    orbit's members are read off the 2L images of its representative.
     """
-    assert len(basis) < 2**31, "basis indices must fit in int32"
-    step = basis.locate(_key(rotate_partners(basis.partners, 1))).astype(np.int32)
-    mirror = basis.locate(_key(reflect_partners(basis.partners))).astype(np.int32)
-    image = np.arange(len(basis), dtype=np.int32)
-    smallest = np.minimum(image, mirror)
-    for _ in range(basis.length - 1):
+    size, count = basis.length, len(basis)
+    assert count < 2**31, "basis indices must fit in int32"
+    step = basis.locate(_step_keys(basis.partners, basis._keys)).astype(np.int32)
+    rmin = np.arange(count, dtype=np.int32)
+    image = rmin
+    for _ in range(size - 1):
         image = step[image]
-        np.minimum(smallest, image, out=smallest)
-        np.minimum(smallest, image[mirror], out=smallest)
-    order = np.argsort(smallest, kind="stable")
-    starts = np.flatnonzero(np.diff(smallest[order])) + 1
-    orbits = Orbits.grouped(order, np.diff(starts, prepend=0, append=len(order)), step, mirror)
+        np.minimum(rmin, image, out=rmin)
+    seeds = np.flatnonzero(rmin == np.arange(count, dtype=np.int32))
+    image = basis.locate(_key(reflect_partners(basis.partners[seeds])))
+    inverse = np.empty_like(step)
+    inverse[step] = np.arange(count, dtype=np.int32)
+    mirror = np.empty_like(step)
+    for _ in range(size):
+        mirror[seeds] = image
+        seeds, image = step[seeds], inverse[image]
+    del inverse, seeds, image
+    smallest = np.minimum(rmin, rmin[mirror])
+    del rmin
+    representatives = np.flatnonzero(smallest == np.arange(count, dtype=np.int32))
+    images = np.empty((len(representatives), 2 * size), dtype=np.int32)
+    images[:, 0] = representatives
+    for k in range(1, size):
+        images[:, k] = step[images[:, k - 1]]
+    images[:, size:] = mirror[images[:, :size]]
+    images.sort(axis=1)
+    fresh = np.ones(images.shape, dtype=bool)
+    np.not_equal(images[:, 1:], images[:, :-1], out=fresh[:, 1:])
+    orbits = Orbits.grouped(images[fresh], fresh.sum(axis=1), step, mirror)
+    del images, fresh
+    covered = np.zeros(count, dtype=bool)
+    covered[orbits.members] = True
+    assert len(orbits.members) == count and covered.all(), "orbits must partition the basis"
     assert np.array_equal(smallest[orbits.representatives], orbits.representatives)
+    assert np.array_equal(smallest, orbits.representatives[orbits.orbit_of])
     return orbits
 
 
@@ -464,8 +533,9 @@ def shared_orbits(length: int) -> Orbits:
 @lru_cache(maxsize=16)
 def representative_codes(length: int) -> tuple[str, ...]:
     """The encoded orbit representatives of the shared orbits, in orbit order."""
+    tokens = np.array([".", *map(str, range(1, length + 1))], dtype=object)
     rows = shared_basis(length).partners[shared_orbits(length).representatives]
-    return tuple(map(encode_partners, rows.tolist()))
+    return tuple(map(",".join, tokens[rows + 1].tolist()))
 
 
 @lru_cache(maxsize=16)

@@ -362,8 +362,10 @@ def serialize_groundstate(state: GroundState) -> str:
             )
         ],
     }
-    payload["checksum"] = _checksum(payload)
-    return _canonical_json(payload) + "\n"
+    # "checksum" sorts first among the keys, so it leads the canonical text.
+    body = _canonical_json(payload)
+    checksum = hashlib.sha256(body.encode()).hexdigest()
+    return '{"checksum":' + json.dumps(checksum) + "," + body[1:] + "\n"
 
 
 def deserialize_groundstate(text: str, length: int) -> GroundState:

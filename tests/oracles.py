@@ -7,6 +7,9 @@
 * `rotate`, `reflect` and `canonical_representative`: the dihedral action on
   one diagram and its lexicographically smallest image, the oracles of the
   `step` and `mirror` maps and the representatives of `compute_orbits`.
+* `rotate_partners`: the rotation of a whole partner array, which
+  `orbits_by_image_keys` ranks; the oracle of the digit arithmetic of
+  `diagrams._step_keys`.
 * `permutation_label` and `partial_permutation_label`: the label of one
   diagram, the oracles of `orbit_labels`.
 * `build_full`: the operator over the full basis, summed column by column
@@ -189,6 +192,13 @@ def canonical_representative(diagram: ChordDiagram) -> ChordDiagram:
     """Lexicographically smallest of the 2L dihedral images of the diagram."""
     return ChordDiagram(min(_dihedral_images(diagram.partner)))
 
+
+def rotate_partners(partners: np.ndarray, k: int) -> np.ndarray:
+    """Every row of an (M, L) partner array with its sites and defect moved forward by k."""
+    size = partners.shape[1]
+    # Lookup table for the new partner; the trailing entry maps DEFECT (-1).
+    moved = np.append((np.arange(size) + k) % size, DEFECT).astype(np.int8)
+    return moved[np.roll(partners, k % size, axis=1)]
 
 
 def permutation_label(diagram: ChordDiagram) -> Permutation | None:

@@ -1,6 +1,11 @@
 """Acceptance suite: every criterion prints one PASS/FAIL line (run with -s to watch)."""
 
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +28,7 @@ from brauerloop import (
 )
 from brauerloop.diagrams import shared_basis, shared_orbits
 
+from conftest import assert_orbits_are, orbits_by_image_keys
 from oracles import build_full, validate_by_columns
 
 L6_WEIGHT_SIZE = {(63, 2), (31, 3), (13, 6), (3, 3), (1, 1)}
@@ -231,3 +237,50 @@ def test_stretch_sequence_n7():
     elapsed = time.perf_counter() - start
     criterion(0, value == 147226330175 and elapsed <= 10.0,
               f"stretch: n=7 reversal weight {value} at L=14 in {elapsed:.1f}s")
+
+
+# Opt-in criteria at the two longest rankable lengths; each ground state is
+# solved cold in its own interpreter, so its wall time and peak RSS are its own.
+stretch = pytest.mark.skipif(os.environ.get("BRAUER_STRETCH") != "1",
+                             reason="set BRAUER_STRETCH=1 for the L = 15 and 16 criteria")
+# Measured on 2 vCPU: L = 15 in 21 s at 0.66 GB, L = 16 in 28 s at 0.70 GB.
+STRETCH_BOUNDS = {15: (60.0, 1.0e9), 16: (75.0, 1.1e9)}
+
+SOLVE_ONE = """
+import json, resource, sys, time
+from brauerloop import Permutation, groundstate, permutation_weight_table, verify_sum_rule
+length = int(sys.argv[1])
+start = time.perf_counter()
+state = groundstate(length)
+result = {"sum_rule": verify_sum_rule(state).status, "reversal": None}
+if length % 2 == 0:
+    result["reversal"] = permutation_weight_table(state)[Permutation.longest(length // 2)]
+result["elapsed"] = time.perf_counter() - start
+result["rss"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+print(json.dumps(result))
+"""
+
+
+@stretch
+@pytest.mark.parametrize("length", [15, 16])
+def test_stretch_orbits_match_image_key_oracle(length):
+    clear_shared_caches()
+    assert_orbits_are(shared_orbits(length), orbits_by_image_keys(shared_basis(length)))
+    clear_shared_caches()  # the later tests need not hold these 2 M-row arrays
+
+
+@stretch
+@pytest.mark.parametrize("length", [15, 16])
+def test_stretch_groundstate(length):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", SOLVE_ONE, str(length)], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    seconds, rss = STRETCH_BOUNDS[length]
+    expected = REFERENCE.long_permutation_weights[7] if length == 16 else None
+    ok = (result["sum_rule"] == "PASS" and result["reversal"] == expected
+          and result["elapsed"] <= seconds and result["rss"] <= rss)
+    criterion(0, ok, f"stretch: L={length} sum rule {result['sum_rule']}, reversal "
+              f"{result['reversal']}, {result['elapsed']:.1f}s, {result['rss'] / 1e9:.2f} GB")

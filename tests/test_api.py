@@ -33,7 +33,7 @@ ORACLES = [
     "apply_monoid", "apply_braid", "_check_index",
     "rotate", "reflect", "_rotate_tuple", "_reflect_tuple", "_dihedral_images",
     "canonical_representative", "permutation_label", "partial_permutation_label",
-    "build_full", "FULL", "REDUCED",
+    "build_full", "FULL", "REDUCED", "rotate_partners",
 ]
 
 MODULES = ["brauerloop"] + [f"brauerloop.{name}" for name in (
@@ -58,6 +58,7 @@ def test_no_test_only_fields_or_parameters():
     assert list(inspect.signature(IntensityMatrix.validate).parameters) == ["self"]
     assert list(inspect.signature(check_relations).parameters) == ["length"]
     assert "exhaustive" not in [field.name for field in dataclasses.fields(RelationReport)]
-    for owner, name in ((DiagramBasis, "index_of"), (DiagramBasis, "__iter__"),
-                        (Orbits, "members_of")):
+    for owner, name in ((DiagramBasis, "index_of"), (Orbits, "members_of")):
         assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+    with pytest.raises(TypeError):
+        iter(DiagramBasis(2, [[1, 0]]))

@@ -22,7 +22,7 @@ from brauerloop import (
 )
 import brauerloop.diagrams as diagrams_module
 from brauerloop.counting import class_count, double_factorial
-from brauerloop.diagrams import shared_basis, shared_orbits
+from brauerloop.diagrams import _key, _step_keys, shared_basis, shared_orbits
 
 from conftest import (
     assert_orbits_are,
@@ -42,6 +42,7 @@ from oracles import (
     permutation_label,
     reflect,
     rotate,
+    rotate_partners,
 )
 
 
@@ -134,6 +135,13 @@ class TestEnumeration:
         diagrams_module._partner_rows.cache_clear()
         assert len(shared_basis(13)) == 135135
         assert calls == [13]
+
+    def test_basis_cannot_be_iterated(self):
+        basis = enumerate_diagrams(7)
+        with pytest.raises(TypeError):
+            iter(basis)
+        with pytest.raises(TypeError):
+            list(basis)
 
     def test_rows_read_back_as_diagrams(self):
         basis = enumerate_diagrams(7)
@@ -240,6 +248,29 @@ class TestBasisValidation:
         with pytest.raises(ValueError, match="row 57: pairing is not an involution at site 0"):
             DiagramBasis(8, partners)
 
+    def test_names_the_lower_site_then_the_lower_row(self):
+        partners = shared_basis(13).partners.copy()
+
+        def rewire(row, site):
+            # Pairing the site with a third site breaks the involution at the
+            # site and at its old partner, here both above `site`, only.
+            old = partners[row, site]
+            assert old > site
+            partners[row, site] = next(t for t in range(13) if t not in (site, old))
+
+        def message(row, site):
+            return f"row {row}: pairing is not an involution at site {site}"
+
+        rewire(1000, 6)
+        with pytest.raises(ValueError, match=message(1000, 6)):
+            DiagramBasis(13, partners)
+        rewire(120000, 2)
+        with pytest.raises(ValueError, match=message(120000, 2)):
+            DiagramBasis(13, partners)
+        rewire(5000, 2)
+        with pytest.raises(ValueError, match=message(5000, 2)):
+            DiagramBasis(13, partners)
+
     def test_rejects_wrong_shape_and_type(self):
         with pytest.raises(ValueError):
             DiagramBasis(4, np.array([1, 0, 3, 2]))
@@ -249,6 +280,50 @@ class TestBasisValidation:
             DiagramBasis(2, np.array([[1.0, 0.0]]))
         with pytest.raises(ValueError):
             DiagramBasis(1, np.zeros((1, 1), dtype=np.int8))
+
+
+def paired(length, sites):
+    """The partner row pairing consecutive `sites`; a site left over is the defect."""
+    row = [DEFECT] * length
+    for a, b in zip(sites[0::2], sites[1::2]):
+        row[a], row[b] = b, a
+    return row
+
+
+@st.composite
+def partner_rows(draw):
+    """A few random diagrams of one length 2..16, drawn as pairings of a site permutation."""
+    length = draw(st.integers(min_value=2, max_value=16))
+    orders = draw(st.lists(st.permutations(range(length)), min_size=1, max_size=8))
+    return np.array([paired(length, order) for order in orders], dtype=np.int8)
+
+
+def edge_rows(length):
+    """Rows with site L-1 paired to 0, then for odd L the defect at L-1 and at 0."""
+    rows = [paired(length, [length - 1, *range(length - 1)])]
+    if length % 2:
+        rows += [paired(length, range(length - 1)), paired(length, range(1, length))]
+    return np.array(rows, dtype=np.int8)
+
+
+class TestStepKeys:
+    """`_step_keys` ranks the forward rotation by digit arithmetic."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(partner_rows())
+    def test_matches_ranked_rotation(self, rows):
+        expected = _key(rotate_partners(rows, 1))
+        assert np.array_equal(_step_keys(rows, _key(rows)), expected)
+
+    @pytest.mark.parametrize("length", range(2, 17))
+    def test_edge_rows(self, length):
+        rows = edge_rows(length)
+        DiagramBasis(length, rows[np.argsort(_key(rows))])  # valid diagrams
+        assert rows[0, length - 1] == 0
+        if length % 2:
+            assert rows[1, length - 1] == DEFECT and rows[2, 0] == DEFECT
+        expected = _key(rotate_partners(rows, 1))
+        assert np.array_equal(_step_keys(rows, _key(rows)), expected)
 
 
 class TestDihedralAction:
