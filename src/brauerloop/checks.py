@@ -8,6 +8,11 @@ rules, and agreement with independently computed component degrees of the
 upper-upper scheme) are tested against exact computed data and reported,
 so a counterexample would surface rather than be asserted away.
 
+Labels are the plain tuples of `shared_orbit_labels`: a permutation's
+one-line image, or a partial permutation's image with None at the defect.
+`permutation_weight_table` maps each to its diagram's weight, and failure
+texts show a label in its compact form in parentheses, as in "(2431)".
+
 The stored reference constants are write-once; the long-permutation weights
 are the opening terms of OEIS A094579.
 """
@@ -24,8 +29,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .diagrams import (
-    PartialPermutation,
-    Permutation,
+    label_text,
     representative_codes,
     shared_basis,
     shared_orbit_labels,
@@ -44,8 +48,8 @@ class ReferenceOracles:
     long_permutation_weights: tuple[int, ...]
     class_counts: tuple[int, ...]
 
-    def s3_table(self) -> dict[Permutation, int]:
-        return {Permutation(image): degree for image, degree in self.s3_degrees}
+    def s3_table(self) -> dict[tuple[int, ...], int]:
+        return dict(self.s3_degrees)
 
 
 REFERENCE = ReferenceOracles(
@@ -92,33 +96,25 @@ class CheckResult:
         }
 
 
-def permutation_weight_table(
-    state: GroundState,
-) -> dict[Permutation, int] | dict[PartialPermutation, int]:
+def permutation_weight_table(state: GroundState) -> dict[tuple, int]:
     """Map every (partial) permutation label to the weight of its diagram.
 
     Labels are inserted orbit by orbit, members in basis order.
     """
-    table: dict = {}
-    for weight, labels in zip(state.weights, shared_orbit_labels(state.length)):
-        for label in labels:
-            table[label] = weight
-    return table
+    labels = shared_orbit_labels(state.length)
+    return {label: weight for weight, group in zip(state.weights, labels) for label in group}
 
 
-def concatenate_labels(first, second):
-    """Block concatenation of two labels; at most one may be partial."""
-    if isinstance(first, Permutation) and isinstance(second, Permutation):
-        return Permutation(first.image + tuple(v + first.n for v in second.image))
-    if isinstance(first, PartialPermutation) and isinstance(second, Permutation):
-        return PartialPermutation(
-            first.image + tuple(v + first.rank for v in second.image)
-        )
-    if isinstance(first, Permutation) and isinstance(second, PartialPermutation):
-        return PartialPermutation(
-            first.image + tuple(None if v is None else v + first.n for v in second.image)
-        )
-    raise TypeError("at most one factor may be a partial permutation")
+def concatenate_labels(first: tuple, second: tuple) -> tuple:
+    """Block concatenation of two labels; at most one may be partial (hold None)."""
+    if None in first and None in second:
+        raise TypeError("at most one factor may be a partial permutation")
+    shift = len(first) - (None in first)
+    return first + tuple(None if v is None else v + shift for v in second)
+
+
+def _shown(label: tuple) -> str:
+    return f"({label_text(label)})"
 
 
 def verify_integrality(state: GroundState) -> CheckResult:
@@ -136,10 +132,10 @@ def verify_maximality(state: GroundState) -> CheckResult:
         )
     table = permutation_weight_table(state)
     n = state.length // 2
-    longest = Permutation.longest(n)
+    longest = tuple(range(n, 0, -1))
     top = table[longest]
-    ties = [str(p) for p, w in table.items() if w == top and p != longest]
-    beaten = [str(p) for p, w in table.items() if w > top]
+    ties = [_shown(p) for p, w in table.items() if w == top and p != longest]
+    beaten = [_shown(p) for p, w in table.items() if w > top]
     if beaten:
         return CheckResult(
             "maximality", state.length, "FAIL", f"exceeded by {', '.join(beaten)}"
@@ -194,7 +190,7 @@ def verify_factorization(ground_states: Mapping[int, GroundState]) -> CheckResul
                     checked += 1
                     if wc != wa * wb:
                         failures.append(
-                            f"{label_a} * {label_b} -> {combined}: "
+                            f"{_shown(label_a)} * {_shown(label_b)} -> {_shown(combined)}: "
                             f"{wa} * {wb} != {wc}"
                         )
     status = "PASS" if not failures else "FAIL"
@@ -212,11 +208,11 @@ def verify_degrees(ground_states: Mapping[int, GroundState]) -> CheckResult:
         table = permutation_weight_table(ground_states[6])
         for perm, degree in REFERENCE.s3_table().items():
             if table.get(perm) != degree:
-                failures.append(f"{perm}: {table.get(perm)} != {degree}")
+                failures.append(f"{_shown(perm)}: {table.get(perm)} != {degree}")
         used.append(6)
     if 8 in ground_states:
         table = permutation_weight_table(ground_states[8])
-        weight = table.get(Permutation((2, 4, 3, 1)))
+        weight = table.get((2, 4, 3, 1))
         if weight != REFERENCE.rank4_degree_2431:
             failures.append(f"(2431): {weight} != {REFERENCE.rank4_degree_2431}")
         used.append(8)
@@ -236,7 +232,7 @@ def long_permutation_sequence(
     out = []
     for n in range(1, max_n + 1):
         table = permutation_weight_table(ground_states[2 * n])
-        out.append(table[Permutation.longest(n)])
+        out.append(table[tuple(range(n, 0, -1))])
     return out
 
 

@@ -11,7 +11,9 @@ from . import checks, counting
 from .diagrams import (
     BasisTooLargeError,
     encode_partners,
+    label_text,
     representative_codes,
+    require_rankable,
     shared_basis,
     shared_orbit_labels,
     shared_orbits,
@@ -36,9 +38,7 @@ def resolve_cache_dir(flag_value):
 
 def _orbit_labels(length: int) -> list[list[str]]:
     """Per orbit, the sorted compact forms of its members' labels."""
-    return [
-        sorted(label.compact() for label in labels) for labels in shared_orbit_labels(length)
-    ]
+    return [sorted(map(label_text, labels)) for labels in shared_orbit_labels(length)]
 
 
 def cmd_enumerate(args) -> int:
@@ -74,6 +74,7 @@ def cmd_groundstate(args) -> int:
 
 def cmd_verify(args) -> int:
     cache_dir = resolve_cache_dir(args.cache_dir)
+    require_rankable(args.max_length)
     states = {
         length: groundstate(length, cache_dir=cache_dir)
         for length in range(2, args.max_length + 1)
@@ -103,6 +104,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sequence(args) -> int:
     cache_dir = resolve_cache_dir(args.cache_dir)
+    require_rankable(2 * args.max_n)
     states = {
         2 * n: groundstate(2 * n, cache_dir=cache_dir)
         for n in range(1, args.max_n + 1)
@@ -120,6 +122,7 @@ def cmd_sequence(args) -> int:
 
 
 def cmd_count_classes(args) -> int:
+    require_rankable(2 * min(args.max_n, args.max_enumerate_length // 2))
     mismatch = False
     print("n formula enumerated match")
     for n in range(1, args.max_n + 1):

@@ -29,9 +29,10 @@ type of a single diagram read from text, and is built nowhere else.
 Even-length diagrams whose left half-circle connects entirely into the
 right half-circle are labelled by a permutation; odd-length diagrams whose
 right half-circle connects entirely into the left half-circle are labelled
-by a partial permutation (the defect sits on the left). `orbit_labels` reads
-these labels off the partner array; they drive the verification suite in
-:mod:`brauerloop.checks`.
+by a partial permutation (the defect sits on the left). A label is a plain
+tuple, the one-line image of the left sites with None at the defect;
+`shared_orbit_labels` reads them off the partner array, orbit by orbit, and
+they drive the verification suite in :mod:`brauerloop.checks`.
 """
 
 from __future__ import annotations
@@ -264,83 +265,6 @@ class Orbits:
         return len(self.sizes)
 
 
-@dataclass(frozen=True, order=True)
-class Permutation:
-    """Bijection of {1..n} stored as its one-line image tuple."""
-
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.image)
-        if sorted(self.image) != list(range(1, n + 1)):
-            raise ValueError(f"{self.image} is not a permutation of 1..{n}")
-
-    @property
-    def n(self) -> int:
-        return len(self.image)
-
-    @classmethod
-    def identity(cls, n: int) -> Permutation:
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def longest(cls, n: int) -> Permutation:
-        """The order-reversing permutation (n, n-1, ..., 1)."""
-        return cls(tuple(range(n, 0, -1)))
-
-    def compact(self) -> str:
-        if self.n <= 9:
-            return "".join(str(v) for v in self.image)
-        return ",".join(str(v) for v in self.image)
-
-    def __str__(self) -> str:
-        return f"({self.compact()})"
-
-
-@dataclass(frozen=True)
-class PartialPermutation:
-    """Injective map of all but one of {1..n+1} onto {1..n}.
-
-    The image tuple has length n+1 with None at the one unmapped point;
-    `reverse()` gives the inverse-direction map on {1..n}.
-    """
-
-    image: tuple[int | None, ...]
-
-    def __post_init__(self):
-        n = len(self.image) - 1
-        if n < 1:
-            raise ValueError("a partial permutation needs rank at least 1")
-        defined = [v for v in self.image if v is not None]
-        if len(defined) != n:
-            raise ValueError("exactly one image entry must be None")
-        if sorted(defined) != list(range(1, n + 1)):
-            raise ValueError(f"defined entries must be 1..{n} without repeats")
-
-    @property
-    def rank(self) -> int:
-        return len(self.image) - 1
-
-    def reverse(self) -> tuple[int, ...]:
-        """The reverse-connectivity map: position of each value 1..n."""
-        back = {v: i + 1 for i, v in enumerate(self.image) if v is not None}
-        return tuple(back[v] for v in range(1, self.rank + 1))
-
-    def compact(self) -> str:
-        if self.rank <= 8:
-            return "".join("." if v is None else str(v) for v in self.image)
-        return ",".join("." if v is None else str(v) for v in self.image)
-
-    def __str__(self) -> str:
-        return f"({self.compact()})"
-
-    def _key(self) -> tuple[int, ...]:
-        return tuple(0 if v is None else v for v in self.image)
-
-    def __lt__(self, other: PartialPermutation) -> bool:
-        return self._key() < other._key()
-
-
 def enumerate_diagrams(length: int) -> DiagramBasis:
     """All chord diagrams of the given length, lexicographically ordered.
 
@@ -349,6 +273,15 @@ def enumerate_diagrams(length: int) -> DiagramBasis:
     """
     if length < 2:
         raise ValueError(f"diagram enumeration needs length >= 2, got {length}")
+    require_rankable(length)
+    return DiagramBasis(length, _partner_rows(length))
+
+
+def require_rankable(length: int) -> None:
+    """Raise `BasisTooLargeError` when the length's rank keys would not fit in 64 bits.
+
+    Commands that run up to some length check the largest one before any other.
+    """
     if not _ranks_fit(length):
         odd = length % 2
         count = (length if odd else 1) * double_factorial(length - 1 - odd)
@@ -356,7 +289,6 @@ def enumerate_diagrams(length: int) -> DiagramBasis:
             f"length {length} has {count:,} diagrams ({count * length:,} bytes of "
             "partner array); ranks fit in 64 bits only up to length 16"
         )
-    return DiagramBasis(length, _partner_rows(length))
 
 
 @lru_cache(maxsize=16)
@@ -486,39 +418,6 @@ def compute_orbits(basis: DiagramBasis) -> Orbits:
     return orbits
 
 
-def orbit_labels(
-    basis: DiagramBasis, orbits: Orbits
-) -> list[list[Permutation]] | list[list[PartialPermutation]]:
-    """The labels of each orbit's labelled members, in member order.
-
-    With 1-based sites and L = 2n, a diagram whose left block {1..n} pairs
-    only into the right block is labelled by the permutation pi with site i
-    paired to n + pi(i). With L = 2n+1, a diagram whose right block
-    {n+2..L} pairs only into the left block {1..n+1} is labelled by the
-    partial permutation sending left site i to its partner minus (n + 1),
-    and the defect site to None. The labelled rows are picked with one mask
-    over the partner array, so label objects are built only for those n!
-    (even) or (n+1)! (odd) rows.
-    """
-    size = basis.length
-    half = size // 2
-    if size % 2 == 0:
-        labelled = np.all(basis.partners[:, :half] >= half, axis=1)
-    else:
-        right = basis.partners[:, half + 1 :]
-        labelled = np.all((right != DEFECT) & (right <= half), axis=1)
-    rows = orbits.members[labelled[orbits.members]]
-    images = basis.partners[rows, : half + size % 2].tolist()
-    out: list[list] = [[] for _ in range(len(orbits))]
-    for k, image in zip(orbits.orbit_of[rows].tolist(), images):
-        if size % 2:
-            label = PartialPermutation(tuple(None if j == DEFECT else j - half for j in image))
-        else:
-            label = Permutation(tuple(j - half + 1 for j in image))
-        out[k].append(label)
-    return out
-
-
 @lru_cache(maxsize=16)
 def shared_basis(length: int) -> DiagramBasis:
     """Process-wide memoised basis; enumeration is deterministic, so sharing is safe."""
@@ -539,6 +438,35 @@ def representative_codes(length: int) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=16)
-def shared_orbit_labels(length: int) -> tuple[tuple, ...]:
-    """Process-wide memoised `orbit_labels` of the shared basis and orbits."""
-    return tuple(map(tuple, orbit_labels(shared_basis(length), shared_orbits(length))))
+def shared_orbit_labels(length: int) -> tuple[tuple[tuple, ...], ...]:
+    """The labels of each shared orbit's labelled members, in member order.
+
+    With 1-based sites and L = 2n, a diagram whose left block {1..n} pairs
+    only into the right block is labelled by the permutation pi with site i
+    paired to n + pi(i), as its image (pi(1), ..., pi(n)). With L = 2n+1, a
+    diagram whose right block {n+2..L} pairs only into the left block
+    {1..n+1} is labelled by the partial permutation sending left site i to
+    its partner minus (n + 1), as its image of the n+1 left sites with None
+    at the defect. The labelled rows are picked with one mask over the
+    partner array and read through one value table, so only those n! (even)
+    or (n+1)! (odd) rows become tuples.
+    """
+    partners = shared_basis(length).partners
+    orbits = shared_orbits(length)
+    half, odd = length // 2, length % 2
+    if odd:
+        right = partners[:, half + 1 :]
+        labelled = np.all((right != DEFECT) & (right <= half), axis=1)
+    else:
+        labelled = np.all(partners[:, :half] >= half, axis=1)
+    rows = orbits.members[labelled[orbits.members]]
+    # Partner j reads as j - n + 1 (even L) or j - n (odd L), at index j + 1 after DEFECT's.
+    values = np.array([None, *range(1 - half - odd, length + 1 - half - odd)], dtype=object)
+    labels = list(map(tuple, values[partners[rows, : half + odd] + 1].tolist()))
+    ends = np.cumsum(np.bincount(orbits.orbit_of[rows], minlength=len(orbits))).tolist()
+    return tuple(tuple(labels[start:end]) for start, end in zip([0, *ends], ends))
+
+
+def label_text(label: tuple) -> str:
+    """The compact form of a label, its image with '.' at the defect: "2431", "2.1"."""
+    return "".join("." if v is None else str(v) for v in label)

@@ -10,8 +10,8 @@
 * `rotate_partners`: the rotation of a whole partner array, which
   `orbits_by_image_keys` ranks; the oracle of the digit arithmetic of
   `diagrams._step_keys`.
-* `permutation_label` and `partial_permutation_label`: the label of one
-  diagram, the oracles of `orbit_labels`.
+* `permutation_label` and `partial_permutation_label`: the label tuple of
+  one diagram, the oracles of `shared_orbit_labels`.
 * `build_full`: the operator over the full basis, summed column by column
   from the table; its kernel is compared with the reduced one.
 * `lump_by_rows`: the lumped operator from every full entry, with
@@ -53,8 +53,6 @@ from brauerloop import (
     DiagramBasis,
     KernelDimensionError,
     Orbits,
-    PartialPermutation,
-    Permutation,
 )
 from brauerloop.generators import transition_table
 from brauerloop.hamiltonian import IntensityMatrix, _summed_entries
@@ -201,7 +199,7 @@ def rotate_partners(partners: np.ndarray, k: int) -> np.ndarray:
     return moved[np.roll(partners, k % size, axis=1)]
 
 
-def permutation_label(diagram: ChordDiagram) -> Permutation | None:
+def permutation_label(diagram: ChordDiagram) -> tuple[int, ...] | None:
     """Label of an even diagram whose left half maps onto its right half.
 
     With 1-based sites and L = 2n, a labelled diagram pairs site i of the
@@ -218,10 +216,10 @@ def permutation_label(diagram: ChordDiagram) -> Permutation | None:
         if j < half:
             return None
         image.append(j - half + 1)
-    return Permutation(tuple(image))
+    return tuple(image)
 
 
-def partial_permutation_label(diagram: ChordDiagram) -> PartialPermutation | None:
+def partial_permutation_label(diagram: ChordDiagram) -> tuple[int | None, ...] | None:
     """Label of an odd diagram whose right half maps into its left half.
 
     With L = 2n+1 the left block {1..n+1} holds the defect; each right-block
@@ -240,7 +238,7 @@ def partial_permutation_label(diagram: ChordDiagram) -> PartialPermutation | Non
     for i in range(half + 1):
         j = diagram.partner[i]
         image.append(None if j == DEFECT else j - half)
-    return PartialPermutation(tuple(image))
+    return tuple(image)
 
 
 

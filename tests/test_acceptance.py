@@ -11,7 +11,6 @@ import pytest
 
 from brauerloop import (
     REFERENCE,
-    Permutation,
     annihilates,
     check_relations,
     class_count,
@@ -114,7 +113,7 @@ def test_criterion_04_s3_degree_table(states):
 
 def test_criterion_05_degree_of_2431(states):
     computed, _ = states
-    weight = permutation_weight_table(computed[8])[Permutation((2, 4, 3, 1))]
+    weight = permutation_weight_table(computed[8])[(2, 4, 3, 1)]
     criterion(5, weight == 173, f"L=8 weight of (2431) is {weight}, expected 173")
 
 
@@ -233,7 +232,7 @@ def test_stretch_sequence_n7():
     start = time.perf_counter()
     gs = groundstate(14)
     table = permutation_weight_table(gs)
-    value = table[Permutation.longest(7)]
+    value = table[tuple(range(7, 0, -1))]
     elapsed = time.perf_counter() - start
     criterion(0, value == 147226330175 and elapsed <= 10.0,
               f"stretch: n=7 reversal weight {value} at L=14 in {elapsed:.1f}s")
@@ -248,13 +247,13 @@ STRETCH_BOUNDS = {15: (60.0, 1.0e9), 16: (75.0, 1.1e9)}
 
 SOLVE_ONE = """
 import json, resource, sys, time
-from brauerloop import Permutation, groundstate, permutation_weight_table, verify_sum_rule
+from brauerloop import groundstate, permutation_weight_table, verify_sum_rule
 length = int(sys.argv[1])
 start = time.perf_counter()
 state = groundstate(length)
 result = {"sum_rule": verify_sum_rule(state).status, "reversal": None}
 if length % 2 == 0:
-    result["reversal"] = permutation_weight_table(state)[Permutation.longest(length // 2)]
+    result["reversal"] = permutation_weight_table(state)[tuple(range(length // 2, 0, -1))]
 result["elapsed"] = time.perf_counter() - start
 result["rss"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 print(json.dumps(result))

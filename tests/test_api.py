@@ -1,7 +1,8 @@
 """The public surface: the pipeline's names, and none of the per-diagram oracles.
 
 The per-diagram generator, dihedral and label functions and `build_full`
-live in `tests/oracles.py`; the package keeps one form of each.
+live in `tests/oracles.py`; the package keeps one form of each. Labels are
+plain tuples, so the label classes and `orbit_labels` are gone too.
 """
 
 import dataclasses
@@ -21,12 +22,11 @@ PUBLIC = [
     "verify_degrees", "verify_factorization", "verify_integrality", "verify_maximality",
     "verify_sum_rule", "NonIntegerError", "OddProductError", "class_count", "double_factorial",
     "euler_totient", "involution_term", "pairings_fixed_by_rotation", "DEFECT",
-    "BasisTooLargeError", "ChordDiagram", "DiagramBasis", "Orbits", "PartialPermutation",
-    "Permutation", "compute_orbits", "enumerate_diagrams", "RelationReport", "check_relations",
-    "IntensityMatrix", "annihilates", "build_reduced", "connectivity_check",
-    "CacheCorruptError", "DisconnectedMatrixError", "GroundState", "KernelDimensionError",
-    "MixedSignsError", "RefinementError", "groundstate", "kernel_vector", "normalize_integer",
-    "__version__",
+    "BasisTooLargeError", "ChordDiagram", "DiagramBasis", "Orbits", "compute_orbits",
+    "enumerate_diagrams", "RelationReport", "check_relations", "IntensityMatrix", "annihilates",
+    "build_reduced", "connectivity_check", "CacheCorruptError", "DisconnectedMatrixError",
+    "GroundState", "KernelDimensionError", "MixedSignsError", "RefinementError", "groundstate",
+    "kernel_vector", "normalize_integer", "__version__",
 ]
 
 ORACLES = [
@@ -34,6 +34,7 @@ ORACLES = [
     "rotate", "reflect", "_rotate_tuple", "_reflect_tuple", "_dihedral_images",
     "canonical_representative", "permutation_label", "partial_permutation_label",
     "build_full", "FULL", "REDUCED", "rotate_partners",
+    "Permutation", "PartialPermutation", "orbit_labels",
 ]
 
 MODULES = ["brauerloop"] + [f"brauerloop.{name}" for name in (
@@ -42,7 +43,7 @@ MODULES = ["brauerloop"] + [f"brauerloop.{name}" for name in (
 
 def test_exports_are_the_pipeline():
     assert brauerloop.__all__ == PUBLIC
-    assert len(PUBLIC) == 45
+    assert len(PUBLIC) == 43
     for name in PUBLIC:
         assert getattr(brauerloop, name) is not None
 

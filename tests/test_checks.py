@@ -1,15 +1,16 @@
 import hashlib
 import math
+import os
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, permutations
 
+import numpy as np
 import pytest
 
 from brauerloop import (
+    DEFECT,
     REFERENCE,
-    PartialPermutation,
-    Permutation,
     concatenate_labels,
     groundstate,
     long_permutation_sequence,
@@ -26,6 +27,7 @@ from brauerloop.checks import _DRAW_WORDS, _event_rows, _uniform_draws
 from brauerloop.cli import main
 from brauerloop.diagrams import (
     ChordDiagram,
+    _key,
     representative_codes,
     shared_basis,
     shared_orbit_labels,
@@ -33,7 +35,7 @@ from brauerloop.diagrams import (
 )
 from brauerloop.generators import transition_table
 
-from conftest import diagrams_of, index_of, members_of, monte_carlo_per_step, settle
+from conftest import diagram, diagrams_of, index_of, members_of, monte_carlo_per_step, settle
 from oracles import apply_braid, apply_monoid, partial_permutation_label, permutation_label
 from brauerloop.kernel import GroundState
 
@@ -67,18 +69,22 @@ class TestWeightTable:
 
     def test_l4_table(self, states):
         table = permutation_weight_table(states[4])
-        assert table == {Permutation((1, 2)): 1, Permutation((2, 1)): 3}
+        assert table == {(1, 2): 1, (2, 1): 3}
 
     def test_l8_degree_of_2431(self, states):
         table = permutation_weight_table(states[8])
-        assert table[Permutation((2, 4, 3, 1))] == 173
+        assert table[(2, 4, 3, 1)] == 173
 
     def test_l5_partial_table(self, states):
         table = permutation_weight_table(states[5])
-        assert table[PartialPermutation((2, None, 1))] == 7
-        assert table[PartialPermutation((2, 1, None))] == 3
-        assert table[PartialPermutation((1, None, 2))] == 1
+        assert table[(2, None, 1)] == 7
+        assert table[(2, 1, None)] == 3
+        assert table[(1, None, 2)] == 1
         assert len(table) == 6
+
+
+STRETCH = pytest.mark.skipif(os.environ.get("BRAUER_STRETCH") != "1",
+                             reason="set BRAUER_STRETCH=1 for L = 15 and 16")
 
 
 def numbered_state(length):
@@ -100,6 +106,31 @@ class TestWeightTableOracle:
                     expected[found] = k + 1
         table = permutation_weight_table(numbered_state(length))
         assert list(table.items()) == list(expected.items())
+
+    @pytest.mark.parametrize("length", [*range(2, 15), *(
+        pytest.param(length, marks=STRETCH) for length in (15, 16))])
+    def test_every_label_is_found_by_building_its_diagram(self, length):
+        # Each image of 1..n, with None put at each defect slot for odd L,
+        # becomes its partner row: left site i (0-based) pairs with right
+        # site n - 1 + image[i], or n + image[i] when the left block holds
+        # the n + 1 sites of an odd length.
+        n, odd = length // 2, length % 2
+        labels = [image[:slot] + (None,) * odd + image[slot:]
+                  for image in permutations(range(1, n + 1))
+                  for slot in range(n + 1 if odd else 1)]
+        rows = np.full((len(labels), length), DEFECT, dtype=np.int8)
+        for row, label in zip(rows, labels):
+            for i, v in enumerate(label):
+                if v is not None:
+                    row[i], row[n + v - 1 + odd] = n + v - 1 + odd, i
+        basis = shared_basis(length)
+        found = shared_orbits(length).orbit_of[basis.locate(_key(rows))] + 1
+        table = permutation_weight_table(numbered_state(length))
+        assert len(table) == math.factorial(n + odd) == len(labels)
+        assert [table[label] for label in labels] == found.tolist()
+        if length > 14:
+            for memo in (shared_basis, shared_orbits, shared_orbit_labels):
+                memo.cache_clear()  # later tests need not hold these 2 M-row arrays
 
     def test_unknown_representative_rejected(self):
         state = numbered_state(6)
@@ -163,23 +194,19 @@ class TestWeightTableOracle:
 
 class TestConcatenation:
     def test_two_permutations(self):
-        assert concatenate_labels(
-            Permutation((2, 1)), Permutation((2, 1))
-        ) == Permutation((2, 1, 4, 3))
+        assert concatenate_labels((2, 1), (2, 1)) == (2, 1, 4, 3)
 
     def test_permutation_then_partial(self):
-        lab = concatenate_labels(Permutation((1,)), PartialPermutation((None, 1)))
-        assert lab == PartialPermutation((1, None, 2))
+        lab = concatenate_labels((1,), (None, 1))
+        assert lab == (1, None, 2)
 
     def test_partial_then_permutation(self):
-        lab = concatenate_labels(PartialPermutation((None, 1)), Permutation((1,)))
-        assert lab == PartialPermutation((None, 1, 2))
+        lab = concatenate_labels((None, 1), (1,))
+        assert lab == (None, 1, 2)
 
     def test_two_partials_rejected(self):
         with pytest.raises(TypeError):
-            concatenate_labels(
-                PartialPermutation((None, 1)), PartialPermutation((None, 1))
-            )
+            concatenate_labels((None, 1), (None, 1))
 
 
 class TestChecks:
@@ -202,9 +229,9 @@ class TestChecks:
 
     def test_factorization_examples(self, states):
         table8 = permutation_weight_table(states[8])
-        assert table8[Permutation((2, 1, 4, 3))] == 9  # 3 * 3
+        assert table8[(2, 1, 4, 3)] == 9  # 3 * 3
         table6 = permutation_weight_table(states[6])
-        assert table6[Permutation((2, 1, 3))] == 3  # 3 * 1
+        assert table6[(2, 1, 3)] == 3  # 3 * 1
         result = verify_factorization(states)
         assert result.status == "PASS", result
 
@@ -217,6 +244,54 @@ class TestChecks:
     def test_check_result_json_shape(self, states):
         obj = verify_integrality(states[4]).to_json_obj()
         assert set(obj) == {"check", "L", "status", "details"}
+
+
+def reweighted(state, pairs, weight):
+    """The state with the orbit of the diagram with these 1-based chords set to `weight`."""
+    orbit_of = shared_orbits(state.length).orbit_of
+    k = int(orbit_of[index_of(shared_basis(state.length), diagram(state.length, *pairs))])
+    weights = list(state.weights)
+    weights[k] = weight
+    return GroundState(state.length, tuple(weights))
+
+
+class TestFailTexts:
+    # (231) at L = 6 pairs 1-5, 2-6, 3-4 and shares its orbit with (312).
+    L6_231 = [(1, 5), (2, 6), (3, 4)]
+
+    def test_maximality_exceeded(self, states):
+        result = verify_maximality(reweighted(states[6], self.L6_231, 40))
+        assert (result.status, result.details) == ("FAIL", "exceeded by (231), (312)")
+        result = verify_maximality(reweighted(states[8], [(1, 6), (2, 8), (3, 7), (4, 5)], 1146))
+        assert result.details == "exceeded by (2431), (3241), (4132), (4213)"
+
+    def test_maximality_tied(self, states):
+        result = verify_maximality(reweighted(states[6], self.L6_231, 31))
+        assert (result.status, result.details) == ("FAIL", "tied with (231), (312)")
+
+    def test_factorization_first_failure(self, states):
+        broken = dict(states)
+        broken[8] = reweighted(states[8], [(1, 6), (2, 5), (3, 8), (4, 7)], 10)
+        result = verify_factorization(broken)
+        assert (result.status, result.details) == (
+            "FAIL",
+            "45 concatenations checked; first failure: (21) * (21) -> (2143): 3 * 3 != 10",
+        )
+        broken = dict(states)
+        broken[5] = reweighted(states[5], [(1, 5), (3, 4)], 8)
+        assert verify_factorization(broken).details == (
+            "45 concatenations checked; first failure: (1) * (2.1) -> (13.2): 1 * 8 != 7"
+        )
+
+    def test_degrees_mismatch(self, states):
+        broken = dict(states)
+        broken[6] = reweighted(states[6], [(1, 4), (2, 6), (3, 5)], 4)
+        broken[8] = reweighted(states[8], [(1, 6), (2, 8), (3, 7), (4, 5)], 174)
+        result = verify_degrees(broken)
+        assert (result.status, result.details) == (
+            "FAIL",
+            "checked lengths [6, 8]; (132): 4 != 3; (213): 4 != 3; (2431): 174 != 173",
+        )
 
 
 class TestSequence:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from brauerloop import BasisTooLargeError, enumerate_diagrams
 from brauerloop.cli import main, resolve_cache_dir
 
 
@@ -170,6 +171,25 @@ class TestErrors:
         assert code == 3
         assert "error:" in err
 
+    @pytest.mark.parametrize("argv, largest", [
+        (["verify", "--max-length", "17", "--cache-dir", "CACHE"], 17),
+        (["sequence", "--max-n", "9", "--cache-dir", "CACHE"], 18),
+        (["count-classes", "--max-n", "9", "--max-enumerate-length", "18"], 18),
+    ])
+    def test_length_ceiling_refused_before_any_smaller_length(self, argv, largest, capsys,
+                                                              tmp_path, monkeypatch):
+        import brauerloop.cli as cli_module
+
+        def fail(*args, **kwargs):
+            pytest.fail("no length may be solved or enumerated before the ceiling check")
+
+        monkeypatch.setattr(cli_module, "groundstate", fail)
+        monkeypatch.setattr(cli_module, "shared_orbits", fail)
+        with pytest.raises(BasisTooLargeError) as refused:
+            enumerate_diagrams(largest)
+        argv = [str(tmp_path / "cache") if arg == "CACHE" else arg for arg in argv]
+        assert run(capsys, *argv) == (2, "", f"error: {refused.value}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_threads_flag_removed(self, capsys):
         assert run(capsys, "groundstate", "--length", "4", "--threads", "2")[0] == 2
