@@ -23,7 +23,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -261,34 +260,87 @@ class MonteCarloReport:
         return self.max_abs_z <= sigma
 
 
-def _event_rows(table) -> list[list[int]]:
-    """Targets of the 3L equally likely events per state, as plain lists.
+# The event stream is handled in chunks of _CHUNK_BLOCKS blocks of
+# _BLOCK_STEPS steps, so memory stays bounded whatever the sample count.
+_BLOCK_STEPS = 256
+_CHUNK_BLOCKS = 1024
+_DRAW_WORDS = 2**14  # 32-bit words fetched from the generator per draw chunk
 
-    Each site gives its monoid target twice and its braid target once; lists,
-    because numpy scalar indexing would dominate the step loop.
+
+def _event_table(transitions: np.ndarray) -> np.ndarray:
+    """Targets of the 3L equally likely events per state, as an (N, 3L) array.
+
+    Events 3a and 3a+1 are the monoid move at site a+1, event 3a+2 its braid
+    move, so a uniform event is a monoid move with probability 2/3.
     """
-    size = table.shape[1] // 2
-    return table[:, [c for a in range(size) for c in (a, a, size + a)]].tolist()
+    states, size = len(transitions), transitions.shape[1] // 2
+    dtype = np.uint8 if states <= 2**8 else np.uint16 if states <= 2**16 else np.int32
+    assert states - 1 <= np.iinfo(dtype).max, "state indices must fit the table's dtype"
+    columns = [c for a in range(size) for c in (a, a, size + a)]
+    return transitions[:, columns].astype(dtype, copy=False)
 
 
-_DRAW_WORDS = 2**14  # 32-bit words fetched from the generator per chunk
-
-
-def _uniform_draws(rng: random.Random, n: int) -> Iterator[int]:
-    """The values `rng.randrange(n)` would return call after call, drawn in bulk.
+def _event_chunks(rng: random.Random, n: int, count: int, size: int) -> Iterator[np.ndarray]:
+    """The first `count` values of `rng.randrange(n)`, as uint8 arrays of `size`.
 
     randrange(n) reads the top n.bit_length() bits of one 32-bit Mersenne
     Twister output and draws again while the value is >= n; getrandbits
     of a multiple of 32 bits returns consecutive outputs as little-endian
-    words. So reading a chunk of words and keeping the small enough values
-    yields the same stream, one chunk in memory at a time.
+    words. So reading _DRAW_WORDS words at a time and keeping the small
+    enough values gives the same stream. The last array may be shorter.
     """
+    assert n <= 256, "events must fit in uint8"
     shift = 32 - n.bit_length()
-    assert shift >= 0, "draws must fit in one 32-bit word"
+    pieces, held = [], 0
+    while count:
+        want = min(size, count)
+        while held < want:
+            words = rng.getrandbits(32 * _DRAW_WORDS).to_bytes(4 * _DRAW_WORDS, "little")
+            draws = np.frombuffer(words, dtype="<u4") >> shift
+            pieces.append(draws[draws < n].astype(np.uint8))
+            held += len(pieces[-1])
+        joined = np.concatenate(pieces)
+        yield joined[:want]
+        pieces, held, count = [joined[want:]], held - want, count - want
+
+
+def _trajectory(table: np.ndarray, start: int, events: np.ndarray) -> np.ndarray:
+    """The states after each event from `start`, stepping `table[state, event]`.
+
+    The events are cut into blocks of _BLOCK_STEPS. Every block is first run
+    from a guessed start (state 0; the first block from `start`), all blocks
+    at once, one gather per step. A block's true start is the previous
+    block's end; each block whose start differs from the one it was run from
+    is run again from its true start, only until its path meets the stored
+    one, for the paths agree from there on. That repeats until no start
+    changes. Each round fixes at least the first wrong block, so the result
+    is exact whether or not paths meet; meeting paths only save rounds.
+    """
+    width, flat = table.shape[1], table.ravel()
+    blocks = -(-len(events) // _BLOCK_STEPS)
+    padded = np.pad(events, (0, blocks * _BLOCK_STEPS - len(events)))
+    # Step-major layouts: row j holds step j of every block.
+    moves = np.ascontiguousarray(padded.reshape(blocks, _BLOCK_STEPS).T)
+    states = np.empty((_BLOCK_STEPS, blocks), dtype=table.dtype)
+    guess = np.zeros(blocks, dtype=table.dtype)
+    guess[0] = start
+    state = guess
+    for row, move in zip(states, moves):
+        np.take(flat, np.multiply(state, width, dtype=np.intp) + move, out=row)
+        state = row
     while True:
-        words = rng.getrandbits(32 * _DRAW_WORDS).to_bytes(4 * _DRAW_WORDS, "little")
-        draws = np.frombuffer(words, dtype="<u4") >> shift
-        yield from draws[draws < n].tolist()
+        ends = np.concatenate((guess[:1], states[-1, :-1]))
+        run = np.flatnonzero(ends != guess)
+        if not run.size:
+            return states.T.ravel()[: len(events)]
+        guess[run] = state = ends[run]
+        for row, move in zip(states, moves):
+            state = flat[np.multiply(state, width, dtype=np.intp) + move[run]]
+            moved = state != row[run]
+            run, state = run[moved], state[moved]
+            if not run.size:
+                break
+            row[run] = state
 
 
 def monte_carlo_crosscheck(
@@ -306,19 +358,29 @@ def monte_carlo_crosscheck(
     move with probability 1/3. Standard errors come from batch means, which
     absorbs the serial correlation of the trajectory; runs are deterministic
     for a fixed seed.
+
+    The events are the values of `random.Random(seed).randrange(3L)`, one
+    per step, drawn in bulk. The trajectory they fix is evaluated in chunks
+    of blocks by `_trajectory`: every block is advanced from a guessed start
+    at once, and a block whose true start (the previous block's end) differs
+    is run again until it meets its guessed path, since two runs of the
+    chain that reach one state at one step agree from then on. So the
+    states, visit counts and report equal those of a step-by-step loop.
     """
     if length < 2:
         raise ValueError("simulation needs length >= 2")
     if samples < 100:
         raise ValueError("need at least 100 samples")
+    if burn_in is not None and burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     if ground_state is not None and ground_state.length != length:
         raise ValueError(
             f"ground state of length {ground_state.length} given for length {length}"
         )
     basis = shared_basis(length)
-    orbit_of = shared_orbits(length).orbit_of.tolist()
+    orbits = shared_orbits(length)
     representatives = representative_codes(length)
-    transitions = _event_rows(transition_table(basis))
+    table = _event_table(transition_table(basis))
 
     if ground_state is None:
         ground_state = groundstate(length, cache_dir=cache_dir)
@@ -326,20 +388,29 @@ def monte_carlo_crosscheck(
     exact = [Fraction(size * weight, total)
              for size, weight in zip(ground_state.sizes, ground_state.weights)]
 
-    draws = _uniform_draws(random.Random(seed), 3 * length)
-    state = 0
     burn = samples // 10 if burn_in is None else burn_in
-    for event in islice(draws, burn):
-        state = transitions[state][event]
-
     n_batches = min(100, samples)
     batch_size = samples // n_batches
     used = n_batches * batch_size
-    batch_counts = [[0] * len(representatives) for _ in range(n_batches)]
-    for counts in batch_counts:
-        for event in islice(draws, batch_size):
-            state = transitions[state][event]
-            counts[orbit_of[state]] += 1
+    counts = np.zeros((n_batches, len(orbits)), dtype=np.int64)
+    chunks = _event_chunks(random.Random(seed), table.shape[1], burn + used,
+                           _CHUNK_BLOCKS * _BLOCK_STEPS)
+    state, step = 0, 0  # the state before the chunk's first event, and its index
+    for events in chunks:
+        path = _trajectory(table, state, events)
+        state = int(path[-1])
+        # Counted steps are burn .. burn + used - 1, cut at batch boundaries.
+        lo = max(burn - step, 0)
+        while lo < len(path):
+            batch = (step + lo - burn) // batch_size
+            hi = min(len(path), burn + (batch + 1) * batch_size - step)
+            visits = np.bincount(path[lo:hi], minlength=len(basis))
+            counts[batch] += np.add.reduceat(visits[orbits.members], orbits.offsets[:-1])
+            lo = hi
+        step += len(path)
+        del path  # before the next chunk's trajectory is built
+    assert int(counts.sum()) == used, "every counted step lands in one batch"
+    batch_counts = counts.tolist()
 
     estimates = []
     for oi, representative in enumerate(representatives):

@@ -29,6 +29,7 @@ import json
 import math
 import operator
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass
@@ -342,12 +343,12 @@ _GENERATOR = "reduced"
 _NORMALIZATION = "min-entry-one"
 
 
-def _canonical_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _checksum(body: str) -> str:
+    return hashlib.sha256(body.encode()).hexdigest()
 
 
-def _checksum(payload: dict) -> str:
-    return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
+# A written file is this field, then the canonical payload after its "{".
+_CHECKSUM_FIELD = re.compile(r'\{"checksum":"([0-9a-f]{64})",')
 
 
 def serialize_groundstate(state: GroundState) -> str:
@@ -363,15 +364,17 @@ def serialize_groundstate(state: GroundState) -> str:
         ],
     }
     # "checksum" sorts first among the keys, so it leads the canonical text.
-    body = _canonical_json(payload)
-    checksum = hashlib.sha256(body.encode()).hexdigest()
-    return '{"checksum":' + json.dumps(checksum) + "," + body[1:] + "\n"
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return '{"checksum":"' + _checksum(body) + '",' + body[1:] + "\n"
 
 
 def deserialize_groundstate(text: str, length: int) -> GroundState:
     """Parse the cache payload of one length; anything else raises CacheCorruptError.
 
-    The checksum is checked first, then the length, before any orbit is
+    The checksum is checked first, over the exact text after the leading
+    checksum field: the canonical JSON that `serialize_groundstate` hashes,
+    not a re-encoding of what was parsed, so a re-laid-out copy of a written
+    file fails it. Then the length, before any orbit is
     enumerated, then the constant fields, and last, orbit by orbit, the
     representative and the int size against `shared_orbits(length)` and the
     weight, a decimal string of a positive integer without sign, space or
@@ -380,8 +383,10 @@ def deserialize_groundstate(text: str, length: int) -> GroundState:
     """
     try:
         payload = json.loads(text)
-        if payload.pop("checksum", None) != _checksum(payload):
+        field = _CHECKSUM_FIELD.match(text)
+        if not field or _checksum("{" + text[field.end():].removesuffix("\n")) != field[1]:
             raise CacheCorruptError("ground-state cache failed its checksum")
+        del payload["checksum"]
         if type(payload["length"]) is not int or payload["length"] != length:
             raise CacheCorruptError(f"holds length {payload['length']!r}, not {length}")
         for key, value in (("generator", _GENERATOR), ("normalization", _NORMALIZATION)):

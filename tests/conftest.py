@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from brauerloop import ChordDiagram, IntensityMatrix
-from brauerloop.checks import MonteCarloReport, OrbitEstimate, _event_rows
+from brauerloop.checks import MonteCarloReport, OrbitEstimate
 from brauerloop.diagrams import _key, reflect_partners
 from brauerloop.generators import transition_table
 
@@ -181,7 +181,9 @@ def monte_carlo_per_step(basis, orbits, ground_state, samples, seed, burn_in=Non
     for oi in range(len(orbits)):
         for m in members_of(orbits, oi).tolist():
             orbit_of[m] = oi
-    transitions = _event_rows(transition_table(basis))
+    # Per state, each site's monoid target twice and its braid target once.
+    transitions = [[row[c] for a in range(length) for c in (a, a, length + a)]
+                   for row in transition_table(basis).tolist()]
     total = ground_state.total
     exact = [Fraction(size * weight, total)
              for size, weight in zip(ground_state.sizes, ground_state.weights)]

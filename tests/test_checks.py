@@ -2,8 +2,9 @@ import hashlib
 import math
 import os
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import islice, permutations
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -23,7 +24,15 @@ from brauerloop import (
     verify_sum_rule,
 )
 import brauerloop.kernel as kernel_module
-from brauerloop.checks import _DRAW_WORDS, _event_rows, _uniform_draws
+import brauerloop.checks as checks_module
+from brauerloop.checks import (
+    _BLOCK_STEPS,
+    _CHUNK_BLOCKS,
+    _DRAW_WORDS,
+    _event_chunks,
+    _event_table,
+    _trajectory,
+)
 from brauerloop.cli import main
 from brauerloop.diagrams import (
     ChordDiagram,
@@ -336,18 +345,61 @@ class TestMonteCarlo:
                 m = index_of(basis, apply_monoid(i, d))
                 row.extend((m, m, index_of(basis, apply_braid(i, d))))
             expected.append(row)
-        assert _event_rows(transition_table(basis)) == expected
+        table = _event_table(transition_table(basis))
+        assert table.shape == (len(basis), 3 * length)
+        assert table.tolist() == expected
+
+    @pytest.mark.parametrize("length, dtype", [(8, np.uint8), (9, np.uint16), (13, np.int32)])
+    def test_event_table_takes_the_smallest_dtype(self, length, dtype):
+        transitions = transition_table(shared_basis(length))
+        table = _event_table(transitions)
+        assert table.dtype == dtype
+        assert (table[:, 0::3] == transitions[:, :length]).all()
+        assert (table[:, 1::3] == transitions[:, :length]).all()
+        assert (table[:, 2::3] == transitions[:, length:]).all()
 
     @pytest.mark.parametrize("length", range(2, 15))
     def test_bulk_draws_equal_randrange(self, length):
         events = 3 * length
-        # Enough draws to cross at least two chunk boundaries.
-        count = 2 * _DRAW_WORDS + 1000
+        # Enough draws to cross at least two draw-chunk boundaries, cut into
+        # arrays whose ends fall inside draw chunks.
+        count, size = 2 * _DRAW_WORDS + 1000, 5000
         for seed in (0, 1, 2024):
             rng = random.Random(seed)
             expected = [rng.randrange(events) for _ in range(count)]
-            draws = _uniform_draws(random.Random(seed), events)
-            assert list(islice(draws, count)) == expected
+            chunks = list(_event_chunks(random.Random(seed), events, count, size))
+            assert [len(c) for c in chunks] == [size] * (count // size) + [count % size]
+            assert all(c.dtype == np.uint8 for c in chunks)
+            assert np.concatenate(chunks).tolist() == expected
+
+    @pytest.mark.parametrize("block_steps", [256, 7, 1])
+    def test_trajectory_without_meeting_paths(self, monkeypatch, block_steps):
+        # Every event of a permutation table is a bijection, so two paths
+        # from different states never meet: every block run from a wrong
+        # guess stays wrong until its start is corrected, and the blocks are
+        # fixed one round at a time.
+        monkeypatch.setattr(checks_module, "_BLOCK_STEPS", block_steps)
+        rng = np.random.default_rng(5)
+        table = np.stack([rng.permutation(40) for _ in range(9)], axis=1).astype(np.int32)
+        events = rng.integers(0, 9, size=3000, dtype=np.uint8)
+        state, expected = 17, []
+        for event in events.tolist():
+            state = int(table[state, event])
+            expected.append(state)
+        assert _trajectory(table, 17, events).tolist() == expected
+
+    def test_memory_does_not_grow_with_samples(self, states):
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                monte_carlo_crosscheck(4, samples, seed=1, ground_state=states[4])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1000)  # fills the memoised basis, orbits and codes of L = 4
+        one_chunk = _CHUNK_BLOCKS * _BLOCK_STEPS * 4  # a chunk's states at 4 bytes each
+        assert peak(3_000_000) <= peak(300_000) + one_chunk
 
     @pytest.mark.parametrize(
         "length, samples, seed, burn_in",
@@ -358,10 +410,17 @@ class TestMonteCarlo:
             (6, 50_050, 9, 0),
             (7, 40_000, 1, 17),
             (8, 33_333, 5, None),
+            (9, 20_000, 2, None),
+            # Trajectory chunks hold 262,144 steps. Burn-in ends inside a
+            # block of the first chunk and a batch straddles its end; burn-in
+            # ends inside a block of the second chunk; the benchmark's run.
+            (5, 300_000, 4, 262_000),
+            (6, 200_000, 8, 300_000),
+            (8, 1_000_000, 1, None),
         ],
     )
     def test_matches_per_step_oracle(self, states, length, samples, seed, burn_in):
-        state = states[length]
+        state = states[length] if length in states else groundstate(length)
         report = monte_carlo_crosscheck(length, samples, seed, burn_in, ground_state=state)
         oracle = monte_carlo_per_step(shared_basis(length), shared_orbits(length), state,
                                       samples, seed, burn_in)
@@ -372,6 +431,23 @@ class TestMonteCarlo:
             monte_carlo_crosscheck(1, 1000, seed=0)
         with pytest.raises(ValueError):
             monte_carlo_crosscheck(4, 10, seed=0)
+
+    def test_rejects_negative_burn_in_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the arguments were checked")
+
+        for name in ("shared_basis", "shared_orbits", "transition_table", "groundstate"):
+            monkeypatch.setattr(checks_module, name, no_work)
+        with pytest.raises(ValueError, match=r"^burn_in must be >= 0, got -5$"):
+            monte_carlo_crosscheck(4, 1000, seed=0, burn_in=-5)
+
+    def test_cli_rejects_negative_burn_in(self, tmp_path, capsys):
+        code = main(["simulate", "--length", "4", "--samples", "1000", "--burn-in", "-5",
+                     "--cache-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            3, "", "error: burn_in must be >= 0, got -5\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("length, other", [(3, 2), (8, 6)])
     def test_rejects_ground_state_of_another_length(self, length, other):

@@ -420,6 +420,23 @@ class TestCache:
         with pytest.raises(CacheCorruptError):
             deserialize_groundstate(broken, 4)
 
+    @pytest.mark.parametrize("layout", ["pretty-printed", "keys reordered"])
+    def test_non_canonical_layout_rejected(self, layout):
+        # Same content and checksum as the written file, so a check of the
+        # re-encoded payload would accept it; the hashed text differs.
+        gs = groundstate(6)
+        text = serialize_groundstate(gs)
+        payload = json.loads(text)
+        if layout == "pretty-printed":
+            other = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        else:
+            keys = ["checksum", *sorted(set(payload) - {"checksum"}, reverse=True)]
+            other = json.dumps({k: payload[k] for k in keys}, separators=(",", ":")) + "\n"
+        assert json.loads(other) == payload and other != text
+        assert deserialize_groundstate(text, 6) == gs
+        with pytest.raises(CacheCorruptError, match="failed its checksum"):
+            deserialize_groundstate(other, 6)
+
     def test_renamed_cache_file_rejected(self, tmp_path):
         groundstate(4, cache_dir=tmp_path)
         cache_path(tmp_path, 5).write_bytes(cache_path(tmp_path, 4).read_bytes())
