@@ -23,8 +23,7 @@ smallest row of each rotation class (about N/L seeds) is reflected and
 ranked; the reflection of every other row follows from its seed's along
 the class, since reflecting after a rotation equals rotating back after
 reflecting (s r = r^-1 s in the dihedral group). Text output and
-cache files carry rows as `encode_partners` strings. `ChordDiagram` is the
-type of a single diagram read from text, and is built nowhere else.
+cache files carry rows as `encode_partners` strings.
 
 Even-length diagrams whose left half-circle connects entirely into the
 right half-circle are labelled by a permutation; odd-length diagrams whose
@@ -47,73 +46,8 @@ from .counting import double_factorial
 DEFECT = -1
 
 
-@dataclass(frozen=True, order=True)
-class ChordDiagram:
-    """Pairing of circle sites, one optional defect when the length is odd."""
-
-    partner: tuple[int, ...]
-
-    def __post_init__(self):
-        p = self.partner
-        size = len(p)
-        if size < 2:
-            raise ValueError(f"a diagram needs at least 2 sites, got {size}")
-        defects = 0
-        for i, j in enumerate(p):
-            if j == DEFECT:
-                defects += 1
-                continue
-            if not 0 <= j < size:
-                raise ValueError(f"partner {j} of site {i} is out of range")
-            if j == i:
-                raise ValueError(f"site {i} is paired with itself")
-            if p[j] != i:
-                raise ValueError(f"pairing is not an involution at site {i}")
-        if defects != size % 2:
-            raise ValueError(
-                f"length {size} requires exactly {size % 2} defect(s), found {defects}"
-            )
-
-    @property
-    def length(self) -> int:
-        return len(self.partner)
-
-    @property
-    def defect(self) -> int | None:
-        """0-based defect site, or None when every site is paired."""
-        try:
-            return self.partner.index(DEFECT)
-        except ValueError:
-            return None
-
-    def chords(self) -> list[tuple[int, int]]:
-        """The chords as sorted 0-based pairs (i, j) with i < j."""
-        return [(i, j) for i, j in enumerate(self.partner) if j != DEFECT and i < j]
-
-    def encode(self) -> str:
-        """1-based comma-separated partner list with '.' at the defect."""
-        return encode_partners(self.partner)
-
-    @classmethod
-    def decode(cls, text: str) -> ChordDiagram:
-        fields = text.strip().split(",")
-        return cls(tuple(DEFECT if f.strip() == "." else int(f) - 1 for f in fields))
-
-    @classmethod
-    def from_pairs(cls, length: int, pairs) -> ChordDiagram:
-        """Build from 1-based site pairs; unmentioned sites become the defect."""
-        partner = [DEFECT] * length
-        for a, b in pairs:
-            partner[a - 1] = b - 1
-            partner[b - 1] = a - 1
-        return cls(tuple(partner))
-
-    def __str__(self) -> str:
-        return self.encode()
-
-
 def encode_partners(partner) -> str:
-    """`ChordDiagram.encode` of one partner row."""
+    """One partner row as 1-based comma-separated partners with '.' at the defect."""
     return ",".join("." if j == DEFECT else str(j + 1) for j in partner)
 
 
@@ -125,10 +59,11 @@ def _first(mask: np.ndarray) -> tuple[int, int]:
 def _validated(length: int, partners) -> np.ndarray:
     """The rows as an (N, L) int8 array, each checked to be a diagram.
 
-    Does for the whole array what `ChordDiagram` does for one partner tuple,
-    column by column with temporaries of length N; raises ValueError naming
-    the first offending row (for the involution, the first offending site
-    and then its first row).
+    Each row must pair its sites by an involution without fixed sites and
+    hold exactly L mod 2 defects. The check runs column by column with
+    temporaries of length N; raises ValueError naming the first offending
+    row (for the involution, the first offending site and then its first
+    row).
     """
     if length < 2:
         raise ValueError(f"a diagram needs at least 2 sites, got {length}")
@@ -197,12 +132,9 @@ class DiagramBasis:
     construction. `_key` reads a row as a mixed-radix key whose digits are
     the partners, shifted by one for odd L so that DEFECT is digit 0; keys
     then sort like the diagrams, and `locate` finds basis positions by key.
-    Indexing builds a `ChordDiagram` on demand; iteration is refused, since
-    it would build one per row.
     """
 
     __slots__ = ("length", "partners", "_keys")
-    __iter__ = None
 
     def __init__(self, length: int, partners):
         self.length = length
@@ -223,9 +155,6 @@ class DiagramBasis:
 
     def __len__(self) -> int:
         return len(self.partners)
-
-    def __getitem__(self, i: int) -> ChordDiagram:
-        return ChordDiagram(tuple(self.partners[i].tolist()))
 
 
 @dataclass(frozen=True, eq=False)

@@ -49,6 +49,8 @@ class IntensityMatrix:
         before its entries.
         """
         rows, cols, vals, n = self.rows, self.cols, self.vals, self.dimension
+        if n < 1:
+            raise ArithmeticError(f"dimension {n} is below 1")
         if not len(rows) == len(cols) == len(vals):
             raise ArithmeticError(f"entry {min(len(rows), len(cols), len(vals))} is incomplete: "
                                   f"{len(rows)} rows, {len(cols)} columns and {len(vals)} values")

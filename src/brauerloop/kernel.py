@@ -11,9 +11,9 @@ measured residual allows and updates the residual exactly in int64, within
 bounds asserted at every step. Continued fractions then recover the
 rationals over a common denominator, and a candidate is accepted only when
 A w = 0 holds exactly in integers; a solve that stops contracting or runs
-out of steps raises `RefinementError`. The solver takes the matrix's entry
-arrays as they are, re-sorted by row, and returns the accepted vector as
-coprime integers.
+out of steps raises `RefinementError`. The solver reads the matrix's
+entry arrays as they are and returns the accepted vector as coprime
+positive integers.
 
 The assembled ground state is additionally verified against the full
 diagram basis before it is returned or cached. A `GroundState` is the length
@@ -39,7 +39,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagrams import ChordDiagram, representative_codes, shared_basis, shared_orbits
+from .diagrams import (
+    DEFECT,
+    _validated,
+    representative_codes,
+    require_rankable,
+    shared_basis,
+    shared_orbits,
+)
 from .generators import transition_table
 from .hamiltonian import (
     IntensityMatrix,
@@ -85,7 +92,8 @@ def kernel_vector(matrix: IntensityMatrix) -> tuple[int, ...]:
     transition graph: then its kernel is a line spanned by a positive vector,
     and every principal minor of order dimension - 1 is nonsingular. The
     vector is returned only after the exact integer check A w = 0 accepted
-    it, divided by the gcd of its entries.
+    it, divided by the gcd of its entries; a zero entry or entries of both
+    signs raise `MixedSignsError`.
     """
     try:
         matrix.validate()
@@ -99,61 +107,37 @@ def kernel_vector(matrix: IntensityMatrix) -> tuple[int, ...]:
         )
     if matrix.dimension == 1:
         return (1,)
-    a = _Sparse.from_triplets(matrix.rows, matrix.cols, matrix.vals, matrix.dimension)
-    return _refine(a, matrix.length)
+    return _refine(matrix)
 
 
-@dataclass(frozen=True)
-class _Sparse:
-    """Square int64 matrix as entries sorted by row; every row holds one."""
+def _minor(matrix: IntensityMatrix) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """B = A[1:, 1:] as (rows, cols, vals) and b = -A[1:, 0], the system for w[1:] / w[0].
 
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    starts: np.ndarray  # index of each row's first entry
-    l1: int  # largest absolute row sum
-
-    @classmethod
-    def from_triplets(cls, rows, cols, vals, dimension: int) -> _Sparse:
-        order = np.lexsort((cols, rows))
-        return cls.from_sorted(rows[order], cols[order], vals[order], dimension)
-
-    @classmethod
-    def from_sorted(cls, rows, cols, vals, dimension: int) -> _Sparse:
-        """The matrix of entries already in (row, column) order."""
-        counts = np.bincount(rows, minlength=dimension)
-        # np.add.reduceat cannot express an empty segment.
-        assert counts.all(), "sparse matrix has an empty row"
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        l1 = int(np.add.reduceat(np.abs(vals), starts).max())
-        return cls(rows, cols, vals, starts, l1)
-
-    def minor(self) -> tuple[_Sparse, np.ndarray]:
-        """B = A[1:, 1:] and b = -A[1:, 0], the system for w[1:] / w[0].
-
-        Dropping row and column 0 keeps the (row, column) order of the rest.
-        """
-        inner = (self.rows > 0) & (self.cols > 0)
-        first = (self.rows > 0) & (self.cols == 0)
-        b = np.zeros(len(self.starts) - 1, dtype=np.int64)
-        b[self.rows[first] - 1] = -self.vals[first]
-        minor = _Sparse.from_sorted(
-            self.rows[inner] - 1, self.cols[inner] - 1, self.vals[inner], len(b)
-        )
-        return minor, b
-
-    def diagonal(self) -> np.ndarray:
-        on = self.rows == self.cols
-        out = np.zeros(len(self.starts))
-        out[self.rows[on]] = self.vals[on]
-        return out
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """Product with a float vector, or with an int64 one (exact within the callers' bounds)."""
-        return np.add.reduceat(self.vals * x[self.cols], self.starts)
+    The two masks keep the (column, row) order of the entries.
+    """
+    rows, cols, vals = matrix.rows, matrix.cols, matrix.vals
+    inner = (rows > 0) & (cols > 0)
+    first = (rows > 0) & (cols == 0)
+    b = np.zeros(matrix.dimension - 1, dtype=np.int64)
+    b[rows[first] - 1] = -vals[first]
+    return (rows[inner] - 1, cols[inner] - 1, vals[inner]), b
 
 
-def _bicgstab(b_matrix: _Sparse, rhs: np.ndarray) -> np.ndarray:
+def _product(entries: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
+    """The square matrix of the (rows, cols, vals) entries times a float vector, or
+    an int64 one (exact within the callers' bounds)."""
+    rows, cols, vals = entries
+    return _row_sums(rows, vals * x[cols], len(x))
+
+
+def _row_sums(rows: np.ndarray, values: np.ndarray, dimension: int) -> np.ndarray:
+    """Per row, the sum of the values of its entries."""
+    out = np.zeros(dimension, dtype=values.dtype)
+    np.add.at(out, rows, values)
+    return out
+
+
+def _bicgstab(b_matrix, diagonal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Approximate solution of B y = rhs by BiCGSTAB (van der Vorst 1992).
 
     Right-preconditioned by the diagonal of B. Float64 throughout; the
@@ -163,7 +147,6 @@ def _bicgstab(b_matrix: _Sparse, rhs: np.ndarray) -> np.ndarray:
     right-hand side itself, breaks down on some sparse matrices (a directed
     cycle, for one).
     """
-    diagonal = b_matrix.diagonal()
     x = np.zeros_like(rhs)
     r = rhs.copy()
     r_hat = np.random.default_rng(0).standard_normal(len(rhs))
@@ -174,14 +157,14 @@ def _bicgstab(b_matrix: _Sparse, rhs: np.ndarray) -> np.ndarray:
         rho_next = r_hat @ r
         p = r + (rho_next / rho) * (alpha / omega) * (p - omega * v)
         p_hat = p / diagonal
-        v = b_matrix @ p_hat
+        v = _product(b_matrix, p_hat)
         alpha = rho_next / (r_hat @ v)
         s = r - alpha * v
         if not np.linalg.norm(s) > target:
             x += alpha * p_hat
             break
         s_hat = s / diagonal
-        t = b_matrix @ s_hat
+        t = _product(b_matrix, s_hat)
         omega = (t @ s) / (t @ t)
         x += alpha * p_hat + omega * s_hat
         r = s - omega * t
@@ -191,8 +174,8 @@ def _bicgstab(b_matrix: _Sparse, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _refine(a: _Sparse, length: int) -> tuple[int, ...]:
-    """Exact solution of B y = b as coprime integers w = (den, *num), y = num / den.
+def _refine(matrix: IntensityMatrix) -> tuple[int, ...]:
+    """The kernel vector w = (den, *num) of the matrix, y = num / den solving B y = b.
 
     Numeric-symbolic iterative refinement (Wan 2006): each step solves for
     the current exact residual r in float64, keeps k bits of the solution
@@ -200,15 +183,21 @@ def _refine(a: _Sparse, length: int) -> tuple[int, ...]:
     accumulated numerators N <- 2**k N + d in exact arithmetic, so that
     B N = D b - r holds throughout with D = 2**(sum of k). After each step
     N / D is reconstructed as rationals over a common denominator, and the
-    result is returned only once A w = 0 holds exactly.
+    result is returned through `_coprime_positive` only once A w = 0 holds
+    exactly.
     """
-    b_matrix, r = a.minor()
+    length, a = matrix.length, (matrix.rows, matrix.cols, matrix.vals)
+    a_l1 = int(_row_sums(matrix.rows, np.abs(matrix.vals), matrix.dimension).max())
+    b_matrix, r = _minor(matrix)
+    rows, cols, vals = b_matrix
+    l1 = int(_row_sums(rows, np.abs(vals), len(r)).max())
+    diagonal = _row_sums(rows, (rows == cols) * vals, len(r)).astype(np.float64)
     numer = np.zeros(len(r), dtype=object)
     denom = 1
     for step in range(1, _MAX_STEPS + 1):
-        y = _bicgstab(b_matrix, r.astype(np.float64))
+        y = _bicgstab(b_matrix, diagonal, r.astype(np.float64))
         r_norm = int(np.abs(r).max())
-        error = np.abs(r - b_matrix @ y).max() / r_norm
+        error = np.abs(r - _product(b_matrix, y)).max() / r_norm
         y_norm = float(np.abs(y).max())
         if not (np.isfinite(error) and np.isfinite(y_norm)):
             raise RefinementError(f"L = {length}, refinement step {step}: float solve failed")
@@ -217,7 +206,7 @@ def _refine(a: _Sparse, length: int) -> tuple[int, ...]:
         k = min(
             int(-np.log2(error)) - 4 if error > 0 else 62,
             62 - r_norm.bit_length(),
-            62 - b_matrix.l1.bit_length() - math.frexp(y_norm)[1],
+            62 - l1.bit_length() - math.frexp(y_norm)[1],
         )
         if k < 8:
             raise RefinementError(
@@ -225,34 +214,27 @@ def _refine(a: _Sparse, length: int) -> tuple[int, ...]:
                 f"leaves {k} bits, fewer than 8"
             )
         d = np.rint(np.ldexp(y, k)).astype(np.int64)
-        r = _update_residual(b_matrix, r, d, k)
+        r = _update_residual(b_matrix, l1, r, d, k)
         numer = (numer << k) + d.astype(object)
         denom <<= k
-        if r.any():
-            candidate = _reconstruct(numer, denom)
-        else:
-            candidate = (denom, list(numer))
-        if candidate is not None:
-            den, num = candidate
-            g = math.gcd(den, *num)
-            w = tuple(v // g for v in (den, *num))
-            if product_is_zero(lambda x: a @ x, w, a.l1):
-                return w
+        w = _reconstruct(numer, denom) if r.any() else [denom, *numer]
+        if w is not None and product_is_zero(lambda x: _product(a, x), w, a_l1):
+            return _coprime_positive(w)
     raise RefinementError(
         f"L = {length}, refinement step {_MAX_STEPS}: no exact kernel vector "
         "within the step cap"
     )
 
 
-def _update_residual(b_matrix: _Sparse, r: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
-    """2**k r - B d, exact in int64 within the asserted bounds."""
+def _update_residual(b_matrix, l1: int, r: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
+    """2**k r - B d, exact in int64 within the asserted bounds; l1 is max_i sum_j |B_ij|."""
     assert int(np.abs(r).max()) << k < 2**62, "2**k * r could overflow int64"
-    assert b_matrix.l1 * int(np.abs(d).max()) < 2**62, "B d could overflow int64"
-    return (r << k) - b_matrix @ d
+    assert l1 * int(np.abs(d).max()) < 2**62, "B d could overflow int64"
+    return (r << k) - _product(b_matrix, d)
 
 
-def _reconstruct(numer: np.ndarray, denom: int) -> tuple[int, list[int]] | None:
-    """Rationals num / den with a common den <= sqrt(denom) close to numer / denom.
+def _reconstruct(numer: np.ndarray, denom: int) -> list[int] | None:
+    """[den, *num]: rationals num / den with a common den <= sqrt(denom) close to numer / denom.
 
     An entry is accepted when den * numer / denom lies within 1 / (2 bound)
     of an integer; otherwise den takes the lcm with the denominator of the
@@ -265,7 +247,7 @@ def _reconstruct(numer: np.ndarray, denom: int) -> tuple[int, list[int]] | None:
         num = (2 * den * numer + denom) // (2 * denom)
         off = np.flatnonzero(2 * bound * np.abs(den * numer - num * denom) >= denom)
         if not off.size:
-            return den, num.tolist()
+            return [den, *num.tolist()]
         q = _convergent_denominator(numer[off[0]], denom, bound)
         grown = den * q // math.gcd(den, q)
         if grown == den or grown > bound:
@@ -335,7 +317,8 @@ class GroundState:
 
     def expand(self) -> tuple[int, ...]:
         """Per-diagram weights over the full basis, in basis order."""
-        return tuple(map(self.weights.__getitem__, shared_orbits(self.length).orbit_of.tolist()))
+        weights = np.array(self.weights, dtype=object)
+        return tuple(weights[shared_orbits(self.length).orbit_of].tolist())
 
 
 # The payload's constant generator and normalisation fields.
@@ -398,7 +381,8 @@ def deserialize_groundstate(text: str, length: int) -> GroundState:
         for k, (row, want) in enumerate(zip(rows, expected)):
             got, weight = (row["representative"], row["size"]), row["weight"]
             if got != want or type(got[1]) is not int:
-                ChordDiagram.decode(got[0])
+                partners = [DEFECT if f.strip() == "." else int(f) - 1 for f in got[0].split(",")]
+                _validated(len(partners), [partners])
                 raise CacheCorruptError(
                     f"orbit {k} is {got[0]} of size {got[1]!r}, "
                     f"expected {want[0]} of size {want[1]}"
@@ -485,6 +469,7 @@ def groundstate(length: int, *, cache_dir=None) -> GroundState:
     """
     if length < 2:
         raise ValueError(f"ground states need length >= 2, got {length}")
+    require_rankable(length)
     if cache_dir is not None:
         cached = load_cached_groundstate(cache_dir, length)
         if cached is not None:
@@ -494,7 +479,7 @@ def groundstate(length: int, *, cache_dir=None) -> GroundState:
     orbits = shared_orbits(length)
     table = transition_table(basis)
     matrix = build_reduced(basis, orbits, table)
-    state = GroundState(length, _coprime_positive(kernel_vector(matrix)))
+    state = GroundState(length, kernel_vector(matrix))
     if not annihilates(basis, state.expand(), table):
         raise ArithmeticError("expanded ground state is not annihilated on the full basis")
     if cache_dir is not None:

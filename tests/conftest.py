@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import os
@@ -8,12 +9,22 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from brauerloop import ChordDiagram, IntensityMatrix
+from brauerloop import IntensityMatrix
 from brauerloop.checks import MonteCarloReport, OrbitEstimate
-from brauerloop.diagrams import _key, reflect_partners
+from brauerloop.diagrams import _key, encode_partners, reflect_partners
 from brauerloop.generators import transition_table
 
-from oracles import rotate_partners
+from oracles import ChordDiagram, rotate_partners
+
+
+PACKAGE_MODULES = ["brauerloop"] + [f"brauerloop.{name}" for name in (
+    "checks", "cli", "counting", "diagrams", "generators", "hamiltonian", "kernel")]
+
+
+def defined_in_package(name):
+    """The package modules that define `name`."""
+    return [module for module in PACKAGE_MODULES
+            if hasattr(importlib.import_module(module), name)]
 
 
 def diagram(length, *pairs):
@@ -24,6 +35,11 @@ def diagram(length, *pairs):
 def diagrams_of(basis):
     """The diagrams of a basis in basis order, one `ChordDiagram` per row."""
     return (ChordDiagram(tuple(row)) for row in basis.partners.tolist())
+
+
+def diagram_at(basis, i):
+    """The `ChordDiagram` of basis row i."""
+    return ChordDiagram(tuple(basis.partners[i].tolist()))
 
 
 def index_of(basis, diagram):
@@ -213,5 +229,6 @@ def monte_carlo_per_step(basis, orbits, ground_state, samples, seed, burn_in=Non
             z = gap / stderr
         else:
             z = 0.0 if gap == 0 else math.inf
-        estimates.append(OrbitEstimate(basis[rep].encode(), exact[oi], mean, stderr, z))
+        code = encode_partners(basis.partners[rep])
+        estimates.append(OrbitEstimate(code, exact[oi], mean, stderr, z))
     return MonteCarloReport(length, used, seed, burn, tuple(estimates))

@@ -1,5 +1,8 @@
 """Slow implementations kept as oracles for the fast paths of the package.
 
+* `ChordDiagram`: one diagram as a partner tuple, checked site by site in
+  Python; the oracle of the whole-array check `diagrams._validated`, and
+  the type the per-diagram oracles below act on.
 * `per_site_diagrams`: the lexicographic basis built one site at a time,
   the oracle of the block-built `enumerate_diagrams`.
 * `apply_monoid` and `apply_braid`: the generator action on one
@@ -40,22 +43,91 @@ contract of `kernel_vector`. Every oracle reads the matrix through
 `columns_of`, one dict per column.
 """
 
+from __future__ import annotations
+
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from brauerloop import (
     DEFECT,
-    ChordDiagram,
     DiagramBasis,
     KernelDimensionError,
     Orbits,
 )
+from brauerloop.diagrams import encode_partners
 from brauerloop.generators import transition_table
 from brauerloop.hamiltonian import IntensityMatrix, _summed_entries
+
+
+@dataclass(frozen=True, order=True)
+class ChordDiagram:
+    """Pairing of circle sites, one optional defect when the length is odd."""
+
+    partner: tuple[int, ...]
+
+    def __post_init__(self):
+        p = self.partner
+        size = len(p)
+        if size < 2:
+            raise ValueError(f"a diagram needs at least 2 sites, got {size}")
+        defects = 0
+        for i, j in enumerate(p):
+            if j == DEFECT:
+                defects += 1
+                continue
+            if not 0 <= j < size:
+                raise ValueError(f"partner {j} of site {i} is out of range")
+            if j == i:
+                raise ValueError(f"site {i} is paired with itself")
+            if p[j] != i:
+                raise ValueError(f"pairing is not an involution at site {i}")
+        if defects != size % 2:
+            raise ValueError(
+                f"length {size} requires exactly {size % 2} defect(s), found {defects}"
+            )
+
+    @property
+    def length(self) -> int:
+        return len(self.partner)
+
+    @property
+    def defect(self) -> int | None:
+        """0-based defect site, or None when every site is paired."""
+        try:
+            return self.partner.index(DEFECT)
+        except ValueError:
+            return None
+
+    def chords(self) -> list[tuple[int, int]]:
+        """The chords as sorted 0-based pairs (i, j) with i < j."""
+        return [(i, j) for i, j in enumerate(self.partner) if j != DEFECT and i < j]
+
+    def encode(self) -> str:
+        """1-based comma-separated partner list with '.' at the defect."""
+        return encode_partners(self.partner)
+
+    @classmethod
+    def decode(cls, text: str) -> ChordDiagram:
+        fields = text.strip().split(",")
+        return cls(tuple(DEFECT if f.strip() == "." else int(f) - 1 for f in fields))
+
+    @classmethod
+    def from_pairs(cls, length: int, pairs) -> ChordDiagram:
+        """Build from 1-based site pairs; unmentioned sites become the defect."""
+        partner = [DEFECT] * length
+        for a, b in pairs:
+            partner[a - 1] = b - 1
+            partner[b - 1] = a - 1
+        return cls(tuple(partner))
+
+    def __str__(self) -> str:
+        return self.encode()
+
 
 _FREE = -2  # a site not yet assigned during enumeration
 

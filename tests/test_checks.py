@@ -35,7 +35,6 @@ from brauerloop.checks import (
 )
 from brauerloop.cli import main
 from brauerloop.diagrams import (
-    ChordDiagram,
     _key,
     representative_codes,
     shared_basis,
@@ -44,7 +43,16 @@ from brauerloop.diagrams import (
 )
 from brauerloop.generators import transition_table
 
-from conftest import diagram, diagrams_of, index_of, members_of, monte_carlo_per_step, settle
+from conftest import (
+    defined_in_package,
+    diagram,
+    diagram_at,
+    diagrams_of,
+    index_of,
+    members_of,
+    monte_carlo_per_step,
+    settle,
+)
 from oracles import apply_braid, apply_monoid, partial_permutation_label, permutation_label
 from brauerloop.kernel import GroundState
 
@@ -110,7 +118,7 @@ class TestWeightTableOracle:
         orbits = shared_orbits(length)
         for k in range(len(orbits)):
             for m in members_of(orbits, k).tolist():
-                found = label(basis[m])
+                found = label(diagram_at(basis, m))
                 if found is not None:
                     expected[found] = k + 1
         table = permutation_weight_table(numbered_state(length))
@@ -147,27 +155,20 @@ class TestWeightTableOracle:
             permutation_weight_table(GroundState(6, state.weights[1:]))
 
     @pytest.mark.parametrize("length", [9, 10])
-    def test_builds_no_diagram_per_basis_row(self, length, monkeypatch, tmp_path):
+    def test_builds_no_diagram_per_basis_row(self, length, tmp_path):
         # From cold shared caches through the solve and the cache file to the
-        # table: no ChordDiagram at all, neither per basis row nor per orbit.
+        # table: the package has no single-diagram type, so it builds none,
+        # neither per basis row nor per orbit.
         for memo in (shared_basis, shared_orbits, representative_codes):
             memo.cache_clear()
-        built = []
-        original = ChordDiagram.__post_init__
-
-        def counting(self):
-            built.append(self.partner)
-            original(self)
-
-        monkeypatch.setattr(ChordDiagram, "__post_init__", counting)
         table = permutation_weight_table(groundstate(length, cache_dir=tmp_path))
         assert len(table) == math.factorial(length // 2 + length % 2)
-        assert built == []
+        assert defined_in_package("ChordDiagram") == []
 
     def test_warm_groundstate_and_verify_decode_each_payload_once(self, tmp_path, monkeypatch,
                                                                    capsys):
         # A cache built earlier: loading L = 13 and then verifying L = 2..13
-        # decodes each file once and builds no ChordDiagram.
+        # decodes each file once (and the package has no diagram type to build).
         for length in range(2, 14):
             groundstate(length, cache_dir=tmp_path)
         for path in tmp_path.iterdir():
@@ -175,13 +176,6 @@ class TestWeightTableOracle:
         for memo in (kernel_module._memoised_read, shared_basis, shared_orbits,
                      representative_codes, shared_orbit_labels):
             memo.cache_clear()
-        built = []
-        original = ChordDiagram.__post_init__
-
-        def counting(self):
-            built.append(self.partner)
-            original(self)
-
         decoded = []
         original_decode = kernel_module.deserialize_groundstate
 
@@ -189,7 +183,6 @@ class TestWeightTableOracle:
             decoded.append(length)
             return original_decode(text, length)
 
-        monkeypatch.setattr(ChordDiagram, "__post_init__", counting)
         monkeypatch.setattr(kernel_module, "deserialize_groundstate", counting_decode)
         monkeypatch.setattr(kernel_module, "kernel_vector",
                             lambda *a, **k: pytest.fail("warm cache must not solve"))
@@ -198,7 +191,7 @@ class TestWeightTableOracle:
         assert "FAIL" not in capsys.readouterr().out
         assert groundstate(13, cache_dir=tmp_path) is state
         assert sorted(decoded) == list(range(2, 14))
-        assert built == []
+        assert defined_in_package("ChordDiagram") == []
 
 
 class TestConcatenation:

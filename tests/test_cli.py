@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 from brauerloop import BasisTooLargeError, enumerate_diagrams
 from brauerloop.cli import main, resolve_cache_dir
+from brauerloop.kernel import cache_path
 
 
 def run(capsys, *argv):
@@ -190,6 +192,22 @@ class TestErrors:
         argv = [str(tmp_path / "cache") if arg == "CACHE" else arg for arg in argv]
         assert run(capsys, *argv) == (2, "", f"error: {refused.value}\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_groundstate_ceiling_refused_before_the_cache(self, cached, capsys, tmp_path):
+        # A checksummed L = 17 file in the cache changes neither the exit code
+        # nor the message: the length is refused before the cache is read.
+        with pytest.raises(BasisTooLargeError) as refused:
+            enumerate_diagrams(17)
+        if cached:
+            body = json.dumps({"generator": "reduced", "length": 17,
+                               "normalization": "min-entry-one", "orbits": []},
+                              sort_keys=True, separators=(",", ":"))
+            checksum = hashlib.sha256(body.encode()).hexdigest()
+            path = cache_path(tmp_path, 17)
+            path.write_text('{"checksum":"' + checksum + '",' + body[1:] + "\n")
+        argv = ["groundstate", "--length", "17", "--cache-dir", str(tmp_path)]
+        assert run(capsys, *argv) == (2, "", f"error: {refused.value}\n")
 
     def test_threads_flag_removed(self, capsys):
         assert run(capsys, "groundstate", "--length", "4", "--threads", "2")[0] == 2

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from brauerloop import (
     DEFECT,
     BasisTooLargeError,
-    ChordDiagram,
     DiagramBasis,
     compute_orbits,
     enumerate_diagrams,
@@ -27,6 +26,7 @@ from conftest import (
     brute_force_count,
     brute_force_diagrams,
     diagram,
+    diagram_at,
     diagrams_of,
     index_of,
     members_of,
@@ -34,6 +34,7 @@ from conftest import (
     recursive_partners,
 )
 from oracles import (
+    ChordDiagram,
     canonical_representative,
     partial_permutation_label,
     per_site_diagrams,
@@ -48,7 +49,7 @@ from oracles import (
 def diagrams(draw):
     length = draw(st.integers(min_value=2, max_value=9))
     basis = enumerate_diagrams(length)
-    return basis[draw(st.integers(min_value=0, max_value=len(basis) - 1))]
+    return diagram_at(basis, draw(st.integers(min_value=0, max_value=len(basis) - 1)))
 
 
 class TestChordDiagram:
@@ -89,7 +90,7 @@ class TestEnumeration:
     def test_l2_single_pairing(self):
         basis = enumerate_diagrams(2)
         assert len(basis) == 1
-        assert basis[0] == diagram(2, (1, 2))
+        assert diagram_at(basis, 0) == diagram(2, (1, 2))
 
     def test_l4_has_three_diagrams(self):
         assert len(enumerate_diagrams(4)) == 3
@@ -142,11 +143,13 @@ class TestEnumeration:
             list(basis)
 
     def test_rows_read_back_as_diagrams(self):
+        # Rows are read off the partner array; a basis itself is not indexable.
         basis = enumerate_diagrams(7)
         rows = [tuple(row) for row in basis.partners.tolist()]
-        assert [basis[i].partner for i in range(len(basis))] == rows
         assert [d.partner for d in diagrams_of(basis)] == rows
-        assert basis[-1].partner == rows[-1]
+        assert diagram_at(basis, -1).partner == rows[-1]
+        with pytest.raises(TypeError):
+            basis[0]
 
     @pytest.mark.parametrize("length", range(2, 15))
     def test_count_formula_and_recursion(self, length):
@@ -171,7 +174,7 @@ class TestEnumeration:
         with pytest.raises(KeyError):
             index_of(basis, diagram(2, (1, 2)))
         with pytest.raises(KeyError):
-            index_of(DiagramBasis(4, basis.partners[[0, 2]]), basis[1])
+            index_of(DiagramBasis(4, basis.partners[[0, 2]]), diagram_at(basis, 1))
 
     def test_basis_must_be_sorted(self):
         basis = enumerate_diagrams(4)
@@ -389,14 +392,14 @@ class TestOrbits:
         for k in range(len(orbits)):
             members = members_of(orbits, k).tolist()
             size = int(orbits.sizes[k])
-            representative = basis[int(orbits.representatives[k])]
+            representative = diagram_at(basis, int(orbits.representatives[k]))
             assert (2 * length) % size == 0
             assert size == len(members)
             assert members == sorted(members)
-            assert representative == basis[members[0]]
+            assert representative == diagram_at(basis, members[0])
             assert orbits.orbit_of[members].tolist() == [k] * size
             # lexicographic minimum over the whole orbit, and constant canonical form
-            canon = {canonical_representative(basis[m]) for m in members}
+            canon = {canonical_representative(diagram_at(basis, m)) for m in members}
             assert canon == {representative}
             seen.extend(members)
         assert sorted(seen) == list(range(len(basis)))
@@ -438,8 +441,8 @@ class TestOrbits:
         orbits = shared_orbits(length)
         owner = int(orbits.orbit_of[i])
         assert i in members_of(orbits, owner).tolist()
-        representative = basis[int(orbits.representatives[owner])]
-        assert canonical_representative(basis[i]) == representative
+        representative = diagram_at(basis, int(orbits.representatives[owner]))
+        assert canonical_representative(diagram_at(basis, i)) == representative
 
 
 class TestLabels:

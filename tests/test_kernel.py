@@ -17,6 +17,7 @@ import brauerloop.kernel as kernel_module
 from brauerloop import (
     DisconnectedMatrixError,
     GroundState,
+    IntensityMatrix,
     KernelDimensionError,
     MixedSignsError,
     RefinementError,
@@ -29,7 +30,7 @@ from brauerloop import (
     permutation_weight_table,
 )
 from brauerloop.cli import main
-from brauerloop.diagrams import shared_basis, shared_orbits
+from brauerloop.diagrams import encode_partners, shared_basis, shared_orbits
 from brauerloop.kernel import (
     CacheCorruptError,
     cache_path,
@@ -140,6 +141,12 @@ class TestKernelVector:
         matrix = matrix_of(columns, length=n)
         assert kernel_vector(matrix) == exact(bareiss_kernel, matrix)
 
+    @pytest.mark.parametrize("dimension", [0, -1])
+    def test_empty_matrix_rejected(self, dimension):
+        empty = np.zeros(0, dtype=np.int64)
+        with pytest.raises(KernelDimensionError, match=f"dimension {dimension} is below 1"):
+            kernel_vector(IntensityMatrix(2, dimension, empty, empty, empty))
+
     def test_disconnected_matrix_rejected(self):
         block_diagonal = dense_matrix([[0, 0], [0, 0]])
         with pytest.raises(DisconnectedMatrixError):
@@ -173,7 +180,7 @@ class TestRefinementFailures:
     def test_noisy_float_solve_raises(self, tmp_path, monkeypatch, capsys):
         rng = np.random.default_rng(0)
         monkeypatch.setattr(kernel_module, "_bicgstab",
-                            lambda b_matrix, rhs: rng.standard_normal(len(rhs)))
+                            lambda b_matrix, diagonal, rhs: rng.standard_normal(len(rhs)))
         with pytest.raises(RefinementError, match=r"^L = 12, refinement step 1: "):
             groundstate(12, cache_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
@@ -194,8 +201,7 @@ class TestRefinementFailures:
             found = reconstruct(numer, denom)
             if found is None:
                 return None
-            den, num = found
-            return den, [num[0] + 1] + num[1:]
+            return [found[0], found[1] + 1, *found[2:]]
 
         monkeypatch.setattr(kernel_module, "_reconstruct", off_by_one)
         monkeypatch.setattr(kernel_module, "_MAX_STEPS", 6)
@@ -204,34 +210,44 @@ class TestRefinementFailures:
             kernel_vector(matrix)
 
     def test_int64_bounds_asserted(self):
-        b_matrix = kernel_module._Sparse.from_triplets(
-            np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]),
-            np.array([5, -3, -4, 6]), 2)
-        assert b_matrix.l1 == 10
+        # The minor of this intensity matrix is B = [[5, -3], [-4, 6]], so l1(B) = 10.
+        matrix = dense_matrix([[2, -1, -3], [-1, 5, -3], [-1, -4, 6]])
+        b_matrix, b = kernel_module._minor(matrix)
+        assert b.tolist() == [1, 1]
+        rows, _, vals = b_matrix
+        l1 = int(kernel_module._row_sums(rows, np.abs(vals), 2).max())
+        assert l1 == 10
         r = np.array([3, -2], dtype=np.int64)
-        fine = kernel_module._update_residual(b_matrix, r, np.array([2**40, 7]), 20)
+        fine = kernel_module._update_residual(b_matrix, l1, r, np.array([2**40, 7]), 20)
         assert fine.tolist() == [3 * 2**20 - 5 * 2**40 + 21, -2 * 2**20 + 4 * 2**40 - 42]
         with pytest.raises(AssertionError, match="B d could overflow"):
-            kernel_module._update_residual(b_matrix, r, np.array([2**59, 1]), 20)
+            kernel_module._update_residual(b_matrix, l1, r, np.array([2**59, 1]), 20)
         with pytest.raises(AssertionError, match=r"2\*\*k \* r could overflow"):
-            kernel_module._update_residual(b_matrix, r, np.array([1, 1]), 61)
+            kernel_module._update_residual(b_matrix, l1, r, np.array([1, 1]), 61)
+        # The exact gate's limbs: gain * 2**32 < 2**62 holds up to gain = 2**30 - 1.
+        assert kernel_module.product_is_zero(lambda x: 0 * x, [2**100], 2**30 - 1)
+        with pytest.raises(AssertionError, match="int64 limb accumulation could overflow"):
+            kernel_module.product_is_zero(lambda x: 0 * x, [1], 2**30)
 
 
 class TestSparseMinor:
     @pytest.mark.parametrize("length", range(4, 13))
     def test_minor_keeps_the_sorted_order(self, length):
-        # L = 2 and 3 have a single orbit, hence no minor.
+        # L = 2 and 3 have a single orbit, hence no minor. The two masks keep
+        # the (column, row) order, and the int64 products are exact.
         matrix = build_reduced(shared_basis(length), shared_orbits(length))
-        a = kernel_module._Sparse.from_triplets(matrix.rows, matrix.cols, matrix.vals,
-                                                matrix.dimension)
-        minor, _ = a.minor()
-        inner = (matrix.rows > 0) & (matrix.cols > 0)
-        lexsorted = kernel_module._Sparse.from_triplets(
-            matrix.rows[inner] - 1, matrix.cols[inner] - 1, matrix.vals[inner],
-            matrix.dimension - 1)
-        for name in ("rows", "cols", "vals", "starts"):
-            assert getattr(minor, name).tolist() == getattr(lexsorted, name).tolist()
-        assert minor.l1 == lexsorted.l1
+        n = matrix.dimension
+        dense = np.zeros((n, n), dtype=np.int64)
+        dense[matrix.rows, matrix.cols] = matrix.vals
+        b_matrix, b = kernel_module._minor(matrix)
+        rows, cols, _ = b_matrix
+        assert np.all(np.diff(cols * n + rows) > 0)
+        assert b.dtype == np.int64
+        assert b.tolist() == (-dense[1:, 0]).tolist()
+        x = np.random.default_rng(length).integers(-2**40, 2**40, n - 1)
+        product = kernel_module._product(b_matrix, x)
+        assert product.dtype == np.int64
+        assert product.tolist() == (dense[1:, 1:] @ x).tolist()
 
 
 class TestRationalReconstruction:
@@ -294,7 +310,7 @@ class TestNormalizeInteger:
 
 
 class TestCoprimePositive:
-    """The sign and zero checks `groundstate` applies to the integral kernel vector."""
+    """The sign and zero checks `kernel_vector` applies to the vector its exact gate accepted."""
 
     def test_divides_by_gcd_and_flips_sign(self):
         assert kernel_module._coprime_positive([4, 6, 2]) == (2, 3, 1)
@@ -310,9 +326,15 @@ class TestCoprimePositive:
             kernel_module._coprime_positive(vector)
 
     def test_groundstate_rejects_a_mixed_sign_kernel(self, tmp_path, monkeypatch):
+        # The solver accepts through `_coprime_positive`: a candidate that
+        # passes the exact gate with entries of both signs is refused by
+        # `kernel_vector` itself, and `groundstate` caches nothing.
         dimension = len(shared_orbits(6))
-        monkeypatch.setattr(kernel_module, "kernel_vector",
-                            lambda matrix: (1, -1) + (1,) * (dimension - 2))
+        monkeypatch.setattr(kernel_module, "_reconstruct",
+                            lambda numer, denom: [1, -1] + [1] * (dimension - 2))
+        monkeypatch.setattr(kernel_module, "product_is_zero", lambda apply, values, gain: True)
+        with pytest.raises(MixedSignsError, match="both signs"):
+            kernel_vector(build_reduced(shared_basis(6), shared_orbits(6)))
         with pytest.raises(MixedSignsError, match="both signs"):
             groundstate(6, cache_dir=tmp_path)
         assert not cache_path(tmp_path, 6).exists()
@@ -507,7 +529,7 @@ class TestCache:
     def test_rechecksummed_non_canonical_representative_rejected(self, tmp_path):
         groundstate(6, cache_dir=tmp_path)
         path = cache_path(tmp_path, 6)
-        other = shared_basis(6)[int(members_of(shared_orbits(6), 0)[-1])].encode()
+        other = encode_partners(shared_basis(6).partners[members_of(shared_orbits(6), 0)[-1]])
 
         def replace(orbits):
             orbits[0]["representative"] = other
