@@ -268,16 +268,20 @@ _DRAW_WORDS = 2**14  # 32-bit words fetched from the generator per draw chunk
 
 
 def _event_table(transitions: np.ndarray) -> np.ndarray:
-    """Targets of the 3L equally likely events per state, as an (N, 3L) array.
+    """Targets of the 3L equally likely events per state, as a C-contiguous (N, 3L) array.
 
-    Events 3a and 3a+1 are the monoid move at site a+1, event 3a+2 its braid
-    move, so a uniform event is a monoid move with probability 2/3.
+    `transitions` is a (2L, N) `transition_table`. Events 3a and 3a+1 are
+    the monoid move at site a+1, event 3a+2 its braid move, so a uniform
+    event is a monoid move with probability 2/3.
     """
-    states, size = len(transitions), transitions.shape[1] // 2
+    size, states = len(transitions) // 2, transitions.shape[1]
     dtype = np.uint8 if states <= 2**8 else np.uint16 if states <= 2**16 else np.int32
     assert states - 1 <= np.iinfo(dtype).max, "state indices must fit the table's dtype"
-    columns = [c for a in range(size) for c in (a, a, size + a)]
-    return transitions[:, columns].astype(dtype, copy=False)
+    table = np.empty((states, 3 * size), dtype=dtype)
+    events = table.T  # a view: event rows, written without a temporary
+    events[0::3] = events[1::3] = transitions[:size]
+    events[2::3] = transitions[size:]
+    return table
 
 
 def _event_chunks(rng: random.Random, n: int, count: int, size: int) -> Iterator[np.ndarray]:
@@ -380,7 +384,7 @@ def monte_carlo_crosscheck(
     basis = shared_basis(length)
     orbits = shared_orbits(length)
     representatives = representative_codes(length)
-    table = _event_table(transition_table(basis))
+    table = _event_table(transition_table(basis, orbits.step))
 
     if ground_state is None:
         ground_state = groundstate(length, cache_dir=cache_dir)

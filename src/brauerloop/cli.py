@@ -24,6 +24,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_OUT_OF_MEMORY = 4
 
 
 def resolve_cache_dir(flag_value):
@@ -240,6 +241,10 @@ def main(argv=None) -> int:
     except BasisTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory in {args.command}{detail}", file=sys.stderr)
+        return EXIT_OUT_OF_MEMORY
     except (ValueError, ArithmeticError, RuntimeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -8,8 +8,11 @@ and i+1. When i and i+1 are already paired, both act as the identity. A
 former partner may be the immovable virtual centre of an odd diagram, in
 which case whatever would have been joined to it becomes the new defect.
 
-`transition_table` applies both at every site to a whole basis at once; it
-is the one form of the action, and every other stage reads it.
+`transition_table` applies both at every site to a whole basis at once, one
+row per generator; it is the one form of the action, and every other stage
+reads it. Only site 1 is searched by rank key: the other sites follow by
+conjugating with the one-site rotation, and each is then proved against its
+own rank keys.
 `check_relations` verifies the defining relations of the algebra on every
 diagram of a given length and reports a counterexample on failure.
 """
@@ -24,16 +27,32 @@ import numpy as np
 from .diagrams import DiagramBasis, _ranks_fit, encode_partners, shared_basis, shared_orbits
 
 
-def transition_table(basis: DiagramBasis) -> np.ndarray:
-    """Basis indices of all generator images, as an (N, 2L) int32 array.
+def transition_table(basis: DiagramBasis, step: np.ndarray) -> np.ndarray:
+    """Basis indices of all generator images, as a C-contiguous (2L, N) int32 array.
 
-    Column i-1 holds the monoid image at site i and column L+i-1 the braid
-    image, located by the rank keys of `_image_keys`.
+    Row a holds the monoid image at site a+1 and row L+a the braid image.
+    `step` is the one-site rotation of `compute_orbits` (`Orbits.step`).
+    Only the rows of site 1 are located by rank key; every other row is
+    the rotation conjugate of the one before it, g_{i+1} = r g_i r^-1, so
+    row c is step[row c-1 [step^-1]]. Each conjugated row is then proved
+    entry by entry: the basis keys of its images must equal the independent
+    key arithmetic of `_image_keys`, and keys are injective on the basis.
+    A mismatch raises ArithmeticError naming the site.
     """
-    size = basis.length
-    table = np.empty((len(basis), 2 * size), dtype=np.int32)
-    for a in range(size):
-        table[:, a::size] = basis.locate(_image_keys(basis.partners, basis._keys, a)).T
+    size, count = basis.length, len(basis)
+    table = np.empty((2 * size, count), dtype=np.int32)
+    table[0::size] = basis.locate(_image_keys(basis.partners, basis._keys, 0))
+    inverse = np.empty_like(step)
+    inverse[step] = np.arange(count, dtype=step.dtype)
+    for c in range(2 * size):
+        if c % size:
+            np.take(step, table[c - 1][inverse], out=table[c])
+    del inverse
+    for a in range(1, size):
+        if not np.array_equal(basis._keys[table[a::size]],
+                              _image_keys(basis.partners, basis._keys, a)):
+            raise ArithmeticError(f"transition table rows of site {a + 1} "
+                                  "do not match their rank keys")
     return table
 
 
@@ -45,19 +64,30 @@ def _image_keys(partners: np.ndarray, keys: np.ndarray, a: int) -> np.ndarray:
     w[site] = base**(L-1-site), w[DEFECT] = 0, its key is the row's plus
     (sb-da)(w[a]-w[pb]) + (sa-db)(w[b]-w[pa]) for the monoid, and plus
     (db-da)(w[a]-w[b]) + (sa-sb)(w[pb]-w[pa]) for the braid unless a and b
-    are paired. Computed modulo 2**64, exact since every key < base**L <= 2**64.
+    are paired. A digit difference is the partner difference, so both
+    increments depend on (pa, pb) alone: they are tabulated in Python
+    integers modulo 2**64 for the (L+1)**2 pairs and gathered per row. The
+    uint64 sums wrap, exact since every key < base**L <= 2**64.
     """
     size = partners.shape[1]
     assert _ranks_fit(size), "rank keys must fit in 64 bits"
-    shift, b = size % 2, (a + 1) % size
-    # uint64 arrays wrap; differences of the Python ints in w are reduced mod 2**64.
-    w = [(size + shift) ** (size - 1 - s) for s in range(size)] + [0]
-    pa, pb = partners[:, a], partners[:, b]
-    da, db = (pa + shift).astype(np.uint64), (pb + shift).astype(np.uint64)
-    wpa, wpb = np.array(w, dtype=np.uint64)[pa], np.array(w, dtype=np.uint64)[pb]
-    monoid = keys + (b + shift - da) * (w[a] - wpb) + (a + shift - db) * (w[b] - wpa)
-    braid = keys + (db - da) * ((w[a] - w[b]) % 2**64) + ((a - b) % 2**64) * (wpb - wpa)
-    return np.stack([monoid, np.where(pa == b, keys, braid)])
+    b = (a + 1) % size
+    w = [(size + size % 2) ** (size - 1 - s) for s in range(size)] + [0]  # w[-1]: DEFECT's
+    sites = range(-1, size)
+    monoid = [(b - pa) * (w[a] - w[pb]) + (a - pb) * (w[b] - w[pa]) for pa in sites for pb in sites]
+    braid = [0 if pa == b else (pb - pa) * (w[a] - w[b]) + (a - b) * (w[pb] - w[pa])
+             for pa in sites for pb in sites]
+    # Pair (pa, pb) sits at (pa + 1) * (L + 1) + pb + 1.
+    pair = partners[:, a].astype(np.intp)
+    pair += 1
+    pair *= size + 1
+    pair += partners[:, b]
+    pair += 1
+    images = np.empty((2, len(keys)), dtype=np.uint64)
+    for row, increments in zip(images, (monoid, braid)):
+        np.take(np.array([v % 2**64 for v in increments], dtype=np.uint64), pair, out=row)
+        row += keys
+    return images
 
 
 @dataclass(frozen=True)
@@ -108,10 +138,10 @@ def check_relations(length: int) -> RelationReport:
 
     # Index maps: e[i][x] is the basis index of e_i applied to diagram x, so
     # a word acts on all diagrams d by nested indexing.
-    table = transition_table(basis)
-    e = {i: table[:, i - 1] for i in range(1, length + 1)}
-    b = {i: table[:, length + i - 1] for i in range(1, length + 1)}
     rot = shared_orbits(length).step
+    table = transition_table(basis, rot)
+    e = {i: table[i - 1] for i in range(1, length + 1)}
+    b = {i: table[length + i - 1] for i in range(1, length + 1)}
     rot_back = np.argsort(rot)  # the inverse permutation
 
     sites = range(1, length + 1)

@@ -19,6 +19,10 @@ Appl. Probab. 31, 1994). Assembly proves that equivariance on the table; the
 lumped matrix has zero column sums and the per-orbit weights as its kernel.
 The operator over the full basis is applied to a vector by `annihilates`,
 straight from the table, and never assembled.
+
+The table is the (2L, N) `transition_table`: row a holds the image of every
+diagram under generator a, so the gate, `annihilates` and the summed entries
+read whole contiguous rows, and the representatives' columns are one gather.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagrams import DiagramBasis, Orbits
+from .diagrams import DiagramBasis, Orbits, shared_orbits
 from .generators import transition_table
 
 
@@ -81,14 +85,12 @@ def build_reduced(
     Equivariance implies representative independence, and it is proved
     first: the groups of `orbit_of` partition the basis (else ValueError),
     are closed under the permutations `step` and `mirror` and one orbit
-    each, and table column a commutes with them as column a+1 (rotation)
-    and L-2-a (reflection) of its family; else ArithmeticError names the
-    column or orbit. Entry (R, C), the block sum, is then |C| times rep(C)'s
-    column summed over R. `table` is the basis's `transition_table`, built
-    here when not given.
+    each, and table row a commutes with them as row a+1 (rotation) and
+    L-2-a (reflection) of its family; else ArithmeticError names the orbit,
+    or generator a as "column a". Entry (R, C), the block sum, is then |C|
+    times rep(C)'s column summed over R. `table` is the basis's
+    `transition_table`, built here when not given.
     """
-    if table is None:
-        table = transition_table(basis)
     n, size, m = len(basis), basis.length, len(orbits)
     orbit_of, representatives = orbits.orbit_of, orbits.representatives
     sized = len(orbit_of) == n and np.array_equal(np.bincount(orbit_of, minlength=m), orbits.sizes)
@@ -101,9 +103,11 @@ def build_reduced(
         moved = np.flatnonzero(orbit_of[image] != orbit_of)
         if moved.size:
             raise ArithmeticError(f"orbit {orbit_of[moved[0]]} is not closed under the {name}")
+        if table is None:  # built from the rotation, now proved a permutation
+            table = transition_table(basis, image)
         for a in range(2 * size):
             shifted = a - a % size + (sign * a + offset) % size
-            if not np.array_equal(table[image, shifted], image[table[:, a]]):
+            if not np.array_equal(table[shifted][image], image[table[a]]):
                 raise ArithmeticError(
                     f"transition table column {a} does not commute with the {name}"
                 )
@@ -123,15 +127,15 @@ def build_reduced(
 def _summed_entries(table, sources, group, scale) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sorted int64 (rows, cols, vals), zeros dropped, of the matrix whose column k
     is the full column of `sources[k]` summed by `group` of row, times `scale[k]`."""
-    m, size = len(sources), table.shape[1] // 2
+    m, size = len(sources), len(table) // 2
     assert m * m <= 2**63, "pair keys col * m + row must fit in int64"
     entries = np.repeat([3 * size, -2, -1], [1, size, size])  # +3L at itself, -2 and -1 at images
     keys, sums = [], []
     # Blocks of 2**12 columns keep the temporaries near 1 MB each.
     for cols in np.array_split(np.arange(m), range(2**12, m, 2**12)):
-        block = cols[:, None] * m + group[np.column_stack([sources[cols], table[sources[cols]]])]
+        block = cols * m + group[np.vstack([sources[cols], table[:, sources[cols]]])]
         order = np.argsort(block, axis=None)
-        block, vals = block.ravel()[order], np.tile(entries, len(cols))[order]
+        block, vals = block.ravel()[order], np.repeat(entries, len(cols))[order]
         starts = np.flatnonzero(np.diff(block, prepend=-1))
         total = np.add.reduceat(vals, starts) * scale[block[starts] // m]
         keys.append(block[starts][total != 0])
@@ -169,14 +173,14 @@ def annihilates(basis: DiagramBasis, values, table: np.ndarray | None = None) ->
     if len(values) != len(basis):
         raise ValueError("value vector does not match the basis size")
     if table is None:
-        table = transition_table(basis)
-    n, width = table.shape
+        table = transition_table(basis, shared_orbits(basis.length).step)
+    width, n = table.shape
     size = width // 2
 
     def apply(limb: np.ndarray) -> np.ndarray:
         out = 3 * size * limb
         for j in range(width):
-            np.add.at(out, table[:, j], (-2 if j < size else -1) * limb)
+            np.add.at(out, table[j], (-2 if j < size else -1) * limb)
         return out
 
     # A column's entries sum to 6L in magnitude, so no row exceeds 6L * n.

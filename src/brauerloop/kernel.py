@@ -29,6 +29,7 @@ import json
 import math
 import operator
 import os
+import random
 import re
 import threading
 import time
@@ -143,13 +144,16 @@ def _bicgstab(b_matrix, diagonal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     Right-preconditioned by the diagonal of B. Float64 throughout; the
     refinement around it measures the residual of the result and decides
     how many of its bits to keep, so stopping early only costs steps. The
-    shadow residual is a fixed random vector: the usual choice, the
-    right-hand side itself, breaks down on some sparse matrices (a directed
-    cycle, for one).
+    shadow residual is a fixed pseudo-random vector, uniform in [-1, 1),
+    drawn from the standard library's seeded generator, which unlike
+    `numpy.random` costs no import: the usual choice, the right-hand side
+    itself, breaks down on some sparse matrices (a directed cycle, for one),
+    and so does a regular (Weyl) sequence on some.
     """
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    r_hat = np.random.default_rng(0).standard_normal(len(rhs))
+    words = np.frombuffer(random.Random(0).randbytes(8 * len(rhs)), dtype="<u8")
+    r_hat = words * 2.0**-63 - 1.0
     rho = alpha = omega = 1.0
     v = p = np.zeros_like(rhs)
     target = _TOLERANCE * np.linalg.norm(rhs)
@@ -291,9 +295,9 @@ class GroundState:
     """Exact per-orbit weights of the kernel vector, gcd-normalised.
 
     `weights[k]` is the weight of orbit k of `shared_orbits(length)`, which
-    holds the representatives and sizes. The minimum weight being 1 is
-    recorded, not assumed: normalisation divides by the gcd, so a
-    counterexample would survive and be reportable.
+    holds the representatives and sizes. The minimum weight being 1 is not
+    assumed: normalisation divides by the gcd, so a counterexample would
+    survive in `weights`.
     """
 
     length: int
@@ -310,10 +314,6 @@ class GroundState:
     @property
     def total(self) -> int:
         return sum(map(operator.mul, self.sizes, self.weights))
-
-    @property
-    def min_is_one(self) -> bool:
-        return min(self.weights) == 1
 
     def expand(self) -> tuple[int, ...]:
         """Per-diagram weights over the full basis, in basis order."""
@@ -477,7 +477,7 @@ def groundstate(length: int, *, cache_dir=None) -> GroundState:
 
     basis = shared_basis(length)
     orbits = shared_orbits(length)
-    table = transition_table(basis)
+    table = transition_table(basis, orbits.step)
     matrix = build_reduced(basis, orbits, table)
     state = GroundState(length, kernel_vector(matrix))
     if not annihilates(basis, state.expand(), table):

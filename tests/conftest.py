@@ -199,7 +199,7 @@ def monte_carlo_per_step(basis, orbits, ground_state, samples, seed, burn_in=Non
             orbit_of[m] = oi
     # Per state, each site's monoid target twice and its braid target once.
     transitions = [[row[c] for a in range(length) for c in (a, a, length + a)]
-                   for row in transition_table(basis).tolist()]
+                   for row in transition_table(basis, orbits.step).T.tolist()]
     total = ground_state.total
     exact = [Fraction(size * weight, total)
              for size, weight in zip(ground_state.sizes, ground_state.weights)]

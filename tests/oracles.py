@@ -7,6 +7,9 @@
   the oracle of the block-built `enumerate_diagrams`.
 * `apply_monoid` and `apply_braid`: the generator action on one
   `ChordDiagram`, the oracles of `transition_table`.
+* `transition_table_by_search`: the table as (N, 2L), every site's images
+  located by rank key, the oracle of the rotation-conjugated
+  `transition_table`.
 * `rotate`, `reflect` and `canonical_representative`: the dihedral action on
   one diagram and its lexicographically smallest image, the oracles of the
   `step` and `mirror` maps and the representatives of `compute_orbits`.
@@ -59,8 +62,8 @@ from brauerloop import (
     KernelDimensionError,
     Orbits,
 )
-from brauerloop.diagrams import encode_partners
-from brauerloop.generators import transition_table
+from brauerloop.diagrams import encode_partners, shared_orbits
+from brauerloop.generators import _image_keys, transition_table
 from brauerloop.hamiltonian import IntensityMatrix, _summed_entries
 
 
@@ -314,10 +317,24 @@ def partial_permutation_label(diagram: ChordDiagram) -> tuple[int | None, ...] |
 
 
 
+def transition_table_by_search(basis: DiagramBasis) -> np.ndarray:
+    """Basis indices of all generator images, as an (N, 2L) int32 array.
+
+    Column i-1 holds the monoid image at site i and column L+i-1 the braid
+    image, every one located by the rank keys of `_image_keys`.
+    """
+    size = basis.length
+    table = np.empty((len(basis), 2 * size), dtype=np.int32)
+    for a in range(size):
+        table[:, a::size] = basis.locate(_image_keys(basis.partners, basis._keys, a)).T
+    return table
+
+
 def build_full(basis: DiagramBasis) -> IntensityMatrix:
     """The operator over the full diagram basis, summed column by column from the table."""
     index = np.arange(len(basis))
-    entries = _summed_entries(transition_table(basis), index, index, np.ones_like(index))
+    table = transition_table(basis, shared_orbits(basis.length).step)
+    entries = _summed_entries(table, index, index, np.ones_like(index))
     return IntensityMatrix(basis.length, len(index), *entries)
 
 
@@ -344,7 +361,7 @@ def lump_by_rows(basis: DiagramBasis, orbits: Orbits, table: np.ndarray) -> Inte
         cols = members[offsets[lo] : offsets[min(lo + step, m)]]
         # Column d of the full operator: +3L at d, -2 at each monoid image and
         # -1 at each braid image. Sum the entries per (row r, column orbit C).
-        rows = np.column_stack([cols, table[cols]]).ravel()
+        rows = np.column_stack([cols, table[:, cols].T]).ravel()
         vals = np.tile(np.repeat([3 * size, -2, -1], [1, size, size]), len(cols))
         keys, inverse = np.unique(
             rows * m + np.repeat(orbit_of[cols], 2 * size + 1), return_inverse=True

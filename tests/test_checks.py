@@ -338,18 +338,19 @@ class TestMonteCarlo:
                 m = index_of(basis, apply_monoid(i, d))
                 row.extend((m, m, index_of(basis, apply_braid(i, d))))
             expected.append(row)
-        table = _event_table(transition_table(basis))
+        table = _event_table(transition_table(basis, shared_orbits(length).step))
         assert table.shape == (len(basis), 3 * length)
+        assert table.flags.c_contiguous
         assert table.tolist() == expected
 
     @pytest.mark.parametrize("length, dtype", [(8, np.uint8), (9, np.uint16), (13, np.int32)])
     def test_event_table_takes_the_smallest_dtype(self, length, dtype):
-        transitions = transition_table(shared_basis(length))
+        transitions = transition_table(shared_basis(length), shared_orbits(length).step)
         table = _event_table(transitions)
         assert table.dtype == dtype
-        assert (table[:, 0::3] == transitions[:, :length]).all()
-        assert (table[:, 1::3] == transitions[:, :length]).all()
-        assert (table[:, 2::3] == transitions[:, length:]).all()
+        assert (table[:, 0::3] == transitions[:length].T).all()
+        assert (table[:, 1::3] == transitions[:length].T).all()
+        assert (table[:, 2::3] == transitions[length:].T).all()
 
     @pytest.mark.parametrize("length", range(2, 15))
     def test_bulk_draws_equal_randrange(self, length):

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -224,6 +226,41 @@ def test_import_loads_no_scipy_or_thread_pool():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_solving_leaves_numpy_random_unloaded():
+    # The solver's shadow residual comes from the standard library's seeded
+    # generator; importing numpy.random costs a cold process 15-19 ms.
+    import brauerloop
+
+    src = str(Path(brauerloop.__file__).parents[1])
+    probe = ("import sys; from brauerloop import groundstate; groundstate(12); "
+             "print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_out_of_memory_exits_4_with_one_line(tmp_path):
+    # In 400 MiB of address space L = 15 enumerates and ranks its 2 M
+    # diagrams, then cannot allocate its transition table. The limit is set
+    # in the child only.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))
+
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "brauerloop.cli", "groundstate", "--length", "15",
+         "--cache-dir", str(cache)],
+        cwd=tmp_path, preexec_fn=limit, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 4, done.stderr
+    assert done.stdout == ""
+    assert re.fullmatch(r"error: out of memory in groundstate(: [^\n]+)?\n", done.stderr)
+    assert list(cache.iterdir()) == []
 
 class TestCacheDirResolution:
     def test_flag_wins(self, monkeypatch):

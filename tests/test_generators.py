@@ -7,12 +7,18 @@ from hypothesis import strategies as st
 
 import brauerloop.diagrams as diagrams_module
 import brauerloop.generators as generators_module
-from brauerloop import DEFECT, check_relations, enumerate_diagrams
+from brauerloop import DEFECT, check_relations, compute_orbits, enumerate_diagrams
 from brauerloop.diagrams import _key, encode_partners, shared_basis, shared_orbits
 from brauerloop.generators import _image_keys, transition_table
 
 from conftest import defined_in_package, diagram, diagrams_of, index_of
-from oracles import ChordDiagram, apply_braid, apply_monoid, permutation_label
+from oracles import (
+    ChordDiagram,
+    apply_braid,
+    apply_monoid,
+    permutation_label,
+    transition_table_by_search,
+)
 
 
 def scalar_row(basis, d):
@@ -25,7 +31,7 @@ def scalar_row(basis, d):
 
 @lru_cache(maxsize=None)
 def shared_table(length):
-    return transition_table(shared_basis(length))
+    return transition_table(shared_basis(length), shared_orbits(length).step)
 
 
 @st.composite
@@ -42,15 +48,43 @@ class TestTransitionTable:
     @pytest.mark.parametrize("length", range(2, 11))
     def test_matches_scalar_generators_exhaustively(self, length):
         basis = enumerate_diagrams(length)
-        table = transition_table(basis)
-        assert table.shape == (len(basis), 2 * length)
-        assert table.tolist() == [scalar_row(basis, d) for d in diagrams_of(basis)]
+        table = transition_table(basis, compute_orbits(basis).step)
+        assert table.shape == (2 * length, len(basis))
+        assert table.dtype == np.int32 and table.flags.c_contiguous
+        assert table.T.tolist() == [scalar_row(basis, d) for d in diagrams_of(basis)]
 
     @settings(max_examples=40, deadline=None)
     @given(long_diagrams())
     def test_matches_scalar_generators_on_long_diagrams(self, d):
         basis = shared_basis(d.length)
-        assert shared_table(d.length)[index_of(basis, d)].tolist() == scalar_row(basis, d)
+        assert shared_table(d.length)[:, index_of(basis, d)].tolist() == scalar_row(basis, d)
+
+    @pytest.mark.parametrize("length", [*range(2, 13), 14])
+    def test_matches_the_search_oracle(self, length):
+        basis = shared_basis(length)
+        assert np.array_equal(transition_table_by_search(basis).T, shared_table(length))
+
+    @pytest.mark.parametrize("length, swapped", [(5, (0, 1)), (8, (3, 50)), (9, (0, -1))])
+    def test_rejects_a_step_with_two_entries_swapped(self, length, swapped):
+        step = shared_orbits(length).step.copy()
+        step[list(swapped)] = step[list(swapped[::-1])]
+        with pytest.raises(ArithmeticError,
+                           match=r"^transition table rows of site 2 do not match their rank keys$"):
+            transition_table(shared_basis(length), step)
+
+    @pytest.mark.parametrize("length, a, family", [(6, 1, 0), (7, 6, 1), (10, 4, 0)])
+    def test_rejects_one_perturbed_image_key(self, monkeypatch, length, a, family):
+        # The conjugated rows of the site are right; its keys now say otherwise.
+        def perturbed(partners, keys, site):
+            images = _image_keys(partners, keys, site)
+            if site == a:
+                images[family, len(keys) // 2] += np.uint64(1)
+            return images
+
+        monkeypatch.setattr(generators_module, "_image_keys", perturbed)
+        with pytest.raises(ArithmeticError,
+                           match=rf"^transition table rows of site {a + 1} do not match"):
+            transition_table(shared_basis(length), shared_orbits(length).step)
 
 
 class TestImageKeys:
@@ -161,9 +195,9 @@ def test_relation_report_text_runs():
 def test_broken_table_fails_with_counterexample(monkeypatch):
     # Make e_1 the identity map: idempotence still holds, while absorption
     # e_1 e_2 e_1 = e_1 fails first on the first diagram that e_2 moves.
-    def broken(basis):
-        table = transition_table(basis)
-        table[:, 0] = range(len(basis))
+    def broken(basis, step):
+        table = transition_table(basis, step)
+        table[0] = range(len(basis))
         return table
 
     monkeypatch.setattr(generators_module, "transition_table", broken)

@@ -36,7 +36,7 @@ from oracles import (
 
 @lru_cache(maxsize=None)
 def shared_table(length):
-    table = transition_table(shared_basis(length))
+    table = transition_table(shared_basis(length), shared_orbits(length).step)
     table.flags.writeable = False
     return table
 
@@ -245,8 +245,8 @@ class TestEquivarianceGate:
         row = data.draw(st.integers(min_value=0, max_value=len(basis) - 1), label="row")
         col = data.draw(st.integers(min_value=0, max_value=2 * length - 1), label="column")
         value = data.draw(st.integers(min_value=0, max_value=len(basis) - 1)
-                          .filter(lambda v: v != table[row, col]), label="value")
-        table[row, col] = value
+                          .filter(lambda v: v != table[col, row]), label="value")
+        table[col, row] = value
         with pytest.raises(ArithmeticError, match=r"^transition table column \d+ does not commute"):
             build_reduced(basis, orbits, table)
 
@@ -255,9 +255,7 @@ class TestEquivarianceGate:
         # e_i e_{i+1} in place of e_i: rotating shifts i, reflecting reverses the product.
         basis, orbits = shared_basis(length), shared_orbits(length)
         table = shared_table(length).copy()
-        table[:, :length] = np.column_stack(
-            [table[table[:, (a + 1) % length], a] for a in range(length)]
-        )
+        table[:length] = [table[a][table[(a + 1) % length]] for a in range(length)]
         with pytest.raises(ArithmeticError, match="does not commute with the reflection$"):
             build_reduced(basis, orbits, table)
         # Below L = 7 this lumping happens to be exact anyway; the gate is a

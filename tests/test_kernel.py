@@ -353,7 +353,7 @@ class TestGroundState:
             8297, 3433, 1491, 1145, 1043, 707, 483, 317, 209, 173,
             71, 51, 31, 13, 9, 3, 1,
         ]
-        assert gs.min_is_one
+        assert min(gs.weights) == 1
 
     def test_full_and_reduced_paths_agree(self):
         for length in (4, 5, 6):
@@ -377,13 +377,13 @@ class TestGroundState:
         calls = []
         original = kernel_module.transition_table
 
-        def counting(basis):
+        def counting(basis, step):
             calls.append(basis.length)
-            return original(basis)
+            return original(basis, step)
 
         monkeypatch.setattr(kernel_module, "transition_table", counting)
         monkeypatch.setattr(hamiltonian_module, "transition_table", counting)
-        assert groundstate(7).min_is_one
+        assert min(groundstate(7).weights) == 1
         assert calls == [7]
 
     def test_serialization_deterministic_across_threads(self):
@@ -430,7 +430,7 @@ class TestCache:
         path.write_text(text)
         with pytest.raises(CacheCorruptError):
             load_cached_groundstate(tmp_path, 4)
-        assert gs.min_is_one
+        assert min(gs.weights) == 1
 
     def test_deserialize_rejects_tampered_payload(self):
         import json
