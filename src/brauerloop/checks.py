@@ -15,6 +15,9 @@ texts show a label in its compact form in parentheses, as in "(2431)".
 
 The stored reference constants are write-once; the long-permutation weights
 are the opening terms of OEIS A094579.
+
+The Monte Carlo cross-check steps the uniformised chain on the (2L, N)
+`transition_table` itself, one gather per step (`_trajectory`).
 """
 
 from __future__ import annotations
@@ -267,23 +270,6 @@ _CHUNK_BLOCKS = 1024
 _DRAW_WORDS = 2**14  # 32-bit words fetched from the generator per draw chunk
 
 
-def _event_table(transitions: np.ndarray) -> np.ndarray:
-    """Targets of the 3L equally likely events per state, as a C-contiguous (N, 3L) array.
-
-    `transitions` is a (2L, N) `transition_table`. Events 3a and 3a+1 are
-    the monoid move at site a+1, event 3a+2 its braid move, so a uniform
-    event is a monoid move with probability 2/3.
-    """
-    size, states = len(transitions) // 2, transitions.shape[1]
-    dtype = np.uint8 if states <= 2**8 else np.uint16 if states <= 2**16 else np.int32
-    assert states - 1 <= np.iinfo(dtype).max, "state indices must fit the table's dtype"
-    table = np.empty((states, 3 * size), dtype=dtype)
-    events = table.T  # a view: event rows, written without a temporary
-    events[0::3] = events[1::3] = transitions[:size]
-    events[2::3] = transitions[size:]
-    return table
-
-
 def _event_chunks(rng: random.Random, n: int, count: int, size: int) -> Iterator[np.ndarray]:
     """The first `count` values of `rng.randrange(n)`, as uint8 arrays of `size`.
 
@@ -309,7 +295,13 @@ def _event_chunks(rng: random.Random, n: int, count: int, size: int) -> Iterator
 
 
 def _trajectory(table: np.ndarray, start: int, events: np.ndarray) -> np.ndarray:
-    """The states after each event from `start`, stepping `table[state, event]`.
+    """The states after each event from `start`, stepping the (2L, N) `transition_table`.
+
+    Event 3a or 3a+1 is the monoid move at site a+1 (row a), event 3a+2 its
+    braid move (row L+a); on the flattened table event e sends state x to
+    offset[e] + x, the start of its row plus x. The states, and the table
+    entries they are read from, are uint8 up to 2**8 diagrams, uint16 up to
+    2**16, else int32.
 
     The events are cut into blocks of _BLOCK_STEPS. Every block is first run
     from a guessed start (state 0; the first block from `start`), all blocks
@@ -320,17 +312,21 @@ def _trajectory(table: np.ndarray, start: int, events: np.ndarray) -> np.ndarray
     changes. Each round fixes at least the first wrong block, so the result
     is exact whether or not paths meet; meeting paths only save rounds.
     """
-    width, flat = table.shape[1], table.ravel()
+    size, count = len(table) // 2, table.shape[1]
+    dtype = np.uint8 if count <= 2**8 else np.uint16 if count <= 2**16 else np.int32
+    flat = table.ravel().astype(dtype, copy=False)  # a copy of at most 2L * 2**16 entries
+    offset = np.repeat(np.arange(size, dtype=np.intp) * count, 3)
+    offset[2::3] += size * count
     blocks = -(-len(events) // _BLOCK_STEPS)
     padded = np.pad(events, (0, blocks * _BLOCK_STEPS - len(events)))
     # Step-major layouts: row j holds step j of every block.
     moves = np.ascontiguousarray(padded.reshape(blocks, _BLOCK_STEPS).T)
-    states = np.empty((_BLOCK_STEPS, blocks), dtype=table.dtype)
-    guess = np.zeros(blocks, dtype=table.dtype)
+    states = np.empty((_BLOCK_STEPS, blocks), dtype=dtype)
+    guess = np.zeros(blocks, dtype=dtype)
     guess[0] = start
     state = guess
     for row, move in zip(states, moves):
-        np.take(flat, np.multiply(state, width, dtype=np.intp) + move, out=row)
+        np.take(flat, np.take(offset, move) + state, out=row)
         state = row
     while True:
         ends = np.concatenate((guess[:1], states[-1, :-1]))
@@ -339,7 +335,7 @@ def _trajectory(table: np.ndarray, start: int, events: np.ndarray) -> np.ndarray
             return states.T.ravel()[: len(events)]
         guess[run] = state = ends[run]
         for row, move in zip(states, moves):
-            state = flat[np.multiply(state, width, dtype=np.intp) + move[run]]
+            state = flat[offset[move[run]] + state]
             moved = state != row[run]
             run, state = run[moved], state[moved]
             if not run.size:
@@ -360,16 +356,15 @@ def monte_carlo_crosscheck(
     The chain P = I - H/(3L) is sampled one unit-rate event at a time: pick
     a site uniformly, then a monoid move with probability 2/3 or a braid
     move with probability 1/3. Standard errors come from batch means, which
-    absorbs the serial correlation of the trajectory; runs are deterministic
-    for a fixed seed.
+    absorbs the serial correlation of the trajectory.
 
     The events are the values of `random.Random(seed).randrange(3L)`, one
-    per step, drawn in bulk. The trajectory they fix is evaluated in chunks
-    of blocks by `_trajectory`: every block is advanced from a guessed start
-    at once, and a block whose true start (the previous block's end) differs
-    is run again until it meets its guessed path, since two runs of the
-    chain that reach one state at one step agree from then on. So the
-    states, visit counts and report equal those of a step-by-step loop.
+    per step, drawn in bulk. `_trajectory` evaluates the path they fix on
+    the transition table exactly, in chunks, so the states and visit counts
+    equal those of a step-by-step loop and are deterministic for a fixed
+    seed. The batch means use Python's float `sum`, which is compensated
+    from Python 3.12 on, so the last digits of `empirical` and `stderr` can
+    differ between Python versions for the same seed.
     """
     if length < 2:
         raise ValueError("simulation needs length >= 2")
@@ -384,7 +379,7 @@ def monte_carlo_crosscheck(
     basis = shared_basis(length)
     orbits = shared_orbits(length)
     representatives = representative_codes(length)
-    table = _event_table(transition_table(basis, orbits.step))
+    table = transition_table(basis, orbits.step)
 
     if ground_state is None:
         ground_state = groundstate(length, cache_dir=cache_dir)
@@ -397,7 +392,7 @@ def monte_carlo_crosscheck(
     batch_size = samples // n_batches
     used = n_batches * batch_size
     counts = np.zeros((n_batches, len(orbits)), dtype=np.int64)
-    chunks = _event_chunks(random.Random(seed), table.shape[1], burn + used,
+    chunks = _event_chunks(random.Random(seed), 3 * length, burn + used,
                            _CHUNK_BLOCKS * _BLOCK_STEPS)
     state, step = 0, 0  # the state before the chunk's first event, and its index
     for events in chunks:
@@ -423,19 +418,6 @@ def monte_carlo_crosscheck(
         variance = sum((m - mean) ** 2 for m in means) / max(n_batches - 1, 1)
         stderr = math.sqrt(variance / n_batches)
         gap = mean - float(exact[oi])
-        if stderr > 0:
-            z = gap / stderr
-        else:
-            z = 0.0 if gap == 0 else math.inf
-        estimates.append(
-            OrbitEstimate(
-                representative=representative,
-                exact=exact[oi],
-                empirical=mean,
-                stderr=stderr,
-                zscore=z,
-            )
-        )
-    return MonteCarloReport(
-        length=length, samples=used, seed=seed, burn_in=burn, estimates=tuple(estimates)
-    )
+        z = gap / stderr if stderr > 0 else 0.0 if gap == 0 else math.inf
+        estimates.append(OrbitEstimate(representative, exact[oi], mean, stderr, z))
+    return MonteCarloReport(length, used, seed, burn, tuple(estimates))

@@ -319,8 +319,7 @@ def compute_orbits(basis: DiagramBasis) -> Orbits:
         np.minimum(rmin, image, out=rmin)
     seeds = np.flatnonzero(rmin == np.arange(count, dtype=np.int32))
     image = basis.locate(_key(reflect_partners(basis.partners[seeds])))
-    inverse = np.empty_like(step)
-    inverse[step] = np.arange(count, dtype=np.int32)
+    inverse = inverse_of(step)
     mirror = np.empty_like(step)
     for _ in range(size):
         mirror[seeds] = image
@@ -345,6 +344,19 @@ def compute_orbits(basis: DiagramBasis) -> Orbits:
     assert np.array_equal(smallest[orbits.representatives], orbits.representatives)
     assert np.array_equal(smallest, orbits.representatives[orbits.orbit_of])
     return orbits
+
+
+def inverse_of(perm: np.ndarray) -> np.ndarray:
+    """The inverse of a permutation of 0..n-1, in the permutation's dtype."""
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(len(perm), dtype=perm.dtype)
+    return inverse
+
+
+def conjugate(row: np.ndarray, perm: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """The index map perm row perm^-1, given `inverse` = `inverse_of(perm)`: a generator's
+    row moved by a symmetry, as g_{i+1} = r g_i r^-1 for the one-site rotation r."""
+    return perm[row[inverse]]
 
 
 @lru_cache(maxsize=16)

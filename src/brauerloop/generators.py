@@ -10,8 +10,11 @@ which case whatever would have been joined to it becomes the new defect.
 
 `transition_table` applies both at every site to a whole basis at once, one
 row per generator; it is the one form of the action, and every other stage
-reads it. Only site 1 is searched by rank key: the other sites follow by
-conjugating with the one-site rotation, and each is then proved against its
+reads it: assembly and the full-basis check are handed it, Monte Carlo
+steps it. Only site 1 is searched by rank key: the other sites follow by
+conjugating with the one-site rotation (`diagrams.conjugate`, the one form
+of g_{i+1} = r g_i r^-1, which the equivariance gate and the relation
+check's rotation covariance also use), and each is then proved against its
 own rank keys.
 `check_relations` verifies the defining relations of the algebra on every
 diagram of a given length and reports a counterexample on failure.
@@ -24,7 +27,8 @@ from itertools import chain
 
 import numpy as np
 
-from .diagrams import DiagramBasis, _ranks_fit, encode_partners, shared_basis, shared_orbits
+from .diagrams import (DiagramBasis, _ranks_fit, conjugate, encode_partners, inverse_of,
+                       shared_basis, shared_orbits)
 
 
 def transition_table(basis: DiagramBasis, step: np.ndarray) -> np.ndarray:
@@ -33,20 +37,19 @@ def transition_table(basis: DiagramBasis, step: np.ndarray) -> np.ndarray:
     Row a holds the monoid image at site a+1 and row L+a the braid image.
     `step` is the one-site rotation of `compute_orbits` (`Orbits.step`).
     Only the rows of site 1 are located by rank key; every other row is
-    the rotation conjugate of the one before it, g_{i+1} = r g_i r^-1, so
-    row c is step[row c-1 [step^-1]]. Each conjugated row is then proved
-    entry by entry: the basis keys of its images must equal the independent
-    key arithmetic of `_image_keys`, and keys are injective on the basis.
-    A mismatch raises ArithmeticError naming the site.
+    the rotation conjugate of the one before it, g_{i+1} = r g_i r^-1
+    (`conjugate`). Each conjugated row is then proved entry by entry: the
+    basis keys of its images must equal the independent key arithmetic of
+    `_image_keys`, and keys are injective on the basis. A mismatch raises
+    ArithmeticError naming the site.
     """
     size, count = basis.length, len(basis)
     table = np.empty((2 * size, count), dtype=np.int32)
     table[0::size] = basis.locate(_image_keys(basis.partners, basis._keys, 0))
-    inverse = np.empty_like(step)
-    inverse[step] = np.arange(count, dtype=step.dtype)
+    inverse = inverse_of(step)
     for c in range(2 * size):
         if c % size:
-            np.take(step, table[c - 1][inverse], out=table[c])
+            table[c] = conjugate(table[c - 1], step, inverse)
     del inverse
     for a in range(1, size):
         if not np.array_equal(basis._keys[table[a::size]],
@@ -119,11 +122,6 @@ class RelationReport:
         return "\n".join(lines)
 
 
-def _cyclic_distance(i: int, j: int, size: int) -> int:
-    d = (i - j) % size
-    return min(d, size - d)
-
-
 def check_relations(length: int) -> RelationReport:
     """Verify the defining relations as equalities of maps on diagrams.
 
@@ -142,13 +140,12 @@ def check_relations(length: int) -> RelationReport:
     table = transition_table(basis, rot)
     e = {i: table[i - 1] for i in range(1, length + 1)}
     b = {i: table[length + i - 1] for i in range(1, length + 1)}
-    rot_back = np.argsort(rot)  # the inverse permutation
+    rot_back = inverse_of(rot)
 
     sites = range(1, length + 1)
-    adjacent = [(i, j) for i in sites for j in sites
-                if i != j and _cyclic_distance(i, j, length) == 1]
-    distant = [(i, j) for i in sites for j in sites
-               if i != j and _cyclic_distance(i, j, length) > 1]
+    # Sites at cyclic distance 1, and at distance > 1.
+    adjacent = [(i, j) for i in sites for j in sites if (i - j) % length in (1, length - 1)]
+    distant = [(i, j) for i in sites for j in sites if (i - j) % length not in (0, 1, length - 1)]
 
     # Each relation family: (name, (lhs, rhs, tag) per index choice). The
     # instances are generated lazily, so one pair of image arrays is alive
@@ -180,8 +177,8 @@ def check_relations(length: int) -> RelationReport:
         # Periodic closure: conjugating by one rotation shifts the site index,
         # so the generator at site L is the wrap-around of the one at site 1.
         ("rotation covariance: g_{i+1} = r g_i r^-1",
-         chain(((e[i % length + 1][d], rot[e[i][rot_back[d]]], f"e,i={i}") for i in sites),
-               ((b[i % length + 1][d], rot[b[i][rot_back[d]]], f"b,i={i}") for i in sites))),
+         chain(((e[i % length + 1], conjugate(e[i], rot, rot_back), f"e,i={i}") for i in sites),
+               ((b[i % length + 1], conjugate(b[i], rot, rot_back), f"b,i={i}") for i in sites))),
     ]
 
     checks = []

@@ -20,9 +20,11 @@ lumped matrix has zero column sums and the per-orbit weights as its kernel.
 The operator over the full basis is applied to a vector by `annihilates`,
 straight from the table, and never assembled.
 
-The table is the (2L, N) `transition_table`: row a holds the image of every
-diagram under generator a, so the gate, `annihilates` and the summed entries
-read whole contiguous rows, and the representatives' columns are one gather.
+The table is the (2L, N) `transition_table`, which the caller builds once
+and passes to both `build_reduced` and `annihilates`; this module builds
+none. Row a holds the image of every diagram under generator a, so the
+gate, `annihilates` and the summed entries read whole contiguous rows, and
+the representatives' columns are one gather.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagrams import DiagramBasis, Orbits, shared_orbits
-from .generators import transition_table
+from .diagrams import DiagramBasis, Orbits, conjugate, inverse_of
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,20 +78,19 @@ def _first(mask: np.ndarray) -> int:
     return int(np.argmax(mask)) if mask.any() else len(mask)
 
 
-def build_reduced(
-    basis: DiagramBasis, orbits: Orbits, table: np.ndarray | None = None
-) -> IntensityMatrix:
+def build_reduced(basis: DiagramBasis, orbits: Orbits, table: np.ndarray) -> IntensityMatrix:
     """Lump the full operator over dihedral orbits by summing orbit blocks.
 
+    `table` is the basis's (2L, N) `transition_table` (else ValueError).
     Equivariance implies representative independence, and it is proved
     first: the groups of `orbit_of` partition the basis (else ValueError),
     are closed under the permutations `step` and `mirror` and one orbit
-    each, and table row a commutes with them as row a+1 (rotation) and
-    L-2-a (reflection) of its family; else ArithmeticError names the orbit,
-    or generator a as "column a". Entry (R, C), the block sum, is then |C|
-    times rep(C)'s column summed over R. `table` is the basis's
-    `transition_table`, built here when not given.
+    each, and the conjugate of table row a by each is row a+1 (rotation)
+    and L-2-a (reflection) of its family; else ArithmeticError names the
+    orbit, or generator a as "column a". Entry (R, C), the block sum, is
+    then |C| times rep(C)'s column summed over R.
     """
+    _check_shape(basis, table)
     n, size, m = len(basis), basis.length, len(orbits)
     orbit_of, representatives = orbits.orbit_of, orbits.representatives
     sized = len(orbit_of) == n and np.array_equal(np.bincount(orbit_of, minlength=m), orbits.sizes)
@@ -103,11 +103,10 @@ def build_reduced(
         moved = np.flatnonzero(orbit_of[image] != orbit_of)
         if moved.size:
             raise ArithmeticError(f"orbit {orbit_of[moved[0]]} is not closed under the {name}")
-        if table is None:  # built from the rotation, now proved a permutation
-            table = transition_table(basis, image)
+        inverse = inverse_of(image)
         for a in range(2 * size):
             shifted = a - a % size + (sign * a + offset) % size
-            if not np.array_equal(table[shifted][image], image[table[a]]):
+            if not np.array_equal(table[shifted], conjugate(table[a], image, inverse)):
                 raise ArithmeticError(
                     f"transition table column {a} does not commute with the {name}"
                 )
@@ -122,6 +121,13 @@ def build_reduced(
         raise ArithmeticError(f"orbit {k} is not one orbit of the rotation and reflection")
     entries = _summed_entries(table, representatives, orbit_of, orbits.sizes)
     return IntensityMatrix(basis.length, m, *entries)
+
+
+def _check_shape(basis: DiagramBasis, table: np.ndarray) -> None:
+    expected = (2 * basis.length, len(basis))
+    if table.shape != expected:
+        raise ValueError(f"transition table of shape {table.shape} given for a basis "
+                         f"that needs {expected}")
 
 
 def _summed_entries(table, sources, group, scale) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -163,17 +169,16 @@ def connectivity_check(matrix: IntensityMatrix) -> bool:
     return True
 
 
-def annihilates(basis: DiagramBasis, values, table: np.ndarray | None = None) -> bool:
+def annihilates(basis: DiagramBasis, values, table: np.ndarray) -> bool:
     """Exact check that the operator sends the given diagram vector to zero.
 
+    `table` is the basis's (2L, N) `transition_table` (else ValueError).
     The weights are arbitrary Python integers; `product_is_zero` pushes them
-    through the transition table in 31-bit limbs. `table` is the basis's
-    `transition_table`, built here when not given.
+    through the table in 31-bit limbs.
     """
     if len(values) != len(basis):
         raise ValueError("value vector does not match the basis size")
-    if table is None:
-        table = transition_table(basis, shared_orbits(basis.length).step)
+    _check_shape(basis, table)
     width, n = table.shape
     size = width // 2
 

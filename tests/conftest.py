@@ -5,13 +5,14 @@ import os
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from hypothesis import strategies as st
 
 from brauerloop import IntensityMatrix
 from brauerloop.checks import MonteCarloReport, OrbitEstimate
-from brauerloop.diagrams import _key, encode_partners, reflect_partners
+from brauerloop.diagrams import _key, encode_partners, reflect_partners, shared_basis, shared_orbits
 from brauerloop.generators import transition_table
 
 from oracles import ChordDiagram, rotate_partners
@@ -25,6 +26,14 @@ def defined_in_package(name):
     """The package modules that define `name`."""
     return [module for module in PACKAGE_MODULES
             if hasattr(importlib.import_module(module), name)]
+
+
+@lru_cache(maxsize=None)
+def table_of(length):
+    """The read-only `transition_table` of the shared basis of one length."""
+    table = transition_table(shared_basis(length), shared_orbits(length).step)
+    table.flags.writeable = False
+    return table
 
 
 def diagram(length, *pairs):

@@ -27,7 +27,7 @@ from brauerloop import (
 )
 from brauerloop.diagrams import shared_basis, shared_orbits
 
-from conftest import assert_orbits_are, orbits_by_image_keys
+from conftest import assert_orbits_are, orbits_by_image_keys, table_of
 from oracles import build_full, validate_by_columns
 
 L6_WEIGHT_SIZE = {(63, 2), (31, 3), (13, 6), (3, 3), (1, 1)}
@@ -190,7 +190,7 @@ def test_criterion_10_oracle_equivalence(states):
             notes.append(f"full/reduced mismatch at L={length}")
     for length, gs in computed.items():
         basis = shared_basis(length)
-        if not annihilates(basis, gs.expand()):
+        if not annihilates(basis, gs.expand(), table_of(length)):
             ok = False
             notes.append(f"H*psi != 0 at L={length}")
     for length in (11, 12):

@@ -2,6 +2,9 @@
 
 The per-diagram generator, dihedral and label functions, `ChordDiagram` and
 `build_full` live in `tests/oracles.py`; the package keeps one form of each.
+The generator action's one form is the (2L, N) `transition_table`: Monte
+Carlo steps it directly (no (N, 3L) `_event_table`), and `build_reduced` and
+`annihilates` take it as a required argument.
 Labels are plain tuples, so the label classes and `orbit_labels` are gone
 too, and the solver reads `IntensityMatrix`'s own entry arrays, so no second
 sparse type (`_Sparse`) remains.
@@ -15,7 +18,7 @@ import pytest
 import brauerloop
 from brauerloop.diagrams import DiagramBasis, Orbits
 from brauerloop.generators import RelationReport, check_relations
-from brauerloop.hamiltonian import IntensityMatrix
+from brauerloop.hamiltonian import IntensityMatrix, annihilates, build_reduced
 
 from conftest import defined_in_package
 
@@ -26,10 +29,10 @@ PUBLIC = [
     "verify_sum_rule", "NonIntegerError", "OddProductError", "class_count", "double_factorial",
     "euler_totient", "involution_term", "pairings_fixed_by_rotation", "DEFECT",
     "BasisTooLargeError", "DiagramBasis", "Orbits", "compute_orbits",
-    "enumerate_diagrams", "RelationReport", "check_relations", "IntensityMatrix", "annihilates",
-    "build_reduced", "connectivity_check", "CacheCorruptError", "DisconnectedMatrixError",
-    "GroundState", "KernelDimensionError", "MixedSignsError", "RefinementError", "groundstate",
-    "kernel_vector", "normalize_integer", "__version__",
+    "enumerate_diagrams", "RelationReport", "check_relations", "transition_table",
+    "IntensityMatrix", "annihilates", "build_reduced", "connectivity_check", "CacheCorruptError",
+    "DisconnectedMatrixError", "GroundState", "KernelDimensionError", "MixedSignsError",
+    "RefinementError", "groundstate", "kernel_vector", "normalize_integer", "__version__",
 ]
 
 ORACLES = [
@@ -38,11 +41,12 @@ ORACLES = [
     "canonical_representative", "permutation_label", "partial_permutation_label",
     "build_full", "FULL", "REDUCED", "rotate_partners",
     "Permutation", "PartialPermutation", "orbit_labels", "ChordDiagram", "_Sparse",
+    "_event_table",
 ]
 
 def test_exports_are_the_pipeline():
     assert brauerloop.__all__ == PUBLIC
-    assert len(PUBLIC) == 42
+    assert len(PUBLIC) == 43
     for name in PUBLIC:
         assert getattr(brauerloop, name) is not None
 
@@ -56,6 +60,9 @@ def test_no_test_only_fields_or_parameters():
     assert "kind" not in [field.name for field in dataclasses.fields(IntensityMatrix)]
     assert list(inspect.signature(IntensityMatrix.validate).parameters) == ["self"]
     assert list(inspect.signature(check_relations).parameters) == ["length"]
+    for function in (build_reduced, annihilates):
+        table = inspect.signature(function).parameters["table"]
+        assert table.default is inspect.Parameter.empty, function.__name__
     assert "exhaustive" not in [field.name for field in dataclasses.fields(RelationReport)]
     for owner, name in ((DiagramBasis, "index_of"), (DiagramBasis, "__getitem__"),
                         (Orbits, "members_of")):

@@ -30,7 +30,6 @@ from brauerloop.checks import (
     _CHUNK_BLOCKS,
     _DRAW_WORDS,
     _event_chunks,
-    _event_table,
     _trajectory,
 )
 from brauerloop.cli import main
@@ -41,7 +40,6 @@ from brauerloop.diagrams import (
     shared_orbit_labels,
     shared_orbits,
 )
-from brauerloop.generators import transition_table
 
 from conftest import (
     defined_in_package,
@@ -52,6 +50,7 @@ from conftest import (
     members_of,
     monte_carlo_per_step,
     settle,
+    table_of,
 )
 from oracles import apply_braid, apply_monoid, partial_permutation_label, permutation_label
 from brauerloop.kernel import GroundState
@@ -330,27 +329,28 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("length", range(2, 9))
     def test_event_rows_match_scalar_generators(self, length):
+        # Events 3a and 3a+1 are the monoid at site a+1, event 3a+2 its braid.
         basis = shared_basis(length)
-        expected = []
-        for d in diagrams_of(basis):
-            row = []
-            for i in range(1, length + 1):
-                m = index_of(basis, apply_monoid(i, d))
-                row.extend((m, m, index_of(basis, apply_braid(i, d))))
-            expected.append(row)
-        table = _event_table(transition_table(basis, shared_orbits(length).step))
-        assert table.shape == (len(basis), 3 * length)
-        assert table.flags.c_contiguous
-        assert table.tolist() == expected
+        table = table_of(length)
+        for x, d in enumerate(diagrams_of(basis)):
+            expected, found = [], []
+            for event in range(3 * length):
+                move = apply_braid if event % 3 == 2 else apply_monoid
+                expected.append(index_of(basis, move(event // 3 + 1, d)))
+                found.extend(_trajectory(table, x, np.array([event], dtype=np.uint8)).tolist())
+            assert found == expected
 
     @pytest.mark.parametrize("length, dtype", [(8, np.uint8), (9, np.uint16), (13, np.int32)])
-    def test_event_table_takes_the_smallest_dtype(self, length, dtype):
-        transitions = transition_table(shared_basis(length), shared_orbits(length).step)
-        table = _event_table(transitions)
-        assert table.dtype == dtype
-        assert (table[:, 0::3] == transitions[:length].T).all()
-        assert (table[:, 1::3] == transitions[:length].T).all()
-        assert (table[:, 2::3] == transitions[length:].T).all()
+    def test_states_take_the_smallest_dtype(self, length, dtype):
+        table = table_of(length)
+        events = np.random.default_rng(length).integers(0, 3 * length, size=600, dtype=np.uint8)
+        path = _trajectory(table, 5, events)
+        assert path.dtype == dtype
+        state, expected = 5, []
+        for event in events.tolist():
+            state = int(table[event // 3 + length * (event % 3 == 2), state])
+            expected.append(state)
+        assert path.tolist() == expected
 
     @pytest.mark.parametrize("length", range(2, 15))
     def test_bulk_draws_equal_randrange(self, length):
@@ -374,11 +374,12 @@ class TestMonteCarlo:
         # fixed one round at a time.
         monkeypatch.setattr(checks_module, "_BLOCK_STEPS", block_steps)
         rng = np.random.default_rng(5)
-        table = np.stack([rng.permutation(40) for _ in range(9)], axis=1).astype(np.int32)
+        # A (2L, N) table with L = 3: events 3a, 3a+1 read row a, event 3a+2 row 3+a.
+        table = np.stack([rng.permutation(40) for _ in range(6)]).astype(np.int32)
         events = rng.integers(0, 9, size=3000, dtype=np.uint8)
         state, expected = 17, []
         for event in events.tolist():
-            state = int(table[state, event])
+            state = int(table[event // 3 + 3 * (event % 3 == 2), state])
             expected.append(state)
         assert _trajectory(table, 17, events).tolist() == expected
 

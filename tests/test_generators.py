@@ -1,5 +1,3 @@
-from functools import lru_cache
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +9,7 @@ from brauerloop import DEFECT, check_relations, compute_orbits, enumerate_diagra
 from brauerloop.diagrams import _key, encode_partners, shared_basis, shared_orbits
 from brauerloop.generators import _image_keys, transition_table
 
-from conftest import defined_in_package, diagram, diagrams_of, index_of
+from conftest import defined_in_package, diagram, diagrams_of, index_of, table_of
 from oracles import (
     ChordDiagram,
     apply_braid,
@@ -27,11 +25,6 @@ def scalar_row(basis, d):
     return [index_of(basis, apply_monoid(i, d)) for i in sites] + [
         index_of(basis, apply_braid(i, d)) for i in sites
     ]
-
-
-@lru_cache(maxsize=None)
-def shared_table(length):
-    return transition_table(shared_basis(length), shared_orbits(length).step)
 
 
 @st.composite
@@ -57,12 +50,12 @@ class TestTransitionTable:
     @given(long_diagrams())
     def test_matches_scalar_generators_on_long_diagrams(self, d):
         basis = shared_basis(d.length)
-        assert shared_table(d.length)[:, index_of(basis, d)].tolist() == scalar_row(basis, d)
+        assert table_of(d.length)[:, index_of(basis, d)].tolist() == scalar_row(basis, d)
 
     @pytest.mark.parametrize("length", [*range(2, 13), 14])
     def test_matches_the_search_oracle(self, length):
         basis = shared_basis(length)
-        assert np.array_equal(transition_table_by_search(basis).T, shared_table(length))
+        assert np.array_equal(transition_table_by_search(basis).T, table_of(length))
 
     @pytest.mark.parametrize("length, swapped", [(5, (0, 1)), (8, (3, 50)), (9, (0, -1))])
     def test_rejects_a_step_with_two_entries_swapped(self, length, swapped):
@@ -216,6 +209,32 @@ def test_broken_table_fails_with_counterexample(monkeypatch):
     assert absorption.counterexample == f"i=1,j=2 on {encode_partners(basis.partners[moved])}"
     assert absorption.cases == moved + 1
     assert f"FAIL  ({moved + 1} cases)  counterexample: i=1,j=2 on" in report.to_text()
+
+
+# One entry of the site-L row (monoid or braid) raised by one, modulo N. Rows
+# 2..L are conjugates by construction, so only the wrap from site L-1 to L,
+# the first rotation case to read row L, can fail; the counts and
+# counterexamples were recorded before the covariance family was rewritten
+# over `conjugate`.
+@pytest.mark.parametrize("length, row, cases, counterexample", [
+    (6, 5, 68, "e,i=5 on 4,5,6,1,2,3"),
+    (6, 11, 158, "b,i=5 on 4,5,6,1,2,3"),
+    (7, 6, 578, "e,i=6 on 4,5,6,1,2,3,."),
+    (7, 13, 1313, "b,i=6 on 4,5,6,1,2,3,."),
+])
+def test_corrupt_site_l_row_fails_rotation_covariance(monkeypatch, length, row, cases,
+                                                      counterexample):
+    def broken(basis, step):
+        table = transition_table(basis, step)
+        k = len(basis) // 2
+        table[row, k] = (table[row, k] + 1) % len(basis)
+        return table
+
+    monkeypatch.setattr(generators_module, "transition_table", broken)
+    report = check_relations(length)
+    covariance = {c.name: c for c in report.checks}["rotation covariance: g_{i+1} = r g_i r^-1"]
+    assert not covariance.passed
+    assert (covariance.cases, covariance.counterexample) == (cases, counterexample)
 
 
 def test_relations_reject_tiny_length():

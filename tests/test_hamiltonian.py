@@ -1,5 +1,3 @@
-from functools import lru_cache
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,10 +15,17 @@ from brauerloop import (
     kernel_vector,
 )
 from brauerloop.diagrams import shared_basis, shared_orbits
-from brauerloop.generators import transition_table
 from brauerloop.hamiltonian import IntensityMatrix
 
-from conftest import diagram, diagrams_of, index_of, intensity_columns, matrix_of, members_of
+from conftest import (
+    diagram,
+    diagrams_of,
+    index_of,
+    intensity_columns,
+    matrix_of,
+    members_of,
+    table_of,
+)
 from oracles import (
     apply_braid,
     apply_monoid,
@@ -32,13 +37,6 @@ from oracles import (
     rotate,
     validate_by_columns,
 )
-
-
-@lru_cache(maxsize=None)
-def shared_table(length):
-    table = transition_table(shared_basis(length), shared_orbits(length).step)
-    table.flags.writeable = False
-    return table
 
 
 def regrouped(orbits, groups):
@@ -190,7 +188,7 @@ class TestBuildReduced:
     def test_l4_block_sums(self):
         basis = enumerate_diagrams(4)
         orbits = compute_orbits(basis)
-        matrix = build_reduced(basis, orbits)
+        matrix = build_reduced(basis, orbits, table_of(4))
         # orbit 0 = the two parallel diagrams, orbit 1 = the crossing
         assert orbits.sizes.tolist() == [2, 1]
         assert columns_of(matrix) == ({0: 4, 1: -4}, {0: -12, 1: 12})
@@ -198,7 +196,7 @@ class TestBuildReduced:
     @pytest.mark.parametrize("length", range(2, 11))
     def test_reduced_columns_sum_to_zero(self, length):
         basis = enumerate_diagrams(length)
-        matrix = build_reduced(basis, compute_orbits(basis))
+        matrix = build_reduced(basis, compute_orbits(basis), table_of(length))
         matrix.validate()
 
     def test_rejects_non_partition(self):
@@ -208,7 +206,7 @@ class TestBuildReduced:
         alone = Orbits(first[:1], orbits.sizes[:1], first, orbits.offsets[:2], orbits.orbit_of,
                        orbits.step, orbits.mirror)
         with pytest.raises(ValueError, match="do not partition"):
-            build_reduced(basis, alone)
+            build_reduced(basis, alone, table_of(4))
 
     def test_rejects_broken_symmetry_grouping(self):
         # gluing the crossing onto one parallel diagram is not an orbit
@@ -216,13 +214,13 @@ class TestBuildReduced:
         orbits = compute_orbits(basis)
         fake = Orbits.grouped([0, 1, 2], [2, 1], orbits.step, orbits.mirror)
         with pytest.raises(ArithmeticError):
-            build_reduced(basis, fake)
+            build_reduced(basis, fake, table_of(4))
 
 
 class TestRowSumOracle:
     @pytest.mark.parametrize("length", range(2, 13))
     def test_reduced_matches_row_sums(self, length):
-        basis, orbits, table = shared_basis(length), shared_orbits(length), shared_table(length)
+        basis, orbits, table = shared_basis(length), shared_orbits(length), table_of(length)
         expected = triplets(lump_by_rows(basis, orbits, table))
         assert triplets(build_reduced(basis, orbits, table)) == expected
 
@@ -232,7 +230,7 @@ class TestRowSumOracle:
         n = len(basis)
         orbits = shared_orbits(length)
         singletons = Orbits.grouped(np.arange(n), np.ones(n), orbits.step, orbits.mirror)
-        expected = triplets(lump_by_rows(basis, singletons, shared_table(length)))
+        expected = triplets(lump_by_rows(basis, singletons, table_of(length)))
         assert triplets(build_full(basis)) == expected
 
 
@@ -241,7 +239,7 @@ class TestEquivarianceGate:
     @given(st.integers(min_value=3, max_value=9), st.data())
     def test_rejects_one_corrupt_table_entry(self, length, data):
         basis, orbits = shared_basis(length), shared_orbits(length)
-        table = shared_table(length).copy()
+        table = table_of(length).copy()
         row = data.draw(st.integers(min_value=0, max_value=len(basis) - 1), label="row")
         col = data.draw(st.integers(min_value=0, max_value=2 * length - 1), label="column")
         value = data.draw(st.integers(min_value=0, max_value=len(basis) - 1)
@@ -250,11 +248,24 @@ class TestEquivarianceGate:
         with pytest.raises(ArithmeticError, match=r"^transition table column \d+ does not commute"):
             build_reduced(basis, orbits, table)
 
+    @pytest.mark.parametrize("length, row, column", [(6, 5, 4), (6, 11, 10), (7, 6, 5),
+                                                     (7, 13, 12)])
+    def test_rejects_a_corrupt_site_l_row(self, length, row, column):
+        # The corrupt row of the rotation-covariance test in test_generators:
+        # the conjugate of the row before it no longer matches it.
+        basis, orbits = shared_basis(length), shared_orbits(length)
+        table = table_of(length).copy()
+        k = len(basis) // 2
+        table[row, k] = (table[row, k] + 1) % len(basis)
+        with pytest.raises(ArithmeticError, match=rf"^transition table column {column} does not "
+                                                  "commute with the rotation$"):
+            build_reduced(basis, orbits, table)
+
     @pytest.mark.parametrize("length", range(5, 10))
     def test_rejects_a_table_that_commutes_with_the_rotation_only(self, length):
         # e_i e_{i+1} in place of e_i: rotating shifts i, reflecting reverses the product.
         basis, orbits = shared_basis(length), shared_orbits(length)
-        table = shared_table(length).copy()
+        table = table_of(length).copy()
         table[:length] = [table[a][table[(a + 1) % length]] for a in range(length)]
         with pytest.raises(ArithmeticError, match="does not commute with the reflection$"):
             build_reduced(basis, orbits, table)
@@ -274,7 +285,8 @@ class TestEquivarianceGate:
         merged = np.concatenate([groups[j], groups[k]])
         rest = [g for i, g in enumerate(groups) if i not in (j, k)]
         with pytest.raises(ArithmeticError, match="^orbit 0 is not one orbit of the rotation"):
-            build_reduced(shared_basis(length), regrouped(orbits, [merged, *rest]))
+            build_reduced(shared_basis(length), regrouped(orbits, [merged, *rest]),
+                          table_of(length))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=4, max_value=10), st.data())
@@ -287,7 +299,7 @@ class TestEquivarianceGate:
         parts = [np.array(members[:cut]), np.array(members[cut:])]
         grouping = regrouped(orbits, [*groups[:k], *parts, *groups[k + 1 :]])
         with pytest.raises(ArithmeticError, match="is not closed under the"):
-            build_reduced(shared_basis(length), grouping)
+            build_reduced(shared_basis(length), grouping, table_of(length))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=4, max_value=10), st.data())
@@ -299,14 +311,20 @@ class TestEquivarianceGate:
         groups[k].append(groups[j].pop(data.draw(st.integers(0, len(groups[j]) - 1))))
         grouping = regrouped(orbits, [np.array(g) for g in groups])
         with pytest.raises(ArithmeticError, match="is not closed under the"):
-            build_reduced(shared_basis(length), grouping)
+            build_reduced(shared_basis(length), grouping, table_of(length))
+
+    def test_rejects_a_table_of_another_length(self):
+        basis = shared_basis(8)
+        with pytest.raises(ValueError, match=r"^transition table of shape \(12, 15\) given for "
+                                             r"a basis that needs \(16, 105\)$"):
+            build_reduced(basis, shared_orbits(8), table_of(6))
 
     def test_rejects_maps_that_are_not_permutations(self):
         basis, orbits = shared_basis(6), shared_orbits(6)
         constant = Orbits.grouped(orbits.members, orbits.sizes, np.zeros_like(orbits.step),
                                  orbits.mirror)
         with pytest.raises(ArithmeticError, match="rotation map is not a permutation"):
-            build_reduced(basis, constant)
+            build_reduced(basis, constant, table_of(6))
 
 
 class TestConnectivity:
@@ -320,7 +338,7 @@ class TestConnectivity:
     def test_full_and_reduced_connected(self, length):
         basis = enumerate_diagrams(length)
         assert connectivity_check(build_full(basis))
-        assert connectivity_check(build_reduced(basis, compute_orbits(basis)))
+        assert connectivity_check(build_reduced(basis, compute_orbits(basis), table_of(length)))
 
     def test_detects_disconnection(self):
         assert not connectivity_check(matrix_of(({}, {})))
@@ -333,9 +351,9 @@ class TestAnnihilates:
         values[index_of(basis, diagram(4, (1, 2), (3, 4)))] = 3
         values[index_of(basis, diagram(4, (2, 3), (4, 1)))] = 3
         values[index_of(basis, diagram(4, (1, 3), (2, 4)))] = 1
-        assert annihilates(basis, values)
+        assert annihilates(basis, values, table_of(4))
         values[0] += 1
-        assert not annihilates(basis, values)
+        assert not annihilates(basis, values, table_of(4))
 
     @pytest.mark.parametrize("scale", (1, -1, 2**31, -(2**62), 3**80),
                              ids=("1", "-1", "2^31", "-2^62", "3^80"))
@@ -344,12 +362,18 @@ class TestAnnihilates:
         basis = enumerate_diagrams(6)
         kernel = groundstate(6).expand()
         values = [scale * w for w in kernel]
-        assert annihilates(basis, values)
+        assert annihilates(basis, values, table_of(6))
         for bump in (1, 2**31, 2**62, 2**93):
             values[3] += bump
-            assert not annihilates(basis, values)
+            assert not annihilates(basis, values, table_of(6))
             values[3] -= bump
+
+    def test_rejects_a_table_of_another_length(self):
+        basis = shared_basis(8)
+        with pytest.raises(ValueError, match=r"^transition table of shape \(12, 15\) given for "
+                                             r"a basis that needs \(16, 105\)$"):
+            annihilates(basis, groundstate(8).expand(), table_of(6))
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            annihilates(enumerate_diagrams(4), [1, 2])
+            annihilates(enumerate_diagrams(4), [1, 2], table_of(4))

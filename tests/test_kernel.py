@@ -40,7 +40,7 @@ from brauerloop.kernel import (
     serialize_groundstate,
 )
 
-from conftest import diagram, index_of, matrix_of, members_of, settle
+from conftest import diagram, index_of, matrix_of, members_of, settle, table_of
 from oracles import (
     PRIMES,
     _bareiss_kernel,
@@ -86,7 +86,7 @@ class TestKernelVector:
 
     @pytest.mark.parametrize("length", range(3, 13))
     def test_integral_is_the_normalised_fraction_vector(self, length):
-        matrix = build_reduced(shared_basis(length), shared_orbits(length))
+        matrix = build_reduced(shared_basis(length), shared_orbits(length), table_of(length))
         ints = kernel_vector(matrix)
         assert all(type(v) is int for v in ints)
         assert ints == normalize_integer(ints)
@@ -94,14 +94,14 @@ class TestKernelVector:
 
     def test_l6_reduced_kernel_weights(self):
         basis = enumerate_diagrams(6)
-        matrix = build_reduced(basis, compute_orbits(basis))
+        matrix = build_reduced(basis, compute_orbits(basis), table_of(6))
         weights = normalize_integer(kernel_vector(matrix))
         assert sorted(weights, reverse=True) == [63, 31, 13, 3, 1]
 
     @pytest.mark.parametrize("length", range(2, 11))
     def test_modular_agrees_with_bareiss(self, length):
         basis = enumerate_diagrams(length)
-        matrix = build_reduced(basis, compute_orbits(basis))
+        matrix = build_reduced(basis, compute_orbits(basis), table_of(length))
         weights = kernel_vector(matrix)
         assert weights == exact(bareiss_kernel, matrix)
         assert weights == exact(modular_kernel, matrix)
@@ -119,7 +119,7 @@ class TestKernelVector:
 
     @pytest.mark.parametrize("length", (11, 12))
     def test_solver_equals_modular_oracle(self, length):
-        matrix = build_reduced(shared_basis(length), shared_orbits(length))
+        matrix = build_reduced(shared_basis(length), shared_orbits(length), table_of(length))
         assert kernel_vector(matrix) == exact(modular_kernel, matrix)
 
     @settings(max_examples=60, deadline=None)
@@ -205,7 +205,7 @@ class TestRefinementFailures:
 
         monkeypatch.setattr(kernel_module, "_reconstruct", off_by_one)
         monkeypatch.setattr(kernel_module, "_MAX_STEPS", 6)
-        matrix = build_reduced(shared_basis(8), shared_orbits(8))
+        matrix = build_reduced(shared_basis(8), shared_orbits(8), table_of(8))
         with pytest.raises(RefinementError, match=r"^L = 8, refinement step 6: no exact"):
             kernel_vector(matrix)
 
@@ -235,7 +235,7 @@ class TestSparseMinor:
     def test_minor_keeps_the_sorted_order(self, length):
         # L = 2 and 3 have a single orbit, hence no minor. The two masks keep
         # the (column, row) order, and the int64 products are exact.
-        matrix = build_reduced(shared_basis(length), shared_orbits(length))
+        matrix = build_reduced(shared_basis(length), shared_orbits(length), table_of(length))
         n = matrix.dimension
         dense = np.zeros((n, n), dtype=np.int64)
         dense[matrix.rows, matrix.cols] = matrix.vals
@@ -334,7 +334,7 @@ class TestCoprimePositive:
                             lambda numer, denom: [1, -1] + [1] * (dimension - 2))
         monkeypatch.setattr(kernel_module, "product_is_zero", lambda apply, values, gain: True)
         with pytest.raises(MixedSignsError, match="both signs"):
-            kernel_vector(build_reduced(shared_basis(6), shared_orbits(6)))
+            kernel_vector(build_reduced(shared_basis(6), shared_orbits(6), table_of(6)))
         with pytest.raises(MixedSignsError, match="both signs"):
             groundstate(6, cache_dir=tmp_path)
         assert not cache_path(tmp_path, 6).exists()
@@ -382,7 +382,8 @@ class TestGroundState:
             return original(basis, step)
 
         monkeypatch.setattr(kernel_module, "transition_table", counting)
-        monkeypatch.setattr(hamiltonian_module, "transition_table", counting)
+        # The assembly and the full-basis check are handed the table: they cannot build one.
+        assert not hasattr(hamiltonian_module, "transition_table")
         assert min(groundstate(7).weights) == 1
         assert calls == [7]
 
@@ -390,7 +391,7 @@ class TestGroundState:
         # The modular oracle solves on a thread pool; with one thread or two
         # its weights serialise to the bytes of the production ground state.
         basis, orbits = shared_basis(8), shared_orbits(8)
-        matrix = build_reduced(basis, orbits)
+        matrix = build_reduced(basis, orbits, table_of(8))
         expected = serialize_groundstate(groundstate(8))
         for threads in (1, 2):
             weights = normalize_integer(modular_kernel(matrix, threads=threads))
