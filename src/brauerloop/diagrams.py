@@ -18,12 +18,14 @@ Symmetry orbits group basis indices under the 2L rotations and reflections
 of the circle; they are one `Orbits` record of index arrays (representative,
 size, members by offset, orbit of each diagram), and the orbit
 representative is the lexicographically smallest member. The one-site
-rotation is ranked from the rows' keys by digit arithmetic, and only the
-smallest row of each rotation class (about N/L seeds) is reflected and
-ranked; the reflection of every other row follows from its seed's along
-the class, since reflecting after a rotation equals rotating back after
-reflecting (s r = r^-1 s in the dihedral group). Text output and
-cache files carry rows as `encode_partners` strings.
+rotation is read off the block order of the basis (rows with site L-1
+paired to j rotate, in order, onto the block with site 0 paired to j+1)
+and proved by digit arithmetic on the rows' keys. Only the smallest row
+of each rotation class (about N/L seeds) is reflected and ranked; the
+reflection of every other row follows from its seed's along the class,
+since reflecting after a rotation equals rotating back after reflecting
+(s r = r^-1 s in the dihedral group). Text output and cache files carry
+rows as `encode_partners` strings.
 
 Even-length diagrams whose left half-circle connects entirely into the
 right half-circle are labelled by a permutation; odd-length diagrams whose
@@ -228,8 +230,8 @@ def _partner_rows(length: int) -> np.ndarray:
     For odd L the first block puts the defect at site 0 and fills sites
     1..L-1 with the rows of L-1, shifted by one. Then, for j = 1..L-1, the
     block pairing site 0 with j fills the remaining sites with the rows of
-    L-2, relabelled in order; the relabelling is increasing and keeps DEFECT
-    lowest, so each block is sorted and so is the whole.
+    L-2, relabelled q -> q + 1 + (q >= j-1) with DEFECT kept: increasing
+    and keeping DEFECT lowest, so each block is sorted and so is the whole.
     """
     if length < 2:
         rows = np.full((1, length), DEFECT, dtype=np.int8)
@@ -239,15 +241,13 @@ def _partner_rows(length: int) -> np.ndarray:
     start = len(_partner_rows(length - 1)) if length % 2 else 0
     rows = np.empty((start + (length - 1) * len(shorter), length), dtype=np.int8)
     if start:
-        rows[:start, 0] = DEFECT
-        rows[:start, 1:] = _partner_rows(length - 1) + 1
+        rows[:start, 0], rows[:start, 1:] = DEFECT, _partner_rows(length - 1) + 1
+    lifted = shorter + (shorter != DEFECT)  # q + 1, and DEFECT stays -1 < j
     for j in range(1, length):
+        moved = lifted + (lifted >= j)
         block = rows[start : start + len(shorter)]
-        rest = np.delete(np.arange(length), [0, j])
-        # The trailing entry maps DEFECT (-1) to itself.
-        block[:, rest] = np.append(rest, DEFECT).astype(np.int8)[shorter]
-        block[:, 0] = j
-        block[:, j] = 0
+        block[:, 0], block[:, j] = j, 0
+        block[:, 1:j], block[:, j + 1 :] = moved[:, : j - 1], moved[:, j - 1 :]
         start += len(shorter)
     rows.flags.writeable = False
     return rows
@@ -264,15 +264,13 @@ def _step_keys(partners: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Rank keys of every row rotated forward by one site, from the rows' keys.
 
     The rotation moves site s to s+1 and relabels each partner the same way.
-    With d the digits of a key and w[s] = base**(L-2-s) the weight of site
-    s once moved, the new key is the old one without its last digit,
-    key // base, plus w[s] for each moved site s < L-1 that is not the
+    With w[s] = base**(L-2-s) the weight of site s once moved, the new key
+    is key // base, plus w[s] for each moved site s < L-1 that is not the
     defect, minus L * w[p[L-1]] for the site whose partner L-1 wraps to 0,
     plus the digit of partner p[L-1] + 1 at site 0 (the DEFECT digit if
-    site L-1 is the defect). For odd L the defect site is
-    L(L-1)/2 - 1 minus the row's sum of partners, since every other site is
-    some site's partner. Computed modulo 2**64, exact since every key <
-    base**L <= 2**64.
+    site L-1 is the defect). For odd L the defect site is L(L-1)/2 - 1
+    minus the row's sum of partners, since every other site is some site's
+    partner. Computed modulo 2**64, exact since every key < base**L <= 2**64.
     """
     size = partners.shape[1]
     assert _ranks_fit(size), "rank keys must fit in 64 bits"
@@ -296,22 +294,28 @@ def compute_orbits(basis: DiagramBasis) -> Orbits:
 
     Two images are kept as int32 maps: step[x] is the basis index of row x
     rotated forward by one site and mirror[x] that of its mirror image.
-    `step` is located from keys computed by digit arithmetic (`_step_keys`),
-    and its first L-1 powers give rmin[x], the smallest index in the
-    rotation class of x. Only the seeds, the rows with rmin[x] == x, are
-    reflected and ranked; the rest of `mirror` follows along each rotation
-    class from mirror[step[x]] = step^-1[mirror[x]]. That is the dihedral
-    relation s r = r^-1 s, so it holds exactly, and it reaches every row,
-    since each rotation class is its seed's images under `step`. The orbit
-    of x is its rotation class
-    joined with that of mirror[x], so min(rmin, rmin[mirror]) labels it by
-    its smallest basis index, which, the basis being sorted, is the
-    lexicographically smallest image: the canonical representative. Each
-    orbit's members are read off the 2L images of its representative.
+    Lemma: the rows with site L-1 paired to j (or the defect) rotate, in
+    basis order, onto the contiguous block with site 0 paired to j+1 (or
+    the defect). Proof: the rotated row is p'[0] = p[L-1] + 1 and p'[s+1] =
+    p[s] + 1 for s < L-1, except p'[j+1] = 0, the same across the block; so
+    the rows keep their order. The blocks come in the order of that partner,
+    so step inverts the stable sort of column L-1, and `_step_keys` proves
+    it entry by entry (KeyError for a basis not closed under rotation). Its
+    first L-1 powers give rmin[x], the smallest index in the rotation class
+    of x. Only the seeds, the rows with rmin[x] == x, are reflected and
+    ranked; the rest of `mirror` follows along each class from
+    mirror[step[x]] = step^-1[mirror[x]], the dihedral relation s r = r^-1 s,
+    which reaches every row as each class is its seed's images under step.
+    The orbit of x joins its rotation class with that of mirror[x], so
+    min(rmin, rmin[mirror]) labels it by its smallest index, in a sorted
+    basis the lexicographically smallest image: the canonical
+    representative, whose 2L images give the orbit's members.
     """
     size, count = basis.length, len(basis)
     assert count < 2**31, "basis indices must fit in int32"
-    step = basis.locate(_step_keys(basis.partners, basis._keys)).astype(np.int32)
+    step = inverse_of(np.argsort(basis.partners[:, size - 1], kind="stable").astype(np.int32))
+    if not np.array_equal(basis._keys[step], _step_keys(basis.partners, basis._keys)):
+        raise KeyError("partner rows that are not diagrams of this basis")
     rmin = np.arange(count, dtype=np.int32)
     image = rmin
     for _ in range(size - 1):

@@ -335,20 +335,16 @@ _CHECKSUM_FIELD = re.compile(r'\{"checksum":"([0-9a-f]{64})",')
 
 
 def serialize_groundstate(state: GroundState) -> str:
-    payload = {
-        "length": state.length,
-        "normalization": _NORMALIZATION,
-        "generator": _GENERATOR,
-        "orbits": [
-            {"representative": code, "size": size, "weight": str(weight)}
-            for code, size, weight in zip(
-                representative_codes(state.length), state.sizes, state.weights
-            )
-        ],
-    }
-    # "checksum" sorts first among the keys, so it leads the canonical text.
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return '{"checksum":"' + _checksum(body) + '",' + body[1:] + "\n"
+    """The cache text, written directly: representative codes match [0-9.,]+ and
+    weights are decimal digits, so no value needs JSON escaping."""
+    # The canonical JSON: keys in the fixed sorted order checksum, generator, length,
+    # normalization, orbits and per orbit representative, size, weight; "," and ":".
+    orbits = ",".join(f'{{"representative":"{code}","size":{size},"weight":"{weight}"}}'
+                      for code, size, weight in zip(representative_codes(state.length),
+                                                    state.sizes, state.weights))
+    body = (f'"generator":"{_GENERATOR}","length":{state.length},'
+            f'"normalization":"{_NORMALIZATION}","orbits":[{orbits}]}}')
+    return '{"checksum":"' + _checksum("{" + body) + '",' + body + "\n"
 
 
 def deserialize_groundstate(text: str, length: int) -> GroundState:

@@ -8,6 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from brauerloop import IntensityMatrix
@@ -17,6 +18,9 @@ from brauerloop.generators import transition_table
 
 from oracles import ChordDiagram, rotate_partners
 
+
+STRETCH = pytest.mark.skipif(os.environ.get("BRAUER_STRETCH") != "1",
+                             reason="set BRAUER_STRETCH=1 for L = 15 and 16")
 
 PACKAGE_MODULES = ["brauerloop"] + [f"brauerloop.{name}" for name in (
     "checks", "cli", "counting", "diagrams", "generators", "hamiltonian", "kernel")]

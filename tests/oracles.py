@@ -16,6 +16,8 @@
 * `rotate_partners`: the rotation of a whole partner array, which
   `orbits_by_image_keys` ranks; the oracle of the digit arithmetic of
   `diagrams._step_keys`.
+* `step_by_search`: the one-site rotation located by the rank keys of
+  `_step_keys`, the oracle of the block-order `step` of `compute_orbits`.
 * `permutation_label` and `partial_permutation_label`: the label tuple of
   one diagram, the oracles of `shared_orbit_labels`.
 * `build_full`: the operator over the full basis, summed column by column
@@ -23,6 +25,8 @@
 * `lump_by_rows`: the lumped operator from every full entry, with
   representative independence checked row by row; the oracle of
   `build_reduced` and `build_full`.
+* `serialize_by_json`: the cache text with its payload encoded by
+  `json.dumps`, the oracle of the directly written `serialize_groundstate`.
 * `validate_by_columns` and `connected_by_bfs`: the intensity-matrix checks
   as loops over one dict per column and a Python breadth-first search, the
   oracles of `IntensityMatrix.validate` and `connectivity_check`. Given the
@@ -48,6 +52,8 @@ contract of `kernel_vector`. Every oracle reads the matrix through
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -62,7 +68,7 @@ from brauerloop import (
     KernelDimensionError,
     Orbits,
 )
-from brauerloop.diagrams import encode_partners, shared_orbits
+from brauerloop.diagrams import _step_keys, encode_partners, representative_codes, shared_orbits
 from brauerloop.generators import _image_keys, transition_table
 from brauerloop.hamiltonian import IntensityMatrix, _summed_entries
 
@@ -328,6 +334,30 @@ def transition_table_by_search(basis: DiagramBasis) -> np.ndarray:
     for a in range(size):
         table[:, a::size] = basis.locate(_image_keys(basis.partners, basis._keys, a)).T
     return table
+
+
+def step_by_search(basis: DiagramBasis) -> np.ndarray:
+    """Basis index of every row rotated forward by one site, as int32, located by rank key."""
+    return basis.locate(_step_keys(basis.partners, basis._keys)).astype(np.int32)
+
+
+def serialize_by_json(state) -> str:
+    """The cache text of a `GroundState`, its payload encoded by `json.dumps` with sorted keys."""
+    payload = {
+        "length": state.length,
+        "normalization": "min-entry-one",
+        "generator": "reduced",
+        "orbits": [
+            {"representative": code, "size": size, "weight": str(weight)}
+            for code, size, weight in zip(
+                representative_codes(state.length), state.sizes, state.weights
+            )
+        ],
+    }
+    # "checksum" sorts first among the keys, so it leads the canonical text.
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    checksum = hashlib.sha256(body.encode()).hexdigest()
+    return '{"checksum":"' + checksum + '",' + body[1:] + "\n"
 
 
 def build_full(basis: DiagramBasis) -> IntensityMatrix:

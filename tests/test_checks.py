@@ -1,6 +1,5 @@
 import hashlib
 import math
-import os
 import random
 import tracemalloc
 from fractions import Fraction
@@ -42,6 +41,7 @@ from brauerloop.diagrams import (
 )
 
 from conftest import (
+    STRETCH,
     defined_in_package,
     diagram,
     diagram_at,
@@ -97,10 +97,6 @@ class TestWeightTable:
         assert table[(2, 1, None)] == 3
         assert table[(1, None, 2)] == 1
         assert len(table) == 6
-
-
-STRETCH = pytest.mark.skipif(os.environ.get("BRAUER_STRETCH") != "1",
-                             reason="set BRAUER_STRETCH=1 for L = 15 and 16")
 
 
 def numbered_state(length):

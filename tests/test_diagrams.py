@@ -22,6 +22,7 @@ from brauerloop.counting import class_count, double_factorial
 from brauerloop.diagrams import _key, _step_keys, label_text, shared_basis, shared_orbits
 
 from conftest import (
+    STRETCH,
     assert_orbits_are,
     brute_force_count,
     brute_force_diagrams,
@@ -42,6 +43,7 @@ from oracles import (
     reflect,
     rotate,
     rotate_partners,
+    step_by_search,
 )
 
 
@@ -104,7 +106,7 @@ class TestEnumeration:
         enumerated = {d.partner for d in diagrams_of(enumerate_diagrams(length))}
         assert enumerated == brute_force_diagrams(length)
 
-    @pytest.mark.parametrize("length", range(2, 13))
+    @pytest.mark.parametrize("length", range(2, 15))
     def test_matches_recursive_oracle(self, length):
         expected = np.array(recursive_partners(length), dtype=np.int8)
         partners = enumerate_diagrams(length).partners
@@ -325,6 +327,41 @@ class TestStepKeys:
             assert rows[1, length - 1] == DEFECT and rows[2, 0] == DEFECT
         expected = _key(rotate_partners(rows, 1))
         assert np.array_equal(_step_keys(rows, _key(rows)), expected)
+
+
+class TestRotationMap:
+    """`compute_orbits` reads the one-site rotation off the block order of the basis."""
+
+    @pytest.mark.parametrize("length", [*range(2, 15), *(
+        pytest.param(length, marks=STRETCH) for length in (15, 16))])
+    def test_equals_located_rotation(self, length):
+        step = shared_orbits(length).step
+        assert step.dtype == np.int32
+        assert np.array_equal(step, step_by_search(shared_basis(length)))
+        if length > 14:  # the later tests need not hold these 2 M-row arrays
+            for memo in (shared_orbits, shared_basis, diagrams_module._partner_rows):
+                memo.cache_clear()
+
+    @pytest.mark.parametrize("length", [8, 9])
+    @pytest.mark.parametrize("kept", ["all but the first", "all but the last", "the first half"])
+    def test_basis_not_closed_under_rotation_raises(self, length, kept):
+        rows = shared_basis(length).partners
+        subset = {"all but the first": rows[1:], "all but the last": rows[:-1],
+                  "the first half": rows[: len(rows) // 2]}[kept]
+        with pytest.raises(KeyError, match="partner rows that are not diagrams of this basis"):
+            compute_orbits(DiagramBasis(length, subset))
+
+    @pytest.mark.parametrize("length", [8, 9])
+    def test_union_of_orbits_keeps_its_orbits(self, length):
+        # The lemma needs only a sorted basis closed under rotation, so a
+        # union of whole orbits gets its rotation and its orbits without search.
+        orbits = shared_orbits(length)
+        kept = np.sort(np.concatenate([members_of(orbits, k) for k in range(0, len(orbits), 3)]))
+        basis = DiagramBasis(length, shared_basis(length).partners[kept])
+        sub = compute_orbits(basis)
+        assert np.array_equal(sub.step, step_by_search(basis))
+        assert np.array_equal(kept[sub.representatives], orbits.representatives[::3])
+        assert np.array_equal(sub.sizes, orbits.sizes[::3])
 
 
 class TestDihedralAction:

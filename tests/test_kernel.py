@@ -30,7 +30,8 @@ from brauerloop import (
     permutation_weight_table,
 )
 from brauerloop.cli import main
-from brauerloop.diagrams import encode_partners, shared_basis, shared_orbits
+import brauerloop.diagrams as diagrams_module
+from brauerloop.diagrams import encode_partners, representative_codes, shared_basis, shared_orbits
 from brauerloop.kernel import (
     CacheCorruptError,
     cache_path,
@@ -49,6 +50,7 @@ from oracles import (
     build_full,
     modular_kernel,
     rational_reconstruction,
+    serialize_by_json,
 )
 
 
@@ -401,6 +403,30 @@ class TestGroundState:
 def swap_first_representatives(orbits):
     orbits[1]["representative"], orbits[2]["representative"] = (
         orbits[2]["representative"], orbits[1]["representative"])
+
+
+class TestWriter:
+    """`serialize_groundstate` writes the text that `json.dumps` gives for the payload."""
+
+    @pytest.mark.parametrize("length", range(2, 15))
+    def test_equals_json_encoding(self, length):
+        state = groundstate(length)
+        assert serialize_groundstate(state) == serialize_by_json(state)
+
+    def test_equals_json_encoding_of_a_300_digit_weight(self):
+        weights = (10**299 + 7, *range(2, len(shared_orbits(9)) + 1))
+        assert len(str(weights[0])) == 300
+        state = GroundState(9, weights)
+        assert serialize_groundstate(state) == serialize_by_json(state)
+        assert deserialize_groundstate(serialize_groundstate(state), 9) == state
+
+    def test_codes_need_no_json_escaping(self):
+        for length in range(2, 17):
+            codes = representative_codes(length)
+            assert all(re.fullmatch(r"[0-9.,]+", code) for code in codes), length
+        for memo in (representative_codes, shared_orbits, shared_basis,
+                     diagrams_module._partner_rows):
+            memo.cache_clear()  # the later tests need not hold the arrays of L = 15, 16
 
 
 class TestCache:
