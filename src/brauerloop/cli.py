@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import checks, counting
 from .diagrams import (
@@ -174,7 +175,9 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="brauerloop",
         description="Exact ground states of the periodic Brauer loop model on chord diagrams.",

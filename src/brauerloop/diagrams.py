@@ -268,9 +268,9 @@ def _step_keys(partners: np.ndarray, keys: np.ndarray) -> np.ndarray:
     is key // base, plus w[s] for each moved site s < L-1 that is not the
     defect, minus L * w[p[L-1]] for the site whose partner L-1 wraps to 0,
     plus the digit of partner p[L-1] + 1 at site 0 (the DEFECT digit if
-    site L-1 is the defect). For odd L the defect site is L(L-1)/2 - 1
-    minus the row's sum of partners, since every other site is some site's
-    partner. Computed modulo 2**64, exact since every key < base**L <= 2**64.
+    site L-1 is the defect). For odd L the defect site is the `argmax` of
+    the row's DEFECT mask. Computed modulo 2**64, exact since every key <
+    base**L <= 2**64.
     """
     size = partners.shape[1]
     assert _ranks_fit(size), "rank keys must fit in 64 bits"
@@ -283,9 +283,7 @@ def _step_keys(partners: np.ndarray, keys: np.ndarray) -> np.ndarray:
     step = keys // np.uint64(base)
     step += np.array(head, dtype=np.uint64)[partners[:, size - 1]]
     if shift:
-        defect = partners.sum(axis=1, dtype=np.int32)
-        np.subtract(size * (size - 1) // 2 - 1, defect, out=defect)
-        step -= np.array(w, dtype=np.uint64)[defect]
+        step -= np.array(w, dtype=np.uint64)[(partners == DEFECT).argmax(axis=1)]
     return step
 
 
@@ -309,17 +307,20 @@ def compute_orbits(basis: DiagramBasis) -> Orbits:
     The orbit of x joins its rotation class with that of mirror[x], so
     min(rmin, rmin[mirror]) labels it by its smallest index, in a sorted
     basis the lexicographically smallest image: the canonical
-    representative, whose 2L images give the orbit's members.
+    representative, whose 2L images give the orbit's members. Every gather
+    through the int32 maps (the key proof, the powers for rmin, the mirror
+    fill, rmin[mirror] and the representatives' images) is an
+    `ndarray.take`, which skips fancy indexing's slower int32 path.
     """
     size, count = basis.length, len(basis)
     assert count < 2**31, "basis indices must fit in int32"
     step = inverse_of(np.argsort(basis.partners[:, size - 1], kind="stable").astype(np.int32))
-    if not np.array_equal(basis._keys[step], _step_keys(basis.partners, basis._keys)):
+    if not np.array_equal(basis._keys.take(step), _step_keys(basis.partners, basis._keys)):
         raise KeyError("partner rows that are not diagrams of this basis")
     rmin = np.arange(count, dtype=np.int32)
     image = rmin
     for _ in range(size - 1):
-        image = step[image]
+        image = step.take(image)
         np.minimum(rmin, image, out=rmin)
     seeds = np.flatnonzero(rmin == np.arange(count, dtype=np.int32))
     image = basis.locate(_key(reflect_partners(basis.partners[seeds])))
@@ -327,16 +328,16 @@ def compute_orbits(basis: DiagramBasis) -> Orbits:
     mirror = np.empty_like(step)
     for _ in range(size):
         mirror[seeds] = image
-        seeds, image = step[seeds], inverse[image]
+        seeds, image = step.take(seeds), inverse.take(image)
     del inverse, seeds, image
-    smallest = np.minimum(rmin, rmin[mirror])
+    smallest = np.minimum(rmin, rmin.take(mirror))
     del rmin
     representatives = np.flatnonzero(smallest == np.arange(count, dtype=np.int32))
     images = np.empty((len(representatives), 2 * size), dtype=np.int32)
     images[:, 0] = representatives
     for k in range(1, size):
-        images[:, k] = step[images[:, k - 1]]
-    images[:, size:] = mirror[images[:, :size]]
+        images[:, k] = step.take(images[:, k - 1])
+    images[:, size:] = mirror.take(images[:, :size])
     images.sort(axis=1)
     fresh = np.ones(images.shape, dtype=bool)
     np.not_equal(images[:, 1:], images[:, :-1], out=fresh[:, 1:])
@@ -359,8 +360,11 @@ def inverse_of(perm: np.ndarray) -> np.ndarray:
 
 def conjugate(row: np.ndarray, perm: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     """The index map perm row perm^-1, given `inverse` = `inverse_of(perm)`: a generator's
-    row moved by a symmetry, as g_{i+1} = r g_i r^-1 for the one-site rotation r."""
-    return perm[row[inverse]]
+    row moved by a symmetry, as g_{i+1} = r g_i r^-1 for the one-site rotation r.
+
+    Both gathers go through `ndarray.take`: numpy's fancy indexing `perm[row[inverse]]`
+    casts an int32 index on a slower path, about twice the time at N = 10,395."""
+    return perm.take(row.take(inverse))
 
 
 @lru_cache(maxsize=16)

@@ -52,7 +52,7 @@ def transition_table(basis: DiagramBasis, step: np.ndarray) -> np.ndarray:
             table[c] = conjugate(table[c - 1], step, inverse)
     del inverse
     for a in range(1, size):
-        if not np.array_equal(basis._keys[table[a::size]],
+        if not np.array_equal(basis._keys.take(table[a::size]),
                               _image_keys(basis.partners, basis._keys, a)):
             raise ArithmeticError(f"transition table rows of site {a + 1} "
                                   "do not match their rank keys")
@@ -68,28 +68,32 @@ def _image_keys(partners: np.ndarray, keys: np.ndarray, a: int) -> np.ndarray:
     (sb-da)(w[a]-w[pb]) + (sa-db)(w[b]-w[pa]) for the monoid, and plus
     (db-da)(w[a]-w[b]) + (sa-sb)(w[pb]-w[pa]) for the braid unless a and b
     are paired. A digit difference is the partner difference, so both
-    increments depend on (pa, pb) alone: they are tabulated in Python
-    integers modulo 2**64 for the (L+1)**2 pairs and gathered per row. The
-    uint64 sums wrap, exact since every key < base**L <= 2**64.
+    increments depend on (pa, pb) alone: they are tabulated for the
+    (L+1)**2 pairs in uint64 arithmetic, which wraps modulo 2**64 as the
+    keys do, and gathered per row. The sums are exact since every key <
+    base**L <= 2**64.
     """
     size = partners.shape[1]
     assert _ranks_fit(size), "rank keys must fit in 64 bits"
     b = (a + 1) % size
-    w = [(size + size % 2) ** (size - 1 - s) for s in range(size)] + [0]  # w[-1]: DEFECT's
-    sites = range(-1, size)
-    monoid = [(b - pa) * (w[a] - w[pb]) + (a - pb) * (w[b] - w[pa]) for pa in sites for pb in sites]
-    braid = [0 if pa == b else (pb - pa) * (w[a] - w[b]) + (a - b) * (w[pb] - w[pa])
-             for pa in sites for pb in sites]
+    base = size + size % 2
+    # Index s + 1 holds site s and index 0 DEFECT, which wraps to 2**64 - 1 and weighs 0.
+    site = np.arange(-1, size).astype(np.uint64)
+    w = np.zeros(size + 1, dtype=np.uint64)
+    w[1:] = base ** np.arange(size - 1, -1, -1, dtype=np.uint64)
+    pa, pb, wpa, wpb = site[:, None], site[None, :], w[:, None], w[None, :]
+    monoid = (b - pa) * (w[a + 1] - wpb) + (a - pb) * (w[b + 1] - wpa)
+    braid = ((pb - pa) * ((base ** (size - 1 - a) - base ** (size - 1 - b)) % 2**64)
+             + (a - b) % 2**64 * (wpb - wpa))
+    braid[b + 1] = 0  # pa == b: a and b are paired
     # Pair (pa, pb) sits at (pa + 1) * (L + 1) + pb + 1.
     pair = partners[:, a].astype(np.intp)
     pair += 1
     pair *= size + 1
     pair += partners[:, b]
     pair += 1
-    images = np.empty((2, len(keys)), dtype=np.uint64)
-    for row, increments in zip(images, (monoid, braid)):
-        np.take(np.array([v % 2**64 for v in increments], dtype=np.uint64), pair, out=row)
-        row += keys
+    images = np.stack([monoid.ravel(), braid.ravel()]).take(pair, axis=1)
+    images += keys
     return images
 
 
@@ -135,7 +139,8 @@ def check_relations(length: int) -> RelationReport:
     d = np.arange(len(basis))
 
     # Index maps: e[i][x] is the basis index of e_i applied to diagram x, so
-    # a word acts on all diagrams d by nested indexing.
+    # a word acts on all diagrams by a chain of `take`s, its rightmost letter
+    # innermost: e_i e_j is e[i].take(e[j]).
     rot = shared_orbits(length).step
     table = transition_table(basis, rot)
     e = {i: table[i - 1] for i in range(1, length + 1)}
@@ -152,28 +157,28 @@ def check_relations(length: int) -> RelationReport:
     # at a time and a failure stops the family.
     families = [
         ("monoid idempotent: e_i e_i = e_i",
-         ((e[i][e[i][d]], e[i][d], f"i={i}") for i in sites)),
+         ((e[i].take(e[i]), e[i], f"i={i}") for i in sites)),
         ("braid involution: b_i b_i = 1",
-         ((b[i][b[i][d]], d, f"i={i}") for i in sites)),
+         ((b[i].take(b[i]), d, f"i={i}") for i in sites)),
         ("monoid absorption: e_i e_j e_i = e_i",
-         ((e[i][e[j][e[i][d]]], e[i][d], f"i={i},j={j}") for i, j in adjacent)),
+         ((e[i].take(e[j].take(e[i])), e[i], f"i={i},j={j}") for i, j in adjacent)),
         ("braid relation: b_i b_j b_i = b_j b_i b_j",
-         ((b[i][b[j][b[i][d]]], b[j][b[i][b[j][d]]], f"i={i},j={j}")
+         ((b[i].take(b[j].take(b[i])), b[j].take(b[i].take(b[j])), f"i={i},j={j}")
           for i, j in adjacent)),
         ("mixed absorption: b_i e_i = e_i b_i = e_i",
-         chain(((b[i][e[i][d]], e[i][d], f"i={i} (left)") for i in sites),
-               ((e[i][b[i][d]], e[i][d], f"i={i} (right)") for i in sites))),
+         chain(((b[i].take(e[i]), e[i], f"i={i} (left)") for i in sites),
+               ((e[i].take(b[i]), e[i], f"i={i} (right)") for i in sites))),
         ("mixed slide: b_i b_j e_i = e_j b_i b_j = e_j e_i",
-         chain(((b[i][b[j][e[i][d]]], e[j][e[i][d]], f"i={i},j={j} (left)")
+         chain(((b[i].take(b[j].take(e[i])), e[j].take(e[i]), f"i={i},j={j} (left)")
                 for i, j in adjacent),
-               ((e[j][b[i][b[j][d]]], e[j][e[i][d]], f"i={i},j={j} (middle)")
+               ((e[j].take(b[i].take(b[j])), e[j].take(e[i]), f"i={i},j={j} (middle)")
                 for i, j in adjacent))),
         ("monoid commutation: [e_i, e_j] = 0",
-         ((e[i][e[j][d]], e[j][e[i][d]], f"i={i},j={j}") for i, j in distant if i < j)),
+         ((e[i].take(e[j]), e[j].take(e[i]), f"i={i},j={j}") for i, j in distant if i < j)),
         ("braid commutation: [b_i, b_j] = 0",
-         ((b[i][b[j][d]], b[j][b[i][d]], f"i={i},j={j}") for i, j in distant if i < j)),
+         ((b[i].take(b[j]), b[j].take(b[i]), f"i={i},j={j}") for i, j in distant if i < j)),
         ("mixed commutation: [e_i, b_j] = 0",
-         ((e[i][b[j][d]], b[j][e[i][d]], f"i={i},j={j}") for i, j in distant)),
+         ((e[i].take(b[j]), b[j].take(e[i]), f"i={i},j={j}") for i, j in distant)),
         # Periodic closure: conjugating by one rotation shifts the site index,
         # so the generator at site L is the wrap-around of the one at site 1.
         ("rotation covariance: g_{i+1} = r g_i r^-1",

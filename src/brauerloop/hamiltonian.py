@@ -100,7 +100,7 @@ def build_reduced(basis: DiagramBasis, orbits: Orbits, table: np.ndarray) -> Int
                                       ("reflection", orbits.mirror, -1, -2)):
         if not np.array_equal(np.bincount(image, minlength=n), np.ones(n)):
             raise ArithmeticError(f"the {name} map is not a permutation of the basis")
-        moved = np.flatnonzero(orbit_of[image] != orbit_of)
+        moved = np.flatnonzero(orbit_of.take(image) != orbit_of)
         if moved.size:
             raise ArithmeticError(f"orbit {orbit_of[moved[0]]} is not closed under the {name}")
         inverse = inverse_of(image)
@@ -115,7 +115,7 @@ def build_reduced(basis: DiagramBasis, orbits: Orbits, table: np.ndarray) -> Int
     for images in (representatives, orbits.mirror[representatives]):
         for _ in range(size):
             reached[images] = True
-            images = orbits.step[images]
+            images = orbits.step.take(images)
     if not reached.all():
         k = orbit_of[np.argmin(reached)]
         raise ArithmeticError(f"orbit {k} is not one orbit of the rotation and reflection")
@@ -205,7 +205,7 @@ def product_is_zero(apply, values, gain: int) -> bool:
     # accumulated int64 value can reach 2**62.
     assert gain * 2**32 < 2**62, "int64 limb accumulation could overflow"
     weights = np.array(values, dtype=object)
-    bits = max(abs(w) for w in values).bit_length()
+    bits = max(max(values), -min(values)).bit_length()
     carry = 0
     for shift in range(0, bits + 1, 31):
         limb = weights >> shift

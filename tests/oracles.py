@@ -10,6 +10,9 @@
 * `transition_table_by_search`: the table as (N, 2L), every site's images
   located by rank key, the oracle of the rotation-conjugated
   `transition_table`.
+* `image_key_increments`: the monoid and braid key increments of one site
+  as lists of Python integers, the oracle of the uint64 increment tables
+  of `generators._image_keys`.
 * `rotate`, `reflect` and `canonical_representative`: the dihedral action on
   one diagram and its lexicographically smallest image, the oracles of the
   `step` and `mirror` maps and the representatives of `compute_orbits`.
@@ -334,6 +337,21 @@ def transition_table_by_search(basis: DiagramBasis) -> np.ndarray:
     for a in range(size):
         table[:, a::size] = basis.locate(_image_keys(basis.partners, basis._keys, a)).T
     return table
+
+
+def image_key_increments(size: int, a: int) -> tuple[list[int], list[int]]:
+    """The monoid and braid key increments at 0-based site a, as Python integers.
+
+    Entry (pa + 1) * (L + 1) + pb + 1 belongs to the partners pa, pb of a and
+    b = a+1 (DEFECT = -1 included); w[site] = base**(L-1-site), w[DEFECT] = 0.
+    """
+    b = (a + 1) % size
+    w = [(size + size % 2) ** (size - 1 - s) for s in range(size)] + [0]  # w[-1]: DEFECT's
+    sites = range(-1, size)
+    monoid = [(b - pa) * (w[a] - w[pb]) + (a - pb) * (w[b] - w[pa]) for pa in sites for pb in sites]
+    braid = [0 if pa == b else (pb - pa) * (w[a] - w[b]) + (a - b) * (w[pb] - w[pa])
+             for pa in sites for pb in sites]
+    return monoid, braid
 
 
 def step_by_search(basis: DiagramBasis) -> np.ndarray:

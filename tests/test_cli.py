@@ -241,6 +241,50 @@ def test_solving_leaves_numpy_random_unloaded():
     assert out.strip() == "False"
 
 
+ONE_PROCESS = """
+import contextlib, io, json, sys
+from brauerloop.cli import build_parser, main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([out.getvalue(), err.getvalue(), code])
+print(json.dumps({"results": results, "parsers": build_parser.cache_info().misses}))
+"""
+
+
+def test_commands_in_one_process_match_separate_processes(tmp_path):
+    # The parser is built once per process and reused by every `main` call;
+    # each command, usage errors included, must print and exit as on its own.
+    commands = [
+        ["enumerate", "--length", "5", "--classes"],
+        ["groundstate", "--length", "x"],
+        ["groundstate", "--length", "6", "--format", "csv", "--cache-dir", "cache"],
+        ["enumerate"],
+        ["verify", "--max-length", "6", "--which", "degrees", "--cache-dir", "cache"],
+        ["count-classes", "--max-n", "3"],
+        ["enumerate", "--length", "17"],
+        ["--help"],
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
+    one, each = tmp_path / "one", tmp_path / "each"
+    one.mkdir()
+    each.mkdir()
+    done = subprocess.run([sys.executable, "-c", ONE_PROCESS, json.dumps(commands)], cwd=one,
+                          env=env, capture_output=True, text=True, check=True, timeout=120)
+    record = json.loads(done.stdout)
+    assert record["parsers"] == 1
+    separate = []
+    for argv in commands:
+        alone = subprocess.run([sys.executable, "-m", "brauerloop.cli", *argv], cwd=each,
+                               env=env, capture_output=True, text=True, timeout=120)
+        separate.append([alone.stdout, alone.stderr, alone.returncode])
+    assert record["results"] == separate
+    assert [code for _, _, code in separate] == [0, 2, 0, 2, 0, 0, 2, 0]
+
+
 def test_out_of_memory_exits_4_with_one_line(tmp_path):
     # In 400 MiB of address space L = 15 enumerates and ranks its 2 M
     # diagrams, then cannot allocate its transition table. The limit is set

@@ -19,7 +19,8 @@ from brauerloop import (
 )
 import brauerloop.diagrams as diagrams_module
 from brauerloop.counting import class_count, double_factorial
-from brauerloop.diagrams import _key, _step_keys, label_text, shared_basis, shared_orbits
+from brauerloop.diagrams import (_key, _step_keys, conjugate, inverse_of, label_text, shared_basis,
+                                 shared_orbits)
 
 from conftest import (
     STRETCH,
@@ -362,6 +363,19 @@ class TestRotationMap:
         assert np.array_equal(sub.step, step_by_search(basis))
         assert np.array_equal(kept[sub.representatives], orbits.representatives[::3])
         assert np.array_equal(sub.sizes, orbits.sizes[::3])
+
+
+@pytest.mark.parametrize("count", [1, 2, 10_395])
+def test_conjugate_equals_fancy_indexing(count):
+    # `conjugate` gathers through `take`; the fancy-index form is its oracle.
+    rng = np.random.default_rng(count)
+    perm = rng.permutation(count).astype(np.int32)
+    inverse = inverse_of(perm)
+    for row in (rng.permutation(count).astype(np.int32),
+                rng.integers(0, count, count, dtype=np.int32)):
+        moved = conjugate(row, perm, inverse)
+        assert moved.dtype == np.int32
+        assert np.array_equal(moved, perm[row[inverse]])
 
 
 class TestDihedralAction:

@@ -14,6 +14,7 @@ from oracles import (
     ChordDiagram,
     apply_braid,
     apply_monoid,
+    image_key_increments,
     permutation_label,
     transition_table_by_search,
 )
@@ -81,6 +82,22 @@ class TestTransitionTable:
 
 
 class TestImageKeys:
+    @pytest.mark.parametrize("length", range(2, 17))
+    def test_increments_equal_the_integer_oracle_mod_2_64(self, length):
+        # One row per partner pair (pa, pb) of sites a and a+1, DEFECT included,
+        # with key 0, so the images are the uint64 increment tables.
+        pairs = np.arange(-1, length, dtype=np.int8)
+        for a in range(length):
+            b = (a + 1) % length
+            partners = np.zeros(((length + 1) ** 2, length), dtype=np.int8)
+            partners[:, a], partners[:, b] = np.repeat(pairs, length + 1), np.tile(pairs, length + 1)
+            images = _image_keys(partners, np.zeros(len(partners), dtype=np.uint64), a)
+            assert images.dtype == np.uint64
+            assert images.tolist() == [[v % 2**64 for v in family]
+                                       for family in image_key_increments(length, a)]
+            # Where a and b are paired (pa == b) the braid changes no key.
+            assert not images[1].reshape(length + 1, length + 1)[b + 1].any()
+
     @settings(max_examples=40, deadline=None)
     @given(long_diagrams(15, 16))
     def test_delta_keys_are_exact_at_the_wrap(self, d):

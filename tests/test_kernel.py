@@ -228,6 +228,9 @@ class TestRefinementFailures:
             kernel_module._update_residual(b_matrix, l1, r, np.array([1, 1]), 61)
         # The exact gate's limbs: gain * 2**32 < 2**62 holds up to gain = 2**30 - 1.
         assert kernel_module.product_is_zero(lambda x: 0 * x, [2**100], 2**30 - 1)
+        # The limbs span the largest magnitude, which here is a negative value's.
+        assert kernel_module.product_is_zero(lambda x: 0 * x, [3, -(2**100)], 1)
+        assert not kernel_module.product_is_zero(lambda x: x, [0, -(2**100)], 1)
         with pytest.raises(AssertionError, match="int64 limb accumulation could overflow"):
             kernel_module.product_is_zero(lambda x: 0 * x, [1], 2**30)
 
