@@ -265,8 +265,8 @@ class MonteCarloReport:
 
 # The event stream is handled in chunks of _CHUNK_BLOCKS blocks of
 # _BLOCK_STEPS steps, so memory stays bounded whatever the sample count.
-_BLOCK_STEPS = 256
-_CHUNK_BLOCKS = 1024
+_BLOCK_STEPS = 128
+_CHUNK_BLOCKS = 2048
 _DRAW_WORDS = 2**14  # 32-bit words fetched from the generator per draw chunk
 
 

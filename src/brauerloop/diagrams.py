@@ -11,9 +11,13 @@ Diagrams compare by their partner tuples, with DEFECT (-1) sorting below any
 site index. A basis lists every diagram of one length in increasing
 lexicographic order of partner tuples, which pins the index of each diagram
 and keeps downstream matrices and cache files reproducible. The basis is an
-(N, L) int8 partner array, built in blocks keyed by the partner of site 0
-from the memoised rows of the two shorter lengths, and validated with numpy
-one column at a time.
+(N, L) int8 partner array stored site-major (Fortran order): row x is
+diagram x as always, and the partners of site i over the whole basis,
+`partners[:, i]`, are one contiguous N-vector, so each per-site pass
+(validation, rank keys, the rotation sort, the label mask, the generators'
+image keys) reads one column. It is built in blocks keyed by the partner of
+site 0 from the memoised rows of the two shorter lengths, and validated
+with numpy one column at a time.
 Symmetry orbits group basis indices under the 2L rotations and reflections
 of the circle; they are one `Orbits` record of index arrays (representative,
 size, members by offset, orbit of each diagram), and the orbit
@@ -59,13 +63,16 @@ def _first(mask: np.ndarray) -> tuple[int, int]:
 
 
 def _validated(length: int, partners) -> np.ndarray:
-    """The rows as an (N, L) int8 array, each checked to be a diagram.
+    """The rows as a site-major (N, L) int8 array, each checked to be a diagram.
 
     Each row must pair its sites by an involution without fixed sites and
-    hold exactly L mod 2 defects. The check runs column by column with
-    temporaries of length N; raises ValueError naming the first offending
-    row (for the involution, the first offending site and then its first
-    row).
+    hold exactly L mod 2 defects. Site-major int8 input is kept as it is
+    (the enumeration's rows); any other input is copied once into that
+    layout. The check runs column by column with temporaries of length N:
+    site i's partners j are proved by reading entry (r, j) of the flat
+    site-major array at the int32 position j * N + r. Raises ValueError
+    naming the first offending row (for the involution, the first
+    offending site and then its first row), whatever the input layout.
     """
     if length < 2:
         raise ValueError(f"a diagram needs at least 2 sites, got {length}")
@@ -75,19 +82,24 @@ def _validated(length: int, partners) -> np.ndarray:
     if len(p) and (p.min() < DEFECT or p.max() >= length):
         r, i = _first((p < DEFECT) | (p >= length))
         raise ValueError(f"row {r}: partner {p[r, i]} of site {i} is out of range")
-    p = p.astype(np.int8, copy=False)
-    flat = p.reshape(-1)
-    starts = np.arange(0, flat.size, length)
-    defects = np.zeros(len(p), dtype=np.int16)
+    p = np.asfortranarray(p, dtype=np.int8)
+    count = len(p)
+    assert count * length < 2**31, "site-major positions must fit in int32"
+    flat = p.T.reshape(-1)  # a view: p[r, j] sits at j * N + r
+    rows = np.arange(count, dtype=np.int32)
+    defects = np.zeros(count, dtype=np.int16)
     looped, broken_at = [], None
     for i in range(length):
-        j = p[:, i].copy()
+        j = p[:, i]
         if np.any(j == i):
             looped.append(i)
         defect = j == DEFECT
         defects += defect
-        # At DEFECT (-1) this reads an entry of another row, which `defect` masks.
-        broken = flat[starts + j] != i
+        # At DEFECT (-1) this reads an entry of another site, which `defect` masks.
+        at = j.astype(np.int32)
+        at *= count
+        at += rows
+        broken = flat.take(at) != i
         broken &= ~defect
         if broken_at is None and broken.any():
             broken_at = int(np.argmax(broken)), i
@@ -131,9 +143,11 @@ class DiagramBasis:
     """Every diagram of one length, in increasing lexicographic order.
 
     `partners` holds them as an (N, L) int8 array, validated on
-    construction. `_key` reads a row as a mixed-radix key whose digits are
-    the partners, shifted by one for odd L so that DEFECT is digit 0; keys
-    then sort like the diagrams, and `locate` finds basis positions by key.
+    construction and stored site-major, so that `partners[:, i]` is
+    contiguous while `partners[x]` still reads diagram x. `_key` reads a
+    row as a mixed-radix key whose digits are the partners, shifted by one
+    for odd L so that DEFECT is digit 0; keys then sort like the diagrams,
+    and `locate` finds basis positions by key.
     """
 
     __slots__ = ("length", "partners", "_keys")
@@ -239,7 +253,7 @@ def _partner_rows(length: int) -> np.ndarray:
         return rows
     shorter = _partner_rows(length - 2)
     start = len(_partner_rows(length - 1)) if length % 2 else 0
-    rows = np.empty((start + (length - 1) * len(shorter), length), dtype=np.int8)
+    rows = np.empty((start + (length - 1) * len(shorter), length), dtype=np.int8, order="F")
     if start:
         rows[:start, 0], rows[:start, 1:] = DEFECT, _partner_rows(length - 1) + 1
     lifted = shorter + (shorter != DEFECT)  # q + 1, and DEFECT stays -1 < j
@@ -268,9 +282,9 @@ def _step_keys(partners: np.ndarray, keys: np.ndarray) -> np.ndarray:
     is key // base, plus w[s] for each moved site s < L-1 that is not the
     defect, minus L * w[p[L-1]] for the site whose partner L-1 wraps to 0,
     plus the digit of partner p[L-1] + 1 at site 0 (the DEFECT digit if
-    site L-1 is the defect). For odd L the defect site is the `argmax` of
-    the row's DEFECT mask. Computed modulo 2**64, exact since every key <
-    base**L <= 2**64.
+    site L-1 is the defect). For odd L the w[s] of the defect site is taken
+    back site by site, a masked in-place subtraction over column s. Computed
+    modulo 2**64, exact since every key < base**L <= 2**64.
     """
     size = partners.shape[1]
     assert _ranks_fit(size), "rank keys must fit in 64 bits"
@@ -283,7 +297,8 @@ def _step_keys(partners: np.ndarray, keys: np.ndarray) -> np.ndarray:
     step = keys // np.uint64(base)
     step += np.array(head, dtype=np.uint64)[partners[:, size - 1]]
     if shift:
-        step -= np.array(w, dtype=np.uint64)[(partners == DEFECT).argmax(axis=1)]
+        for s in range(size - 1):  # w[L-1] = 0
+            np.subtract(step, np.uint64(w[s]), out=step, where=partners[:, s] == DEFECT)
     return step
 
 
@@ -297,10 +312,11 @@ def compute_orbits(basis: DiagramBasis) -> Orbits:
     the defect). Proof: the rotated row is p'[0] = p[L-1] + 1 and p'[s+1] =
     p[s] + 1 for s < L-1, except p'[j+1] = 0, the same across the block; so
     the rows keep their order. The blocks come in the order of that partner,
-    so step inverts the stable sort of column L-1, and `_step_keys` proves
-    it entry by entry (KeyError for a basis not closed under rotation). Its
-    first L-1 powers give rmin[x], the smallest index in the rotation class
-    of x. Only the seeds, the rows with rmin[x] == x, are reflected and
+    so step inverts the stable sort of column L-1 (one contiguous column of
+    the site-major basis), and `_step_keys` proves it entry by entry
+    (KeyError for a basis not closed under rotation). `rotation_minimum`
+    gives rmin[x], the smallest index in the rotation class of x, by
+    doubling. Only the seeds, the rows with rmin[x] == x, are reflected and
     ranked; the rest of `mirror` follows along each class from
     mirror[step[x]] = step^-1[mirror[x]], the dihedral relation s r = r^-1 s,
     which reaches every row as each class is its seed's images under step.
@@ -308,7 +324,7 @@ def compute_orbits(basis: DiagramBasis) -> Orbits:
     min(rmin, rmin[mirror]) labels it by its smallest index, in a sorted
     basis the lexicographically smallest image: the canonical
     representative, whose 2L images give the orbit's members. Every gather
-    through the int32 maps (the key proof, the powers for rmin, the mirror
+    through the int32 maps (the key proof, the doubling for rmin, the mirror
     fill, rmin[mirror] and the representatives' images) is an
     `ndarray.take`, which skips fancy indexing's slower int32 path.
     """
@@ -317,11 +333,7 @@ def compute_orbits(basis: DiagramBasis) -> Orbits:
     step = inverse_of(np.argsort(basis.partners[:, size - 1], kind="stable").astype(np.int32))
     if not np.array_equal(basis._keys.take(step), _step_keys(basis.partners, basis._keys)):
         raise KeyError("partner rows that are not diagrams of this basis")
-    rmin = np.arange(count, dtype=np.int32)
-    image = rmin
-    for _ in range(size - 1):
-        image = step.take(image)
-        np.minimum(rmin, image, out=rmin)
+    rmin = rotation_minimum(step, size)
     seeds = np.flatnonzero(rmin == np.arange(count, dtype=np.int32))
     image = basis.locate(_key(reflect_partners(basis.partners[seeds])))
     inverse = inverse_of(step)
@@ -349,6 +361,24 @@ def compute_orbits(basis: DiagramBasis) -> Orbits:
     assert np.array_equal(smallest[orbits.representatives], orbits.representatives)
     assert np.array_equal(smallest, orbits.representatives[orbits.orbit_of])
     return orbits
+
+
+def rotation_minimum(step: np.ndarray, size: int) -> np.ndarray:
+    """rmin[x], the smallest index step^k[x] over k = 0..size-1, for a step with step^size = 1.
+
+    Doubling: while rmin covers k < m and power = step^m, min(rmin,
+    rmin[power]) covers k < 2m, and power[power] = step^2m. Once 2m >= size
+    the window holds every k mod size, as step^size is the identity: about
+    2 log2(size) gathers in all and no table of powers.
+    """
+    rmin = np.arange(len(step), dtype=step.dtype)
+    power, reach = step, 1
+    while True:
+        np.minimum(rmin, rmin.take(power), out=rmin)
+        reach *= 2
+        if reach >= size:
+            return rmin
+        power = power.take(power)
 
 
 def inverse_of(perm: np.ndarray) -> np.ndarray:

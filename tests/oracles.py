@@ -21,6 +21,9 @@
   `diagrams._step_keys`.
 * `step_by_search`: the one-site rotation located by the rank keys of
   `_step_keys`, the oracle of the block-order `step` of `compute_orbits`.
+* `rotation_minimum_by_powers`: the smallest index of each rotation class
+  from the L-1 powers of `step`, the oracle of the doubling
+  `diagrams.rotation_minimum`.
 * `permutation_label` and `partial_permutation_label`: the label tuple of
   one diagram, the oracles of `shared_orbit_labels`.
 * `build_full`: the operator over the full basis, summed column by column
@@ -357,6 +360,16 @@ def image_key_increments(size: int, a: int) -> tuple[list[int], list[int]]:
 def step_by_search(basis: DiagramBasis) -> np.ndarray:
     """Basis index of every row rotated forward by one site, as int32, located by rank key."""
     return basis.locate(_step_keys(basis.partners, basis._keys)).astype(np.int32)
+
+
+def rotation_minimum_by_powers(step: np.ndarray, size: int) -> np.ndarray:
+    """rmin[x], the smallest of x, step[x], ..., step^(size-1)[x], one power at a time."""
+    rmin = np.arange(len(step), dtype=step.dtype)
+    image = rmin
+    for _ in range(size - 1):
+        image = step[image]
+        np.minimum(rmin, image, out=rmin)
+    return rmin
 
 
 def serialize_by_json(state) -> str:

@@ -3,6 +3,7 @@ import re
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,8 @@ from brauerloop import (
 )
 import brauerloop.diagrams as diagrams_module
 from brauerloop.counting import class_count, double_factorial
-from brauerloop.diagrams import (_key, _step_keys, conjugate, inverse_of, label_text, shared_basis,
-                                 shared_orbits)
+from brauerloop.diagrams import (_key, _step_keys, _validated, conjugate, inverse_of, label_text,
+                                 rotation_minimum, shared_basis, shared_orbits)
 
 from conftest import (
     STRETCH,
@@ -44,6 +45,7 @@ from oracles import (
     reflect,
     rotate,
     rotate_partners,
+    rotation_minimum_by_powers,
     step_by_search,
 )
 
@@ -113,6 +115,13 @@ class TestEnumeration:
         partners = enumerate_diagrams(length).partners
         assert partners.dtype == np.int8
         assert np.array_equal(partners, expected)
+
+    @pytest.mark.parametrize("length", range(2, 15))
+    def test_shared_basis_is_site_major(self, length):
+        # Each site's column is one contiguous N-vector; rows read as before.
+        partners = shared_basis(length).partners
+        assert partners.flags.f_contiguous
+        assert np.array_equal(partners, np.array(recursive_partners(length), dtype=np.int8))
 
     @pytest.mark.parametrize("length", range(2, 15))
     def test_matches_per_site_oracle(self, length):
@@ -224,26 +233,43 @@ class TestResourceGuard:
         assert "diagrams" in done.stderr and "bytes of partner array" in done.stderr
 
 
+CORRUPTED_ROWS = [
+    (3, [[1, 2, 0]], "not an involution"),
+    (4, [[1, 0, 3, 2], [2, 3, 1, 0]], "row 1: pairing is not an involution"),
+    (2, [[0, 1]], "paired with itself"),
+    (4, [[1, 0, 3, 4]], "out of range"),
+    (3, [[-2, 2, 1]], "out of range"),
+    (4, [[1, 0, 3, 200]], "out of range"),
+    (2, [[-1, -1]], "requires exactly 0 defect(s), found 2"),
+    (5, [[1, 0, -1, -1, -1]], "requires exactly 1 defect(s), found 3"),
+    (4, [[1, 0, -1, -1]], "requires exactly 0 defect(s)"),
+]
+
+
+def validation_message(length, rows):
+    """The `_validated` message of row-major and site-major copies of the rows, which agree."""
+    messages = []
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        with pytest.raises(ValueError) as caught:
+            _validated(length, layout(rows))
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    return messages[0]
+
+
 class TestBasisValidation:
     """The whole-array check rejects what `ChordDiagram` rejects per row."""
 
-    @pytest.mark.parametrize(
-        "length, rows, message",
-        [
-            (3, [[1, 2, 0]], "not an involution"),
-            (4, [[1, 0, 3, 2], [2, 3, 1, 0]], "row 1: pairing is not an involution"),
-            (2, [[0, 1]], "paired with itself"),
-            (4, [[1, 0, 3, 4]], "out of range"),
-            (3, [[-2, 2, 1]], "out of range"),
-            (4, [[1, 0, 3, 200]], "out of range"),
-            (2, [[-1, -1]], "requires exactly 0 defect(s), found 2"),
-            (5, [[1, 0, -1, -1, -1]], "requires exactly 1 defect(s), found 3"),
-            (4, [[1, 0, -1, -1]], "requires exactly 0 defect(s)"),
-        ],
-    )
+    @pytest.mark.parametrize("length, rows, message", CORRUPTED_ROWS)
     def test_rejects_corrupted_rows(self, length, rows, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             DiagramBasis(length, np.array(rows))
+
+    @pytest.mark.parametrize("length, rows, message", CORRUPTED_ROWS)
+    def test_same_message_in_both_layouts(self, length, rows, message):
+        assert message in validation_message(length, np.array(rows))
+        if np.max(rows) < 128:  # and as int8, which site-major input keeps without a copy
+            assert message in validation_message(length, np.array(rows, dtype=np.int8))
 
     def test_rejects_corruption_inside_a_full_basis(self):
         partners = enumerate_diagrams(8).partners.copy()
@@ -251,6 +277,7 @@ class TestBasisValidation:
         partners[57, 0] = 1 if partners[57, 0] != 1 else 2
         with pytest.raises(ValueError, match="row 57: pairing is not an involution at site 0"):
             DiagramBasis(8, partners)
+        assert validation_message(8, partners) == "row 57: pairing is not an involution at site 0"
 
     def test_names_the_lower_site_then_the_lower_row(self):
         partners = shared_basis(13).partners.copy()
@@ -265,15 +292,11 @@ class TestBasisValidation:
         def message(row, site):
             return f"row {row}: pairing is not an involution at site {site}"
 
-        rewire(1000, 6)
-        with pytest.raises(ValueError, match=message(1000, 6)):
-            DiagramBasis(13, partners)
-        rewire(120000, 2)
-        with pytest.raises(ValueError, match=message(120000, 2)):
-            DiagramBasis(13, partners)
-        rewire(5000, 2)
-        with pytest.raises(ValueError, match=message(5000, 2)):
-            DiagramBasis(13, partners)
+        for row, site in [(1000, 6), (120000, 2), (5000, 2)]:
+            rewire(row, site)
+            with pytest.raises(ValueError, match=message(row, site)):
+                DiagramBasis(13, partners)
+            assert validation_message(13, partners) == message(row, site)
 
     def test_rejects_wrong_shape_and_type(self):
         with pytest.raises(ValueError):
@@ -318,6 +341,14 @@ class TestStepKeys:
     def test_matches_ranked_rotation(self, rows):
         expected = _key(rotate_partners(rows, 1))
         assert np.array_equal(_step_keys(rows, _key(rows)), expected)
+        assert np.array_equal(_step_keys(np.asfortranarray(rows), _key(rows)), expected)
+
+    @pytest.mark.parametrize("length", range(2, 15))
+    def test_layouts_agree_on_the_basis(self, length):
+        basis = shared_basis(length)
+        expected = basis._keys.take(shared_orbits(length).step)
+        for rows in (np.ascontiguousarray(basis.partners), basis.partners):
+            assert np.array_equal(_step_keys(rows, basis._keys), expected)
 
     @pytest.mark.parametrize("length", range(2, 17))
     def test_edge_rows(self, length):
@@ -363,6 +394,57 @@ class TestRotationMap:
         assert np.array_equal(sub.step, step_by_search(basis))
         assert np.array_equal(kept[sub.representatives], orbits.representatives[::3])
         assert np.array_equal(sub.sizes, orbits.sizes[::3])
+
+
+class TestRotationMinimum:
+    """`rotation_minimum` doubles its window; the oracle takes the L-1 powers one by one."""
+
+    @pytest.mark.parametrize("length", [*range(2, 15), *(
+        pytest.param(length, marks=STRETCH) for length in (15, 16))])
+    def test_equals_powers_on_the_basis(self, length):
+        step = shared_orbits(length).step
+        rmin = rotation_minimum(step, length)
+        assert rmin.dtype == np.int32
+        assert np.array_equal(rmin, rotation_minimum_by_powers(step, length))
+        if length > 14:  # the later tests need not hold these 2 M-row arrays
+            for memo in (shared_orbits, shared_basis, diagrams_module._partner_rows):
+                memo.cache_clear()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=2, max_value=16), st.data())
+    def test_equals_powers_on_random_cycles(self, size, data):
+        # Any permutation whose cycle lengths divide `size` has step^size = 1.
+        lengths = data.draw(st.lists(st.sampled_from(
+            [d for d in range(1, size + 1) if size % d == 0]), min_size=1, max_size=12))
+        order = data.draw(st.permutations(range(sum(lengths))))
+        step = np.empty(len(order), dtype=np.int32)
+        start = 0
+        for cycle in lengths:
+            members = order[start : start + cycle]
+            step[members] = np.roll(members, -1)
+            start += cycle
+        assert np.array_equal(rotation_minimum(step, size), rotation_minimum_by_powers(step, size))
+
+
+class TestMemory:
+    """Deterministic Python-level peaks (tracemalloc) of the diagram layer at L = 13."""
+
+    @staticmethod
+    def peak_mib(work):
+        tracemalloc.start()
+        try:
+            work()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_enumerate_peak(self):
+        diagrams_module._partner_rows.cache_clear()  # build every shorter length again
+        assert self.peak_mib(lambda: enumerate_diagrams(13)) <= 4.7  # 4.63 measured
+
+    def test_orbits_peak(self):
+        basis = shared_basis(13)
+        assert self.peak_mib(lambda: compute_orbits(basis)) <= 5.5  # 5.47 measured
 
 
 @pytest.mark.parametrize("count", [1, 2, 10_395])
