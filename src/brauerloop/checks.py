@@ -379,7 +379,7 @@ def monte_carlo_crosscheck(
     basis = shared_basis(length)
     orbits = shared_orbits(length)
     representatives = representative_codes(length)
-    table = transition_table(basis, orbits.step)
+    table = transition_table(basis, orbits)
 
     if ground_state is None:
         ground_state = groundstate(length, cache_dir=cache_dir)

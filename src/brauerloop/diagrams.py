@@ -323,10 +323,11 @@ def compute_orbits(basis: DiagramBasis) -> Orbits:
     The orbit of x joins its rotation class with that of mirror[x], so
     min(rmin, rmin[mirror]) labels it by its smallest index, in a sorted
     basis the lexicographically smallest image: the canonical
-    representative, whose 2L images give the orbit's members. Every gather
+    representative, whose 2L images (filled as contiguous rows, sorted per
+    orbit through their transpose) give the orbit's members. Every gather
     through the int32 maps (the key proof, the doubling for rmin, the mirror
-    fill, rmin[mirror] and the representatives' images) is an
-    `ndarray.take`, which skips fancy indexing's slower int32 path.
+    fill, rmin[mirror], the images) is an `ndarray.take`, which skips fancy
+    indexing's slower int32 path.
     """
     size, count = basis.length, len(basis)
     assert count < 2**31, "basis indices must fit in int32"
@@ -345,11 +346,12 @@ def compute_orbits(basis: DiagramBasis) -> Orbits:
     smallest = np.minimum(rmin, rmin.take(mirror))
     del rmin
     representatives = np.flatnonzero(smallest == np.arange(count, dtype=np.int32))
-    images = np.empty((len(representatives), 2 * size), dtype=np.int32)
-    images[:, 0] = representatives
+    images = np.empty((2 * size, len(representatives)), dtype=np.int32)
+    images[0] = representatives
     for k in range(1, size):
-        images[:, k] = step.take(images[:, k - 1])
-    images[:, size:] = mirror.take(images[:, :size])
+        images[k] = step.take(images[k - 1])
+    images[size:] = mirror.take(images[:size])
+    images = images.T
     images.sort(axis=1)
     fresh = np.ones(images.shape, dtype=bool)
     np.not_equal(images[:, 1:], images[:, :-1], out=fresh[:, 1:])

@@ -13,9 +13,9 @@ row per generator; it is the one form of the action, and every other stage
 reads it: assembly and the full-basis check are handed it, Monte Carlo
 steps it. Only site 1 is searched by rank key: the other sites follow by
 conjugating with the one-site rotation (`diagrams.conjugate`, the one form
-of g_{i+1} = r g_i r^-1, which the equivariance gate and the relation
-check's rotation covariance also use), and each is then proved against its
-own rank keys.
+of g_{i+1} = r g_i r^-1, which the equivariance proof and the relation
+check's rotation covariance also use); each is proved against its own rank
+keys, and the table against the rotation and reflection, where it is built.
 `check_relations` verifies the defining relations of the algebra on every
 diagram of a given length and reports a counterexample on failure.
 """
@@ -27,36 +27,54 @@ from itertools import chain
 
 import numpy as np
 
-from .diagrams import (DiagramBasis, _ranks_fit, conjugate, encode_partners, inverse_of,
-                       shared_basis, shared_orbits)
+from .diagrams import (DiagramBasis, Orbits, _ranks_fit, conjugate, encode_partners,
+                       inverse_of, shared_basis, shared_orbits)
 
 
-def transition_table(basis: DiagramBasis, step: np.ndarray) -> np.ndarray:
+def transition_table(basis: DiagramBasis, orbits: Orbits) -> np.ndarray:
     """Basis indices of all generator images, as a C-contiguous (2L, N) int32 array.
 
     Row a holds the monoid image at site a+1 and row L+a the braid image.
-    `step` is the one-site rotation of `compute_orbits` (`Orbits.step`).
-    Only the rows of site 1 are located by rank key; every other row is
-    the rotation conjugate of the one before it, g_{i+1} = r g_i r^-1
-    (`conjugate`). Each conjugated row is then proved entry by entry: the
-    basis keys of its images must equal the independent key arithmetic of
-    `_image_keys`, and keys are injective on the basis. A mismatch raises
-    ArithmeticError naming the site.
+    Only the rows of site 1 are located by rank key; every other row is the
+    conjugate g_{a+1} = r g_a r^-1 of the one before it by the rotation
+    r = `orbits.step` (`conjugate`), proved entry by entry: the basis keys
+    of its images must equal the key arithmetic of `_image_keys`, and keys
+    are injective on the basis. Equivariance is proved here too, for the
+    permutations r and s = `orbits.mirror` (`build_reduced` checks both):
+    rows 1..L-1 commute with r by construction, so per family only the wrap
+    r g_{L-1} r^-1 = g_0 is checked, then s r s^-1 = r^-1 (as s r = r^-1 s)
+    and s g_0 s^-1 = g_{L-2}. Lemma: s g_a s^-1 = g_{L-2-a} (mod L) for all
+    a, as g_a = r^a g_0 r^-a gives s g_a s^-1 = (s r s^-1)^a (s g_0 s^-1)
+    (s r^-1 s^-1)^a = r^-a g_{L-2} r^a. ArithmeticError names the site, the
+    relation or generator c as "column c": a reflection fault is named by
+    column 0 or L, whichever row holds it.
     """
     size, count = basis.length, len(basis)
+    step, mirror = orbits.step, orbits.mirror
     table = np.empty((2 * size, count), dtype=np.int32)
     table[0::size] = basis.locate(_image_keys(basis.partners, basis._keys, 0))
     inverse = inverse_of(step)
     for c in range(2 * size):
         if c % size:
             table[c] = conjugate(table[c - 1], step, inverse)
-    del inverse
     for a in range(1, size):
         if not np.array_equal(basis._keys.take(table[a::size]),
                               _image_keys(basis.partners, basis._keys, a)):
             raise ArithmeticError(f"transition table rows of site {a + 1} "
                                   "do not match their rank keys")
+    for c in (size - 1, 2 * size - 1):  # r g_{L-1} r^-1 = g_0
+        _prove_commutes(table, c, c + 1 - size, "rotation", step, inverse)
+    if not np.array_equal(mirror.take(step), inverse.take(mirror)):
+        raise ArithmeticError("the reflection and the rotation do not satisfy s r s^-1 = r^-1")
+    flipped = inverse_of(mirror)
+    for c in (0, size):  # s g_0 s^-1 = g_{L-2}
+        _prove_commutes(table, c, c + (size - 2) % size, "reflection", mirror, flipped)
     return table
+
+
+def _prove_commutes(table, c, target, name, perm, inverse) -> None:
+    if not np.array_equal(table[target], conjugate(table[c], perm, inverse)):
+        raise ArithmeticError(f"transition table column {c} does not commute with the {name}")
 
 
 def _image_keys(partners: np.ndarray, keys: np.ndarray, a: int) -> np.ndarray:
@@ -141,8 +159,9 @@ def check_relations(length: int) -> RelationReport:
     # Index maps: e[i][x] is the basis index of e_i applied to diagram x, so
     # a word acts on all diagrams by a chain of `take`s, its rightmost letter
     # innermost: e_i e_j is e[i].take(e[j]).
-    rot = shared_orbits(length).step
-    table = transition_table(basis, rot)
+    orbits = shared_orbits(length)
+    table = transition_table(basis, orbits)
+    rot = orbits.step
     e = {i: table[i - 1] for i in range(1, length + 1)}
     b = {i: table[length + i - 1] for i in range(1, length + 1)}
     rot_back = inverse_of(rot)

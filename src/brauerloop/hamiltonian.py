@@ -15,16 +15,17 @@ The only matrix assembled is the lump over dihedral orbits, the sum of
 whole orbit blocks. Equivariance implies representative independence: as the
 generator action commutes with rotations and reflections, each row of an
 orbit takes, and each column gives, the same per-orbit sums (Buchholz, J.
-Appl. Probab. 31, 1994). Assembly proves that equivariance on the table; the
-lumped matrix has zero column sums and the per-orbit weights as its kernel.
-The operator over the full basis is applied to a vector by `annihilates`,
-straight from the table, and never assembled.
+Appl. Probab. 31, 1994). `transition_table` proves that equivariance as it
+builds the table, and assembly proves the orbits; the lumped matrix has
+zero column sums and the per-orbit weights as its kernel. The operator
+over the full basis is applied to a vector by `annihilates`, straight from
+the table, and never assembled.
 
 The table is the (2L, N) `transition_table`, which the caller builds once
 and passes to both `build_reduced` and `annihilates`; this module builds
-none. Row a holds the image of every diagram under generator a, so the
-gate, `annihilates` and the summed entries read whole contiguous rows, and
-the representatives' columns are one gather.
+none. Row a holds the image of every diagram under generator a, so
+`annihilates` and the summed entries read whole contiguous rows, and the
+representatives' columns are one gather.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagrams import DiagramBasis, Orbits, conjugate, inverse_of
+from .diagrams import DiagramBasis, Orbits
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,14 +82,14 @@ def _first(mask: np.ndarray) -> int:
 def build_reduced(basis: DiagramBasis, orbits: Orbits, table: np.ndarray) -> IntensityMatrix:
     """Lump the full operator over dihedral orbits by summing orbit blocks.
 
-    `table` is the basis's (2L, N) `transition_table` (else ValueError).
-    Equivariance implies representative independence, and it is proved
-    first: the groups of `orbit_of` partition the basis (else ValueError),
-    are closed under the permutations `step` and `mirror` and one orbit
-    each, and the conjugate of table row a by each is row a+1 (rotation)
-    and L-2-a (reflection) of its family; else ArithmeticError names the
-    orbit, or generator a as "column a". Entry (R, C), the block sum, is
-    then |C| times rep(C)'s column summed over R.
+    `table` must be the `transition_table` of the basis over these orbits,
+    which proved it equivariant under their `step` and `mirror` (another
+    shape raises ValueError). That implies representative independence once
+    the orbits are proved: the groups of `orbit_of` partition the basis
+    (else ValueError), and `step` and `mirror` are permutations under which
+    each group is closed and one orbit; else ArithmeticError names the map
+    or the orbit. Entry (R, C), the block sum, is then |C| times rep(C)'s
+    column summed over R.
     """
     _check_shape(basis, table)
     n, size, m = len(basis), basis.length, len(orbits)
@@ -96,20 +97,12 @@ def build_reduced(basis: DiagramBasis, orbits: Orbits, table: np.ndarray) -> Int
     sized = len(orbit_of) == n and np.array_equal(np.bincount(orbit_of, minlength=m), orbits.sizes)
     if not (sized and np.array_equal(orbit_of[representatives], np.arange(m))):
         raise ValueError("orbits do not partition the basis")
-    for name, image, sign, offset in (("rotation", orbits.step, 1, 1),
-                                      ("reflection", orbits.mirror, -1, -2)):
+    for name, image in (("rotation", orbits.step), ("reflection", orbits.mirror)):
         if not np.array_equal(np.bincount(image, minlength=n), np.ones(n)):
             raise ArithmeticError(f"the {name} map is not a permutation of the basis")
         moved = np.flatnonzero(orbit_of.take(image) != orbit_of)
         if moved.size:
             raise ArithmeticError(f"orbit {orbit_of[moved[0]]} is not closed under the {name}")
-        inverse = inverse_of(image)
-        for a in range(2 * size):
-            shifted = a - a % size + (sign * a + offset) % size
-            if not np.array_equal(table[shifted], conjugate(table[a], image, inverse)):
-                raise ArithmeticError(
-                    f"transition table column {a} does not commute with the {name}"
-                )
     # A closed group is one orbit when each member rotates from its representative or its mirror.
     reached = np.zeros(n, dtype=bool)
     for images in (representatives, orbits.mirror[representatives]):
@@ -169,27 +162,29 @@ def connectivity_check(matrix: IntensityMatrix) -> bool:
     return True
 
 
-def annihilates(basis: DiagramBasis, values, table: np.ndarray) -> bool:
-    """Exact check that the operator sends the given diagram vector to zero.
+def annihilates(basis: DiagramBasis, weights, table: np.ndarray, orbit_of) -> bool:
+    """Exact check that the operator sends the diagram vector weights[orbit_of] to zero.
 
-    `table` is the basis's (2L, N) `transition_table` (else ValueError).
+    `table` is the basis's (2L, N) `transition_table` (else ValueError) and
+    `orbit_of` groups the diagrams (`Orbits.orbit_of`, or `np.arange(N)`).
     The weights are arbitrary Python integers; `product_is_zero` pushes them
-    through the table in 31-bit limbs.
+    through the table in 31-bit limbs, each gathered to the N diagrams in int64.
     """
-    if len(values) != len(basis):
-        raise ValueError("value vector does not match the basis size")
+    if len(orbit_of) != len(basis) or len(weights) != orbit_of.max() + 1:
+        raise ValueError("weight vector does not match the basis and its grouping")
     _check_shape(basis, table)
     width, n = table.shape
     size = width // 2
 
     def apply(limb: np.ndarray) -> np.ndarray:
+        limb = limb.take(orbit_of)
         out = 3 * size * limb
         for j in range(width):
             np.add.at(out, table[j], (-2 if j < size else -1) * limb)
         return out
 
     # A column's entries sum to 6L in magnitude, so no row exceeds 6L * n.
-    return product_is_zero(apply, values, 6 * size * n)
+    return product_is_zero(apply, weights, 6 * size * n)
 
 
 def product_is_zero(apply, values, gain: int) -> bool:

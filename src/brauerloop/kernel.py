@@ -11,15 +11,16 @@ measured residual allows and updates the residual exactly in int64, within
 bounds asserted at every step. Continued fractions then recover the
 rationals over a common denominator, and a candidate is accepted only when
 A w = 0 holds exactly in integers; a solve that stops contracting or runs
-out of steps raises `RefinementError`. The solver reads the matrix's
-entry arrays as they are and returns the accepted vector as coprime
-positive integers.
+out of steps raises `RefinementError`. The solver copies A once into row
+order, values cast to float64 once, so each product (B's too) sums a row's
+terms by `np.add.reduceat`; it returns the vector as coprime integers > 0.
 
-The assembled ground state is additionally verified against the full
-diagram basis before it is returned or cached. A `GroundState` is the length
-and the weight of each orbit of `shared_orbits(length)`, in orbit order; the
-cache payload adds each orbit's encoded representative and size, and
-reading it back compares those as strings with the enumerated orbits.
+The assembled ground state is additionally verified against the full diagram
+basis, from its per-orbit weights, before it is returned or cached. A
+`GroundState` is the length and the weight of each orbit of
+`shared_orbits(length)`, in orbit order; the cache payload adds each orbit's
+encoded representative and size, and reading it back compares those as
+strings with the enumerated orbits.
 """
 
 from __future__ import annotations
@@ -112,30 +113,32 @@ def kernel_vector(matrix: IntensityMatrix) -> tuple[int, ...]:
 
 
 def _minor(matrix: IntensityMatrix) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """B = A[1:, 1:] as (rows, cols, vals) and b = -A[1:, 0], the system for w[1:] / w[0].
-
-    The two masks keep the (column, row) order of the entries.
-    """
+    """A's entries as (cols, vals, floats, starts) and b = -A[1:, 0], the system for
+    w[1:] / w[0] with B = A[1:, 1:] (`_minor_product`). A stable sort of the rows puts
+    the entries in (row, column) order, floats holds the values as float64 and starts
+    each row's first entry; every row must hold one, as the diagonal of an irreducible
+    intensity matrix is nonzero."""
     rows, cols, vals = matrix.rows, matrix.cols, matrix.vals
-    inner = (rows > 0) & (cols > 0)
     first = (rows > 0) & (cols == 0)
     b = np.zeros(matrix.dimension - 1, dtype=np.int64)
     b[rows[first] - 1] = -vals[first]
-    return (rows[inner] - 1, cols[inner] - 1, vals[inner]), b
+    order = np.argsort(rows, kind="stable")
+    starts = np.flatnonzero(np.diff(rows[order], prepend=-1))
+    assert len(starts) == matrix.dimension, "every row must hold an entry"
+    vals = vals[order]
+    return (cols[order], vals, vals.astype(np.float64), starts), b
 
 
 def _product(entries: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
-    """The square matrix of the (rows, cols, vals) entries times a float vector, or
-    an int64 one (exact within the callers' bounds)."""
-    rows, cols, vals = entries
-    return _row_sums(rows, vals * x[cols], len(x))
+    """The matrix of `_minor`'s entries times a float vector, or an int64 one (exact
+    within the callers' bounds): each row's products summed by `np.add.reduceat`."""
+    cols, vals, floats, starts = entries
+    return np.add.reduceat((floats if x.dtype.kind == "f" else vals) * x.take(cols), starts)
 
 
-def _row_sums(rows: np.ndarray, values: np.ndarray, dimension: int) -> np.ndarray:
-    """Per row, the sum of the values of its entries."""
-    out = np.zeros(dimension, dtype=values.dtype)
-    np.add.at(out, rows, values)
-    return out
+def _minor_product(entries: tuple[np.ndarray, ...], y: np.ndarray) -> np.ndarray:
+    """B y for B = A[1:, 1:] from A's entries: A times (0, y), less its row 0."""
+    return _product(entries, np.concatenate((np.zeros(1, y.dtype), y)))[1:]
 
 
 def _bicgstab(b_matrix, diagonal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -161,14 +164,14 @@ def _bicgstab(b_matrix, diagonal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         rho_next = r_hat @ r
         p = r + (rho_next / rho) * (alpha / omega) * (p - omega * v)
         p_hat = p / diagonal
-        v = _product(b_matrix, p_hat)
+        v = _minor_product(b_matrix, p_hat)
         alpha = rho_next / (r_hat @ v)
         s = r - alpha * v
         if not np.linalg.norm(s) > target:
             x += alpha * p_hat
             break
         s_hat = s / diagonal
-        t = _product(b_matrix, s_hat)
+        t = _minor_product(b_matrix, s_hat)
         omega = (t @ s) / (t @ t)
         x += alpha * p_hat + omega * s_hat
         r = s - omega * t
@@ -190,18 +193,19 @@ def _refine(matrix: IntensityMatrix) -> tuple[int, ...]:
     result is returned through `_coprime_positive` only once A w = 0 holds
     exactly.
     """
-    length, a = matrix.length, (matrix.rows, matrix.cols, matrix.vals)
-    a_l1 = int(_row_sums(matrix.rows, np.abs(matrix.vals), matrix.dimension).max())
-    b_matrix, r = _minor(matrix)
-    rows, cols, vals = b_matrix
-    l1 = int(_row_sums(rows, np.abs(vals), len(r)).max())
-    diagonal = _row_sums(rows, (rows == cols) * vals, len(r)).astype(np.float64)
+    length = matrix.length
+    a, r = _minor(matrix)
+    cols, vals, _, starts = a
+    a_l1 = int(np.add.reduceat(np.abs(vals), starts).max())
+    l1 = int(np.add.reduceat(np.abs(vals) * (cols > 0), starts)[1:].max())  # B's
+    # One diagonal entry per column, in column order: each is nonzero (`_minor`).
+    diagonal = matrix.vals[matrix.rows == matrix.cols][1:].astype(np.float64)
     numer = np.zeros(len(r), dtype=object)
     denom = 1
     for step in range(1, _MAX_STEPS + 1):
-        y = _bicgstab(b_matrix, diagonal, r.astype(np.float64))
+        y = _bicgstab(a, diagonal, r.astype(np.float64))
         r_norm = int(np.abs(r).max())
-        error = np.abs(r - _product(b_matrix, y)).max() / r_norm
+        error = np.abs(r - _minor_product(a, y)).max() / r_norm
         y_norm = float(np.abs(y).max())
         if not (np.isfinite(error) and np.isfinite(y_norm)):
             raise RefinementError(f"L = {length}, refinement step {step}: float solve failed")
@@ -218,7 +222,7 @@ def _refine(matrix: IntensityMatrix) -> tuple[int, ...]:
                 f"leaves {k} bits, fewer than 8"
             )
         d = np.rint(np.ldexp(y, k)).astype(np.int64)
-        r = _update_residual(b_matrix, l1, r, d, k)
+        r = _update_residual(a, l1, r, d, k)
         numer = (numer << k) + d.astype(object)
         denom <<= k
         w = _reconstruct(numer, denom) if r.any() else [denom, *numer]
@@ -234,7 +238,7 @@ def _update_residual(b_matrix, l1: int, r: np.ndarray, d: np.ndarray, k: int) ->
     """2**k r - B d, exact in int64 within the asserted bounds; l1 is max_i sum_j |B_ij|."""
     assert int(np.abs(r).max()) << k < 2**62, "2**k * r could overflow int64"
     assert l1 * int(np.abs(d).max()) < 2**62, "B d could overflow int64"
-    return (r << k) - _product(b_matrix, d)
+    return (r << k) - _minor_product(b_matrix, d)
 
 
 def _reconstruct(numer: np.ndarray, denom: int) -> list[int] | None:
@@ -314,11 +318,6 @@ class GroundState:
     @property
     def total(self) -> int:
         return sum(map(operator.mul, self.sizes, self.weights))
-
-    def expand(self) -> tuple[int, ...]:
-        """Per-diagram weights over the full basis, in basis order."""
-        weights = np.array(self.weights, dtype=object)
-        return tuple(weights[shared_orbits(self.length).orbit_of].tolist())
 
 
 # The payload's constant generator and normalisation fields.
@@ -473,10 +472,10 @@ def groundstate(length: int, *, cache_dir=None) -> GroundState:
 
     basis = shared_basis(length)
     orbits = shared_orbits(length)
-    table = transition_table(basis, orbits.step)
+    table = transition_table(basis, orbits)
     matrix = build_reduced(basis, orbits, table)
     state = GroundState(length, kernel_vector(matrix))
-    if not annihilates(basis, state.expand(), table):
+    if not annihilates(basis, state.weights, table, orbits.orbit_of):
         raise ArithmeticError("expanded ground state is not annihilated on the full basis")
     if cache_dir is not None:
         save_cached_groundstate(cache_dir, state)

@@ -35,7 +35,7 @@ def defined_in_package(name):
 @lru_cache(maxsize=None)
 def table_of(length):
     """The read-only `transition_table` of the shared basis of one length."""
-    table = transition_table(shared_basis(length), shared_orbits(length).step)
+    table = transition_table(shared_basis(length), shared_orbits(length))
     table.flags.writeable = False
     return table
 
@@ -212,7 +212,7 @@ def monte_carlo_per_step(basis, orbits, ground_state, samples, seed, burn_in=Non
             orbit_of[m] = oi
     # Per state, each site's monoid target twice and its braid target once.
     transitions = [[row[c] for a in range(length) for c in (a, a, length + a)]
-                   for row in transition_table(basis, orbits.step).T.tolist()]
+                   for row in transition_table(basis, orbits).T.tolist()]
     total = ground_state.total
     exact = [Fraction(size * weight, total)
              for size, weight in zip(ground_state.sizes, ground_state.weights)]

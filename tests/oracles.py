@@ -10,6 +10,10 @@
 * `transition_table_by_search`: the table as (N, 2L), every site's images
   located by rank key, the oracle of the rotation-conjugated
   `transition_table`.
+* `equivariance_gate`: the conjugate of every table row by the rotation and
+  by the reflection, 4L conjugations, each compared with the row it must
+  equal; the oracle of the equivariance proof of `transition_table`, which
+  conjugates four rows and checks the dihedral relation.
 * `image_key_increments`: the monoid and braid key increments of one site
   as lists of Python integers, the oracle of the uint64 increment tables
   of `generators._image_keys`.
@@ -31,6 +35,9 @@
 * `lump_by_rows`: the lumped operator from every full entry, with
   representative independence checked row by row; the oracle of
   `build_reduced` and `build_full`.
+* `expand`: a ground state's weights over the full basis, one Python integer
+  per diagram; the diagram-level vector behind the orbit-level full-basis
+  check of `annihilates`.
 * `serialize_by_json`: the cache text with its payload encoded by
   `json.dumps`, the oracle of the directly written `serialize_groundstate`.
 * `validate_by_columns` and `connected_by_bfs`: the intensity-matrix checks
@@ -74,7 +81,8 @@ from brauerloop import (
     KernelDimensionError,
     Orbits,
 )
-from brauerloop.diagrams import _step_keys, encode_partners, representative_codes, shared_orbits
+from brauerloop.diagrams import (_step_keys, conjugate, encode_partners, inverse_of,
+                                 representative_codes, shared_orbits)
 from brauerloop.generators import _image_keys, transition_table
 from brauerloop.hamiltonian import IntensityMatrix, _summed_entries
 
@@ -342,6 +350,25 @@ def transition_table_by_search(basis: DiagramBasis) -> np.ndarray:
     return table
 
 
+def equivariance_gate(table: np.ndarray, orbits: Orbits) -> None:
+    """Every row of the table commutes with the rotation and the reflection of `orbits`.
+
+    The conjugate of row a by `step` must be row a+1 and by `mirror` row
+    L-2-a of its family (mod L); else ArithmeticError names "column a", the
+    first row in the order rotation, then reflection, whose conjugate differs.
+    """
+    size = len(table) // 2
+    for name, image, sign, offset in (("rotation", orbits.step, 1, 1),
+                                      ("reflection", orbits.mirror, -1, -2)):
+        inverse = inverse_of(image)
+        for a in range(2 * size):
+            shifted = a - a % size + (sign * a + offset) % size
+            if not np.array_equal(table[shifted], conjugate(table[a], image, inverse)):
+                raise ArithmeticError(
+                    f"transition table column {a} does not commute with the {name}"
+                )
+
+
 def image_key_increments(size: int, a: int) -> tuple[list[int], list[int]]:
     """The monoid and braid key increments at 0-based site a, as Python integers.
 
@@ -372,6 +399,12 @@ def rotation_minimum_by_powers(step: np.ndarray, size: int) -> np.ndarray:
     return rmin
 
 
+def expand(state) -> tuple[int, ...]:
+    """Per-diagram weights of a `GroundState` over the full basis, in basis order."""
+    weights = np.array(state.weights, dtype=object)
+    return tuple(weights[shared_orbits(state.length).orbit_of].tolist())
+
+
 def serialize_by_json(state) -> str:
     """The cache text of a `GroundState`, its payload encoded by `json.dumps` with sorted keys."""
     payload = {
@@ -394,7 +427,7 @@ def serialize_by_json(state) -> str:
 def build_full(basis: DiagramBasis) -> IntensityMatrix:
     """The operator over the full diagram basis, summed column by column from the table."""
     index = np.arange(len(basis))
-    table = transition_table(basis, shared_orbits(basis.length).step)
+    table = transition_table(basis, shared_orbits(basis.length))
     entries = _summed_entries(table, index, index, np.ones_like(index))
     return IntensityMatrix(basis.length, len(index), *entries)
 
@@ -404,7 +437,7 @@ def lump_by_rows(basis: DiagramBasis, orbits: Orbits, table: np.ndarray) -> Inte
 
     Sums every full entry per (row, column group), then checks that all rows
     of a group hold the same sum before scaling it by the group size. The
-    oracle of the equivariance-gated `build_reduced` and of `build_full`.
+    oracle of `build_reduced` and of `build_full`.
     """
     m = len(orbits)
     sizes, members, offsets = orbits.sizes, orbits.members, orbits.offsets

@@ -4,7 +4,8 @@ The per-diagram generator, dihedral and label functions, `ChordDiagram` and
 `build_full` live in `tests/oracles.py`; the package keeps one form of each.
 The generator action's one form is the (2L, N) `transition_table`: Monte
 Carlo steps it directly (no (N, 3L) `_event_table`), and `build_reduced` and
-`annihilates` take it as a required argument.
+`annihilates` take it as a required argument. The former equivariance gate
+of `build_reduced` and `GroundState.expand` are oracles too.
 Labels are plain tuples, so the label classes and `orbit_labels` are gone
 too, and the solver reads `IntensityMatrix`'s own entry arrays, so no second
 sparse type (`_Sparse`) remains.
@@ -19,6 +20,7 @@ import brauerloop
 from brauerloop.diagrams import DiagramBasis, Orbits
 from brauerloop.generators import RelationReport, check_relations
 from brauerloop.hamiltonian import IntensityMatrix, annihilates, build_reduced
+from brauerloop.kernel import GroundState
 
 from conftest import defined_in_package
 
@@ -41,7 +43,7 @@ ORACLES = [
     "canonical_representative", "permutation_label", "partial_permutation_label",
     "build_full", "FULL", "REDUCED", "rotate_partners",
     "Permutation", "PartialPermutation", "orbit_labels", "ChordDiagram", "_Sparse",
-    "_event_table",
+    "_event_table", "equivariance_gate", "expand",
 ]
 
 def test_exports_are_the_pipeline():
@@ -65,7 +67,7 @@ def test_no_test_only_fields_or_parameters():
         assert table.default is inspect.Parameter.empty, function.__name__
     assert "exhaustive" not in [field.name for field in dataclasses.fields(RelationReport)]
     for owner, name in ((DiagramBasis, "index_of"), (DiagramBasis, "__getitem__"),
-                        (Orbits, "members_of")):
+                        (Orbits, "members_of"), (GroundState, "expand")):
         assert not hasattr(owner, name), f"{owner.__name__}.{name}"
     with pytest.raises(TypeError):
         iter(DiagramBasis(2, [[1, 0]]))

@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +8,9 @@ from hypothesis import strategies as st
 
 import brauerloop.diagrams as diagrams_module
 import brauerloop.generators as generators_module
-from brauerloop import DEFECT, check_relations, compute_orbits, enumerate_diagrams
-from brauerloop.diagrams import _key, encode_partners, shared_basis, shared_orbits
+from brauerloop import DEFECT, DiagramBasis, check_relations, compute_orbits, enumerate_diagrams
+from brauerloop.diagrams import (_key, conjugate, encode_partners, inverse_of, shared_basis,
+                                 shared_orbits)
 from brauerloop.generators import _image_keys, transition_table
 
 from conftest import defined_in_package, diagram, diagrams_of, index_of, table_of
@@ -14,6 +18,7 @@ from oracles import (
     ChordDiagram,
     apply_braid,
     apply_monoid,
+    equivariance_gate,
     image_key_increments,
     permutation_label,
     transition_table_by_search,
@@ -42,7 +47,7 @@ class TestTransitionTable:
     @pytest.mark.parametrize("length", range(2, 11))
     def test_matches_scalar_generators_exhaustively(self, length):
         basis = enumerate_diagrams(length)
-        table = transition_table(basis, compute_orbits(basis).step)
+        table = transition_table(basis, compute_orbits(basis))
         assert table.shape == (2 * length, len(basis))
         assert table.dtype == np.int32 and table.flags.c_contiguous
         assert table.T.tolist() == [scalar_row(basis, d) for d in diagrams_of(basis)]
@@ -60,11 +65,12 @@ class TestTransitionTable:
 
     @pytest.mark.parametrize("length, swapped", [(5, (0, 1)), (8, (3, 50)), (9, (0, -1))])
     def test_rejects_a_step_with_two_entries_swapped(self, length, swapped):
-        step = shared_orbits(length).step.copy()
+        orbits = shared_orbits(length)
+        step = orbits.step.copy()
         step[list(swapped)] = step[list(swapped[::-1])]
         with pytest.raises(ArithmeticError,
                            match=r"^transition table rows of site 2 do not match their rank keys$"):
-            transition_table(shared_basis(length), step)
+            transition_table(shared_basis(length), replace(orbits, step=step))
 
     @pytest.mark.parametrize("length, a, family", [(6, 1, 0), (7, 6, 1), (10, 4, 0)])
     def test_rejects_one_perturbed_image_key(self, monkeypatch, length, a, family):
@@ -78,7 +84,127 @@ class TestTransitionTable:
         monkeypatch.setattr(generators_module, "_image_keys", perturbed)
         with pytest.raises(ArithmeticError,
                            match=rf"^transition table rows of site {a + 1} do not match"):
-            transition_table(shared_basis(length), shared_orbits(length).step)
+            transition_table(shared_basis(length), shared_orbits(length))
+
+
+def corrupting(patch, size, column, row, value):
+    """Make `transition_table` build entry (column, row) as `value`: rows 0 and L as
+    located, the others as conjugated, in the order 1..L-1, L+1..2L-1."""
+    if column % size == 0:
+        locate = DiagramBasis.locate
+
+        def located(basis, keys):
+            found = locate(basis, keys)
+            found[column // size, row] = value
+            return found
+
+        patch.setattr(DiagramBasis, "locate", located)
+        return
+    calls = itertools.count()
+    built = [c for c in range(2 * size) if c % size].index(column)
+
+    def conjugated(image, perm, inverse):
+        moved = conjugate(image, perm, inverse)
+        if next(calls) == built:
+            moved[row] = value
+        return moved
+
+    patch.setattr(generators_module, "conjugate", conjugated)
+
+
+def producing(patch, substitute):
+    """Make the rank-key arithmetic describe the `substitute` table instead: the producer
+    then locates its site-1 rows and its key proof accepts its rows, so that only the
+    equivariance proof can refuse it."""
+    size = len(substitute) // 2
+    patch.setattr(generators_module, "_image_keys",
+                  lambda partners, keys, a: keys.take(substitute[a::size]))
+
+
+def chained(table, step):
+    """The table whose rows 1..L-1 of each family are conjugates of row 0 by `step`."""
+    size, inverse, out = len(table) // 2, inverse_of(step), table.copy()
+    for c in range(2 * size):
+        if c % size:
+            out[c] = conjugate(out[c - 1], step, inverse)
+    return out
+
+
+class TestEquivarianceProof:
+    """`transition_table` proves the table it builds equivariant: the key proof of every
+    row, the rotation wrap of each family, the dihedral relation and the reflection of
+    rows 0 and L, which by the lemma cover every row."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=3, max_value=9), st.data())
+    def test_rejects_one_corrupt_entry_it_builds(self, length, data):
+        # The producer's form of the gate test that corrupts one table entry.
+        n = len(shared_basis(length))
+        row = data.draw(st.integers(min_value=0, max_value=n - 1), label="row")
+        col = data.draw(st.integers(min_value=0, max_value=2 * length - 1), label="column")
+        value = data.draw(st.integers(min_value=0, max_value=n - 1)
+                          .filter(lambda v: v != table_of(length)[col, row]), label="value")
+        site = max(col % length, 1) + 1  # a located row is wrong in its conjugate
+        with pytest.MonkeyPatch.context() as patch:
+            corrupting(patch, length, col, row, value)
+            with pytest.raises(ArithmeticError, match=rf"^transition table rows of site {site} "
+                                                      "do not match their rank keys$"):
+                transition_table(shared_basis(length), shared_orbits(length))
+
+    @pytest.mark.parametrize("length, row", [(6, 5), (6, 11), (7, 6), (7, 13)])
+    def test_rejects_a_corrupt_site_l_row(self, monkeypatch, length, row):
+        # The site-L row is built by conjugation, so its key proof refuses it.
+        n = len(shared_basis(length))
+        corrupting(monkeypatch, length, row, n // 2, (table_of(length)[row, n // 2] + 1) % n)
+        with pytest.raises(ArithmeticError, match=rf"^transition table rows of site {length} "
+                                                  "do not match their rank keys$"):
+            transition_table(shared_basis(length), shared_orbits(length))
+
+    @pytest.mark.parametrize("length, swapped", [(5, (0, 1)), (8, (3, 50)), (9, (0, -1))])
+    def test_wrap_rejects_a_rotation_that_fools_the_key_proof(self, monkeypatch, length,
+                                                              swapped):
+        # Rows conjugated by a wrong step agree with keys made to describe them;
+        # only the wrap r g_{L-1} r^-1 = g_0 is left to refuse them.
+        orbits = shared_orbits(length)
+        step = orbits.step.copy()
+        step[list(swapped)] = step[list(swapped[::-1])]
+        producing(monkeypatch, chained(table_of(length), step))
+        with pytest.raises(ArithmeticError, match=rf"^transition table column {length - 1} "
+                                                  "does not commute with the rotation$"):
+            transition_table(shared_basis(length), replace(orbits, step=step))
+
+    @pytest.mark.parametrize("length, swapped", [(3, (0, 1)), (6, (2, 9)), (9, (5, -1))])
+    def test_rejects_a_mirror_that_breaks_the_dihedral_relation(self, length, swapped):
+        orbits = shared_orbits(length)
+        mirror = orbits.mirror.copy()
+        mirror[list(swapped)] = mirror[list(swapped[::-1])]
+        with pytest.raises(ArithmeticError, match=r"^the reflection and the rotation do not "
+                                                  r"satisfy s r s\^-1 = r\^-1$"):
+            transition_table(shared_basis(length), replace(orbits, mirror=mirror))
+
+    @pytest.mark.parametrize("length", range(3, 11))
+    def test_rejects_the_reflection_about_another_axis(self, length):
+        # r s is a reflection too, so the relation holds; row 0 does not commute with it.
+        orbits = shared_orbits(length)
+        other = replace(orbits, mirror=orbits.step.take(orbits.mirror))
+        with pytest.raises(ArithmeticError, match="^transition table column 0 does not commute "
+                                                  "with the reflection$"):
+            transition_table(shared_basis(length), other)
+
+    @pytest.mark.parametrize("length", range(5, 10))
+    @pytest.mark.parametrize("family", [0, 1])
+    def test_names_a_reflection_fault_by_column_0_or_l(self, monkeypatch, length, family):
+        # g_a g_{a+1} in place of g_a in one family commutes with the rotation only. Every
+        # row of that family fails its reflection, and the lemma names row 0 of the family.
+        table = table_of(length).copy()
+        rows = table[family * length : (family + 1) * length]
+        rows[:] = [rows[a].take(rows[(a + 1) % length]) for a in range(length)]
+        with pytest.raises(ArithmeticError, match="does not commute with the reflection$"):
+            equivariance_gate(table, shared_orbits(length))
+        producing(monkeypatch, table)
+        with pytest.raises(ArithmeticError, match=rf"^transition table column {family * length} "
+                                                  "does not commute with the reflection$"):
+            transition_table(shared_basis(length), shared_orbits(length))
 
 
 class TestImageKeys:
@@ -205,8 +331,8 @@ def test_relation_report_text_runs():
 def test_broken_table_fails_with_counterexample(monkeypatch):
     # Make e_1 the identity map: idempotence still holds, while absorption
     # e_1 e_2 e_1 = e_1 fails first on the first diagram that e_2 moves.
-    def broken(basis, step):
-        table = transition_table(basis, step)
+    def broken(basis, orbits):
+        table = transition_table(basis, orbits)
         table[0] = range(len(basis))
         return table
 
@@ -241,8 +367,8 @@ def test_broken_table_fails_with_counterexample(monkeypatch):
 ])
 def test_corrupt_site_l_row_fails_rotation_covariance(monkeypatch, length, row, cases,
                                                       counterexample):
-    def broken(basis, step):
-        table = transition_table(basis, step)
+    def broken(basis, orbits):
+        table = transition_table(basis, orbits)
         k = len(basis) // 2
         table[row, k] = (table[row, k] + 1) % len(basis)
         return table

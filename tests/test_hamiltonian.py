@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,8 @@ from oracles import (
     build_full,
     columns_of,
     connected_by_bfs,
+    equivariance_gate,
+    expand,
     lump_by_rows,
     reflect,
     rotate,
@@ -43,6 +47,11 @@ def regrouped(orbits, groups):
     """An `Orbits` record of these member groups, with the maps of `orbits`."""
     return Orbits.grouped(np.concatenate(groups), [len(g) for g in groups],
                           orbits.step, orbits.mirror)
+
+
+def each(basis):
+    """The grouping of `annihilates` that gives one weight per diagram."""
+    return np.arange(len(basis))
 
 
 def triplets(matrix):
@@ -235,31 +244,39 @@ class TestRowSumOracle:
 
 
 class TestEquivarianceGate:
+    """The orbit checks of `build_reduced`, and the 4L-conjugation `equivariance_gate`
+    oracle on corrupted tables: `transition_table` proves the tables that reach
+    assembly (`test_generators.TestEquivarianceProof` refuses each fault there)."""
+
+    @pytest.mark.parametrize("length", range(2, 13))
+    def test_oracle_accepts_the_table(self, length):
+        equivariance_gate(table_of(length), shared_orbits(length))
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=3, max_value=9), st.data())
     def test_rejects_one_corrupt_table_entry(self, length, data):
-        basis, orbits = shared_basis(length), shared_orbits(length)
+        orbits = shared_orbits(length)
         table = table_of(length).copy()
-        row = data.draw(st.integers(min_value=0, max_value=len(basis) - 1), label="row")
+        row = data.draw(st.integers(min_value=0, max_value=table.shape[1] - 1), label="row")
         col = data.draw(st.integers(min_value=0, max_value=2 * length - 1), label="column")
-        value = data.draw(st.integers(min_value=0, max_value=len(basis) - 1)
+        value = data.draw(st.integers(min_value=0, max_value=table.shape[1] - 1)
                           .filter(lambda v: v != table[col, row]), label="value")
         table[col, row] = value
         with pytest.raises(ArithmeticError, match=r"^transition table column \d+ does not commute"):
-            build_reduced(basis, orbits, table)
+            equivariance_gate(table, orbits)
 
     @pytest.mark.parametrize("length, row, column", [(6, 5, 4), (6, 11, 10), (7, 6, 5),
                                                      (7, 13, 12)])
     def test_rejects_a_corrupt_site_l_row(self, length, row, column):
         # The corrupt row of the rotation-covariance test in test_generators:
         # the conjugate of the row before it no longer matches it.
-        basis, orbits = shared_basis(length), shared_orbits(length)
+        orbits = shared_orbits(length)
         table = table_of(length).copy()
-        k = len(basis) // 2
-        table[row, k] = (table[row, k] + 1) % len(basis)
+        k = table.shape[1] // 2
+        table[row, k] = (table[row, k] + 1) % table.shape[1]
         with pytest.raises(ArithmeticError, match=rf"^transition table column {column} does not "
                                                   "commute with the rotation$"):
-            build_reduced(basis, orbits, table)
+            equivariance_gate(table, orbits)
 
     @pytest.mark.parametrize("length", range(5, 10))
     def test_rejects_a_table_that_commutes_with_the_rotation_only(self, length):
@@ -268,7 +285,7 @@ class TestEquivarianceGate:
         table = table_of(length).copy()
         table[:length] = [table[a][table[(a + 1) % length]] for a in range(length)]
         with pytest.raises(ArithmeticError, match="does not commute with the reflection$"):
-            build_reduced(basis, orbits, table)
+            equivariance_gate(table, orbits)
         # Below L = 7 this lumping happens to be exact anyway; the gate is a
         # sufficient condition and refuses it all the same.
         if length >= 7:
@@ -351,29 +368,68 @@ class TestAnnihilates:
         values[index_of(basis, diagram(4, (1, 2), (3, 4)))] = 3
         values[index_of(basis, diagram(4, (2, 3), (4, 1)))] = 3
         values[index_of(basis, diagram(4, (1, 3), (2, 4)))] = 1
-        assert annihilates(basis, values, table_of(4))
+        assert annihilates(basis, values, table_of(4), each(basis))
         values[0] += 1
-        assert not annihilates(basis, values, table_of(4))
+        assert not annihilates(basis, values, table_of(4), each(basis))
 
     @pytest.mark.parametrize("scale", (1, -1, 2**31, -(2**62), 3**80),
                              ids=("1", "-1", "2^31", "-2^62", "3^80"))
     def test_exact_for_large_weights(self, scale):
         # Perturbations at and above the 31-bit limb boundary must not cancel.
         basis = enumerate_diagrams(6)
-        kernel = groundstate(6).expand()
+        kernel = expand(groundstate(6))
         values = [scale * w for w in kernel]
-        assert annihilates(basis, values, table_of(6))
+        assert annihilates(basis, values, table_of(6), each(basis))
         for bump in (1, 2**31, 2**62, 2**93):
             values[3] += bump
-            assert not annihilates(basis, values, table_of(6))
+            assert not annihilates(basis, values, table_of(6), each(basis))
             values[3] -= bump
 
     def test_rejects_a_table_of_another_length(self):
         basis = shared_basis(8)
         with pytest.raises(ValueError, match=r"^transition table of shape \(12, 15\) given for "
                                              r"a basis that needs \(16, 105\)$"):
-            annihilates(basis, groundstate(8).expand(), table_of(6))
+            annihilates(basis, expand(groundstate(8)), table_of(6), each(basis))
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            annihilates(enumerate_diagrams(4), [1, 2], table_of(4))
+            annihilates(enumerate_diagrams(4), [1, 2], table_of(4), np.arange(3))
+        with pytest.raises(ValueError):
+            annihilates(shared_basis(6), [1] * 4, table_of(6), shared_orbits(6).orbit_of)
+
+
+class TestOrbitWeights:
+    """`annihilates` given the per-orbit weights and `orbit_of`, as `groundstate` checks."""
+
+    @pytest.mark.parametrize("length", range(2, 13))
+    def test_agrees_with_the_diagram_level_form(self, length):
+        basis, orbits, table = shared_basis(length), shared_orbits(length), table_of(length)
+        state = groundstate(length)
+        assert annihilates(basis, state.weights, table, orbits.orbit_of)
+        assert annihilates(basis, expand(state), table, each(basis))
+        for k in (0, len(orbits) - 1):
+            weights = list(state.weights)
+            weights[k] *= 2
+            values = [weights[o] for o in orbits.orbit_of.tolist()]
+            assert (annihilates(basis, weights, table, orbits.orbit_of)
+                    == annihilates(basis, values, table, each(basis)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=4, max_value=12), st.data())
+    def test_refuses_one_orbit_weight_raised_by_one(self, length, data):
+        # From L = 4 on: L = 2 and 3 have one orbit, whose every multiple is in the kernel.
+        orbits = shared_orbits(length)
+        weights = list(groundstate(length).weights)
+        weights[data.draw(st.integers(0, len(orbits) - 1), label="orbit")] += 1
+        assert not annihilates(shared_basis(length), weights, table_of(length), orbits.orbit_of)
+
+    def test_check_peak_at_l13(self):
+        basis, orbits, table = shared_basis(13), shared_orbits(13), table_of(13)
+        weights = groundstate(13).weights
+        tracemalloc.start()
+        try:
+            assert annihilates(basis, weights, table, orbits.orbit_of)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.6

@@ -41,13 +41,15 @@ from brauerloop.kernel import (
     serialize_groundstate,
 )
 
-from conftest import diagram, index_of, matrix_of, members_of, settle, table_of
+from conftest import (diagram, index_of, intensity_columns, matrix_of, members_of, settle,
+                      table_of)
 from oracles import (
     PRIMES,
     _bareiss_kernel,
     _residual_is_zero,
     bareiss_kernel,
     build_full,
+    expand,
     modular_kernel,
     rational_reconstruction,
     serialize_by_json,
@@ -216,8 +218,8 @@ class TestRefinementFailures:
         matrix = dense_matrix([[2, -1, -3], [-1, 5, -3], [-1, -4, 6]])
         b_matrix, b = kernel_module._minor(matrix)
         assert b.tolist() == [1, 1]
-        rows, _, vals = b_matrix
-        l1 = int(kernel_module._row_sums(rows, np.abs(vals), 2).max())
+        cols, vals, _, starts = b_matrix
+        l1 = int(np.add.reduceat(np.abs(vals) * (cols > 0), starts)[1:].max())
         assert l1 == 10
         r = np.array([3, -2], dtype=np.int64)
         fine = kernel_module._update_residual(b_matrix, l1, r, np.array([2**40, 7]), 20)
@@ -235,24 +237,64 @@ class TestRefinementFailures:
             kernel_module.product_is_zero(lambda x: 0 * x, [1], 2**30)
 
 
+def add_at_product(rows, cols, vals, x):
+    """The matrix of the (rows, cols, vals) entries times x, scattered by `np.add.at`."""
+    out = np.zeros(len(x), dtype=x.dtype)
+    np.add.at(out, rows, vals * x[cols])
+    return out
+
+
 class TestSparseMinor:
     @pytest.mark.parametrize("length", range(4, 13))
     def test_minor_keeps_the_sorted_order(self, length):
-        # L = 2 and 3 have a single orbit, hence no minor. The two masks keep
-        # the (column, row) order, and the int64 products are exact.
+        # L = 2 and 3 have a single orbit, hence no minor. A's entries are in
+        # (row, column) order, each row starting at `starts`, B's products
+        # come from them, and the int64 products are exact.
         matrix = build_reduced(shared_basis(length), shared_orbits(length), table_of(length))
         n = matrix.dimension
         dense = np.zeros((n, n), dtype=np.int64)
         dense[matrix.rows, matrix.cols] = matrix.vals
-        b_matrix, b = kernel_module._minor(matrix)
-        rows, cols, _ = b_matrix
-        assert np.all(np.diff(cols * n + rows) > 0)
+        entries, b = kernel_module._minor(matrix)
+        cols, vals, floats, starts = entries
+        rows = np.repeat(np.arange(n), np.diff(np.append(starts, len(cols))))
+        assert np.all(np.diff(rows * n + cols) > 0)
+        assert vals.tolist() == dense[rows, cols].tolist()
+        assert floats.dtype == np.float64 and floats.tolist() == vals.tolist()
         assert b.dtype == np.int64
         assert b.tolist() == (-dense[1:, 0]).tolist()
-        x = np.random.default_rng(length).integers(-2**40, 2**40, n - 1)
-        product = kernel_module._product(b_matrix, x)
+        x = np.random.default_rng(length).integers(-2**40, 2**40, n)
+        product = kernel_module._product(entries, x)
         assert product.dtype == np.int64
-        assert product.tolist() == (dense[1:, 1:] @ x).tolist()
+        assert product.tolist() == (dense @ x).tolist()
+        minor = kernel_module._minor_product(entries, x[1:])
+        assert minor.dtype == np.int64
+        assert minor.tolist() == (dense[1:, 1:] @ x[1:]).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(intensity_columns(), st.data())
+    def test_product_equals_the_scatter_oracle(self, columns, data):
+        # Row-ordered sums against `np.add.at` over the (column, row) entries, on
+        # intensity matrices whose every row holds its diagonal.
+        for c, column in enumerate(columns):
+            column.setdefault(c, 1)
+        matrix = matrix_of(columns)
+        entries, _ = kernel_module._minor(matrix)
+        n = matrix.dimension
+        whole = np.array(data.draw(st.lists(st.integers(-2**40, 2**40), min_size=n, max_size=n)))
+        assert (kernel_module._product(entries, whole).tolist()
+                == add_at_product(matrix.rows, matrix.cols, matrix.vals, whole).tolist())
+        # In float64 only the order of each row's sum differs: within n eps of its |terms|.
+        real = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)))
+        gap = np.abs(kernel_module._product(entries, real)
+                     - add_at_product(matrix.rows, matrix.cols, matrix.vals, real))
+        scale = add_at_product(matrix.rows, matrix.cols, np.abs(matrix.vals), np.abs(real))
+        assert np.all(gap <= 2 * n * np.finfo(np.float64).eps * scale)
+
+    def test_refuses_an_empty_row(self):
+        # Row 1 holds no entry: `reduceat` would read it as row 2's first entry.
+        matrix = matrix_of(({0: 1, 2: -1}, {}, {0: -1, 2: 1}))
+        with pytest.raises(AssertionError, match="every row must hold an entry"):
+            kernel_module._minor(matrix)
 
 
 class TestRationalReconstruction:
@@ -363,11 +405,11 @@ class TestGroundState:
     def test_full_and_reduced_paths_agree(self):
         for length in (4, 5, 6):
             full = normalize_integer(kernel_vector(build_full(enumerate_diagrams(length))))
-            assert full == groundstate(length).expand()
+            assert full == expand(groundstate(length))
 
     def test_expand_matches_orbit_structure(self):
         gs = groundstate(6)
-        values = gs.expand()
+        values = expand(gs)
         assert len(values) == 15
         assert sorted(set(values), reverse=True) == [63, 31, 13, 3, 1]
 
@@ -382,9 +424,9 @@ class TestGroundState:
         calls = []
         original = kernel_module.transition_table
 
-        def counting(basis, step):
+        def counting(basis, orbits):
             calls.append(basis.length)
-            return original(basis, step)
+            return original(basis, orbits)
 
         monkeypatch.setattr(kernel_module, "transition_table", counting)
         # The assembly and the full-basis check are handed the table: they cannot build one.
