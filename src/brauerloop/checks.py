@@ -404,7 +404,7 @@ def monte_carlo_crosscheck(
             batch = (step + lo - burn) // batch_size
             hi = min(len(path), burn + (batch + 1) * batch_size - step)
             visits = np.bincount(path[lo:hi], minlength=len(basis))
-            counts[batch] += np.add.reduceat(visits[orbits.members], orbits.offsets[:-1])
+            counts[batch] += np.add.reduceat(visits.take(orbits.members), orbits.offsets[:-1])
             lo = hi
         step += len(path)
         del path  # before the next chunk's trajectory is built

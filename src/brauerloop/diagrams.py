@@ -180,9 +180,10 @@ class Orbits:
     Orbit k holds the `sizes[k]` basis indices `members[offsets[k] :
     offsets[k + 1]]` in increasing order; its representative
     `representatives[k]` is the first of them, and `orbit_of[x]` is the
-    orbit of basis index x. These arrays are int64, and the int32 maps
-    `step` and `mirror` of `compute_orbits` generate the orbits; `len()` is
-    the orbit count.
+    orbit of basis index x. `representatives`, `members` and `orbit_of`
+    are int32, like the maps `step` and `mirror` of `compute_orbits` that
+    generate the orbits; `sizes` and `offsets`, one entry per orbit, are
+    int64. `len()` is the orbit count.
     """
 
     representatives: np.ndarray
@@ -195,13 +196,18 @@ class Orbits:
 
     @classmethod
     def grouped(cls, members, sizes, step, mirror) -> Orbits:
-        """The record of orbits given as consecutive groups of `members` with these sizes."""
-        members = np.array(members, dtype=np.int64)
+        """The record of orbits given as consecutive groups of `members` with these sizes.
+
+        An int32 `members` array is kept, not copied, and made read-only.
+        """
+        assert len(members) < 2**31, "basis indices must fit in int32"
+        members = np.asarray(members, dtype=np.int32)
         sizes = np.array(sizes, dtype=np.int64)
         offsets = np.append(0, np.cumsum(sizes))
-        orbit_of = np.empty(len(members), dtype=np.int64)
-        orbit_of[members] = np.repeat(np.arange(len(sizes)), sizes)
-        arrays = (members[offsets[:-1]], sizes, members, offsets, orbit_of, step, mirror)
+        orbit_of = np.empty(len(members), dtype=np.int32)
+        # An int32 index, cast in chunks: an intp copy of `members` would set the peak RSS.
+        orbit_of[members] = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+        arrays = (members.take(offsets[:-1]), sizes, members, offsets, orbit_of, step, mirror)
         for array in arrays:
             array.flags.writeable = False  # shared through `shared_orbits`
         return cls(*arrays)
@@ -327,7 +333,11 @@ def compute_orbits(basis: DiagramBasis) -> Orbits:
     orbit through their transpose) give the orbit's members. Every gather
     through the int32 maps (the key proof, the doubling for rmin, the mirror
     fill, rmin[mirror], the images) is an `ndarray.take`, which skips fancy
-    indexing's slower int32 path.
+    indexing's slower int32 path at the cost of one intp copy of the index,
+    and the mirror fill scatters through an intp copy for the same reason.
+    The record's N-length arrays index by int32 instead, which numpy casts
+    in chunks (the orbit of each member, the partition checks): there the
+    copy would set the peak RSS.
     """
     size, count = basis.length, len(basis)
     assert count < 2**31, "basis indices must fit in int32"
@@ -340,7 +350,7 @@ def compute_orbits(basis: DiagramBasis) -> Orbits:
     inverse = inverse_of(step)
     mirror = np.empty_like(step)
     for _ in range(size):
-        mirror[seeds] = image
+        mirror[seeds.astype(np.intp, copy=False)] = image
         seeds, image = step.take(seeds), inverse.take(image)
     del inverse, seeds, image
     smallest = np.minimum(rmin, rmin.take(mirror))
@@ -355,12 +365,14 @@ def compute_orbits(basis: DiagramBasis) -> Orbits:
     images.sort(axis=1)
     fresh = np.ones(images.shape, dtype=bool)
     np.not_equal(images[:, 1:], images[:, :-1], out=fresh[:, 1:])
-    orbits = Orbits.grouped(images[fresh], fresh.sum(axis=1), step, mirror)
+    sizes, members = fresh.sum(axis=1), images[fresh]
     del images, fresh
+    orbits = Orbits.grouped(members, sizes, step, mirror)
+    del members
     covered = np.zeros(count, dtype=bool)
     covered[orbits.members] = True
     assert len(orbits.members) == count and covered.all(), "orbits must partition the basis"
-    assert np.array_equal(smallest[orbits.representatives], orbits.representatives)
+    assert np.array_equal(smallest.take(orbits.representatives), orbits.representatives)
     assert np.array_equal(smallest, orbits.representatives[orbits.orbit_of])
     return orbits
 
@@ -386,7 +398,7 @@ def rotation_minimum(step: np.ndarray, size: int) -> np.ndarray:
 def inverse_of(perm: np.ndarray) -> np.ndarray:
     """The inverse of a permutation of 0..n-1, in the permutation's dtype."""
     inverse = np.empty_like(perm)
-    inverse[perm] = np.arange(len(perm), dtype=perm.dtype)
+    inverse[perm.astype(np.intp, copy=False)] = np.arange(len(perm), dtype=perm.dtype)
     return inverse
 
 
@@ -414,7 +426,7 @@ def shared_orbits(length: int) -> Orbits:
 def representative_codes(length: int) -> tuple[str, ...]:
     """The encoded orbit representatives of the shared orbits, in orbit order."""
     tokens = np.array([".", *map(str, range(1, length + 1))], dtype=object)
-    rows = shared_basis(length).partners[shared_orbits(length).representatives]
+    rows = shared_basis(length).partners.take(shared_orbits(length).representatives, axis=0)
     return tuple(map(",".join, tokens[rows + 1].tolist()))
 
 
@@ -440,11 +452,11 @@ def shared_orbit_labels(length: int) -> tuple[tuple[tuple, ...], ...]:
         labelled = np.all((right != DEFECT) & (right <= half), axis=1)
     else:
         labelled = np.all(partners[:, :half] >= half, axis=1)
-    rows = orbits.members[labelled[orbits.members]]
+    rows = orbits.members[labelled.take(orbits.members)]
     # Partner j reads as j - n + 1 (even L) or j - n (odd L), at index j + 1 after DEFECT's.
     values = np.array([None, *range(1 - half - odd, length + 1 - half - odd)], dtype=object)
-    labels = list(map(tuple, values[partners[rows, : half + odd] + 1].tolist()))
-    ends = np.cumsum(np.bincount(orbits.orbit_of[rows], minlength=len(orbits))).tolist()
+    labels = list(map(tuple, values[partners[:, : half + odd].take(rows, axis=0) + 1].tolist()))
+    ends = np.cumsum(np.bincount(orbits.orbit_of.take(rows), minlength=len(orbits))).tolist()
     return tuple(tuple(labels[start:end]) for start, end in zip([0, *ends], ends))
 
 

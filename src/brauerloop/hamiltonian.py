@@ -95,7 +95,7 @@ def build_reduced(basis: DiagramBasis, orbits: Orbits, table: np.ndarray) -> Int
     n, size, m = len(basis), basis.length, len(orbits)
     orbit_of, representatives = orbits.orbit_of, orbits.representatives
     sized = len(orbit_of) == n and np.array_equal(np.bincount(orbit_of, minlength=m), orbits.sizes)
-    if not (sized and np.array_equal(orbit_of[representatives], np.arange(m))):
+    if not (sized and np.array_equal(orbit_of.take(representatives), np.arange(m))):
         raise ValueError("orbits do not partition the basis")
     for name, image in (("rotation", orbits.step), ("reflection", orbits.mirror)):
         if not np.array_equal(np.bincount(image, minlength=n), np.ones(n)):
@@ -105,9 +105,9 @@ def build_reduced(basis: DiagramBasis, orbits: Orbits, table: np.ndarray) -> Int
             raise ArithmeticError(f"orbit {orbit_of[moved[0]]} is not closed under the {name}")
     # A closed group is one orbit when each member rotates from its representative or its mirror.
     reached = np.zeros(n, dtype=bool)
-    for images in (representatives, orbits.mirror[representatives]):
+    for images in (representatives, orbits.mirror.take(representatives)):
         for _ in range(size):
-            reached[images] = True
+            reached[images.astype(np.intp, copy=False)] = True
             images = orbits.step.take(images)
     if not reached.all():
         k = orbit_of[np.argmin(reached)]
@@ -132,7 +132,8 @@ def _summed_entries(table, sources, group, scale) -> tuple[np.ndarray, np.ndarra
     keys, sums = [], []
     # Blocks of 2**12 columns keep the temporaries near 1 MB each.
     for cols in np.array_split(np.arange(m), range(2**12, m, 2**12)):
-        block = cols * m + group[np.vstack([sources[cols], table[:, sources[cols]]])]
+        heads = sources.take(cols)
+        block = cols * m + group.take(np.vstack([heads, table.take(heads, axis=1)]))
         order = np.argsort(block, axis=None)
         block, vals = block.ravel()[order], np.repeat(entries, len(cols))[order]
         starts = np.flatnonzero(np.diff(block, prepend=-1))

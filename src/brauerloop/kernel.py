@@ -346,8 +346,43 @@ def serialize_groundstate(state: GroundState) -> str:
     return '{"checksum":"' + _checksum("{" + body) + '",' + body + "\n"
 
 
+# A canonical weight: the decimal digits of a positive integer, no leading zero.
+_WEIGHT_FIELD = re.compile(r'"weight":"([1-9][0-9]*)"')
+
+
 def deserialize_groundstate(text: str, length: int) -> GroundState:
     """Parse the cache payload of one length; anything else raises CacheCorruptError.
+
+    A written file is accepted by `_canonical_state`; any other text is
+    decoded by `_json_state`, which names what is wrong with it.
+    """
+    state = _canonical_state(text, length)
+    return state if state is not None else _json_state(text, length)
+
+
+def _canonical_state(text: str, length: int) -> GroundState | None:
+    """The state whose cache text is exactly `text`, or None; no JSON object tree.
+
+    The length is read from the fields after the checksum, before any orbit
+    is enumerated. The weights are then read by a regular expression, and
+    the state is kept only if `serialize_groundstate` gives back the text
+    byte for byte, which implies the checksum, the constant fields, the
+    representatives, the sizes and the canonical weights.
+    """
+    field = _CHECKSUM_FIELD.match(text)
+    head = (f'"generator":"{_GENERATOR}","length":{length},'
+            f'"normalization":"{_NORMALIZATION}","orbits":[')
+    if not (field and text.startswith(head, field.end())):
+        return None
+    try:
+        state = GroundState(length, tuple(map(int, _WEIGHT_FIELD.findall(text, field.end()))))
+    except ValueError:  # another orbit count, or a weight longer than int() reads
+        return None
+    return state if serialize_groundstate(state) == text else None
+
+
+def _json_state(text: str, length: int) -> GroundState:
+    """`deserialize_groundstate` through `json.loads`, naming the first fault it finds.
 
     The checksum is checked first, over the exact text after the leading
     checksum field: the canonical JSON that `serialize_groundstate` hashes,

@@ -243,8 +243,10 @@ def test_stretch_sequence_n7():
 # solved cold in its own interpreter, so its wall time and peak RSS are its own.
 stretch = pytest.mark.skipif(os.environ.get("BRAUER_STRETCH") != "1",
                              reason="set BRAUER_STRETCH=1 for the L = 15 and 16 criteria")
-# Measured on 2 vCPU: L = 15 in 6.3 s at 0.53 GB, L = 16 in 6.8 s at 0.55 GB.
-STRETCH_BOUNDS = {15: (30.0, 0.8e9), 16: (30.0, 0.8e9)}
+# Measured on 2 vCPU: L = 15 in 6.3-6.9 s at 0.51 GB, L = 16 in 6.9-7.0 s at 0.53 GB. The
+# RSS bound leaves room for glibc's heap placement (8-24 MiB at L = 16) and other hosts, and
+# fails at the 0.65-0.67 GB that the full-basis check over expanded weights used to take.
+STRETCH_BOUNDS = {15: (30.0, 0.65e9), 16: (30.0, 0.65e9)}
 
 SOLVE_ONE = """
 import json, resource, sys, time

@@ -824,3 +824,73 @@ class TestCache:
         out = save_cached_groundstate(tmp_path / "deep" / "nest", gs)
         assert out.exists()
         assert load_cached_groundstate(tmp_path / "deep" / "nest", 4) == gs
+
+
+def rechecksummed(change):
+    """A corruption of the L = 6 payload that is written with a matching checksum."""
+    def corrupt(text):
+        payload = json.loads(text)
+        del payload["checksum"]
+        change(payload)
+        return checksummed(payload)
+    return corrupt
+
+
+def set_orbit_field(k, key, value):
+    return rechecksummed(lambda payload: payload["orbits"][k].update({key: value}))
+
+
+class TestCanonicalDecode:
+    """`deserialize_groundstate` reads written files without `json.loads`, nothing else."""
+
+    def test_equals_json_decode_of_every_written_file(self, tmp_path):
+        for length in range(2, 14):
+            state = groundstate(length, cache_dir=tmp_path)
+            text = cache_path(tmp_path, length).read_text()
+            decoded = kernel_module._canonical_state(text, length)
+            assert decoded == kernel_module._json_state(text, length) == state
+            assert deserialize_groundstate(text, length) == state
+
+    def test_file_without_final_newline_is_read_by_json(self):
+        state = groundstate(6)
+        text = serialize_groundstate(state).removesuffix("\n")
+        assert kernel_module._canonical_state(text, 6) is None
+        assert deserialize_groundstate(text, 6) == state
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda text: re.sub(r'"weight":"(\d+)"', lambda w: f'"weight":"{int(w[1]) + 1}"',
+                             text, count=1), "failed its checksum$"),
+        (lambda text: json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n",
+         "failed its checksum$"),
+        (lambda text: text.replace('"length":6', '"length":5'), "failed its checksum$"),
+        (lambda text: json.dumps(dict(sorted(json.loads(text).items(), reverse=True)),
+                                 separators=(",", ":")) + "\n", "failed its checksum$"),
+        (lambda text: text[:100], r"JSONDecodeError"),
+        (lambda text: serialize_groundstate(groundstate(4)), "holds length 4, not 6$"),
+        (rechecksummed(lambda payload: payload.update(length=16)), "holds length 16, not 6$"),
+        (rechecksummed(lambda payload: payload.update(length=6.0)), "holds length 6.0, not 6$"),
+        (rechecksummed(lambda payload: payload.update(generator="full")),
+         "generator is 'full', not 'reduced'$"),
+        (rechecksummed(lambda payload: payload.update(normalization="none")),
+         "normalization is 'none', not 'min-entry-one'$"),
+        (rechecksummed(lambda payload: swap_first_representatives(payload["orbits"])),
+         "orbit 1 is .* expected"),
+        (set_orbit_field(0, "representative", "1,1,4,3,6,5"), "site 0 is paired with itself"),
+        (set_orbit_field(0, "size", True), "orbit 0 is .* of size True, expected"),
+        (set_orbit_field(0, "size", 1.0), "orbit 0 is .* of size 1.0, expected"),
+        *[(set_orbit_field(2, "weight", weight),
+           rf"orbit 2 has weight {re.escape(repr(weight))}, not a positive integer in decimal$")
+          for weight in ["0", "03", "-3", " 7", "1_0", "+1", 5]],
+        (rechecksummed(lambda payload: payload["orbits"].pop()), "holds 4 orbits, not 5$"),
+        (rechecksummed(lambda payload: payload.pop("orbits")), "KeyError"),
+        (rechecksummed(lambda payload: payload["orbits"][0].pop("weight")), "KeyError"),
+        (rechecksummed(lambda payload: payload.update(orbits=5)), "TypeError"),
+        (set_orbit_field(1, "weight", "3x"), "ValueError"),
+        (set_orbit_field(1, "representative", 7), "AttributeError"),
+        (set_orbit_field(1, "weight", [3]), "TypeError"),
+    ])
+    def test_corrupted_text_keeps_its_json_message(self, corrupt, message):
+        text = corrupt(serialize_groundstate(groundstate(6)))
+        assert kernel_module._canonical_state(text, 6) is None
+        with pytest.raises(CacheCorruptError, match=message):
+            deserialize_groundstate(text, 6)
