@@ -404,7 +404,8 @@ def monte_carlo_crosscheck(
             batch = (step + lo - burn) // batch_size
             hi = min(len(path), burn + (batch + 1) * batch_size - step)
             visits = np.bincount(path[lo:hi], minlength=len(basis))
-            counts[batch] += np.add.reduceat(visits.take(orbits.members), orbits.offsets[:-1])
+            assert hi - lo <= 2**53, "per-orbit float64 sums of the visits must be exact"
+            counts[batch] += np.bincount(orbits.orbit_of, visits, len(orbits)).astype(np.int64)
             lo = hi
         step += len(path)
         del path  # before the next chunk's trajectory is built

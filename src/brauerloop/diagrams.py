@@ -20,8 +20,8 @@ site 0 from the memoised rows of the two shorter lengths, and validated
 with numpy one column at a time.
 Symmetry orbits group basis indices under the 2L rotations and reflections
 of the circle; they are one `Orbits` record of index arrays (representative,
-size, members by offset, orbit of each diagram), and the orbit
-representative is the lexicographically smallest member. The one-site
+size, orbit of each diagram, and the maps that generate them), and the
+orbit representative is the lexicographically smallest member. The one-site
 rotation is read off the block order of the basis (rows with site L-1
 paired to j rotate, in order, onto the block with site 0 paired to j+1)
 and proved by digit arithmetic on the rows' keys. Only the smallest row
@@ -177,40 +177,18 @@ class DiagramBasis:
 class Orbits:
     """Dihedral orbits of one basis as index arrays, in order of representative.
 
-    Orbit k holds the `sizes[k]` basis indices `members[offsets[k] :
-    offsets[k + 1]]` in increasing order; its representative
-    `representatives[k]` is the first of them, and `orbit_of[x]` is the
-    orbit of basis index x. `representatives`, `members` and `orbit_of`
-    are int32, like the maps `step` and `mirror` of `compute_orbits` that
-    generate the orbits; `sizes` and `offsets`, one entry per orbit, are
+    `orbit_of[x]` is the orbit of basis index x; orbit k has `sizes[k]`
+    members and its representative `representatives[k]` is the smallest of
+    them. `representatives` and `orbit_of` are int32, like the maps `step`
+    and `mirror` of `compute_orbits` that generate the orbits; `sizes` is
     int64. `len()` is the orbit count.
     """
 
     representatives: np.ndarray
     sizes: np.ndarray
-    members: np.ndarray
-    offsets: np.ndarray
     orbit_of: np.ndarray
     step: np.ndarray
     mirror: np.ndarray
-
-    @classmethod
-    def grouped(cls, members, sizes, step, mirror) -> Orbits:
-        """The record of orbits given as consecutive groups of `members` with these sizes.
-
-        An int32 `members` array is kept, not copied, and made read-only.
-        """
-        assert len(members) < 2**31, "basis indices must fit in int32"
-        members = np.asarray(members, dtype=np.int32)
-        sizes = np.array(sizes, dtype=np.int64)
-        offsets = np.append(0, np.cumsum(sizes))
-        orbit_of = np.empty(len(members), dtype=np.int32)
-        # An int32 index, cast in chunks: an intp copy of `members` would set the peak RSS.
-        orbit_of[members] = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
-        arrays = (members.take(offsets[:-1]), sizes, members, offsets, orbit_of, step, mirror)
-        for array in arrays:
-            array.flags.writeable = False  # shared through `shared_orbits`
-        return cls(*arrays)
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -327,17 +305,15 @@ def compute_orbits(basis: DiagramBasis) -> Orbits:
     mirror[step[x]] = step^-1[mirror[x]], the dihedral relation s r = r^-1 s,
     which reaches every row as each class is its seed's images under step.
     The orbit of x joins its rotation class with that of mirror[x], so
-    min(rmin, rmin[mirror]) labels it by its smallest index, in a sorted
-    basis the lexicographically smallest image: the canonical
-    representative, whose 2L images (filled as contiguous rows, sorted per
-    orbit through their transpose) give the orbit's members. Every gather
-    through the int32 maps (the key proof, the doubling for rmin, the mirror
-    fill, rmin[mirror], the images) is an `ndarray.take`, which skips fancy
-    indexing's slower int32 path at the cost of one intp copy of the index,
-    and the mirror fill scatters through an intp copy for the same reason.
-    The record's N-length arrays index by int32 instead, which numpy casts
-    in chunks (the orbit of each member, the partition checks): there the
-    copy would set the peak RSS.
+    smallest = min(rmin, rmin[mirror]) labels it by its smallest index, in a
+    sorted basis the lexicographically smallest image: the canonical
+    representative. The representatives are the rows with smallest[x] == x,
+    numbered in increasing order; orbit_of[x] is the number of smallest[x]
+    and `sizes` counts each number. Every gather through the int32 maps (the
+    key proof, the doubling for rmin, the mirror fill, rmin[mirror], the
+    numbers) is an `ndarray.take`, which skips fancy indexing's slower int32
+    path at the cost of one intp copy of the index, and the mirror fill
+    scatters through an intp copy for the same reason.
     """
     size, count = basis.length, len(basis)
     assert count < 2**31, "basis indices must fit in int32"
@@ -355,26 +331,18 @@ def compute_orbits(basis: DiagramBasis) -> Orbits:
     del inverse, seeds, image
     smallest = np.minimum(rmin, rmin.take(mirror))
     del rmin
+    # Every label must label itself: then each is a representative, numbered below.
+    assert np.array_equal(smallest.take(smallest), smallest), "orbit labels must be fixed"
     representatives = np.flatnonzero(smallest == np.arange(count, dtype=np.int32))
-    images = np.empty((2 * size, len(representatives)), dtype=np.int32)
-    images[0] = representatives
-    for k in range(1, size):
-        images[k] = step.take(images[k - 1])
-    images[size:] = mirror.take(images[:size])
-    images = images.T
-    images.sort(axis=1)
-    fresh = np.ones(images.shape, dtype=bool)
-    np.not_equal(images[:, 1:], images[:, :-1], out=fresh[:, 1:])
-    sizes, members = fresh.sum(axis=1), images[fresh]
-    del images, fresh
-    orbits = Orbits.grouped(members, sizes, step, mirror)
-    del members
-    covered = np.zeros(count, dtype=bool)
-    covered[orbits.members] = True
-    assert len(orbits.members) == count and covered.all(), "orbits must partition the basis"
-    assert np.array_equal(smallest.take(orbits.representatives), orbits.representatives)
-    assert np.array_equal(smallest, orbits.representatives[orbits.orbit_of])
-    return orbits
+    number = np.empty(count, dtype=np.int32)
+    number[representatives] = np.arange(len(representatives), dtype=np.int32)
+    orbit_of = number.take(smallest)
+    del number, smallest
+    arrays = (representatives.astype(np.int32),
+              np.bincount(orbit_of, minlength=len(representatives)), orbit_of, step, mirror)
+    for array in arrays:
+        array.flags.writeable = False  # shared through `shared_orbits`
+    return Orbits(*arrays)
 
 
 def rotation_minimum(step: np.ndarray, size: int) -> np.ndarray:
@@ -452,11 +420,13 @@ def shared_orbit_labels(length: int) -> tuple[tuple[tuple, ...], ...]:
         labelled = np.all((right != DEFECT) & (right <= half), axis=1)
     else:
         labelled = np.all(partners[:, :half] >= half, axis=1)
-    rows = orbits.members[labelled.take(orbits.members)]
+    rows = np.flatnonzero(labelled)
+    owner = orbits.orbit_of.take(rows)
+    rows = rows[np.argsort(owner, kind="stable")]  # orbit by orbit, members in basis order
     # Partner j reads as j - n + 1 (even L) or j - n (odd L), at index j + 1 after DEFECT's.
     values = np.array([None, *range(1 - half - odd, length + 1 - half - odd)], dtype=object)
     labels = list(map(tuple, values[partners[:, : half + odd].take(rows, axis=0) + 1].tolist()))
-    ends = np.cumsum(np.bincount(orbits.orbit_of.take(rows), minlength=len(orbits))).tolist()
+    ends = np.cumsum(np.bincount(owner, minlength=len(orbits))).tolist()
     return tuple(tuple(labels[start:end]) for start, end in zip([0, *ends], ends))
 
 

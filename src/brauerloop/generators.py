@@ -47,10 +47,14 @@ def transition_table(basis: DiagramBasis, orbits: Orbits) -> np.ndarray:
     a, as g_a = r^a g_0 r^-a gives s g_a s^-1 = (s r s^-1)^a (s g_0 s^-1)
     (s r^-1 s^-1)^a = r^-a g_{L-2} r^a. ArithmeticError names the site, the
     relation or generator c as "column c": a reflection fault is named by
-    column 0 or L, whichever row holds it.
+    column 0 or L, whichever row holds it. Both maps are first proved to be
+    permutations, as `build_reduced` does, before either is inverted.
     """
     size, count = basis.length, len(basis)
     step, mirror = orbits.step, orbits.mirror
+    for name, image in (("rotation", step), ("reflection", mirror)):
+        if not np.array_equal(np.bincount(image, minlength=count), np.ones(count)):
+            raise ArithmeticError(f"the {name} map is not a permutation of the basis")
     table = np.empty((2 * size, count), dtype=np.int32)
     table[0::size] = basis.locate(_image_keys(basis.partners, basis._keys, 0))
     inverse = inverse_of(step)

@@ -35,7 +35,6 @@ import re
 import threading
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -273,15 +272,6 @@ def _convergent_denominator(p: int, q: int, bound: int) -> int:
             break
         q_prev, q_cur = q_cur, q_next
     return q_cur
-
-
-def normalize_integer(values) -> tuple[int, ...]:
-    """Scale a one-signed rational vector to coprime positive integers."""
-    fracs = [Fraction(v) for v in values]
-    if not fracs:
-        raise ValueError("empty vector")
-    denominator = math.lcm(*(f.denominator for f in fracs))
-    return _coprime_positive([int(f * denominator) for f in fracs])
 
 
 def _coprime_positive(ints: list[int]) -> tuple[int, ...]:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from brauerloop import IntensityMatrix
+from brauerloop import IntensityMatrix, Orbits
 from brauerloop.checks import MonteCarloReport, OrbitEstimate
 from brauerloop.diagrams import _key, encode_partners, reflect_partners, shared_basis, shared_orbits
 from brauerloop.generators import transition_table
@@ -64,7 +64,19 @@ def index_of(basis, diagram):
 
 def members_of(orbits, k):
     """The basis indices of orbit k, in increasing order."""
-    return orbits.members[orbits.offsets[k] : orbits.offsets[k + 1]]
+    return np.flatnonzero(orbits.orbit_of == k)
+
+
+def regrouped(orbits, groups):
+    """An `Orbits` record with the maps of `orbits` that labels the members of each
+    group by the group's position, its first member as representative; a diagram
+    in no group is labelled 0."""
+    members = np.concatenate(groups).astype(np.intp)
+    sizes = np.array([len(g) for g in groups], dtype=np.int64)
+    orbit_of = np.zeros(len(orbits.orbit_of), dtype=np.int32)
+    orbit_of[members] = np.repeat(np.arange(len(groups), dtype=np.int32), sizes)
+    representatives = np.array([g[0] for g in groups], dtype=np.int32)
+    return Orbits(representatives, sizes, orbit_of, orbits.step, orbits.mirror)
 
 
 def matrix_of(columns, length=4):
@@ -190,12 +202,11 @@ def orbits_by_image_keys(basis):
 
 
 def assert_orbits_are(orbits, groups):
-    """An `Orbits` record holds exactly these member lists, in this order."""
+    """An `Orbits` record groups the basis into exactly these member lists, in this
+    order: its sizes, its representatives and the orbit of every diagram."""
     assert len(orbits) == len(groups)
     assert orbits.sizes.tolist() == [len(g) for g in groups]
     assert orbits.representatives.tolist() == [g[0] for g in groups]
-    assert orbits.offsets.tolist() == [0, *itertools.accumulate(len(g) for g in groups)]
-    assert orbits.members.tolist() == [m for g in groups for m in g]
     owner = {m: k for k, g in enumerate(groups) for m in g}
     assert orbits.orbit_of.tolist() == [owner[x] for x in range(len(owner))]
 
@@ -206,10 +217,7 @@ def monte_carlo_per_step(basis, orbits, ground_state, samples, seed, burn_in=Non
     Oracle for the bulk draws: same chain, same batch means, same report.
     """
     length = basis.length
-    orbit_of = [0] * len(basis)
-    for oi in range(len(orbits)):
-        for m in members_of(orbits, oi).tolist():
-            orbit_of[m] = oi
+    orbit_of = orbits.orbit_of.tolist()
     # Per state, each site's monoid target twice and its braid target once.
     transitions = [[row[c] for a in range(length) for c in (a, a, length + a)]
                    for row in transition_table(basis, orbits).T.tolist()]

@@ -85,6 +85,7 @@ from brauerloop.diagrams import (_step_keys, conjugate, encode_partners, inverse
                                  representative_codes, shared_orbits)
 from brauerloop.generators import _image_keys, transition_table
 from brauerloop.hamiltonian import IntensityMatrix, _summed_entries
+from brauerloop.kernel import _coprime_positive
 
 
 @dataclass(frozen=True, order=True)
@@ -439,12 +440,14 @@ def lump_by_rows(basis: DiagramBasis, orbits: Orbits, table: np.ndarray) -> Inte
     of a group hold the same sum before scaling it by the group size. The
     oracle of `build_reduced` and of `build_full`.
     """
-    m = len(orbits)
-    sizes, members, offsets = orbits.sizes, orbits.members, orbits.offsets
-    if not np.array_equal(np.sort(members), np.arange(len(basis))):
+    m, sizes = len(orbits), orbits.sizes
+    orbit_of = orbits.orbit_of.astype(np.int64)
+    if len(orbit_of) != len(basis) or not np.array_equal(np.bincount(orbit_of, minlength=m),
+                                                          sizes):
         raise ValueError("orbits do not partition the basis")
-    orbit_of = np.empty(len(basis), dtype=np.int64)
-    orbit_of[members] = np.repeat(np.arange(m), sizes)
+    # The members of each group, group by group, in increasing order within it.
+    members = np.argsort(orbit_of, kind="stable")
+    offsets = np.append(0, np.cumsum(sizes))
 
     size = basis.length
     entries: list[tuple[np.ndarray, ...]] = []
@@ -568,6 +571,19 @@ def bareiss_kernel(matrix):
 def modular_kernel(matrix, threads=None):
     """Kernel vector by dense LU modulo primes and CRT, entry 0 scaled to 1."""
     return _checked(matrix, _modular_kernel(matrix, threads=threads))
+
+
+def normalize_integer(values) -> tuple[int, ...]:
+    """Scale a one-signed rational vector to coprime positive integers.
+
+    The sign and gcd step is the package's own `_coprime_positive`, so its
+    `MixedSignsError` cases are checked here on exact rationals.
+    """
+    fracs = [Fraction(v) for v in values]
+    if not fracs:
+        raise ValueError("empty vector")
+    denominator = math.lcm(*(f.denominator for f in fracs))
+    return _coprime_positive([int(f * denominator) for f in fracs])
 
 
 def _checked(matrix, vec):

@@ -19,7 +19,6 @@ from brauerloop import (
     kernel_vector,
     long_permutation_sequence,
     monte_carlo_crosscheck,
-    normalize_integer,
     permutation_weight_table,
     verify_factorization,
     verify_integrality,
@@ -29,7 +28,7 @@ from brauerloop import (
 from brauerloop.diagrams import shared_basis, shared_orbits
 
 from conftest import assert_orbits_are, orbits_by_image_keys, table_of
-from oracles import build_full, expand, validate_by_columns
+from oracles import build_full, expand, normalize_integer, validate_by_columns
 
 L6_WEIGHT_SIZE = {(63, 2), (31, 3), (13, 6), (3, 3), (1, 1)}
 # Every size divides 2L and the size-weighted counts sum to the basis sizes

@@ -34,7 +34,7 @@ PUBLIC = [
     "enumerate_diagrams", "RelationReport", "check_relations", "transition_table",
     "IntensityMatrix", "annihilates", "build_reduced", "connectivity_check", "CacheCorruptError",
     "DisconnectedMatrixError", "GroundState", "KernelDimensionError", "MixedSignsError",
-    "RefinementError", "groundstate", "kernel_vector", "normalize_integer", "__version__",
+    "RefinementError", "groundstate", "kernel_vector", "__version__",
 ]
 
 ORACLES = [
@@ -43,12 +43,12 @@ ORACLES = [
     "canonical_representative", "permutation_label", "partial_permutation_label",
     "build_full", "FULL", "REDUCED", "rotate_partners",
     "Permutation", "PartialPermutation", "orbit_labels", "ChordDiagram", "_Sparse",
-    "_event_table", "equivariance_gate", "expand",
+    "_event_table", "equivariance_gate", "expand", "normalize_integer",
 ]
 
 def test_exports_are_the_pipeline():
     assert brauerloop.__all__ == PUBLIC
-    assert len(PUBLIC) == 43
+    assert len(PUBLIC) == 42
     for name in PUBLIC:
         assert getattr(brauerloop, name) is not None
 
@@ -66,8 +66,11 @@ def test_no_test_only_fields_or_parameters():
         table = inspect.signature(function).parameters["table"]
         assert table.default is inspect.Parameter.empty, function.__name__
     assert "exhaustive" not in [field.name for field in dataclasses.fields(RelationReport)]
+    assert [field.name for field in dataclasses.fields(Orbits)] == [
+        "representatives", "sizes", "orbit_of", "step", "mirror"]
     for owner, name in ((DiagramBasis, "index_of"), (DiagramBasis, "__getitem__"),
-                        (Orbits, "members_of"), (GroundState, "expand")):
+                        (Orbits, "members_of"), (Orbits, "members"), (Orbits, "offsets"),
+                        (Orbits, "grouped"), (GroundState, "expand")):
         assert not hasattr(owner, name), f"{owner.__name__}.{name}"
     with pytest.raises(TypeError):
         iter(DiagramBasis(2, [[1, 0]]))

@@ -447,13 +447,12 @@ class TestMemory:
         assert self.peak_mib(lambda: compute_orbits(basis)) <= 3.8  # 3.68 measured
 
     def test_orbits_record_bytes(self):
-        # int32 members, orbit_of, step and mirror are 16 bytes per diagram (3.22 MiB
-        # with the int64 record); representatives, sizes and offsets are per orbit.
+        # int32 orbit_of, step and mirror are 12 bytes per diagram (2.16 MiB with
+        # int32 member lists besides); representatives and sizes are per orbit.
         orbits = shared_orbits(13)
         held = sum(array.nbytes for array in (orbits.representatives, orbits.sizes,
-                                              orbits.members, orbits.offsets,
                                               orbits.orbit_of, orbits.step, orbits.mirror))
-        assert held / 2**20 <= 2.2  # 2.16 measured
+        assert held / 2**20 <= 1.65  # 1.61 measured
 
 
 @pytest.mark.parametrize("count", [1, 2, 10_395])
@@ -558,8 +557,8 @@ class TestOrbits:
     def test_record_is_read_only(self):
         orbits = shared_orbits(6)
         for array, dtype in ((orbits.representatives, np.int32), (orbits.sizes, np.int64),
-                             (orbits.members, np.int32), (orbits.offsets, np.int64),
-                             (orbits.orbit_of, np.int32)):
+                             (orbits.orbit_of, np.int32), (orbits.step, np.int32),
+                             (orbits.mirror, np.int32)):
             assert array.dtype == dtype
             with pytest.raises(ValueError):
                 array[0] = 1

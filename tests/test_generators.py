@@ -182,6 +182,16 @@ class TestEquivarianceProof:
                                                   r"satisfy s r s\^-1 = r\^-1$"):
             transition_table(shared_basis(length), replace(orbits, mirror=mirror))
 
+    @pytest.mark.parametrize("length", [6, 9, 12])
+    @pytest.mark.parametrize("name, field", [("rotation", "step"), ("reflection", "mirror")])
+    def test_rejects_maps_that_are_not_permutations(self, length, name, field):
+        # A constant map has no inverse: it is refused before any gather through one.
+        orbits = shared_orbits(length)
+        constant = replace(orbits, **{field: np.zeros_like(orbits.step)})
+        with pytest.raises(ArithmeticError, match=rf"^the {name} map is not a permutation "
+                                                  "of the basis$"):
+            transition_table(shared_basis(length), constant)
+
     @pytest.mark.parametrize("length", range(3, 11))
     def test_rejects_the_reflection_about_another_axis(self, length):
         # r s is a reflection too, so the relation holds; row 0 does not commute with it.

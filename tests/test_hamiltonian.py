@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from brauerloop import (
     KernelDimensionError,
-    Orbits,
     annihilates,
     build_reduced,
     compute_orbits,
@@ -26,6 +26,7 @@ from conftest import (
     intensity_columns,
     matrix_of,
     members_of,
+    regrouped,
     table_of,
 )
 from oracles import (
@@ -41,12 +42,6 @@ from oracles import (
     rotate,
     validate_by_columns,
 )
-
-
-def regrouped(orbits, groups):
-    """An `Orbits` record of these member groups, with the maps of `orbits`."""
-    return Orbits.grouped(np.concatenate(groups), [len(g) for g in groups],
-                          orbits.step, orbits.mirror)
 
 
 def each(basis):
@@ -211,9 +206,7 @@ class TestBuildReduced:
     def test_rejects_non_partition(self):
         basis = enumerate_diagrams(4)
         orbits = compute_orbits(basis)
-        first = members_of(orbits, 0)
-        alone = Orbits(first[:1], orbits.sizes[:1], first, orbits.offsets[:2], orbits.orbit_of,
-                       orbits.step, orbits.mirror)
+        alone = regrouped(orbits, [members_of(orbits, 0)])
         with pytest.raises(ValueError, match="do not partition"):
             build_reduced(basis, alone, table_of(4))
 
@@ -221,7 +214,7 @@ class TestBuildReduced:
         # gluing the crossing onto one parallel diagram is not an orbit
         basis = enumerate_diagrams(4)
         orbits = compute_orbits(basis)
-        fake = Orbits.grouped([0, 1, 2], [2, 1], orbits.step, orbits.mirror)
+        fake = regrouped(orbits, [[0, 1], [2]])
         with pytest.raises(ArithmeticError):
             build_reduced(basis, fake, table_of(4))
 
@@ -238,7 +231,7 @@ class TestRowSumOracle:
         basis = shared_basis(length)
         n = len(basis)
         orbits = shared_orbits(length)
-        singletons = Orbits.grouped(np.arange(n), np.ones(n), orbits.step, orbits.mirror)
+        singletons = regrouped(orbits, np.arange(n).reshape(n, 1))
         expected = triplets(lump_by_rows(basis, singletons, table_of(length)))
         assert triplets(build_full(basis)) == expected
 
@@ -338,8 +331,7 @@ class TestEquivarianceGate:
 
     def test_rejects_maps_that_are_not_permutations(self):
         basis, orbits = shared_basis(6), shared_orbits(6)
-        constant = Orbits.grouped(orbits.members, orbits.sizes, np.zeros_like(orbits.step),
-                                 orbits.mirror)
+        constant = replace(orbits, step=np.zeros_like(orbits.step))
         with pytest.raises(ArithmeticError, match="rotation map is not a permutation"):
             build_reduced(basis, constant, table_of(6))
 

@@ -26,7 +26,6 @@ from brauerloop import (
     enumerate_diagrams,
     groundstate,
     kernel_vector,
-    normalize_integer,
     permutation_weight_table,
 )
 from brauerloop.cli import main
@@ -51,6 +50,7 @@ from oracles import (
     build_full,
     expand,
     modular_kernel,
+    normalize_integer,
     rational_reconstruction,
     serialize_by_json,
 )
