@@ -111,8 +111,12 @@ def concatenate_labels(first: tuple, second: tuple) -> tuple:
     """Block concatenation of two labels; at most one may be partial (hold None)."""
     if None in first and None in second:
         raise TypeError("at most one factor may be a partial permutation")
-    shift = len(first) - (None in first)
-    return first + tuple(None if v is None else v + shift for v in second)
+    return first + _shifted(second, len(first) - (None in first))
+
+
+def _shifted(label: tuple, shift: int) -> tuple:
+    """The label with every value raised by `shift`, None kept."""
+    return tuple(None if v is None else v + shift for v in label)
 
 
 def _shown(label: tuple) -> str:
@@ -171,7 +175,11 @@ def verify_sum_rule(state: GroundState) -> CheckResult:
 
 
 def verify_factorization(ground_states: Mapping[int, GroundState]) -> CheckResult:
-    """Concatenated labels should multiply: every realizable pair is checked."""
+    """Concatenated labels should multiply: every realizable pair is checked.
+
+    `concatenate_labels` shifts a second factor by la // 2 for every first
+    factor of length la, so the second factors are shifted once per pair of lengths.
+    """
     tables = {length: permutation_weight_table(gs) for length, gs in ground_states.items()}
     lengths = sorted(tables)
     checked = 0
@@ -185,9 +193,11 @@ def verify_factorization(ground_states: Mapping[int, GroundState]) -> CheckResul
             if lc not in tables:
                 continue
             target = tables[lc]
+            shifted = [(label_b, wb, _shifted(label_b, la // 2))
+                       for label_b, wb in tables[lb].items()]
             for label_a, wa in tables[la].items():
-                for label_b, wb in tables[lb].items():
-                    combined = concatenate_labels(label_a, label_b)
+                for label_b, wb, moved in shifted:
+                    combined = label_a + moved
                     wc = target.get(combined)
                     checked += 1
                     if wc != wa * wb:

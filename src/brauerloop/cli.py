@@ -19,7 +19,7 @@ from .diagrams import (
     shared_orbit_labels,
     shared_orbits,
 )
-from .kernel import groundstate, serialize_groundstate
+from .kernel import groundstate, groundstate_text
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -56,10 +56,10 @@ def cmd_enumerate(args) -> int:
 
 def cmd_groundstate(args) -> int:
     cache_dir = resolve_cache_dir(args.cache_dir)
-    state = groundstate(args.length, cache_dir=cache_dir)
     if args.format == "json":
-        sys.stdout.write(serialize_groundstate(state))
+        sys.stdout.write(groundstate_text(args.length, cache_dir=cache_dir))
         return EXIT_OK
+    state = groundstate(args.length, cache_dir=cache_dir)
     codes = representative_codes(args.length)
     rows = zip(codes, state.sizes, state.weights, _orbit_labels(args.length))
     if args.format == "csv":

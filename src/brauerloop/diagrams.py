@@ -17,7 +17,7 @@ diagram x as always, and the partners of site i over the whole basis,
 (validation, rank keys, the rotation sort, the label mask, the generators'
 image keys) reads one column. It is built in blocks keyed by the partner of
 site 0 from the memoised rows of the two shorter lengths, and validated
-with numpy one column at a time.
+with numpy one column, and one pair of columns, at a time.
 Symmetry orbits group basis indices under the 2L rotations and reflections
 of the circle; they are one `Orbits` record of index arrays (representative,
 size, orbit of each diagram, and the maps that generate them), and the
@@ -68,11 +68,13 @@ def _validated(length: int, partners) -> np.ndarray:
     Each row must pair its sites by an involution without fixed sites and
     hold exactly L mod 2 defects. Site-major int8 input is kept as it is
     (the enumeration's rows); any other input is copied once into that
-    layout. The check runs column by column with temporaries of length N:
-    site i's partners j are proved by reading entry (r, j) of the flat
-    site-major array at the int32 position j * N + r. Raises ValueError
-    naming the first offending row (for the involution, the first
-    offending site and then its first row), whatever the input layout.
+    layout. The check runs column by column in two reused N-length bool
+    buffers and int8 compares only: the involution holds when, for every
+    pair of sites i < j, the rows with partner j at site i are exactly those
+    with partner i at site j. Raises ValueError naming the first offending
+    row (for the involution, the first offending site and then its first
+    row, which `_involution_break` finds only then), whatever the input
+    layout.
     """
     if length < 2:
         raise ValueError(f"a diagram needs at least 2 sites, got {length}")
@@ -84,30 +86,23 @@ def _validated(length: int, partners) -> np.ndarray:
         raise ValueError(f"row {r}: partner {p[r, i]} of site {i} is out of range")
     p = np.asfortranarray(p, dtype=np.int8)
     count = len(p)
-    assert count * length < 2**31, "site-major positions must fit in int32"
-    flat = p.T.reshape(-1)  # a view: p[r, j] sits at j * N + r
-    rows = np.arange(count, dtype=np.int32)
-    defects = np.zeros(count, dtype=np.int16)
-    looped, broken_at = [], None
+    here, there = np.empty(count, dtype=bool), np.empty(count, dtype=bool)
+    defects = np.zeros(count, dtype=np.int8)
+    looped, broken = [], False
     for i in range(length):
-        j = p[:, i]
-        if np.any(j == i):
+        column = p[:, i]
+        if np.equal(column, i, out=here).any():
             looped.append(i)
-        defect = j == DEFECT
-        defects += defect
-        # At DEFECT (-1) this reads an entry of another site, which `defect` masks.
-        at = j.astype(np.int32)
-        at *= count
-        at += rows
-        broken = flat.take(at) != i
-        broken &= ~defect
-        if broken_at is None and broken.any():
-            broken_at = int(np.argmax(broken)), i
+        defects += np.equal(column, DEFECT, out=here)
+        for j in range(i + 1, length):
+            np.equal(column, j, out=here)
+            np.equal(p[:, j], i, out=there)
+            broken = broken or np.not_equal(here, there, out=here).any()
     if looped:
         r, i = min((int(np.argmax(p[:, i] == i)), i) for i in looped)
         raise ValueError(f"row {r}: site {i} is paired with itself")
-    if broken_at is not None:
-        r, i = broken_at
+    if broken:
+        r, i = _involution_break(p)
         raise ValueError(f"row {r}: pairing is not an involution at site {i}")
     wrong = np.flatnonzero(defects != length % 2)
     if wrong.size:
@@ -117,6 +112,22 @@ def _validated(length: int, partners) -> np.ndarray:
             f"found {defects[r]}"
         )
     return p
+
+
+def _involution_break(p: np.ndarray) -> tuple[int, int]:
+    """(row, site): the first site i whose partner j has another partner, and its first row.
+
+    Site by site, each row reads the partner of its own partner of i; at
+    DEFECT (-1) that reads site L-1, which the defect mask discards. Only
+    `_validated`'s failure runs this search.
+    """
+    rows = np.arange(len(p))
+    for i in range(p.shape[1]):
+        j = p[:, i]
+        broken = (p[rows, j] != i) & (j != DEFECT)
+        if broken.any():
+            return int(np.argmax(broken)), i
+    raise AssertionError("every site's partner pairs back")
 
 
 class BasisTooLargeError(ValueError):
@@ -266,9 +277,11 @@ def _step_keys(partners: np.ndarray, keys: np.ndarray) -> np.ndarray:
     is key // base, plus w[s] for each moved site s < L-1 that is not the
     defect, minus L * w[p[L-1]] for the site whose partner L-1 wraps to 0,
     plus the digit of partner p[L-1] + 1 at site 0 (the DEFECT digit if
-    site L-1 is the defect). For odd L the w[s] of the defect site is taken
-    back site by site, a masked in-place subtraction over column s. Computed
-    modulo 2**64, exact since every key < base**L <= 2**64.
+    site L-1 is the defect). For odd L the w[d] of each row's defect site d
+    is taken back with one gather: the sites other than d sum to L(L-1)/2 - d
+    and the defect adds -1, so d = L(L-1)/2 - 1 less the row's sum, an int8
+    N-vector built one column at a time (exact modulo 256, as 0 <= d < L).
+    Computed modulo 2**64, exact since every key < base**L <= 2**64.
     """
     size = partners.shape[1]
     assert _ranks_fit(size), "rank keys must fit in 64 bits"
@@ -281,8 +294,10 @@ def _step_keys(partners: np.ndarray, keys: np.ndarray) -> np.ndarray:
     step = keys // np.uint64(base)
     step += np.array(head, dtype=np.uint64)[partners[:, size - 1]]
     if shift:
-        for s in range(size - 1):  # w[L-1] = 0
-            np.subtract(step, np.uint64(w[s]), out=step, where=partners[:, s] == DEFECT)
+        defect = np.full(len(partners), size * (size - 1) // 2 - 1, dtype=np.int8)
+        for column in partners.T:
+            defect -= column
+        step -= np.array(w, dtype=np.uint64)[defect]
     return step
 
 
@@ -318,7 +333,8 @@ def compute_orbits(basis: DiagramBasis) -> Orbits:
     size, count = basis.length, len(basis)
     assert count < 2**31, "basis indices must fit in int32"
     step = inverse_of(np.argsort(basis.partners[:, size - 1], kind="stable").astype(np.int32))
-    if not np.array_equal(basis._keys.take(step), _step_keys(basis.partners, basis._keys)):
+    # The step keys come first, before the gather: that order keeps the peak lower.
+    if not np.array_equal(_step_keys(basis.partners, basis._keys), basis._keys.take(step)):
         raise KeyError("partner rows that are not diagrams of this basis")
     rmin = rotation_minimum(step, size)
     seeds = np.flatnonzero(rmin == np.arange(count, dtype=np.int32))
@@ -392,9 +408,13 @@ def shared_orbits(length: int) -> Orbits:
 
 @lru_cache(maxsize=16)
 def representative_codes(length: int) -> tuple[str, ...]:
-    """The encoded orbit representatives of the shared orbits, in orbit order."""
+    """The encoded orbit representatives of the shared orbits, in orbit order.
+
+    Their rows are gathered from the site-major basis by fancy indexing, which
+    reads it several times faster than `take(..., axis=0)` does.
+    """
     tokens = np.array([".", *map(str, range(1, length + 1))], dtype=object)
-    rows = shared_basis(length).partners.take(shared_orbits(length).representatives, axis=0)
+    rows = shared_basis(length).partners[shared_orbits(length).representatives]
     return tuple(map(",".join, tokens[rows + 1].tolist()))
 
 
@@ -409,8 +429,9 @@ def shared_orbit_labels(length: int) -> tuple[tuple[tuple, ...], ...]:
     {1..n+1} is labelled by the partial permutation sending left site i to
     its partner minus (n + 1), as its image of the n+1 left sites with None
     at the defect. The labelled rows are picked with one mask over the
-    partner array and read through one value table, so only those n! (even)
-    or (n+1)! (odd) rows become tuples.
+    partner array, gathered by fancy indexing (as in `representative_codes`)
+    and read through one value table, so only those n! (even) or (n+1)!
+    (odd) rows become tuples.
     """
     partners = shared_basis(length).partners
     orbits = shared_orbits(length)
@@ -425,7 +446,7 @@ def shared_orbit_labels(length: int) -> tuple[tuple[tuple, ...], ...]:
     rows = rows[np.argsort(owner, kind="stable")]  # orbit by orbit, members in basis order
     # Partner j reads as j - n + 1 (even L) or j - n (odd L), at index j + 1 after DEFECT's.
     values = np.array([None, *range(1 - half - odd, length + 1 - half - odd)], dtype=object)
-    labels = list(map(tuple, values[partners[:, : half + odd].take(rows, axis=0) + 1].tolist()))
+    labels = list(map(tuple, values[partners[rows, : half + odd] + 1].tolist()))
     ends = np.cumsum(np.bincount(owner, minlength=len(orbits))).tolist()
     return tuple(tuple(labels[start:end]) for start, end in zip([0, *ends], ends))
 

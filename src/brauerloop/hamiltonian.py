@@ -169,19 +169,26 @@ def annihilates(basis: DiagramBasis, weights, table: np.ndarray, orbit_of) -> bo
     `table` is the basis's (2L, N) `transition_table` (else ValueError) and
     `orbit_of` groups the diagrams (`Orbits.orbit_of`, or `np.arange(N)`).
     The weights are arbitrary Python integers; `product_is_zero` pushes them
-    through the table in 31-bit limbs, each gathered to the N diagrams in int64.
+    through the table in 31-bit limbs, each gathered to the N diagrams in int64
+    through one intp copy of `orbit_of`, made once per call: `take` would copy
+    an int32 index again for every limb. The gathered limb is scaled in place
+    to each row's coefficient, so the copy costs no rise in the peak.
     """
     if len(orbit_of) != len(basis) or len(weights) != orbit_of.max() + 1:
         raise ValueError("weight vector does not match the basis and its grouping")
     _check_shape(basis, table)
     width, n = table.shape
     size = width // 2
+    index = orbit_of.astype(np.intp, copy=False)
 
     def apply(limb: np.ndarray) -> np.ndarray:
-        limb = limb.take(orbit_of)
+        limb = limb.take(index)
         out = 3 * size * limb
+        limb *= -2  # in place, the monoid rows' coefficient
         for j in range(width):
-            np.add.at(out, table[j], (-2 if j < size else -1) * limb)
+            if j == size:
+                limb //= 2  # exactly, to the braid rows' coefficient -1
+            np.add.at(out, table[j], limb)
         return out
 
     # A column's entries sum to 6L in magnitude, so no row exceeds 6L * n.

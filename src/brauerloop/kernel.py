@@ -34,6 +34,7 @@ import random
 import re
 import threading
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -339,6 +340,11 @@ def serialize_groundstate(state: GroundState) -> str:
 # A canonical weight: the decimal digits of a positive integer, no leading zero.
 _WEIGHT_FIELD = re.compile(r'"weight":"([1-9][0-9]*)"')
 
+# While `groundstate_text` runs, the list that receives each text `_canonical_state`
+# accepts; unset otherwise, so no accepted text outlives that call. The text cannot
+# come back as a return value: the load and its memo return the state alone.
+_accepted_texts: ContextVar[list[str] | None] = ContextVar("accepted_texts", default=None)
+
 
 def deserialize_groundstate(text: str, length: int) -> GroundState:
     """Parse the cache payload of one length; anything else raises CacheCorruptError.
@@ -357,7 +363,9 @@ def _canonical_state(text: str, length: int) -> GroundState | None:
     is enumerated. The weights are then read by a regular expression, and
     the state is kept only if `serialize_groundstate` gives back the text
     byte for byte, which implies the checksum, the constant fields, the
-    representatives, the sizes and the canonical weights.
+    representatives, the sizes and the canonical weights. Inside
+    `groundstate_text` the accepted text is handed on, so it is not
+    serialized again for output.
     """
     field = _CHECKSUM_FIELD.match(text)
     head = (f'"generator":"{_GENERATOR}","length":{length},'
@@ -368,7 +376,12 @@ def _canonical_state(text: str, length: int) -> GroundState | None:
         state = GroundState(length, tuple(map(int, _WEIGHT_FIELD.findall(text, field.end()))))
     except ValueError:  # another orbit count, or a weight longer than int() reads
         return None
-    return state if serialize_groundstate(state) == text else None
+    if serialize_groundstate(state) != text:
+        return None
+    accepted = _accepted_texts.get()
+    if accepted is not None:
+        accepted.append(text)
+    return state
 
 
 def _json_state(text: str, length: int) -> GroundState:
@@ -505,3 +518,20 @@ def groundstate(length: int, *, cache_dir=None) -> GroundState:
     if cache_dir is not None:
         save_cached_groundstate(cache_dir, state)
     return state
+
+
+def groundstate_text(length: int, *, cache_dir=None) -> str:
+    """`serialize_groundstate(groundstate(length, cache_dir=cache_dir))`, the json output.
+
+    A cache file that this call decodes and `_canonical_state` accepts is
+    that text byte for byte, so it is returned as read instead of being
+    serialized a second time. A memoised load, a file that only `_json_state`
+    accepts and a fresh solve are serialized.
+    """
+    accepted: list[str] = []
+    token = _accepted_texts.set(accepted)
+    try:
+        state = groundstate(length, cache_dir=cache_dir)
+    finally:
+        _accepted_texts.reset(token)
+    return accepted[0] if accepted else serialize_groundstate(state)

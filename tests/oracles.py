@@ -3,6 +3,11 @@
 * `ChordDiagram`: one diagram as a partner tuple, checked site by site in
   Python; the oracle of the whole-array check `diagrams._validated`, and
   the type the per-diagram oracles below act on.
+* `validation_message_by_site`: the message of the whole-array check
+  `diagrams._validated`, or None, with the involution proved site by site:
+  each row's partner j of site i is read back at the int32 position
+  j * N + r of the flat site-major array, as the check did before it went
+  over pairs of sites.
 * `per_site_diagrams`: the lexicographic basis built one site at a time,
   the oracle of the block-built `enumerate_diagrams`.
 * `apply_monoid` and `apply_braid`: the generator action on one
@@ -151,6 +156,46 @@ class ChordDiagram:
 
     def __str__(self) -> str:
         return self.encode()
+
+
+def validation_message_by_site(length: int, partners) -> str | None:
+    """The ValueError message `_validated` gives the integer rows, None when they are diagrams.
+
+    Checked in order: the range, in row-major order; the sites paired with
+    themselves (the first row, then the lowest site); the involution (the
+    lowest offending site, then its first row), each site's partners read
+    back through flat site-major positions; the defect count of each row.
+    """
+    p = np.asarray(partners)
+    if len(p) and (p.min() < DEFECT or p.max() >= length):
+        r, i = np.argwhere((p < DEFECT) | (p >= length))[0]
+        return f"row {r}: partner {p[r, i]} of site {i} is out of range"
+    p = np.asfortranarray(p, dtype=np.int8)
+    count = len(p)
+    flat = p.T.reshape(-1)  # p[r, j] sits at j * N + r
+    rows = np.arange(count, dtype=np.int32)
+    defects = np.zeros(count, dtype=np.int16)
+    looped, broken_at = [], None
+    for i in range(length):
+        j = p[:, i]
+        if np.any(j == i):
+            looped.append((int(np.argmax(j == i)), i))
+        defect = j == DEFECT
+        defects += defect
+        # At DEFECT (-1) this reads an entry of another site, which `defect` masks.
+        broken = (flat.take(j.astype(np.int32) * count + rows) != i) & ~defect
+        if broken_at is None and broken.any():
+            broken_at = int(np.argmax(broken)), i
+    if looped:
+        return "row {}: site {} is paired with itself".format(*min(looped))
+    if broken_at is not None:
+        return "row {}: pairing is not an involution at site {}".format(*broken_at)
+    wrong = np.flatnonzero(defects != length % 2)
+    if wrong.size:
+        r = int(wrong[0])
+        return (f"row {r}: length {length} requires exactly {length % 2} defect(s), "
+                f"found {defects[r]}")
+    return None
 
 
 _FREE = -2  # a site not yet assigned during enumeration

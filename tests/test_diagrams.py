@@ -47,6 +47,7 @@ from oracles import (
     rotate_partners,
     rotation_minimum_by_powers,
     step_by_search,
+    validation_message_by_site,
 )
 
 
@@ -257,6 +258,23 @@ def validation_message(length, rows):
     return messages[0]
 
 
+@st.composite
+def corrupted_rows(draw):
+    """(L, rows): a run of rows of the basis of L = 2..14, up to all of it, in which one
+    or two entries took another partner: a broken pair, a site paired with itself or a
+    wrong defect count, by the value drawn."""
+    length = draw(st.integers(min_value=2, max_value=14))
+    partners = shared_basis(length).partners
+    start = draw(st.integers(min_value=0, max_value=len(partners) - 1))
+    stop = draw(st.integers(min_value=start + 1, max_value=len(partners)))
+    rows = np.array(partners[start:stop])
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        r = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        i = draw(st.integers(min_value=0, max_value=length - 1))
+        rows[r, i] = draw(st.sampled_from([v for v in range(DEFECT, length) if v != rows[r, i]]))
+    return length, rows
+
+
 class TestBasisValidation:
     """The whole-array check rejects what `ChordDiagram` rejects per row."""
 
@@ -264,6 +282,26 @@ class TestBasisValidation:
     def test_rejects_corrupted_rows(self, length, rows, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             DiagramBasis(length, np.array(rows))
+
+    @pytest.mark.parametrize("length, rows, message", CORRUPTED_ROWS)
+    def test_oracle_gives_the_message(self, length, rows, message):
+        assert message in validation_message_by_site(length, np.array(rows))
+
+    @settings(max_examples=80, deadline=None)
+    @given(corrupted_rows())
+    def test_raises_the_oracle_message(self, case):
+        # The pairs of sites prove the involution; the per-site oracle names the break.
+        length, rows = case
+        expected = validation_message_by_site(length, rows)
+        for dtype in (np.int8, np.int64):
+            for layout in (np.ascontiguousarray, np.asfortranarray):
+                copy = layout(rows, dtype=dtype)
+                if expected is None:  # the second change undid the first
+                    assert np.array_equal(_validated(length, copy), rows)
+                    continue
+                with pytest.raises(ValueError) as caught:
+                    _validated(length, copy)
+                assert str(caught.value) == expected
 
     @pytest.mark.parametrize("length, rows, message", CORRUPTED_ROWS)
     def test_same_message_in_both_layouts(self, length, rows, message):
@@ -427,7 +465,7 @@ class TestRotationMinimum:
 
 
 class TestMemory:
-    """Deterministic Python-level peaks (tracemalloc) of the diagram layer at L = 13."""
+    """Deterministic Python-level peaks (tracemalloc) of the diagram layer at L = 13 and 14."""
 
     @staticmethod
     def peak_mib(work):
@@ -440,11 +478,16 @@ class TestMemory:
 
     def test_enumerate_peak(self):
         diagrams_module._partner_rows.cache_clear()  # build every shorter length again
-        assert self.peak_mib(lambda: enumerate_diagrams(13)) <= 4.7  # 4.63 measured
+        assert self.peak_mib(lambda: enumerate_diagrams(13)) <= 4.2  # 4.12 measured
 
     def test_orbits_peak(self):
         basis = shared_basis(13)
-        assert self.peak_mib(lambda: compute_orbits(basis)) <= 3.8  # 3.68 measured
+        assert self.peak_mib(lambda: compute_orbits(basis)) <= 3.8  # 3.65 measured
+
+    def test_orbits_peak_at_l14(self):
+        # The longest length that count-classes enumerates, which sets its peak.
+        basis = shared_basis(14)
+        assert self.peak_mib(lambda: compute_orbits(basis)) <= 3.8  # 3.65 measured
 
     def test_orbits_record_bytes(self):
         # int32 orbit_of, step and mirror are 12 bytes per diagram (2.16 MiB with

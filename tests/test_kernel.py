@@ -474,6 +474,52 @@ class TestWriter:
             memo.cache_clear()  # the later tests need not hold the arrays of L = 15, 16
 
 
+class TestGroundstateText:
+    """`groundstate --format json` writes the text of a cache hit that the canonical decode
+    accepted, and serializes the state only when no such text is at hand."""
+
+    @staticmethod
+    def serializations(monkeypatch):
+        lengths = []
+        original = kernel_module.serialize_groundstate
+
+        def counting(state):
+            lengths.append(state.length)
+            return original(state)
+
+        monkeypatch.setattr(kernel_module, "serialize_groundstate", counting)
+        return lengths
+
+    @staticmethod
+    def json_output(length, cache_dir, capsys):
+        argv = ["groundstate", "--length", str(length), "--format", "json"]
+        assert main(argv + ["--cache-dir", str(cache_dir)]) == 0
+        return capsys.readouterr().out
+
+    def test_hit_is_written_as_read(self, tmp_path, monkeypatch, capsys):
+        groundstate(9, cache_dir=tmp_path)
+        path = cache_path(tmp_path, 9)
+        settle(path)
+        kernel_module._memoised_read.cache_clear()
+        lengths = self.serializations(monkeypatch)
+        assert self.json_output(9, tmp_path, capsys) == path.read_text()
+        assert lengths == [9]  # the canonical decode's check; the output costs none
+        assert kernel_module._accepted_texts.get() is None  # no text kept
+        # A memoised load has no text at hand, so its state is serialized.
+        lengths.clear()
+        assert self.json_output(9, tmp_path, capsys) == path.read_text()
+        assert lengths == [9]
+
+    def test_file_only_the_json_decoder_accepts_is_serialized(self, tmp_path, capsys):
+        state = groundstate(6, cache_dir=tmp_path)
+        path = cache_path(tmp_path, 6)
+        # The checksum does not cover the final newline, so `_json_state` accepts the file.
+        path.write_text(path.read_text().removesuffix("\n"))
+        assert load_cached_groundstate(tmp_path, 6) == state
+        assert self.json_output(6, tmp_path, capsys) == serialize_groundstate(state)
+        assert serialize_groundstate(state) != path.read_text()
+
+
 class TestCache:
     def test_roundtrip_bytes(self, tmp_path):
         gs = groundstate(6, cache_dir=tmp_path)
