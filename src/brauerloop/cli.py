@@ -19,7 +19,7 @@ from .diagrams import (
     shared_orbit_labels,
     shared_orbits,
 )
-from .kernel import groundstate, groundstate_text
+from .kernel import groundstate, serialize_groundstate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -36,6 +36,16 @@ def resolve_cache_dir(flag_value):
     if env:
         return env
     return ".brauer-cache"
+
+
+def at_least(minimum: int):
+    """An argparse int type refusing values below `minimum`, so no check runs over nothing."""
+    def parse(text: str) -> int:
+        if (value := int(text)) < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"  # named in argparse's message for a non-integer
+    return parse
 
 
 def _orbit_labels(length: int) -> list[list[str]]:
@@ -57,7 +67,7 @@ def cmd_enumerate(args) -> int:
 def cmd_groundstate(args) -> int:
     cache_dir = resolve_cache_dir(args.cache_dir)
     if args.format == "json":
-        sys.stdout.write(groundstate_text(args.length, cache_dir=cache_dir))
+        sys.stdout.write(serialize_groundstate(groundstate(args.length, cache_dir=cache_dir)))
         return EXIT_OK
     state = groundstate(args.length, cache_dir=cache_dir)
     codes = representative_codes(args.length)
@@ -200,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_groundstate)
 
     p = sub.add_parser("verify", help="run the verification checks up to a length")
-    p.add_argument("--max-length", type=int, required=True)
+    p.add_argument("--max-length", type=at_least(2), required=True)
     p.add_argument("--which", default="all",
                    choices=("integrality", "factorization", "maximality",
                             "sum-rule", "degrees", "all"))
@@ -209,12 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sequence", help="weights of the reversal permutation for n = 1..max")
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=at_least(1), required=True)
     add_common(p)
     p.set_defaults(func=cmd_sequence)
 
     p = sub.add_parser("count-classes", help="closed-form class counts vs enumeration")
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=at_least(1), required=True)
     p.add_argument("--max-enumerate-length", type=int, default=14,
                    help="largest length to cross-check by explicit enumeration")
     p.set_defaults(func=cmd_count_classes)

@@ -205,6 +205,14 @@ class Orbits:
         return len(self.sizes)
 
 
+def prove_permutation(image: np.ndarray, count: int, name: str) -> None:
+    """ArithmeticError unless the map `image` is a permutation of range(count): it has
+    `count` values, each in range(count) and none missing, so each exactly once."""
+    counts = np.bincount(image, minlength=count)
+    if not (len(image) == len(counts) == count and counts.all()):
+        raise ArithmeticError(f"the {name} map is not a permutation of the basis")
+
+
 def enumerate_diagrams(length: int) -> DiagramBasis:
     """All chord diagrams of the given length, lexicographically ordered.
 

@@ -28,7 +28,7 @@ from itertools import chain
 import numpy as np
 
 from .diagrams import (DiagramBasis, Orbits, _ranks_fit, conjugate, encode_partners,
-                       inverse_of, shared_basis, shared_orbits)
+                       inverse_of, prove_permutation, shared_basis, shared_orbits)
 
 
 def transition_table(basis: DiagramBasis, orbits: Orbits) -> np.ndarray:
@@ -52,9 +52,8 @@ def transition_table(basis: DiagramBasis, orbits: Orbits) -> np.ndarray:
     """
     size, count = basis.length, len(basis)
     step, mirror = orbits.step, orbits.mirror
-    for name, image in (("rotation", step), ("reflection", mirror)):
-        if not np.array_equal(np.bincount(image, minlength=count), np.ones(count)):
-            raise ArithmeticError(f"the {name} map is not a permutation of the basis")
+    prove_permutation(step, count, "rotation")
+    prove_permutation(mirror, count, "reflection")
     table = np.empty((2 * size, count), dtype=np.int32)
     table[0::size] = basis.locate(_image_keys(basis.partners, basis._keys, 0))
     inverse = inverse_of(step)

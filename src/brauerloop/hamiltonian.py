@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagrams import DiagramBasis, Orbits
+from .diagrams import DiagramBasis, Orbits, prove_permutation
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,8 +98,7 @@ def build_reduced(basis: DiagramBasis, orbits: Orbits, table: np.ndarray) -> Int
     if not (sized and np.array_equal(orbit_of.take(representatives), np.arange(m))):
         raise ValueError("orbits do not partition the basis")
     for name, image in (("rotation", orbits.step), ("reflection", orbits.mirror)):
-        if not np.array_equal(np.bincount(image, minlength=n), np.ones(n)):
-            raise ArithmeticError(f"the {name} map is not a permutation of the basis")
+        prove_permutation(image, n, name)
         moved = np.flatnonzero(orbit_of.take(image) != orbit_of)
         if moved.size:
             raise ArithmeticError(f"orbit {orbit_of[moved[0]]} is not closed under the {name}")

@@ -19,8 +19,9 @@ The assembled ground state is additionally verified against the full diagram
 basis, from its per-orbit weights, before it is returned or cached. A
 `GroundState` is the length and the weight of each orbit of
 `shared_orbits(length)`, in orbit order; the cache payload adds each orbit's
-encoded representative and size, and reading it back compares those as
-strings with the enumerated orbits.
+encoded representative and size. A cache text is read back only when it is
+the text written for the state read from it, byte for byte, which compares
+those as strings with the enumerated orbits.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ import random
 import re
 import threading
 import time
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -324,9 +325,12 @@ def _checksum(body: str) -> str:
 _CHECKSUM_FIELD = re.compile(r'\{"checksum":"([0-9a-f]{64})",')
 
 
+@lru_cache(maxsize=1)
 def serialize_groundstate(state: GroundState) -> str:
     """The cache text, written directly: representative codes match [0-9.,]+ and
-    weights are decimal digits, so no value needs JSON escaping."""
+    weights are decimal digits, so no value needs JSON escaping. The last text is
+    memoised: a state just checked against its file, or just saved, is not serialized
+    again to be written out."""
     # The canonical JSON: keys in the fixed sorted order checksum, generator, length,
     # normalization, orbits and per orbit representative, size, weight; "," and ":".
     orbits = ",".join(f'{{"representative":"{code}","size":{size},"weight":"{weight}"}}'
@@ -340,20 +344,14 @@ def serialize_groundstate(state: GroundState) -> str:
 # A canonical weight: the decimal digits of a positive integer, no leading zero.
 _WEIGHT_FIELD = re.compile(r'"weight":"([1-9][0-9]*)"')
 
-# While `groundstate_text` runs, the list that receives each text `_canonical_state`
-# accepts; unset otherwise, so no accepted text outlives that call. The text cannot
-# come back as a return value: the load and its memo return the state alone.
-_accepted_texts: ContextVar[list[str] | None] = ContextVar("accepted_texts", default=None)
-
 
 def deserialize_groundstate(text: str, length: int) -> GroundState:
-    """Parse the cache payload of one length; anything else raises CacheCorruptError.
-
-    A written file is accepted by `_canonical_state`; any other text is
-    decoded by `_json_state`, which names what is wrong with it.
-    """
+    """The state whose cache text of one length is `text`, else CacheCorruptError: a text
+    is accepted only by `_canonical_state`, and `_refuse` names the fault of any other."""
     state = _canonical_state(text, length)
-    return state if state is not None else _json_state(text, length)
+    if state is None:
+        _refuse(text, length)
+    return state
 
 
 def _canonical_state(text: str, length: int) -> GroundState | None:
@@ -363,9 +361,7 @@ def _canonical_state(text: str, length: int) -> GroundState | None:
     is enumerated. The weights are then read by a regular expression, and
     the state is kept only if `serialize_groundstate` gives back the text
     byte for byte, which implies the checksum, the constant fields, the
-    representatives, the sizes and the canonical weights. Inside
-    `groundstate_text` the accepted text is handed on, so it is not
-    serialized again for output.
+    representatives, the sizes and the canonical weights.
     """
     field = _CHECKSUM_FIELD.match(text)
     head = (f'"generator":"{_GENERATOR}","length":{length},'
@@ -376,33 +372,29 @@ def _canonical_state(text: str, length: int) -> GroundState | None:
         state = GroundState(length, tuple(map(int, _WEIGHT_FIELD.findall(text, field.end()))))
     except ValueError:  # another orbit count, or a weight longer than int() reads
         return None
-    if serialize_groundstate(state) != text:
-        return None
-    accepted = _accepted_texts.get()
-    if accepted is not None:
-        accepted.append(text)
-    return state
+    return state if serialize_groundstate(state) == text else None
 
 
-def _json_state(text: str, length: int) -> GroundState:
-    """`deserialize_groundstate` through `json.loads`, naming the first fault it finds.
+def _refuse(text: str, length: int) -> NoReturn:
+    """Raise the CacheCorruptError that names the first fault of a refused cache text.
 
-    The checksum is checked first, over the exact text after the leading
-    checksum field: the canonical JSON that `serialize_groundstate` hashes,
-    not a re-encoding of what was parsed, so a re-laid-out copy of a written
-    file fails it. Then the length, before any orbit is
-    enumerated, then the constant fields, and last, orbit by orbit, the
-    representative and the int size against `shared_orbits(length)` and the
-    weight, a decimal string of a positive integer without sign, space or
-    underscore. Only the first mismatching representative is decoded, so
-    that a malformed one is named by what is wrong with it.
+    The text is read through `json.loads`. The checksum is checked first,
+    over the exact text after the leading checksum field: the canonical JSON
+    that `serialize_groundstate` hashes, not a re-encoding of what was
+    parsed, so a re-laid-out copy of a written file fails it. Then the
+    length, before any orbit is enumerated, then the constant fields, and
+    last, orbit by orbit, the representative and the int size against
+    `shared_orbits(length)` and the weight, a decimal string of a positive
+    integer without sign, space or underscore. Only the first mismatching
+    representative is decoded, so that a malformed one is named by what is
+    wrong with it. A text that passes every check is not the written layout
+    (say, a final newline dropped, or a space added under a new checksum).
     """
     try:
         payload = json.loads(text)
         field = _CHECKSUM_FIELD.match(text)
         if not field or _checksum("{" + text[field.end():].removesuffix("\n")) != field[1]:
             raise CacheCorruptError("ground-state cache failed its checksum")
-        del payload["checksum"]
         if type(payload["length"]) is not int or payload["length"] != length:
             raise CacheCorruptError(f"holds length {payload['length']!r}, not {length}")
         for key, value in (("generator", _GENERATOR), ("normalization", _NORMALIZATION)):
@@ -410,7 +402,6 @@ def _json_state(text: str, length: int) -> GroundState:
                 raise CacheCorruptError(f"{key} is {payload[key]!r}, not {value!r}")
         rows = payload["orbits"]
         expected = list(zip(representative_codes(length), shared_orbits(length).sizes.tolist()))
-        weights = []
         for k, (row, want) in enumerate(zip(rows, expected)):
             got, weight = (row["representative"], row["size"]), row["weight"]
             if got != want or type(got[1]) is not int:
@@ -425,14 +416,13 @@ def _json_state(text: str, length: int) -> GroundState:
             if value <= 0 or str(value) != weight:
                 raise CacheCorruptError(f"orbit {k} has weight {weight!r}, "
                                         "not a positive integer in decimal")
-            weights.append(value)
         if len(rows) != len(expected):
             raise CacheCorruptError(f"holds {len(rows)} orbits, not {len(expected)}")
-        return GroundState(length, tuple(weights))
     except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise CacheCorruptError(
             f"malformed ground-state cache ({type(exc).__name__}: {exc})"
         ) from exc
+    raise CacheCorruptError("ground-state cache is not in the canonical layout")
 
 
 def cache_path(cache_dir, length: int) -> Path:
@@ -519,19 +509,3 @@ def groundstate(length: int, *, cache_dir=None) -> GroundState:
         save_cached_groundstate(cache_dir, state)
     return state
 
-
-def groundstate_text(length: int, *, cache_dir=None) -> str:
-    """`serialize_groundstate(groundstate(length, cache_dir=cache_dir))`, the json output.
-
-    A cache file that this call decodes and `_canonical_state` accepts is
-    that text byte for byte, so it is returned as read instead of being
-    serialized a second time. A memoised load, a file that only `_json_state`
-    accepts and a fresh solve are serialized.
-    """
-    accepted: list[str] = []
-    token = _accepted_texts.set(accepted)
-    try:
-        state = groundstate(length, cache_dir=cache_dir)
-    finally:
-        _accepted_texts.reset(token)
-    return accepted[0] if accepted else serialize_groundstate(state)

@@ -45,6 +45,10 @@
   check of `annihilates`.
 * `serialize_by_json`: the cache text with its payload encoded by
   `json.dumps`, the oracle of the directly written `serialize_groundstate`.
+* `decode_by_json`: a cache text read through `json.loads` and checked
+  field by field, the decoder that accepted cache files before only the
+  written text was; the oracle of the canonical decode of
+  `deserialize_groundstate` on written files.
 * `validate_by_columns` and `connected_by_bfs`: the intensity-matrix checks
   as loops over one dict per column and a Python breadth-first search, the
   oracles of `IntensityMatrix.validate` and `connectivity_check`. Given the
@@ -83,6 +87,7 @@ import numpy as np
 from brauerloop import (
     DEFECT,
     DiagramBasis,
+    GroundState,
     KernelDimensionError,
     Orbits,
 )
@@ -468,6 +473,39 @@ def serialize_by_json(state) -> str:
     body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     checksum = hashlib.sha256(body.encode()).hexdigest()
     return '{"checksum":"' + checksum + '",' + body[1:] + "\n"
+
+
+def decode_by_json(text: str, length: int) -> GroundState:
+    """The `GroundState` of a cache text of one length, read through `json.loads`.
+
+    The checksum is the SHA-256 of the text after the leading checksum
+    field, less a final newline; the length, the constant fields, and per
+    orbit the representative and the int size must be those of
+    `shared_orbits(length)`, and each weight the decimal string of a
+    positive integer. A fault raises ValueError.
+    """
+    payload = json.loads(text)
+    checksum = payload.pop("checksum")
+    head = '{"checksum":"' + checksum + '",'
+    body = "{" + text.removeprefix(head).removesuffix("\n")
+    if not text.startswith(head) or hashlib.sha256(body.encode()).hexdigest() != checksum:
+        raise ValueError("failed its checksum")
+    if type(payload["length"]) is not int or payload["length"] != length:
+        raise ValueError(f"holds length {payload['length']!r}")
+    if (payload["generator"], payload["normalization"]) != ("reduced", "min-entry-one"):
+        raise ValueError("another generator or normalization")
+    expected = list(zip(representative_codes(length), shared_orbits(length).sizes.tolist()))
+    if len(payload["orbits"]) != len(expected):
+        raise ValueError("another orbit count")
+    weights = []
+    for k, (row, want) in enumerate(zip(payload["orbits"], expected)):
+        if (row["representative"], row["size"]) != want or type(row["size"]) is not int:
+            raise ValueError(f"orbit {k} is another orbit")
+        weight = int(row["weight"])
+        if weight <= 0 or str(weight) != row["weight"]:
+            raise ValueError(f"orbit {k} has weight {row['weight']!r}")
+        weights.append(weight)
+    return GroundState(length, tuple(weights))
 
 
 def build_full(basis: DiagramBasis) -> IntensityMatrix:

@@ -195,6 +195,20 @@ class TestErrors:
         assert run(capsys, *argv) == (2, "", f"error: {refused.value}\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, floor", [
+        (["verify", "--max-length", "1"], 2),
+        (["sequence", "--max-n", "0"], 1),
+        (["count-classes", "--max-n", "0"], 1),
+    ])
+    def test_empty_range_refused(self, argv, floor, capsys, tmp_path, monkeypatch):
+        # Over no length at all a check would pass vacuously; the parser refuses it.
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {argv[1]}: must be at least {floor}, "
+                            f"got {argv[2]}\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("cached", [False, True])
     def test_groundstate_ceiling_refused_before_the_cache(self, cached, capsys, tmp_path):
         # A checksummed L = 17 file in the cache changes neither the exit code

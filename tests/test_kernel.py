@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -48,6 +50,7 @@ from oracles import (
     _residual_is_zero,
     bareiss_kernel,
     build_full,
+    decode_by_json,
     expand,
     modular_kernel,
     normalize_integer,
@@ -475,20 +478,22 @@ class TestWriter:
 
 
 class TestGroundstateText:
-    """`groundstate --format json` writes the text of a cache hit that the canonical decode
-    accepted, and serializes the state only when no such text is at hand."""
+    """`groundstate --format json` prints the cache file's bytes; the memo of
+    `serialize_groundstate` writes out the state that a hit was just checked
+    against, or a solve just saved as, without serializing it again."""
 
     @staticmethod
     def serializations(monkeypatch):
-        lengths = []
-        original = kernel_module.serialize_groundstate
+        """The bodies hashed from here on: one per serialization that is not memoised."""
+        bodies = []
+        original = kernel_module._checksum
 
-        def counting(state):
-            lengths.append(state.length)
-            return original(state)
+        def counting(body):
+            bodies.append(body)
+            return original(body)
 
-        monkeypatch.setattr(kernel_module, "serialize_groundstate", counting)
-        return lengths
+        monkeypatch.setattr(kernel_module, "_checksum", counting)
+        return bodies
 
     @staticmethod
     def json_output(length, cache_dir, capsys):
@@ -496,28 +501,41 @@ class TestGroundstateText:
         assert main(argv + ["--cache-dir", str(cache_dir)]) == 0
         return capsys.readouterr().out
 
-    def test_hit_is_written_as_read(self, tmp_path, monkeypatch, capsys):
+    def test_fresh_solve_prints_the_saved_file(self, tmp_path, monkeypatch, capsys):
+        kernel_module.serialize_groundstate.cache_clear()
+        bodies = self.serializations(monkeypatch)
+        assert self.json_output(9, tmp_path, capsys) == cache_path(tmp_path, 9).read_text()
+        assert len(bodies) == 1  # the save's; the output costs none
+
+    def test_hit_in_a_fresh_process_prints_the_file(self, tmp_path):
+        groundstate(9, cache_dir=tmp_path)
+        path = cache_path(tmp_path, 9)
+        settle(path)
+        src = Path(kernel_module.__file__).parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "brauerloop.cli", "groundstate", "--length", "9",
+             "--format", "json", "--cache-dir", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == path.read_bytes()
+
+    def test_hit_costs_one_serialization(self, tmp_path, monkeypatch, capsys):
         groundstate(9, cache_dir=tmp_path)
         path = cache_path(tmp_path, 9)
         settle(path)
         kernel_module._memoised_read.cache_clear()
-        lengths = self.serializations(monkeypatch)
+        kernel_module.serialize_groundstate.cache_clear()
+        bodies = self.serializations(monkeypatch)
         assert self.json_output(9, tmp_path, capsys) == path.read_text()
-        assert lengths == [9]  # the canonical decode's check; the output costs none
-        assert kernel_module._accepted_texts.get() is None  # no text kept
-        # A memoised load has no text at hand, so its state is serialized.
-        lengths.clear()
+        assert len(bodies) == 1  # the canonical decode's check; the output costs none
+        # A memoised hit whose text is still memoised costs none, and one whose
+        # text is not costs one.
+        bodies.clear()
         assert self.json_output(9, tmp_path, capsys) == path.read_text()
-        assert lengths == [9]
-
-    def test_file_only_the_json_decoder_accepts_is_serialized(self, tmp_path, capsys):
-        state = groundstate(6, cache_dir=tmp_path)
-        path = cache_path(tmp_path, 6)
-        # The checksum does not cover the final newline, so `_json_state` accepts the file.
-        path.write_text(path.read_text().removesuffix("\n"))
-        assert load_cached_groundstate(tmp_path, 6) == state
-        assert self.json_output(6, tmp_path, capsys) == serialize_groundstate(state)
-        assert serialize_groundstate(state) != path.read_text()
+        assert bodies == []
+        kernel_module.serialize_groundstate.cache_clear()
+        assert self.json_output(9, tmp_path, capsys) == path.read_text()
+        assert len(bodies) == 1
 
 
 class TestCache:
@@ -872,6 +890,13 @@ class TestCache:
         assert load_cached_groundstate(tmp_path / "deep" / "nest", 4) == gs
 
 
+def with_checksum(text):
+    """The text with its leading checksum recomputed over what follows it, as the writer hashes."""
+    checksum, rest = re.fullmatch(r'\{"checksum":"(\w{64})",(.*)', text, re.DOTALL).groups()
+    body = "{" + rest.removesuffix("\n")
+    return text.replace(checksum, hashlib.sha256(body.encode()).hexdigest(), 1)
+
+
 def rechecksummed(change):
     """A corruption of the L = 6 payload that is written with a matching checksum."""
     def corrupt(text):
@@ -894,14 +919,28 @@ class TestCanonicalDecode:
             state = groundstate(length, cache_dir=tmp_path)
             text = cache_path(tmp_path, length).read_text()
             decoded = kernel_module._canonical_state(text, length)
-            assert decoded == kernel_module._json_state(text, length) == state
+            assert decoded == decode_by_json(text, length) == state
             assert deserialize_groundstate(text, length) == state
 
-    def test_file_without_final_newline_is_read_by_json(self):
-        state = groundstate(6)
-        text = serialize_groundstate(state).removesuffix("\n")
-        assert kernel_module._canonical_state(text, 6) is None
-        assert deserialize_groundstate(text, 6) == state
+    @pytest.mark.parametrize("relayout", [
+        lambda text: text.removesuffix("\n"),
+        lambda text: with_checksum(text.replace('"length":6', '"length": 6')),
+    ], ids=["newline-stripped", "re-spaced"])
+    def test_file_in_another_layout_is_refused(self, tmp_path, capsys, relayout):
+        # Every field checks out, checksum included, but no writer makes this text.
+        state = groundstate(6, cache_dir=tmp_path)
+        path = cache_path(tmp_path, 6)
+        text = relayout(path.read_text())
+        assert decode_by_json(text, 6) == state
+        path.write_text(text)
+        message = "ground-state cache is not in the canonical layout"
+        with pytest.raises(CacheCorruptError, match=f"^{message}$"):
+            deserialize_groundstate(text, 6)
+        with pytest.raises(CacheCorruptError,
+                           match=rf"^cache file groundstate-L06\.json: {message}$"):
+            load_cached_groundstate(tmp_path, 6)
+        assert main(["groundstate", "--length", "6", "--cache-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr() == ("", f"error: cache file groundstate-L06.json: {message}\n")
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda text: re.sub(r'"weight":"(\d+)"', lambda w: f'"weight":"{int(w[1]) + 1}"',
