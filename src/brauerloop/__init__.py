@@ -1,98 +1,20 @@
 """Exact integer ground states of the periodic Brauer loop model on chord diagrams."""
 
-from .checks import (
-    REFERENCE,
-    CheckResult,
-    MonteCarloReport,
-    ReferenceOracles,
-    concatenate_labels,
-    long_permutation_sequence,
-    monte_carlo_crosscheck,
-    permutation_weight_table,
-    verify_degrees,
-    verify_factorization,
-    verify_integrality,
-    verify_maximality,
-    verify_sum_rule,
-)
-from .counting import (
-    NonIntegerError,
-    OddProductError,
-    class_count,
-    double_factorial,
-    euler_totient,
-    involution_term,
-    pairings_fixed_by_rotation,
-)
-from .diagrams import (
-    DEFECT,
-    BasisTooLargeError,
-    DiagramBasis,
-    Orbits,
-    compute_orbits,
-    enumerate_diagrams,
-)
-from .generators import RelationReport, check_relations, transition_table
-from .hamiltonian import (
-    IntensityMatrix,
-    annihilates,
-    build_reduced,
-    connectivity_check,
-)
-from .kernel import (
-    CacheCorruptError,
-    DisconnectedMatrixError,
-    GroundState,
-    KernelDimensionError,
-    MixedSignsError,
-    RefinementError,
-    groundstate,
-    kernel_vector,
-)
+from . import checks, counting, diagrams, generators, hamiltonian, kernel
+from .checks import *
+from .counting import *
+from .diagrams import *
+from .generators import *
+from .hamiltonian import *
+from .kernel import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "REFERENCE",
-    "CheckResult",
-    "MonteCarloReport",
-    "ReferenceOracles",
-    "concatenate_labels",
-    "long_permutation_sequence",
-    "monte_carlo_crosscheck",
-    "permutation_weight_table",
-    "verify_degrees",
-    "verify_factorization",
-    "verify_integrality",
-    "verify_maximality",
-    "verify_sum_rule",
-    "NonIntegerError",
-    "OddProductError",
-    "class_count",
-    "double_factorial",
-    "euler_totient",
-    "involution_term",
-    "pairings_fixed_by_rotation",
-    "DEFECT",
-    "BasisTooLargeError",
-    "DiagramBasis",
-    "Orbits",
-    "compute_orbits",
-    "enumerate_diagrams",
-    "RelationReport",
-    "check_relations",
-    "transition_table",
-    "IntensityMatrix",
-    "annihilates",
-    "build_reduced",
-    "connectivity_check",
-    "CacheCorruptError",
-    "DisconnectedMatrixError",
-    "GroundState",
-    "KernelDimensionError",
-    "MixedSignsError",
-    "RefinementError",
-    "groundstate",
-    "kernel_vector",
-    "__version__",
-]
+__all__ = []
+__all__ += checks.__all__
+__all__ += counting.__all__
+__all__ += diagrams.__all__
+__all__ += generators.__all__
+__all__ += hamiltonian.__all__
+__all__ += kernel.__all__
+__all__ += ["__version__"]

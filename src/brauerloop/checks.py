@@ -22,6 +22,11 @@ The Monte Carlo cross-check steps the uniformised chain on the (2L, N)
 
 from __future__ import annotations
 
+__all__ = ["REFERENCE", "CheckResult", "MonteCarloReport", "ReferenceOracles",
+           "concatenate_labels", "long_permutation_sequence", "monte_carlo_crosscheck",
+           "permutation_weight_table", "verify_degrees", "verify_factorization",
+           "verify_integrality", "verify_maximality", "verify_sum_rule"]
+
 import math
 import random
 from dataclasses import dataclass

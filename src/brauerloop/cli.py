@@ -39,7 +39,7 @@ def resolve_cache_dir(flag_value):
 
 
 def at_least(minimum: int):
-    """An argparse int type refusing values below `minimum`, so no check runs over nothing."""
+    """An argparse int type refusing values below `minimum` as a usage error, before any work."""
     def parse(text: str) -> int:
         if (value := int(text)) < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
@@ -225,15 +225,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count-classes", help="closed-form class counts vs enumeration")
     p.add_argument("--max-n", type=at_least(1), required=True)
-    p.add_argument("--max-enumerate-length", type=int, default=14,
+    p.add_argument("--max-enumerate-length", type=at_least(2), default=14,
                    help="largest length to cross-check by explicit enumeration")
     p.set_defaults(func=cmd_count_classes)
 
     p = sub.add_parser("simulate", help="Monte Carlo cross-check of one ground state")
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--samples", type=at_least(100), default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--burn-in", type=int, default=None)
+    p.add_argument("--burn-in", type=at_least(0), default=None)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--z-limit", type=float, default=None,
                    help="fail (exit 1) if any orbit z-score exceeds this bound")

@@ -10,6 +10,9 @@ rotation terms come out right.
 
 from __future__ import annotations
 
+__all__ = ["NonIntegerError", "OddProductError", "class_count", "double_factorial",
+           "euler_totient", "involution_term", "pairings_fixed_by_rotation"]
+
 from math import comb, factorial
 
 

@@ -42,6 +42,9 @@ they drive the verification suite in :mod:`brauerloop.checks`.
 
 from __future__ import annotations
 
+__all__ = ["DEFECT", "BasisTooLargeError", "DiagramBasis", "Orbits", "compute_orbits",
+           "enumerate_diagrams"]
+
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -135,8 +138,11 @@ class BasisTooLargeError(ValueError):
 
 
 def _ranks_fit(length: int) -> bool:
-    """Whether the largest rank key of the length, base**L - 1, fits in uint64 (L <= 16)."""
-    return (length + length % 2) ** length <= 2**64
+    """Whether the largest rank key of the length, base**L - 1, fits in uint64 (L <= 16).
+
+    A length below 2 counts as fitting; `_validated` refuses it as no diagram.
+    """
+    return length < 2 or (length + length % 2) ** length <= 2**64
 
 
 def _key(partners: np.ndarray) -> np.ndarray:
@@ -164,10 +170,9 @@ class DiagramBasis:
     __slots__ = ("length", "partners", "_keys")
 
     def __init__(self, length: int, partners):
+        require_rankable(length)
         self.length = length
         self.partners = _validated(length, partners)
-        if not _ranks_fit(length):
-            raise ValueError(f"length {length} is too long to rank diagrams in 64 bits")
         self._keys = _key(self.partners)
         if np.any(self._keys[1:] <= self._keys[:-1]):
             raise ValueError("basis diagrams must be in strictly increasing order")

@@ -22,6 +22,8 @@ diagram of a given length and reports a counterexample on failure.
 
 from __future__ import annotations
 
+__all__ = ["RelationReport", "check_relations", "transition_table"]
+
 from dataclasses import dataclass
 from itertools import chain
 

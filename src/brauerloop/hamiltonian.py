@@ -30,6 +30,8 @@ representatives' columns are one gather.
 
 from __future__ import annotations
 
+__all__ = ["IntensityMatrix", "annihilates", "build_reduced", "connectivity_check"]
+
 from dataclasses import dataclass
 
 import numpy as np

@@ -26,6 +26,9 @@ those as strings with the enumerated orbits.
 
 from __future__ import annotations
 
+__all__ = ["CacheCorruptError", "DisconnectedMatrixError", "GroundState", "KernelDimensionError",
+           "MixedSignsError", "RefinementError", "groundstate", "kernel_vector"]
+
 import hashlib
 import json
 import math

@@ -9,14 +9,18 @@ of `build_reduced` and `GroundState.expand` are oracles too.
 Labels are plain tuples, so the label classes and `orbit_labels` are gone
 too, and the solver reads `IntensityMatrix`'s own entry arrays, so no second
 sparse type (`_Sparse`) remains.
+Each library module lists its public names in its own `__all__`, and the
+package republishes those lists by star import, in module order.
 """
 
+import ast
 import dataclasses
 import inspect
 
 import pytest
 
 import brauerloop
+from brauerloop import checks, counting, diagrams, generators, hamiltonian, kernel
 from brauerloop.diagrams import DiagramBasis, Orbits
 from brauerloop.generators import RelationReport, check_relations
 from brauerloop.hamiltonian import IntensityMatrix, annihilates, build_reduced
@@ -46,6 +50,8 @@ ORACLES = [
     "_event_table", "equivariance_gate", "expand", "normalize_integer",
 ]
 
+MODULES = [checks, counting, diagrams, generators, hamiltonian, kernel]
+
 def test_exports_are_the_pipeline():
     assert brauerloop.__all__ == PUBLIC
     assert len(PUBLIC) == 42
@@ -74,3 +80,45 @@ def test_no_test_only_fields_or_parameters():
         assert not hasattr(owner, name), f"{owner.__name__}.{name}"
     with pytest.raises(TypeError):
         iter(DiagramBasis(2, [[1, 0]]))
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
+def test_module_lists_its_own_names(module):
+    for name in module.__all__:
+        value = getattr(module, name)
+        assert getattr(brauerloop, name) is value, name
+        if callable(value):
+            assert value.__module__ == module.__name__, name
+
+
+def test_only_constants_are_not_classes_or_functions():
+    constants = [name for module in MODULES for name in module.__all__
+                 if not callable(getattr(module, name))]
+    assert constants == ["REFERENCE", "DEFECT"]
+
+
+def test_no_name_in_two_module_lists():
+    names = [name for module in MODULES for name in module.__all__]
+    assert len(names) == len(set(names))
+
+
+def test_package_list_is_the_module_lists_in_order():
+    names = [name for module in MODULES for name in module.__all__]
+    assert brauerloop.__all__ == names + ["__version__"]
+
+
+def test_star_import_binds_exactly_the_package_list():
+    namespace = {}
+    exec("from brauerloop import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(brauerloop.__all__)
+
+
+def test_package_imports_no_public_name_by_name():
+    # Only `from . import <modules>` and `from .<module> import *`: each public
+    # name is written once, in its module's `__all__`.
+    tree = ast.parse(inspect.getsource(brauerloop))
+    imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    modules = [module.__name__.rsplit(".", 1)[1] for module in MODULES]
+    assert [(node.module, [alias.name for alias in node.names]) for node in imports] == (
+        [(None, modules)] + [(module, ["*"]) for module in modules])

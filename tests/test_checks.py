@@ -436,8 +436,9 @@ class TestMonteCarlo:
         code = main(["simulate", "--length", "4", "--samples", "1000", "--burn-in", "-5",
                      "--cache-dir", str(tmp_path)])
         captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == (
-            3, "", "error: burn_in must be >= 0, got -5\n")
+        # A usage error, refused by the parser; the library's own check is above.
+        assert (code, captured.out) == (2, "")
+        assert captured.err.endswith("error: argument --burn-in: must be at least 0, got -5\n")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("length, other", [(3, 2), (8, 6)])

@@ -209,6 +209,21 @@ class TestErrors:
                             f"got {argv[2]}\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, value, floor", [
+        ("--samples", "0", 100), ("--samples", "-5", 100), ("--samples", "99", 100),
+        ("--burn-in", "-3", 0), ("--max-enumerate-length", "0", 2),
+        ("--max-enumerate-length", "1", 2),
+    ])
+    def test_out_of_range_refused(self, flag, value, floor, capsys, tmp_path, monkeypatch):
+        # Refused as usage (exit 2) by the parser, before anything is enumerated or solved.
+        monkeypatch.chdir(tmp_path)
+        command = (["count-classes", "--max-n", "3"] if flag == "--max-enumerate-length"
+                   else ["simulate", "--length", "4"])
+        code, out, err = run(capsys, *command, flag, value)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {flag}: must be at least {floor}, got {value}\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("cached", [False, True])
     def test_groundstate_ceiling_refused_before_the_cache(self, cached, capsys, tmp_path):
         # A checksummed L = 17 file in the cache changes neither the exit code

@@ -207,6 +207,24 @@ class TestResourceGuard:
         assert f"({count * length:,} bytes of partner array)" in message
         assert isinstance(info.value, ValueError)
 
+    @pytest.mark.parametrize("row", [
+        [1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14, DEFECT],  # a diagram
+        [0] * 17,  # no diagram: the length is refused before the row is read
+    ])
+    def test_direct_basis_refused_like_the_enumeration(self, row):
+        with pytest.raises(BasisTooLargeError) as enumerated:
+            enumerate_diagrams(17)
+        with pytest.raises(BasisTooLargeError) as direct:
+            DiagramBasis(17, np.array([row]))
+        assert str(direct.value) == str(enumerated.value)
+
+    def test_short_lengths_reach_row_validation(self):
+        # Only the rows' check names a length below 2, for every such length.
+        for length in (-3, -2, -1, 0, 1):
+            assert diagrams_module._ranks_fit(length)
+            with pytest.raises(ValueError, match="a diagram needs at least 2 sites"):
+                DiagramBasis(length, np.zeros((1, 1), dtype=np.int8))
+
     def test_sixteen_is_the_last_rankable_length(self):
         assert diagrams_module._ranks_fit(16)
         assert not diagrams_module._ranks_fit(17)
