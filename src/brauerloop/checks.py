@@ -16,8 +16,9 @@ texts show a label in its compact form in parentheses, as in "(2431)".
 The stored reference constants are write-once; the long-permutation weights
 are the opening terms of OEIS A094579.
 
-The Monte Carlo cross-check steps the uniformised chain on the (2L, N)
-`transition_table` itself, one gather per step (`_trajectory`).
+The Monte Carlo cross-check steps the uniformised chain on the
+`transition_table`, or on a copy of it with one row per event when that copy
+is smaller than the events, one gather per step (`_trajectory`).
 """
 
 from __future__ import annotations
@@ -302,7 +303,7 @@ def _event_chunks(rng: random.Random, n: int, count: int, size: int) -> Iterator
         while held < want:
             words = rng.getrandbits(32 * _DRAW_WORDS).to_bytes(4 * _DRAW_WORDS, "little")
             draws = np.frombuffer(words, dtype="<u4") >> shift
-            pieces.append(draws[draws < n].astype(np.uint8))
+            pieces.append(draws.compress(draws < n).astype(np.uint8))
             held += len(pieces[-1])
         joined = np.concatenate(pieces)
         yield joined[:want]
@@ -312,9 +313,14 @@ def _event_chunks(rng: random.Random, n: int, count: int, size: int) -> Iterator
 def _trajectory(table: np.ndarray, start: int, events: np.ndarray) -> np.ndarray:
     """The states after each event from `start`, stepping the (2L, N) `transition_table`.
 
-    Event 3a or 3a+1 is the monoid move at site a+1 (row a), event 3a+2 its
-    braid move (row L+a); on the flattened table event e sends state x to
-    offset[e] + x, the start of its row plus x. The states, and the table
+    Event 3a or 3a+1 is the monoid move at site a+1 (table row a), event 3a+2
+    its braid move (row L+a). Each step is one multiply-add and one gather:
+    on a flat table whose row m holds the move m, move m sends state x to
+    m * N + x. When a copy with one row per event holds no more entries than
+    there are events (3L * N <= len(events), as at L <= 10 for a full chunk),
+    the table is that copy and the moves are the events; otherwise it is the
+    (2L, N) table itself and the moves are the events' rows, looked up once
+    per event. Either way no step looks up a row. The states, and the
     entries they are read from, are uint8 up to 2**8 diagrams, uint16 up to
     2**16, else int32.
 
@@ -329,11 +335,15 @@ def _trajectory(table: np.ndarray, start: int, events: np.ndarray) -> np.ndarray
     """
     size, count = len(table) // 2, table.shape[1]
     dtype = np.uint8 if count <= 2**8 else np.uint16 if count <= 2**16 else np.int32
-    flat = table.ravel().astype(dtype, copy=False)  # a copy of at most 2L * 2**16 entries
-    offset = np.repeat(np.arange(size, dtype=np.intp) * count, 3)
-    offset[2::3] += size * count
+    rows = np.arange(size, dtype=np.uint8).repeat(3)  # the table row of each event
+    rows[2::3] += size
+    if 3 * size * count <= len(events):
+        flat, moves = table.astype(dtype, copy=False)[rows].ravel(), events
+    else:
+        flat, moves = table.ravel().astype(dtype, copy=False), rows.take(events)
+    count = np.intp(count)
     blocks = -(-len(events) // _BLOCK_STEPS)
-    padded = np.pad(events, (0, blocks * _BLOCK_STEPS - len(events)))
+    padded = np.pad(moves, (0, blocks * _BLOCK_STEPS - len(events)))
     # Step-major layouts: row j holds step j of every block.
     moves = np.ascontiguousarray(padded.reshape(blocks, _BLOCK_STEPS).T)
     states = np.empty((_BLOCK_STEPS, blocks), dtype=dtype)
@@ -341,7 +351,9 @@ def _trajectory(table: np.ndarray, start: int, events: np.ndarray) -> np.ndarray
     guess[0] = start
     state = guess
     for row, move in zip(states, moves):
-        np.take(flat, np.take(offset, move) + state, out=row)
+        index = move * count
+        index += state
+        row[...] = flat.take(index)
         state = row
     while True:
         ends = np.concatenate((guess[:1], states[-1, :-1]))
@@ -350,7 +362,7 @@ def _trajectory(table: np.ndarray, start: int, events: np.ndarray) -> np.ndarray
             return states.T.ravel()[: len(events)]
         guess[run] = state = ends[run]
         for row, move in zip(states, moves):
-            state = flat[offset[move[run]] + state]
+            state = flat[move[run] * count + state]
             moved = state != row[run]
             run, state = run[moved], state[moved]
             if not run.size:

@@ -38,13 +38,16 @@ def resolve_cache_dir(flag_value):
     return ".brauer-cache"
 
 
-def at_least(minimum: int):
-    """An argparse int type refusing values below `minimum` as a usage error, before any work."""
-    def parse(text: str) -> int:
-        if (value := int(text)) < minimum:
+def at_least(minimum: int | float):
+    """An argparse type of the minimum's number type (int or float) refusing values
+    below `minimum`, NaN included, as a usage error, before any work."""
+    kind = type(minimum)
+
+    def parse(text: str):
+        if not (value := kind(text)) >= minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
         return value
-    parse.__name__ = "int"  # named in argparse's message for a non-integer
+    parse.__name__ = kind.__name__  # named in argparse's message for a malformed number
     return parse
 
 
@@ -199,12 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="result cache directory (default: $BRAUER_CACHE_DIR or .brauer-cache)")
 
     p = sub.add_parser("enumerate", help="list diagrams or symmetry classes")
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--length", type=at_least(2), required=True)
     p.add_argument("--classes", action="store_true", help="one row per orbit with its size")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("groundstate", help="compute the exact ground state of one length")
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--length", type=at_least(2), required=True)
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     add_common(p)
     p.set_defaults(func=cmd_groundstate)
@@ -230,12 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count_classes)
 
     p = sub.add_parser("simulate", help="Monte Carlo cross-check of one ground state")
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--length", type=at_least(2), required=True)
     p.add_argument("--samples", type=at_least(100), default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--burn-in", type=at_least(0), default=None)
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--z-limit", type=float, default=None,
+    p.add_argument("--z-limit", type=at_least(0.0), default=None,
                    help="fail (exit 1) if any orbit z-score exceeds this bound")
     add_common(p)
     p.set_defaults(func=cmd_simulate)

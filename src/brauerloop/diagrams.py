@@ -146,13 +146,29 @@ def _ranks_fit(length: int) -> bool:
 
 
 def _key(partners: np.ndarray) -> np.ndarray:
-    """The uint64 rank key of each row of an (M, L) partner array (see `DiagramBasis`)."""
-    shift = partners.shape[1] % 2
-    base = partners.shape[1] + shift
-    keys = np.zeros(len(partners), dtype=np.uint64)
-    for column in partners.T:
-        keys *= np.uint64(base)
-        keys += (column + shift).astype(np.uint64)
+    """The uint64 rank key of each row of an (M, L) int8 partner array (see `DiagramBasis`).
+
+    The first L - L//2 digits and the last L//2 are each read into a uint32
+    half, the digits added as uint8 (an int8 partner shifted to 0..L is its
+    digit), and the halves joined as high * base**(L//2) + low in uint64:
+    half the bytes of a uint64 pass per digit.
+    """
+    size = partners.shape[1]
+    shift = size % 2
+    base = size + shift
+    split = size - size // 2
+    assert base**split <= 2**32, "each half of a rank key must fit in 32 bits"
+
+    def half(columns) -> np.ndarray:
+        keys = np.zeros(len(partners), dtype=np.uint32)
+        for column in columns:
+            keys *= np.uint32(base)
+            keys += (column + shift if shift else column).view(np.uint8)
+        return keys
+
+    keys = half(partners.T[:split]).astype(np.uint64)
+    keys *= np.uint64(base ** (size // 2))
+    keys += half(partners.T[split:])
     return keys
 
 
@@ -424,11 +440,17 @@ def representative_codes(length: int) -> tuple[str, ...]:
     """The encoded orbit representatives of the shared orbits, in orbit order.
 
     Their rows are gathered from the site-major basis by fancy indexing, which
-    reads it several times faster than `take(..., axis=0)` does.
+    reads it several times faster than `take(..., axis=0)` does. Each partner
+    becomes a 3-byte token, its text and then a comma (a newline at the last
+    site), padded with NUL bytes; the tokens of all rows are one byte buffer,
+    which drops the NULs and splits into lines.
     """
-    tokens = np.array([".", *map(str, range(1, length + 1))], dtype=object)
-    rows = shared_basis(length).partners[shared_orbits(length).representatives]
-    return tuple(map(",".join, tokens[rows + 1].tolist()))
+    text = [".", *map(str, range(1, length + 1))]
+    tokens = np.array([*(t + "," for t in text), *(t + "\n" for t in text)], dtype="S3")
+    # Partner j is token j + 1 (after DEFECT's), or j + L + 2 at the last site.
+    rows = shared_basis(length).partners[shared_orbits(length).representatives] + 1
+    rows[:, -1] += length + 1
+    return tuple(tokens[rows].tobytes().replace(b"\0", b"").decode().splitlines())
 
 
 @lru_cache(maxsize=16)
@@ -441,27 +463,35 @@ def shared_orbit_labels(length: int) -> tuple[tuple[tuple, ...], ...]:
     diagram whose right block {n+2..L} pairs only into the left block
     {1..n+1} is labelled by the partial permutation sending left site i to
     its partner minus (n + 1), as its image of the n+1 left sites with None
-    at the defect. The labelled rows are picked with one mask over the
-    partner array, gathered by fancy indexing (as in `representative_codes`)
+    at the defect. The labelled rows are picked with one mask, built column
+    by column, gathered by fancy indexing (as in `representative_codes`)
     and read through one value table, so only those n! (even) or (n+1)!
-    (odd) rows become tuples.
+    (odd) rows become tuples, zipped from the columns. Only the orbits that
+    hold a labelled row build a group; the others share the empty tuple.
     """
     partners = shared_basis(length).partners
     orbits = shared_orbits(length)
     half, odd = length // 2, length % 2
-    if odd:
-        right = partners[:, half + 1 :]
-        labelled = np.all((right != DEFECT) & (right <= half), axis=1)
+    labelled = np.ones(len(partners), dtype=bool)
+    if odd:  # DEFECT (-1) reads as 255 in uint8, above every left site
+        for column in partners.T[half + 1 :]:
+            labelled &= column.view(np.uint8) <= half
     else:
-        labelled = np.all(partners[:, :half] >= half, axis=1)
+        for column in partners.T[:half]:
+            labelled &= column >= half
     rows = np.flatnonzero(labelled)
     owner = orbits.orbit_of.take(rows)
     rows = rows[np.argsort(owner, kind="stable")]  # orbit by orbit, members in basis order
     # Partner j reads as j - n + 1 (even L) or j - n (odd L), at index j + 1 after DEFECT's.
     values = np.array([None, *range(1 - half - odd, length + 1 - half - odd)], dtype=object)
-    labels = list(map(tuple, values[partners[rows, : half + odd] + 1].tolist()))
-    ends = np.cumsum(np.bincount(owner, minlength=len(orbits))).tolist()
-    return tuple(tuple(labels[start:end]) for start, end in zip([0, *ends], ends))
+    labels = list(zip(*values[partners[rows, : half + odd].T + 1].tolist()))
+    groups = [()] * len(orbits)
+    sizes = np.bincount(owner, minlength=len(orbits))
+    filled = np.flatnonzero(sizes)
+    ends = np.cumsum(sizes[filled]).tolist()
+    for k, start, end in zip(filled.tolist(), [0, *ends], ends):
+        groups[k] = tuple(labels[start:end])
+    return tuple(groups)
 
 
 def label_text(label: tuple) -> str:

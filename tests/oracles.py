@@ -25,6 +25,9 @@
 * `rotate`, `reflect` and `canonical_representative`: the dihedral action on
   one diagram and its lexicographically smallest image, the oracles of the
   `step` and `mirror` maps and the representatives of `compute_orbits`.
+* `key_by_digits`: the rank key of one partner row as a Python integer,
+  read digit by digit in base L + L % 2; the oracle of the two 32-bit
+  halves of `diagrams._key`.
 * `rotate_partners`: the rotation of a whole partner array, which
   `orbits_by_image_keys` ranks; the oracle of the digit arithmetic of
   `diagrams._step_keys`.
@@ -335,6 +338,16 @@ def _dihedral_images(p: tuple[int, ...]):
 def canonical_representative(diagram: ChordDiagram) -> ChordDiagram:
     """Lexicographically smallest of the 2L dihedral images of the diagram."""
     return ChordDiagram(min(_dihedral_images(diagram.partner)))
+
+
+def key_by_digits(partner) -> int:
+    """The rank key of one partner row: its partners, shifted by one for odd L so
+    that DEFECT is digit 0, read as a base L + L % 2 number, site 0 first."""
+    shift = len(partner) % 2
+    key = 0
+    for j in partner:
+        key = key * (len(partner) + shift) + j + shift
+    return key
 
 
 def rotate_partners(partners: np.ndarray, k: int) -> np.ndarray:

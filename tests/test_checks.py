@@ -336,13 +336,19 @@ class TestMonteCarlo:
                 found.extend(_trajectory(table, x, np.array([event], dtype=np.uint8)).tolist())
             assert found == expected
 
-    @pytest.mark.parametrize("length, dtype", [(8, np.uint8), (9, np.uint16), (13, np.int32)])
+    @pytest.mark.parametrize("length, dtype", [
+        *((length, np.uint8) for length in range(2, 9)),
+        *((length, np.uint16) for length in range(9, 13)),
+        (13, np.int32),
+    ])
     def test_states_take_the_smallest_dtype(self, length, dtype):
+        # Checked against single events on the (2L, N) table, at every state
+        # dtype: uint8 up to L = 8, uint16 for L = 9..12, int32 at L = 13.
         table = table_of(length)
         events = np.random.default_rng(length).integers(0, 3 * length, size=600, dtype=np.uint8)
-        path = _trajectory(table, 5, events)
+        path = _trajectory(table, min(5, table.shape[1] - 1), events)
         assert path.dtype == dtype
-        state, expected = 5, []
+        state, expected = min(5, table.shape[1] - 1), []
         for event in events.tolist():
             state = int(table[event // 3 + length * (event % 3 == 2), state])
             expected.append(state)
@@ -416,6 +422,22 @@ class TestMonteCarlo:
         oracle = monte_carlo_per_step(shared_basis(length), shared_orbits(length), state,
                                       samples, seed, burn_in)
         assert report == oracle
+
+    @pytest.mark.parametrize("length, samples, seed, digest", [
+        (4, 100_000, 3, "5a9991ca7c3c0dfe97f28c555a18796c13c8f28a236878ace11c611088f57482"),
+        (8, 1_000_000, 1, "719e57112c186d95e22d11cdba21dd618f0b2006ccfca5719cb3a3894a7638fc"),
+        (13, 200_000, 7, "255b6c7dc579f43b73a2c038a35a5c5b8f12d2f5549d4343dea918f66177bdb7"),
+    ])
+    def test_simulate_stdout_is_pinned(self, length, samples, seed, digest, capsys, tmp_path):
+        # The SHA-256 of three seeded tables: the event stream, the path, the
+        # visit counts and the report's float arithmetic must not move. These
+        # batch means print the same under the compensated float sum of
+        # Python 3.12 and later.
+        code = main(["simulate", "--length", str(length), "--samples", str(samples),
+                     "--seed", str(seed), "--cache-dir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from brauerloop import BasisTooLargeError, enumerate_diagrams
-from brauerloop.cli import main, resolve_cache_dir
+from brauerloop.cli import build_parser, main, resolve_cache_dir
 from brauerloop.kernel import cache_path
 
 
@@ -169,11 +169,12 @@ class TestErrors:
     def test_unknown_flag_rejected(self, capsys):
         assert run(capsys, "enumerate", "--length", "4", "--bogus")[0] == 2
 
-    def test_internal_error_exit_code(self, capsys):
-        code, _, err = run(capsys, "groundstate", "--length", "1",
-                           "--cache-dir", "/tmp/unused-bl-cache")
+    def test_internal_error_exit_code(self, capsys, tmp_path):
+        # A cache file that is not the writer's text is an internal error.
+        cache_path(tmp_path, 4).write_text("{}\n")
+        code, _, err = run(capsys, "groundstate", "--length", "4", "--cache-dir", str(tmp_path))
         assert code == 3
-        assert "error:" in err
+        assert err.startswith("error:")
 
     @pytest.mark.parametrize("argv, largest", [
         (["verify", "--max-length", "17", "--cache-dir", "CACHE"], 17),
@@ -223,6 +224,32 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err.endswith(f"error: argument {flag}: must be at least {floor}, got {value}\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["enumerate", "--length", "1"], "--length: must be at least 2, got 1"),
+        (["enumerate", "--length", "1", "--classes"], "--length: must be at least 2, got 1"),
+        (["groundstate", "--length", "0"], "--length: must be at least 2, got 0"),
+        (["groundstate", "--length", "-3"], "--length: must be at least 2, got -3"),
+        (["simulate", "--length", "1"], "--length: must be at least 2, got 1"),
+        (["simulate", "--length", "4", "--z-limit", "-1"],
+         "--z-limit: must be at least 0.0, got -1.0"),
+        (["simulate", "--length", "4", "--z-limit", "nan"],
+         "--z-limit: must be at least 0.0, got nan"),
+        (["simulate", "--length", "4", "--z-limit", "x"], "--z-limit: invalid float value: 'x'"),
+    ])
+    def test_length_and_z_limit_refused(self, argv, message, capsys, tmp_path, monkeypatch):
+        # A length below 2 has no diagram and a negative z-score bound is
+        # exceeded by every run: both are usage errors (exit 2), refused by
+        # the parser before the library's own checks or any work.
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_z_limit_accepted(self):
+        args = build_parser().parse_args(["simulate", "--length", "2", "--z-limit", "0"])
+        assert (args.length, args.z_limit) == (2, 0.0)
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_groundstate_ceiling_refused_before_the_cache(self, cached, capsys, tmp_path):

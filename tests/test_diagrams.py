@@ -20,8 +20,9 @@ from brauerloop import (
 )
 import brauerloop.diagrams as diagrams_module
 from brauerloop.counting import class_count, double_factorial
-from brauerloop.diagrams import (_key, _step_keys, _validated, conjugate, inverse_of, label_text,
-                                 rotation_minimum, shared_basis, shared_orbits)
+from brauerloop.diagrams import (_key, _step_keys, _validated, conjugate, encode_partners,
+                                 inverse_of, label_text, representative_codes, rotation_minimum,
+                                 shared_basis, shared_orbit_labels, shared_orbits)
 
 from conftest import (
     STRETCH,
@@ -39,6 +40,7 @@ from conftest import (
 from oracles import (
     ChordDiagram,
     canonical_representative,
+    key_by_digits,
     partial_permutation_label,
     per_site_diagrams,
     permutation_label,
@@ -389,6 +391,38 @@ def edge_rows(length):
     return np.array(rows, dtype=np.int8)
 
 
+def extreme_rows(length):
+    """The lexicographically smallest and largest diagrams: the smallest pairs
+    neighbours after a defect at site 0 (odd L), the largest nests every chord
+    around the middle site, the defect for odd L."""
+    nested = [site for i in range(length // 2) for site in (i, length - 1 - i)]
+    return np.array([paired(length, range(length % 2, length)), paired(length, nested)],
+                    dtype=np.int8)
+
+
+class TestRankKeys:
+    """`_key` against the digit-by-digit oracle `key_by_digits`."""
+
+    @pytest.mark.parametrize("length", range(2, 17))
+    def test_matches_mixed_radix_oracle(self, length):
+        rows = np.concatenate((extreme_rows(length), edge_rows(length)))
+        if length <= 14:
+            partners = shared_basis(length).partners
+            rows = np.concatenate((rows, partners[:: max(1, len(partners) // 4000)]))
+        expected = [key_by_digits(row) for row in rows.tolist()]
+        assert _key(rows).tolist() == expected
+        assert _key(np.asfortranarray(rows)).tolist() == expected
+        smallest, largest = expected[:2]
+        assert smallest <= largest < (length + length % 2) ** length <= 2**64
+        if length == 16:
+            assert largest == 0xFEDCBA9876543210  # each 32-bit half near its top
+
+    @settings(max_examples=200, deadline=None)
+    @given(partner_rows())
+    def test_random_rows_match_oracle(self, rows):
+        assert _key(rows).tolist() == [key_by_digits(row) for row in rows.tolist()]
+
+
 class TestStepKeys:
     """`_step_keys` ranks the forward rotation by digit arithmetic."""
 
@@ -686,6 +720,24 @@ class TestLabels:
         found = [lab for lab in labels if lab is not None]
         assert len(found) == expected
         assert len(set(found)) == expected  # labels are distinct
+
+
+class TestCodesAndLabels:
+    """`representative_codes` and `shared_orbit_labels` against the per-row oracles."""
+
+    @pytest.mark.parametrize("length", range(2, 15))
+    def test_match_per_row_oracles(self, length):
+        basis, orbits = shared_basis(length), shared_orbits(length)
+        rows = basis.partners.tolist()
+        assert representative_codes(length) == tuple(
+            encode_partners(rows[x]) for x in orbits.representatives.tolist())
+        label = partial_permutation_label if length % 2 else permutation_label
+        groups = [[] for _ in range(len(orbits))]
+        for row, owner in zip(rows, orbits.orbit_of.tolist()):
+            found = label(ChordDiagram(tuple(row)))
+            if found is not None:
+                groups[owner].append(found)
+        assert shared_orbit_labels(length) == tuple(map(tuple, groups))
 
 
 class TestLabelTypes:
