@@ -16,9 +16,8 @@ texts show a label in its compact form in parentheses, as in "(2431)".
 The stored reference constants are write-once; the long-permutation weights
 are the opening terms of OEIS A094579.
 
-The Monte Carlo cross-check steps the uniformised chain on the
-`transition_table`, or on a copy of it with one row per event when that copy
-is smaller than the events, one gather per step (`_trajectory`).
+The Monte Carlo cross-check steps the uniformised chain on the (2L, N)
+`transition_table` itself, one gather per step (`_trajectory`).
 """
 
 from __future__ import annotations
@@ -314,13 +313,9 @@ def _trajectory(table: np.ndarray, start: int, events: np.ndarray) -> np.ndarray
     """The states after each event from `start`, stepping the (2L, N) `transition_table`.
 
     Event 3a or 3a+1 is the monoid move at site a+1 (table row a), event 3a+2
-    its braid move (row L+a). Each step is one multiply-add and one gather:
-    on a flat table whose row m holds the move m, move m sends state x to
-    m * N + x. When a copy with one row per event holds no more entries than
-    there are events (3L * N <= len(events), as at L <= 10 for a full chunk),
-    the table is that copy and the moves are the events; otherwise it is the
-    (2L, N) table itself and the moves are the events' rows, looked up once
-    per event. Either way no step looks up a row. The states, and the
+    its braid move (row L+a). Each event is replaced by its table row once
+    per call, so each step is one multiply-add and one gather: on the
+    flattened table, row m sends state x to m * N + x. The states, and the
     entries they are read from, are uint8 up to 2**8 diagrams, uint16 up to
     2**16, else int32.
 
@@ -335,14 +330,12 @@ def _trajectory(table: np.ndarray, start: int, events: np.ndarray) -> np.ndarray
     """
     size, count = len(table) // 2, table.shape[1]
     dtype = np.uint8 if count <= 2**8 else np.uint16 if count <= 2**16 else np.int32
-    rows = np.arange(size, dtype=np.uint8).repeat(3)  # the table row of each event
-    rows[2::3] += size
-    if 3 * size * count <= len(events):
-        flat, moves = table.astype(dtype, copy=False)[rows].ravel(), events
-    else:
-        flat, moves = table.ravel().astype(dtype, copy=False), rows.take(events)
+    flat = table.ravel().astype(dtype, copy=False)  # a copy of at most 2L * 2**16 entries
+    # Row a for events 3a and 3a+1, row L+a for 3a+2, as a bytes.translate table.
+    rows = bytes(e // 3 + size * (e % 3 == 2) for e in range(3 * size)).ljust(256, b"\0")
     count = np.intp(count)
     blocks = -(-len(events) // _BLOCK_STEPS)
+    moves = np.frombuffer(events.tobytes().translate(rows), dtype=np.uint8)
     padded = np.pad(moves, (0, blocks * _BLOCK_STEPS - len(events)))
     # Step-major layouts: row j holds step j of every block.
     moves = np.ascontiguousarray(padded.reshape(blocks, _BLOCK_STEPS).T)

@@ -463,35 +463,27 @@ def shared_orbit_labels(length: int) -> tuple[tuple[tuple, ...], ...]:
     diagram whose right block {n+2..L} pairs only into the left block
     {1..n+1} is labelled by the partial permutation sending left site i to
     its partner minus (n + 1), as its image of the n+1 left sites with None
-    at the defect. The labelled rows are picked with one mask, built column
-    by column, gathered by fancy indexing (as in `representative_codes`)
+    at the defect. The labelled rows are picked with one mask over the
+    partner array, gathered by fancy indexing (as in `representative_codes`)
     and read through one value table, so only those n! (even) or (n+1)!
-    (odd) rows become tuples, zipped from the columns. Only the orbits that
-    hold a labelled row build a group; the others share the empty tuple.
+    (odd) rows become tuples.
     """
     partners = shared_basis(length).partners
     orbits = shared_orbits(length)
     half, odd = length // 2, length % 2
-    labelled = np.ones(len(partners), dtype=bool)
-    if odd:  # DEFECT (-1) reads as 255 in uint8, above every left site
-        for column in partners.T[half + 1 :]:
-            labelled &= column.view(np.uint8) <= half
+    if odd:
+        right = partners[:, half + 1 :]
+        labelled = np.all((right != DEFECT) & (right <= half), axis=1)
     else:
-        for column in partners.T[:half]:
-            labelled &= column >= half
+        labelled = np.all(partners[:, :half] >= half, axis=1)
     rows = np.flatnonzero(labelled)
     owner = orbits.orbit_of.take(rows)
     rows = rows[np.argsort(owner, kind="stable")]  # orbit by orbit, members in basis order
     # Partner j reads as j - n + 1 (even L) or j - n (odd L), at index j + 1 after DEFECT's.
     values = np.array([None, *range(1 - half - odd, length + 1 - half - odd)], dtype=object)
-    labels = list(zip(*values[partners[rows, : half + odd].T + 1].tolist()))
-    groups = [()] * len(orbits)
-    sizes = np.bincount(owner, minlength=len(orbits))
-    filled = np.flatnonzero(sizes)
-    ends = np.cumsum(sizes[filled]).tolist()
-    for k, start, end in zip(filled.tolist(), [0, *ends], ends):
-        groups[k] = tuple(labels[start:end])
-    return tuple(groups)
+    labels = list(map(tuple, values[partners[rows, : half + odd] + 1].tolist()))
+    ends = np.cumsum(np.bincount(owner, minlength=len(orbits))).tolist()
+    return tuple(tuple(labels[start:end]) for start, end in zip([0, *ends], ends))
 
 
 def label_text(label: tuple) -> str:

@@ -431,8 +431,8 @@ class TestMonteCarlo:
     def test_simulate_stdout_is_pinned(self, length, samples, seed, digest, capsys, tmp_path):
         # The SHA-256 of three seeded tables: the event stream, the path, the
         # visit counts and the report's float arithmetic must not move. These
-        # batch means print the same under the compensated float sum of
-        # Python 3.12 and later.
+        # batch means print the same under the left-to-right float sum of
+        # Python 3.10 and 3.11 and the compensated one of 3.12 and 3.13.
         code = main(["simulate", "--length", str(length), "--samples", str(samples),
                      "--seed", str(seed), "--cache-dir", str(tmp_path)])
         out = capsys.readouterr().out
