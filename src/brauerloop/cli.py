@@ -26,6 +26,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 EXIT_OUT_OF_MEMORY = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as for a tool that SIGPIPE ended
 
 
 def resolve_cache_dir(flag_value):
@@ -254,6 +255,11 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout. Fd 1 goes to devnull so that the final
+        # flush of what is still buffered fails quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except BasisTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -20,8 +20,8 @@ basis, from its per-orbit weights, before it is returned or cached. A
 `GroundState` is the length and the weight of each orbit of
 `shared_orbits(length)`, in orbit order; the cache payload adds each orbit's
 encoded representative and size. A cache text is read back only when it is
-the text written for the state read from it, byte for byte, which compares
-those as strings with the enumerated orbits.
+the text written for the state read from it, byte for byte; a load decodes a
+file again only when the SHA-256 of its bytes has changed.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import os
 import random
 import re
 import threading
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -432,41 +431,30 @@ def cache_path(cache_dir, length: int) -> Path:
     return Path(cache_dir) / f"groundstate-L{length:02d}.json"
 
 
-# A file modified less than this long ago could be modified again within one
-# tick of the file-system clock, size kept, without its stamp changing; such
-# files are re-read on every load instead of memoised.
-_SETTLED_NS = 2 * 10**9
+# The last state decoded for each length, with the SHA-256 of its file's bytes.
+_loaded: dict[int, tuple[bytes, GroundState]] = {}
 
 
 def load_cached_groundstate(cache_dir, length: int) -> GroundState | None:
     """The cached state of one length, checked against its orbits; None when absent.
 
-    A file is decoded and checked once for as long as its path, modification
-    time, size and inode stay the same; later loads return the same state.
+    The file is read and hashed on every load, and decoded and checked only when
+    its SHA-256 differs from that of the file last decoded for this length.
     """
     path = cache_path(cache_dir, length)
     try:
-        st = path.stat()
+        data = path.read_bytes()
     except (FileNotFoundError, NotADirectoryError):
         return None
-    if time.time_ns() - st.st_mtime_ns < _SETTLED_NS:
-        return _read_cached(path, length)
-    stamp = (st.st_mtime_ns, st.st_size, st.st_ino)
-    return _memoised_read(os.path.abspath(path), length, stamp)
-
-
-@lru_cache(maxsize=16)
-def _memoised_read(path: str, length: int, stamp: tuple[int, int, int]) -> GroundState:
-    """`_read_cached`, memoised by the path and the file's stamp."""
-    return _read_cached(Path(path), length)
-
-
-def _read_cached(path: Path, length: int) -> GroundState:
-    """`deserialize_groundstate` of one cache file, naming the file in any error."""
-    try:
-        return deserialize_groundstate(path.read_text(), length)
-    except (CacheCorruptError, UnicodeDecodeError) as exc:
-        raise CacheCorruptError(f"cache file {path.name}: {exc}") from exc
+    digest = hashlib.sha256(data).digest()
+    held, state = _loaded.get(length, (None, None))
+    if held != digest:
+        try:
+            state = deserialize_groundstate(data.decode(), length)
+        except (CacheCorruptError, UnicodeDecodeError) as exc:
+            raise CacheCorruptError(f"cache file {path.name}: {exc}") from exc
+        _loaded[length] = digest, state
+    return state
 
 
 def save_cached_groundstate(cache_dir, state: GroundState) -> Path:

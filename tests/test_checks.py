@@ -168,8 +168,8 @@ class TestWeightTableOracle:
             groundstate(length, cache_dir=tmp_path)
         for path in tmp_path.iterdir():
             settle(path)
-        for memo in (kernel_module._memoised_read, shared_basis, shared_orbits,
-                     representative_codes, shared_orbit_labels):
+        kernel_module._loaded.clear()
+        for memo in (shared_basis, shared_orbits, representative_codes, shared_orbit_labels):
             memo.cache_clear()
         decoded = []
         original_decode = kernel_module.deserialize_groundstate
@@ -438,6 +438,21 @@ class TestMonteCarlo:
         out = capsys.readouterr().out
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("length, samples, seed, digest", [
+        (4, 100_000, 3, "6633ad173e20bff7529cb8a3c0b4c240537ee9d0625790574797b22d0ab0589c"),
+        (8, 1_000_000, 1, "a7dd70eb37a78abd1ed38f39150b931f4bbb07a8106f1c19f4d203fbca616b99"),
+        (13, 200_000, 7, "f7e2d954920f8a23a20fda7fc2896e31ebf07a93ddb6ea9f768e8b3c4340b301"),
+    ])
+    def test_visit_totals_are_pinned(self, length, samples, seed, digest):
+        # The visits per orbit behind the three pinned tables above, as integers:
+        # round(empirical * samples) is exact under the plain and the compensated
+        # float sum alike (each is within 1e-9 of an integer), so this pin
+        # holds on every Python version.
+        report = monte_carlo_crosscheck(length, samples, seed)
+        totals = [round(e.empirical * report.samples) for e in report.estimates]
+        assert sum(totals) == samples
+        assert hashlib.sha256(",".join(map(str, totals)).encode()).hexdigest() == digest
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

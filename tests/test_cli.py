@@ -341,6 +341,20 @@ def test_commands_in_one_process_match_separate_processes(tmp_path):
     assert [code for _, _, code in separate] == [0, 2, 0, 2, 0, 0, 2, 0]
 
 
+@pytest.mark.parametrize("length", [12, 14])
+def test_closed_stdout_exits_141_quietly(length, tmp_path):
+    # The reader takes one line and closes the pipe while the listing, far
+    # larger than the pipe's buffer, is still being written.
+    src = Path(__file__).resolve().parents[1] / "src"
+    with subprocess.Popen([sys.executable, "-m", "brauerloop.cli", "enumerate", "--length",
+                           str(length)], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert child.stdout.readline().count(b",") == length - 1
+        child.stdout.close()
+        err = child.stderr.read()
+        assert (child.wait(timeout=120), err) == (141, b"")
+
+
 def test_out_of_memory_exits_4_with_one_line(tmp_path):
     # In 400 MiB of address space L = 15 enumerates and ranks its 2 M
     # diagrams, then cannot allocate its transition table. The limit is set

@@ -1,4 +1,3 @@
-import builtins
 import hashlib
 import json
 import math
@@ -523,7 +522,7 @@ class TestGroundstateText:
         groundstate(9, cache_dir=tmp_path)
         path = cache_path(tmp_path, 9)
         settle(path)
-        kernel_module._memoised_read.cache_clear()
+        kernel_module._loaded.clear()
         kernel_module.serialize_groundstate.cache_clear()
         bodies = self.serializations(monkeypatch)
         assert self.json_output(9, tmp_path, capsys) == path.read_text()
@@ -737,25 +736,21 @@ class TestCache:
         groundstate(5, cache_dir=tmp_path)
         assert load_cached_groundstate(tmp_path, 5) is not None
 
-    def test_second_load_of_unchanged_file_reads_no_bytes(self, tmp_path, monkeypatch):
+    def test_second_load_of_unchanged_file_decodes_nothing(self, tmp_path, monkeypatch):
         groundstate(7, cache_dir=tmp_path)
         settle(cache_path(tmp_path, 7))
         first = load_cached_groundstate(tmp_path, 7)
 
-        def no_read(*args, **kwargs):
-            raise AssertionError("a memoised cache file was read again")
+        def no_decode(*args, **kwargs):
+            raise AssertionError("an unchanged cache file was decoded again")
 
-        with monkeypatch.context() as patch:
-            for name in ("read_text", "read_bytes", "open"):
-                patch.setattr(Path, name, no_read)
-            patch.setattr(builtins, "open", no_read)
-            assert load_cached_groundstate(tmp_path, 7) is first
-            assert groundstate(7, cache_dir=tmp_path) is first
+        monkeypatch.setattr(kernel_module, "deserialize_groundstate", no_decode)
+        assert load_cached_groundstate(tmp_path, 7) is first
+        assert groundstate(7, cache_dir=tmp_path) is first
 
     def test_fresh_file_changed_in_place_is_reread(self, tmp_path):
         # Rewritten at the same size within one tick of a coarse file-system
-        # clock, a file keeps its whole stamp; a file that fresh is never
-        # memoised, so the change is still seen.
+        # clock, a file keeps its whole stamp; its bytes still show the change.
         groundstate(6, cache_dir=tmp_path)
         path = cache_path(tmp_path, 6)
         before = path.stat()
@@ -767,6 +762,64 @@ class TestCache:
             before.st_mtime_ns, before.st_size, before.st_ino)
         with pytest.raises(CacheCorruptError, match=r"groundstate-L06\.json: orbit 1 is"):
             load_cached_groundstate(tmp_path, 6)
+
+    def test_settled_file_changed_in_place_with_its_stamp_restored_is_reread(self, tmp_path):
+        # Decoded once, then rewritten at the same size and given its old stamp
+        # back: path, modification time, size and inode all match the first load.
+        groundstate(6, cache_dir=tmp_path)
+        path = cache_path(tmp_path, 6)
+        settle(path)
+        before = path.stat()
+        assert load_cached_groundstate(tmp_path, 6) is not None
+        self.rewrite_with_checksum(path, swap_first_representatives)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        with pytest.raises(CacheCorruptError, match=r"groundstate-L06\.json: orbit 1 is"):
+            load_cached_groundstate(tmp_path, 6)
+
+    @settings(max_examples=80, deadline=None)
+    @given(steps=st.lists(
+        st.tuples(st.sampled_from(["swap", "weight", "truncate", "other length", "original"]),
+                  st.integers(min_value=0, max_value=10**4), st.booleans()),
+        min_size=1, max_size=6))
+    def test_load_is_a_fresh_decode_after_any_rewrite(self, steps):
+        # A settled file, loaded once, then rewritten in place step by step, each
+        # rewrite maybe given back the stamp the file had before it. Every load
+        # gives what decoding the file's current text gives: an equal state, or
+        # the same error with the file named.
+        original = serialize_groundstate(groundstate(6))
+        rows = len(shared_orbits(6))
+
+        def bump(orbits, k):
+            orbits[k]["weight"] = str(int(orbits[k]["weight"]) + 1)
+
+        texts = {
+            "swap": lambda n: rechecksummed(
+                lambda payload: swap_first_representatives(payload["orbits"]))(original),
+            "weight": lambda n: rechecksummed(
+                lambda payload: bump(payload["orbits"], n % rows))(original),
+            "truncate": lambda n: original[:n % len(original)],
+            "other length": lambda n: serialize_groundstate(groundstate(5)),
+            "original": lambda n: original,
+        }
+        with tempfile.TemporaryDirectory() as directory:
+            path = cache_path(directory, 6)
+            path.write_text(original)
+            settle(path)
+            assert load_cached_groundstate(directory, 6) == deserialize_groundstate(original, 6)
+            for kind, n, restore in steps:
+                text = texts[kind](n)
+                before = path.stat()
+                path.write_text(text)
+                if restore:
+                    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+                try:
+                    expected = deserialize_groundstate(text, 6)
+                except CacheCorruptError as exc:
+                    with pytest.raises(CacheCorruptError) as raised:
+                        load_cached_groundstate(directory, 6)
+                    assert str(raised.value) == f"cache file groundstate-L06.json: {exc}"
+                else:
+                    assert load_cached_groundstate(directory, 6) == expected
 
     @pytest.mark.parametrize("how", ["os.replace", "in place"])
     def test_changed_file_is_reread_after_a_memoised_load(self, tmp_path, how):
