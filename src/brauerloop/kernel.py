@@ -19,9 +19,11 @@ The assembled ground state is additionally verified against the full diagram
 basis, from its per-orbit weights, before it is returned or cached. A
 `GroundState` is the length and the weight of each orbit of
 `shared_orbits(length)`, in orbit order; the cache payload adds each orbit's
-encoded representative and size. A cache text is read back only when it is
-the text written for the state read from it, byte for byte; a load decodes a
-file again only when the SHA-256 of its bytes has changed.
+encoded representative and size. A cache text is read back, with no JSON
+parser, only when it is the text written for the state read from it, byte
+for byte; any other text is refused as failing its checksum, holding another
+length, or leaving the written text at a named byte. A load decodes a file
+again only when the SHA-256 of its bytes has changed.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = ["CacheCorruptError", "DisconnectedMatrixError", "GroundState", "Kerne
            "MixedSignsError", "RefinementError", "groundstate", "kernel_vector"]
 
 import hashlib
-import json
 import math
 import operator
 import os
@@ -40,18 +41,10 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
-from .diagrams import (
-    DEFECT,
-    _validated,
-    representative_codes,
-    require_rankable,
-    shared_basis,
-    shared_orbits,
-)
+from .diagrams import representative_codes, require_rankable, shared_basis, shared_orbits
 from .generators import transition_table
 from .hamiltonian import (
     IntensityMatrix,
@@ -75,7 +68,7 @@ class MixedSignsError(ArithmeticError):
 
 
 class CacheCorruptError(RuntimeError):
-    """A cache file failed its checksum, holds another length or other orbits."""
+    """A cache file failed its checksum, holds another length or is not the written text."""
 
 
 class RefinementError(ArithmeticError):
@@ -320,11 +313,22 @@ _NORMALIZATION = "min-entry-one"
 
 
 def _checksum(body: str) -> str:
-    return hashlib.sha256(body.encode()).hexdigest()
+    # A lone surrogate, in no written text, still hashes: its text is refused, not raised on.
+    return hashlib.sha256(body.encode(errors="surrogatepass")).hexdigest()
+
+
+def _header(length: int) -> str:
+    """The canonical payload's fields after the checksum, up to the first orbit."""
+    return (f'"generator":"{_GENERATOR}","length":{length},'
+            f'"normalization":"{_NORMALIZATION}","orbits":[')
 
 
 # A written file is this field, then the canonical payload after its "{".
 _CHECKSUM_FIELD = re.compile(r'\{"checksum":"([0-9a-f]{64})",')
+# The length that a text claims, read without enumerating anything.
+_LENGTH_FIELD = re.compile(r'"length":\s*([^\s,}]*)')
+# A canonical weight: the decimal digits of a positive integer, no leading zero.
+_WEIGHT_FIELD = re.compile(r'"weight":"([1-9][0-9]*)"')
 
 
 @lru_cache(maxsize=1)
@@ -338,93 +342,47 @@ def serialize_groundstate(state: GroundState) -> str:
     orbits = ",".join(f'{{"representative":"{code}","size":{size},"weight":"{weight}"}}'
                       for code, size, weight in zip(representative_codes(state.length),
                                                     state.sizes, state.weights))
-    body = (f'"generator":"{_GENERATOR}","length":{state.length},'
-            f'"normalization":"{_NORMALIZATION}","orbits":[{orbits}]}}')
+    body = f"{_header(state.length)}{orbits}]}}"
     return '{"checksum":"' + _checksum("{" + body) + '",' + body + "\n"
 
 
-# A canonical weight: the decimal digits of a positive integer, no leading zero.
-_WEIGHT_FIELD = re.compile(r'"weight":"([1-9][0-9]*)"')
-
-
 def deserialize_groundstate(text: str, length: int) -> GroundState:
-    """The state whose cache text of one length is `text`, else CacheCorruptError: a text
-    is accepted only by `_canonical_state`, and `_refuse` names the fault of any other."""
-    state = _canonical_state(text, length)
-    if state is None:
-        _refuse(text, length)
-    return state
+    """The state whose cache text of one length is exactly `text`; no JSON object tree.
 
-
-def _canonical_state(text: str, length: int) -> GroundState | None:
-    """The state whose cache text is exactly `text`, or None; no JSON object tree.
-
-    The length is read from the fields after the checksum, before any orbit
-    is enumerated. The weights are then read by a regular expression, and
-    the state is kept only if `serialize_groundstate` gives back the text
-    byte for byte, which implies the checksum, the constant fields, the
-    representatives, the sizes and the canonical weights.
+    The header, length included, is matched after the checksum field before any
+    orbit is enumerated. The weights are then read by a regular expression, and
+    the state is kept only if `serialize_groundstate` gives back the text byte for
+    byte, which implies the checksum, the representatives, the sizes and the
+    canonical weights. Any other text raises CacheCorruptError, naming a failed
+    checksum, else another length, else where the text leaves the one written for
+    its weights: its header, its count of canonical weights, or the byte and orbit
+    of the first difference after the checksum field.
     """
     field = _CHECKSUM_FIELD.match(text)
-    head = (f'"generator":"{_GENERATOR}","length":{length},'
-            f'"normalization":"{_NORMALIZATION}","orbits":[')
-    if not (field and text.startswith(head, field.end())):
-        return None
-    try:
-        state = GroundState(length, tuple(map(int, _WEIGHT_FIELD.findall(text, field.end()))))
-    except ValueError:  # another orbit count, or a weight longer than int() reads
-        return None
-    return state if serialize_groundstate(state) == text else None
-
-
-def _refuse(text: str, length: int) -> NoReturn:
-    """Raise the CacheCorruptError that names the first fault of a refused cache text.
-
-    The text is read through `json.loads`. The checksum is checked first,
-    over the exact text after the leading checksum field: the canonical JSON
-    that `serialize_groundstate` hashes, not a re-encoding of what was
-    parsed, so a re-laid-out copy of a written file fails it. Then the
-    length, before any orbit is enumerated, then the constant fields, and
-    last, orbit by orbit, the representative and the int size against
-    `shared_orbits(length)` and the weight, a decimal string of a positive
-    integer without sign, space or underscore. Only the first mismatching
-    representative is decoded, so that a malformed one is named by what is
-    wrong with it. A text that passes every check is not the written layout
-    (say, a final newline dropped, or a space added under a new checksum).
-    """
-    try:
-        payload = json.loads(text)
-        field = _CHECKSUM_FIELD.match(text)
-        if not field or _checksum("{" + text[field.end():].removesuffix("\n")) != field[1]:
-            raise CacheCorruptError("ground-state cache failed its checksum")
-        if type(payload["length"]) is not int or payload["length"] != length:
-            raise CacheCorruptError(f"holds length {payload['length']!r}, not {length}")
-        for key, value in (("generator", _GENERATOR), ("normalization", _NORMALIZATION)):
-            if payload[key] != value:
-                raise CacheCorruptError(f"{key} is {payload[key]!r}, not {value!r}")
-        rows = payload["orbits"]
-        expected = list(zip(representative_codes(length), shared_orbits(length).sizes.tolist()))
-        for k, (row, want) in enumerate(zip(rows, expected)):
-            got, weight = (row["representative"], row["size"]), row["weight"]
-            if got != want or type(got[1]) is not int:
-                partners = [DEFECT if f.strip() == "." else int(f) - 1 for f in got[0].split(",")]
-                _validated(len(partners), [partners])
-                raise CacheCorruptError(
-                    f"orbit {k} is {got[0]} of size {got[1]!r}, "
-                    f"expected {want[0]} of size {want[1]}"
-                )
-            # Only the string that `serialize_groundstate` writes for a positive weight.
-            value = int(weight)
-            if value <= 0 or str(value) != weight:
-                raise CacheCorruptError(f"orbit {k} has weight {weight!r}, "
-                                        "not a positive integer in decimal")
-        if len(rows) != len(expected):
-            raise CacheCorruptError(f"holds {len(rows)} orbits, not {len(expected)}")
-    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
-        raise CacheCorruptError(
-            f"malformed ground-state cache ({type(exc).__name__}: {exc})"
-        ) from exc
-    raise CacheCorruptError("ground-state cache is not in the canonical layout")
+    head = _header(length)
+    written = fault = None
+    if field and text.startswith(head, field.end()):
+        try:  # the list of weight strings is freed before the text is written again
+            state = GroundState(length, tuple(map(int, _WEIGHT_FIELD.findall(text, field.end()))))
+        except ValueError as exc:  # another orbit count, or a weight longer than int() reads
+            read = len(_WEIGHT_FIELD.findall(text, field.end()))
+            fault = (f"it holds {read} positive decimal weights for "
+                     f"{len(shared_orbits(length))} orbits ({exc})")
+        else:
+            written = serialize_groundstate(state)
+            if written == text:
+                return state
+    if not field or _checksum("{" + text[field.end():].removesuffix("\n")) != field[1]:
+        raise CacheCorruptError("ground-state cache failed its checksum")
+    start = field.end()
+    claimed = _LENGTH_FIELD.search(text, start)
+    if claimed and claimed[1] != str(length):
+        raise CacheCorruptError(f"holds length {claimed[1]}, not {length}")
+    if written is not None:
+        at = start + len(os.path.commonprefix((written[start:], text[start:])))
+        fault = f"byte {at} differs, in orbit {written.count('},{', 0, at)}"
+    raise CacheCorruptError("ground-state cache is not the text written for its weights: "
+                            + (fault or f"its header is not {head!r}"))
 
 
 def cache_path(cache_dir, length: int) -> Path:

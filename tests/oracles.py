@@ -50,8 +50,9 @@
   `json.dumps`, the oracle of the directly written `serialize_groundstate`.
 * `decode_by_json`: a cache text read through `json.loads` and checked
   field by field, the decoder that accepted cache files before only the
-  written text was; the oracle of the canonical decode of
-  `deserialize_groundstate` on written files.
+  written text was, and the only JSON reader of a cache text left; the
+  oracle of `deserialize_groundstate`, which accepts exactly the texts that
+  it reads and that `serialize_groundstate` gives back.
 * `validate_by_columns` and `connected_by_bfs`: the intensity-matrix checks
   as loops over one dict per column and a Python breadth-first search, the
   oracles of `IntensityMatrix.validate` and `connectivity_check`. Given the
@@ -495,7 +496,10 @@ def decode_by_json(text: str, length: int) -> GroundState:
     field, less a final newline; the length, the constant fields, and per
     orbit the representative and the int size must be those of
     `shared_orbits(length)`, and each weight the decimal string of a
-    positive integer. A fault raises ValueError.
+    positive integer. A fault raises ValueError, or the KeyError, TypeError
+    or AttributeError of a payload of another shape. It also reads texts
+    that no writer makes (a final newline dropped, a space added under a new
+    checksum), which `deserialize_groundstate` refuses.
     """
     payload = json.loads(text)
     checksum = payload.pop("checksum")

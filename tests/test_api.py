@@ -20,7 +20,7 @@ import inspect
 import pytest
 
 import brauerloop
-from brauerloop import checks, counting, diagrams, generators, hamiltonian, kernel
+from brauerloop import checks, cli, counting, diagrams, generators, hamiltonian, kernel
 from brauerloop.diagrams import DiagramBasis, Orbits
 from brauerloop.generators import RelationReport, check_relations
 from brauerloop.hamiltonian import IntensityMatrix, annihilates, build_reduced
@@ -48,6 +48,7 @@ ORACLES = [
     "build_full", "FULL", "REDUCED", "rotate_partners",
     "Permutation", "PartialPermutation", "orbit_labels", "ChordDiagram", "_Sparse",
     "_event_table", "equivariance_gate", "expand", "normalize_integer",
+    "_refuse", "_canonical_state",
 ]
 
 MODULES = [checks, counting, diagrams, generators, hamiltonian, kernel]
@@ -62,6 +63,14 @@ def test_exports_are_the_pipeline():
 @pytest.mark.parametrize("name", ORACLES)
 def test_oracles_are_not_in_the_package(name):
     assert defined_in_package(name) == []
+
+
+def test_no_json_parser_in_the_package():
+    # `deserialize_groundstate` is the one reader of a cache text; `json.loads`
+    # is the oracle `decode_by_json` only.
+    assert not hasattr(kernel, "json")
+    for module in (*MODULES, cli):
+        assert "json.load" not in inspect.getsource(module), module.__name__
 
 
 def test_no_test_only_fields_or_parameters():

@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from brauerloop import BasisTooLargeError, enumerate_diagrams
+from brauerloop import BasisTooLargeError, enumerate_diagrams, groundstate
 from brauerloop.cli import build_parser, main, resolve_cache_dir
-from brauerloop.kernel import cache_path
+from brauerloop.kernel import cache_path, serialize_groundstate
 
 
 def run(capsys, *argv):
@@ -175,6 +175,23 @@ class TestErrors:
         code, _, err = run(capsys, "groundstate", "--length", "4", "--cache-dir", str(tmp_path))
         assert code == 3
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("length, corrupt, fault", [
+        (6, lambda text: text[:-40], lambda text: "ground-state cache failed its checksum"),
+        (5, lambda text: serialize_groundstate(groundstate(4)),
+         lambda text: "holds length 4, not 5"),
+        (6, lambda text: text.removesuffix("\n"),
+         lambda text: "ground-state cache is not the text written for its weights: "
+                      f"byte {len(text) - 1} differs, in orbit 4"),
+    ], ids=["checksum", "length", "written text"])
+    def test_cache_refusal_is_one_line(self, length, corrupt, fault, capsys, tmp_path):
+        # Each kind of refused cache file: exit 3, no output, one line naming the file.
+        groundstate(length, cache_dir=tmp_path)
+        path = cache_path(tmp_path, length)
+        text = path.read_text()
+        path.write_text(corrupt(text))
+        argv = ["groundstate", "--length", str(length), "--cache-dir", str(tmp_path)]
+        assert run(capsys, *argv) == (3, "", f"error: cache file {path.name}: {fault(text)}\n")
 
     @pytest.mark.parametrize("argv, largest", [
         (["verify", "--max-length", "17", "--cache-dir", "CACHE"], 17),
