@@ -8,22 +8,26 @@ and i+1. When i and i+1 are already paired, both act as the identity. A
 former partner may be the immovable virtual centre of an odd diagram, in
 which case whatever would have been joined to it becomes the new defect.
 
-`transition_table` applies both at every site to a whole basis at once, one
-row per generator; it is the one form of the action, and every other stage
-reads it: assembly and the full-basis check are handed it, Monte Carlo
-steps it. Only site 1 is searched by rank key: the other sites follow by
-conjugating with the one-site rotation (`diagrams.conjugate`, the one form
-of g_{i+1} = r g_i r^-1, which the equivariance proof and the relation
-check's rotation covariance also use); each is proved against its own rank
-keys, and the table against the rotation and reflection, where it is built.
+`site_pairs` applies both at one site to a whole basis at once, site by
+site, and is the one producer of the action: each reader keeps what it
+needs. A cold solve gathers the orbit representatives' columns for assembly
+and keeps the site-1 rows for the full-basis check, so it stores no (2L, N)
+array; `transition_table` writes the stream into one, for Monte Carlo and
+the relation check, which need random access. Only site 1 is searched by
+rank key: the other sites follow by conjugating with the one-site rotation
+(`diagrams.conjugate`, the one form of g_{i+1} = r g_i r^-1, which the
+equivariance proof and the relation check's rotation covariance also use);
+each is proved against its own rank keys before it is yielded, and the
+action against the rotation and reflection after the last site.
 `check_relations` verifies the defining relations of the algebra on every
 diagram of a given length and reports a counterexample on failure.
 """
 
 from __future__ import annotations
 
-__all__ = ["RelationReport", "check_relations", "transition_table"]
+__all__ = ["RelationReport", "check_relations", "site_pairs", "transition_table"]
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -33,52 +37,72 @@ from .diagrams import (DiagramBasis, Orbits, _ranks_fit, conjugate, encode_partn
                        inverse_of, prove_permutation, shared_basis, shared_orbits)
 
 
-def transition_table(basis: DiagramBasis, orbits: Orbits) -> np.ndarray:
-    """Basis indices of all generator images, as a C-contiguous (2L, N) int32 array.
+def site_pairs(basis: DiagramBasis, orbits: Orbits) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The monoid and braid rows (e_a, b_a) of each 0-based site a = 0..L-1, proved.
 
-    Row a holds the monoid image at site a+1 and row L+a the braid image.
-    Only the rows of site 1 are located by rank key; every other row is the
+    Each row is the int32 N-vector of basis indices of the generator's images.
+    Only the pair of site 1 is located by rank key; every other pair is the
     conjugate g_{a+1} = r g_a r^-1 of the one before it by the rotation
-    r = `orbits.step` (`conjugate`), proved entry by entry: the basis keys
-    of its images must equal the key arithmetic of `_image_keys`, and keys
-    are injective on the basis. Equivariance is proved here too, for the
-    permutations r and s = `orbits.mirror` (`build_reduced` checks both):
-    rows 1..L-1 commute with r by construction, so per family only the wrap
-    r g_{L-1} r^-1 = g_0 is checked, then s r s^-1 = r^-1 (as s r = r^-1 s)
-    and s g_0 s^-1 = g_{L-2}. Lemma: s g_a s^-1 = g_{L-2-a} (mod L) for all
-    a, as g_a = r^a g_0 r^-a gives s g_a s^-1 = (s r s^-1)^a (s g_0 s^-1)
-    (s r^-1 s^-1)^a = r^-a g_{L-2} r^a. ArithmeticError names the site, the
-    relation or generator c as "column c": a reflection fault is named by
-    column 0 or L, whichever row holds it. Both maps are first proved to be
-    permutations, as `build_reduced` does, before either is inverted.
+    r = `orbits.step` (`conjugate`), proved entry by entry before it is
+    yielded: the basis keys of its images must equal the key arithmetic of
+    `_image_keys`, and keys are injective on the basis. Equivariance is
+    proved after the last pair, for the permutations r and s =
+    `orbits.mirror` (`build_reduced` checks both): the pairs commute with r
+    by construction, so per family only the wrap r g_{L-1} r^-1 = g_0 is
+    checked, then s r s^-1 = r^-1 (as s r = r^-1 s) and s g_0 s^-1 = g_{L-2}.
+    Lemma: s g_a s^-1 = g_{L-2-a} (mod L) for all a, as g_a = r^a g_0 r^-a
+    gives s g_a s^-1 = (s r s^-1)^a (s g_0 s^-1) (s r^-1 s^-1)^a = r^-a
+    g_{L-2} r^a. So a reader must exhaust the stream before it trusts a row.
+    ArithmeticError names the site, the relation or generator c of the
+    table rows (monoid c = a, braid c = L + a) as "column c": a reflection
+    fault is named by column 0 or L, whichever family holds it. Both maps
+    are first proved to be permutations, as `build_reduced` does, before
+    either is inverted. Only the pairs of site 1, of site L-1 (0-based
+    L-2) and the current one are kept.
     """
-    size, count = basis.length, len(basis)
+    size = basis.length
     step, mirror = orbits.step, orbits.mirror
-    prove_permutation(step, count, "rotation")
-    prove_permutation(mirror, count, "reflection")
-    table = np.empty((2 * size, count), dtype=np.int32)
-    table[0::size] = basis.locate(_image_keys(basis.partners, basis._keys, 0))
+    prove_permutation(step, len(basis), "rotation")
+    prove_permutation(mirror, len(basis), "reflection")
+    first = pair = tuple(basis.locate(_image_keys(basis.partners, basis._keys, 0))
+                         .astype(np.int32))
     inverse = inverse_of(step)
-    for c in range(2 * size):
-        if c % size:
-            table[c] = conjugate(table[c - 1], step, inverse)
-    for a in range(1, size):
-        if not np.array_equal(basis._keys.take(table[a::size]),
-                              _image_keys(basis.partners, basis._keys, a)):
-            raise ArithmeticError(f"transition table rows of site {a + 1} "
-                                  "do not match their rank keys")
-    for c in (size - 1, 2 * size - 1):  # r g_{L-1} r^-1 = g_0
-        _prove_commutes(table, c, c + 1 - size, "rotation", step, inverse)
+    for a in range(size):
+        if a:
+            pair = tuple(conjugate(row, step, inverse) for row in pair)
+            images = _image_keys(basis.partners, basis._keys, a)
+            if not all(np.array_equal(basis._keys.take(row), keys)
+                       for row, keys in zip(pair, images)):
+                raise ArithmeticError(f"transition table rows of site {a + 1} "
+                                      "do not match their rank keys")
+            del images
+        if a == (size - 2) % size:
+            opposite = pair
+        yield pair
+    for c, row in enumerate(pair):  # r g_{L-1} r^-1 = g_0
+        _prove_commutes(row, first[c], c * size + size - 1, "rotation", step, inverse)
     if not np.array_equal(mirror.take(step), inverse.take(mirror)):
         raise ArithmeticError("the reflection and the rotation do not satisfy s r s^-1 = r^-1")
     flipped = inverse_of(mirror)
-    for c in (0, size):  # s g_0 s^-1 = g_{L-2}
-        _prove_commutes(table, c, c + (size - 2) % size, "reflection", mirror, flipped)
+    for c, row in enumerate(first):  # s g_0 s^-1 = g_{L-2}
+        _prove_commutes(row, opposite[c], c * size, "reflection", mirror, flipped)
+
+
+def transition_table(basis: DiagramBasis, orbits: Orbits) -> np.ndarray:
+    """Basis indices of all generator images, as a C-contiguous (2L, N) int32 array.
+
+    Row a holds the monoid image at site a+1 and row L+a the braid image:
+    the pairs of `site_pairs`, written out once its proofs have passed.
+    """
+    size = basis.length
+    table = np.empty((2 * size, len(basis)), dtype=np.int32)
+    for a, pair in enumerate(site_pairs(basis, orbits)):
+        table[a::size] = pair
     return table
 
 
-def _prove_commutes(table, c, target, name, perm, inverse) -> None:
-    if not np.array_equal(table[target], conjugate(table[c], perm, inverse)):
+def _prove_commutes(row, target, c, name, perm, inverse) -> None:
+    if not np.array_equal(target, conjugate(row, perm, inverse)):
         raise ArithmeticError(f"transition table column {c} does not commute with the {name}")
 
 

@@ -16,7 +16,10 @@ order, values cast to float64 once, so each product (B's too) sums a row's
 terms by `np.add.reduceat`; it returns the vector as coprime integers > 0.
 
 The assembled ground state is additionally verified against the full diagram
-basis, from its per-orbit weights, before it is returned or cached. A
+basis, from its per-orbit weights, before it is returned or cached. A cold
+solve reads the generator rows once, as the proved stream of `site_pairs`:
+it gathers the representatives' columns for the assembly and keeps the
+site-1 rows for that check, so no (2L, N) transition table is stored. A
 `GroundState` is the length and the weight of each orbit of
 `shared_orbits(length)`, in orbit order; the cache payload adds each orbit's
 encoded representative and size. A cache text is read back, with no JSON
@@ -45,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagrams import representative_codes, require_rankable, shared_basis, shared_orbits
-from .generators import transition_table
+from .generators import site_pairs
 from .hamiltonian import (
     IntensityMatrix,
     annihilates,
@@ -436,8 +439,10 @@ def groundstate(length: int, *, cache_dir=None) -> GroundState:
     """Enumerate, assemble, solve, verify, and (optionally) cache one length.
 
     The kernel is solved on the orbit-reduced matrix and the returned state
-    is re-verified against the full diagram basis in exact arithmetic. A
-    valid cache entry short-circuits the whole pipeline.
+    is re-verified against the full diagram basis in exact arithmetic. The
+    stream of `site_pairs` is exhausted, so all its proofs have passed,
+    before either reads what was gathered from it. A valid cache entry
+    short-circuits the whole pipeline.
     """
     if length < 2:
         raise ValueError(f"ground states need length >= 2, got {length}")
@@ -449,10 +454,14 @@ def groundstate(length: int, *, cache_dir=None) -> GroundState:
 
     basis = shared_basis(length)
     orbits = shared_orbits(length)
-    table = transition_table(basis, orbits)
-    matrix = build_reduced(basis, orbits, table)
+    columns = np.empty((2 * length, len(orbits)), dtype=np.int32)
+    for a, pair in enumerate(site_pairs(basis, orbits)):
+        columns[a::length] = [row.take(orbits.representatives) for row in pair]
+        if not a:
+            rows = np.stack(pair)  # the site-1 rows, for the full-basis check
+    matrix = build_reduced(basis, orbits, columns)
     state = GroundState(length, kernel_vector(matrix))
-    if not annihilates(basis, state.weights, table, orbits.orbit_of):
+    if not annihilates(basis, state.weights, rows, orbits):
         raise ArithmeticError("expanded ground state is not annihilated on the full basis")
     if cache_dir is not None:
         save_cached_groundstate(cache_dir, state)

@@ -15,6 +15,7 @@ from brauerloop import IntensityMatrix, Orbits
 from brauerloop.checks import MonteCarloReport, OrbitEstimate
 from brauerloop.diagrams import _key, encode_partners, reflect_partners, shared_basis, shared_orbits
 from brauerloop.generators import transition_table
+from brauerloop.hamiltonian import build_reduced
 
 from oracles import ChordDiagram, rotate_partners
 
@@ -38,6 +39,17 @@ def table_of(length):
     table = transition_table(shared_basis(length), shared_orbits(length))
     table.flags.writeable = False
     return table
+
+
+def reduced(basis, orbits):
+    """`build_reduced` of the basis over the orbits, given its representatives' columns
+    of the shared `transition_table`, as `groundstate` gathers them from `site_pairs`."""
+    return build_reduced(basis, orbits, table_of(basis.length)[:, orbits.representatives])
+
+
+def rows_of(length):
+    """The site-1 rows (e_0, b_0) of the shared `transition_table`, as (2, N)."""
+    return table_of(length)[0::length]
 
 
 def diagram(length, *pairs):

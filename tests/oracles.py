@@ -40,12 +40,15 @@
   one diagram, the oracles of `shared_orbit_labels`.
 * `build_full`: the operator over the full basis, summed column by column
   from the table; its kernel is compared with the reduced one.
+* `annihilates_by_table` and `product_by_table`: the full-basis check and
+  the operator's product, 2L scatters through the stored table over any
+  grouping of the diagrams (one weight per diagram included); the oracles
+  of the rotation sums of `annihilates`, which read only the site-1 rows.
 * `lump_by_rows`: the lumped operator from every full entry, with
   representative independence checked row by row; the oracle of
   `build_reduced` and `build_full`.
 * `expand`: a ground state's weights over the full basis, one Python integer
-  per diagram; the diagram-level vector behind the orbit-level full-basis
-  check of `annihilates`.
+  per diagram, which `annihilates_by_table` checks diagram by diagram.
 * `serialize_by_json`: the cache text with its payload encoded by
   `json.dumps`, the oracle of the directly written `serialize_groundstate`.
 * `decode_by_json`: a cache text read through `json.loads` and checked
@@ -98,7 +101,7 @@ from brauerloop import (
 from brauerloop.diagrams import (_step_keys, conjugate, encode_partners, inverse_of,
                                  representative_codes, shared_orbits)
 from brauerloop.generators import _image_keys, transition_table
-from brauerloop.hamiltonian import IntensityMatrix, _summed_entries
+from brauerloop.hamiltonian import IntensityMatrix, _summed_entries, product_is_zero
 from brauerloop.kernel import _coprime_positive
 
 
@@ -531,6 +534,36 @@ def build_full(basis: DiagramBasis) -> IntensityMatrix:
     table = transition_table(basis, shared_orbits(basis.length))
     entries = _summed_entries(table, index, index, np.ones_like(index))
     return IntensityMatrix(basis.length, len(index), *entries)
+
+
+def product_by_table(table: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """The operator over the full basis times an int64 diagram vector, by 2L scatters:
+    +3L at each diagram, -2 at its monoid images and -1 at its braid images."""
+    width = len(table)
+    size = width // 2
+    out = 3 * size * vector
+    for j in range(width):
+        np.add.at(out, table[j], (-2 if j < size else -1) * vector)
+    return out
+
+
+def annihilates_by_table(basis: DiagramBasis, weights, table: np.ndarray, orbit_of) -> bool:
+    """Exact check that the operator sends the diagram vector weights[orbit_of] to zero.
+
+    `table` is the basis's (2L, N) `transition_table` (else ValueError) and
+    `orbit_of` groups the diagrams (`Orbits.orbit_of`, or `np.arange(N)`). The
+    weights are arbitrary Python integers, pushed through the table in 31-bit
+    limbs by `product_is_zero`.
+    """
+    if len(orbit_of) != len(basis) or len(weights) != orbit_of.max() + 1:
+        raise ValueError("weight vector does not match the basis and its grouping")
+    expected = (2 * basis.length, len(basis))
+    if table.shape != expected:
+        raise ValueError(f"transition table of shape {table.shape} given for a basis "
+                         f"that needs {expected}")
+    # A column's entries sum to 6L in magnitude, so no row exceeds 6L * n.
+    return product_is_zero(lambda limb: product_by_table(table, limb.take(orbit_of)),
+                           weights, 3 * len(table) * len(basis))
 
 
 def lump_by_rows(basis: DiagramBasis, orbits: Orbits, table: np.ndarray) -> IntensityMatrix:

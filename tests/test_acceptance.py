@@ -12,7 +12,6 @@ import pytest
 
 from brauerloop import (
     REFERENCE,
-    annihilates,
     check_relations,
     class_count,
     groundstate,
@@ -28,7 +27,8 @@ from brauerloop import (
 from brauerloop.diagrams import shared_basis, shared_orbits
 
 from conftest import assert_orbits_are, orbits_by_image_keys, table_of
-from oracles import build_full, expand, normalize_integer, validate_by_columns
+from oracles import (annihilates_by_table, build_full, expand, normalize_integer,
+                     validate_by_columns)
 
 L6_WEIGHT_SIZE = {(63, 2), (31, 3), (13, 6), (3, 3), (1, 1)}
 # Every size divides 2L and the size-weighted counts sum to the basis sizes
@@ -190,7 +190,7 @@ def test_criterion_10_oracle_equivalence(states):
             notes.append(f"full/reduced mismatch at L={length}")
     for length, gs in computed.items():
         basis = shared_basis(length)
-        if not annihilates(basis, expand(gs), table_of(length), np.arange(len(basis))):
+        if not annihilates_by_table(basis, expand(gs), table_of(length), np.arange(len(basis))):
             ok = False
             notes.append(f"H*psi != 0 at L={length}")
     for length in (11, 12):
@@ -242,13 +242,15 @@ def test_stretch_sequence_n7():
 # solved cold in its own interpreter, so its wall time and peak RSS are its own.
 stretch = pytest.mark.skipif(os.environ.get("BRAUER_STRETCH") != "1",
                              reason="set BRAUER_STRETCH=1 for the L = 15 and 16 criteria")
-# Measured on 2 vCPU: L = 15 in 6.3-6.9 s at 0.51 GB, L = 16 in 6.9-7.0 s at 0.53 GB. The
-# RSS bound leaves room for glibc's heap placement (8-24 MiB at L = 16) and other hosts, and
-# fails at the 0.65-0.67 GB that the full-basis check over expanded weights used to take.
-STRETCH_BOUNDS = {15: (30.0, 0.65e9), 16: (30.0, 0.65e9)}
+# Measured on 2 vCPU, three fresh runs each: L = 15 in 4.9-5.8 s at 0.31 GB, L = 16 in
+# 6.1-6.7 s at 0.30 GB. The RSS bound leaves room for glibc's heap placement (8-24 MiB at
+# L = 16) and other hosts, and fails at the 0.52-0.54 GB that a solve storing the (2L, N)
+# transition table took. The peak is the child's own VmHWM, not its ru_maxrss, which
+# keeps the peak of this test process (about 0.46 GB after the L = 16 orbit oracle).
+STRETCH_BOUNDS = {15: (30.0, 0.40e9), 16: (30.0, 0.40e9)}
 
 SOLVE_ONE = """
-import json, resource, sys, time
+import json, sys, time
 from brauerloop import groundstate, permutation_weight_table, verify_sum_rule
 length = int(sys.argv[1])
 start = time.perf_counter()
@@ -257,7 +259,11 @@ result = {"sum_rule": verify_sum_rule(state).status, "reversal": None}
 if length % 2 == 0:
     result["reversal"] = permutation_weight_table(state)[tuple(range(length // 2, 0, -1))]
 result["elapsed"] = time.perf_counter() - start
-result["rss"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+# The peak of this process's own address space: ru_maxrss would also keep the
+# peak of the process that started it, as execve carries it over.
+with open("/proc/self/status") as status:
+    result["rss"] = next(int(line.split()[1]) * 1024 for line in status
+                         if line.startswith("VmHWM:"))
 print(json.dumps(result))
 """
 

@@ -2,10 +2,13 @@
 
 The per-diagram generator, dihedral and label functions, `ChordDiagram` and
 `build_full` live in `tests/oracles.py`; the package keeps one form of each.
-The generator action's one form is the (2L, N) `transition_table`: Monte
-Carlo steps it directly (no (N, 3L) `_event_table`), and `build_reduced` and
-`annihilates` take it as a required argument. The former equivariance gate
-of `build_reduced` and `GroundState.expand` are oracles too.
+The generator action has one producer, `site_pairs`, the proved rows of each
+site in turn; `transition_table` writes them into a (2L, N) array, which Monte
+Carlo steps directly (no (N, 3L) `_event_table`). `build_reduced` takes the
+representatives' columns and `annihilates` the site-1 rows, each as a required
+argument, so a cold solve stores no table; the check over the whole table is
+the oracle `annihilates_by_table`. The former equivariance gate of
+`build_reduced` and `GroundState.expand` are oracles too.
 Labels are plain tuples, so the label classes and `orbit_labels` are gone
 too, and the solver reads `IntensityMatrix`'s own entry arrays, so no second
 sparse type (`_Sparse`) remains.
@@ -35,7 +38,7 @@ PUBLIC = [
     "verify_sum_rule", "NonIntegerError", "OddProductError", "class_count", "double_factorial",
     "euler_totient", "involution_term", "pairings_fixed_by_rotation", "DEFECT",
     "BasisTooLargeError", "DiagramBasis", "Orbits", "compute_orbits",
-    "enumerate_diagrams", "RelationReport", "check_relations", "transition_table",
+    "enumerate_diagrams", "RelationReport", "check_relations", "site_pairs", "transition_table",
     "IntensityMatrix", "annihilates", "build_reduced", "connectivity_check", "CacheCorruptError",
     "DisconnectedMatrixError", "GroundState", "KernelDimensionError", "MixedSignsError",
     "RefinementError", "groundstate", "kernel_vector", "__version__",
@@ -48,14 +51,14 @@ ORACLES = [
     "build_full", "FULL", "REDUCED", "rotate_partners",
     "Permutation", "PartialPermutation", "orbit_labels", "ChordDiagram", "_Sparse",
     "_event_table", "equivariance_gate", "expand", "normalize_integer",
-    "_refuse", "_canonical_state",
+    "_refuse", "_canonical_state", "annihilates_by_table", "product_by_table",
 ]
 
 MODULES = [checks, counting, diagrams, generators, hamiltonian, kernel]
 
 def test_exports_are_the_pipeline():
     assert brauerloop.__all__ == PUBLIC
-    assert len(PUBLIC) == 42
+    assert len(PUBLIC) == 43
     for name in PUBLIC:
         assert getattr(brauerloop, name) is not None
 
@@ -77,9 +80,11 @@ def test_no_test_only_fields_or_parameters():
     assert "kind" not in [field.name for field in dataclasses.fields(IntensityMatrix)]
     assert list(inspect.signature(IntensityMatrix.validate).parameters) == ["self"]
     assert list(inspect.signature(check_relations).parameters) == ["length"]
-    for function in (build_reduced, annihilates):
-        table = inspect.signature(function).parameters["table"]
-        assert table.default is inspect.Parameter.empty, function.__name__
+    for function, names in ((build_reduced, ["basis", "orbits", "columns"]),
+                            (annihilates, ["basis", "weights", "rows", "orbits"])):
+        parameters = inspect.signature(function).parameters
+        assert list(parameters) == names, function.__name__
+        assert all(p.default is inspect.Parameter.empty for p in parameters.values())
     assert "exhaustive" not in [field.name for field in dataclasses.fields(RelationReport)]
     assert [field.name for field in dataclasses.fields(Orbits)] == [
         "representatives", "sizes", "orbit_of", "step", "mirror"]

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 
 import brauerloop.diagrams as diagrams_module
 import brauerloop.generators as generators_module
-from brauerloop import DEFECT, DiagramBasis, check_relations, compute_orbits, enumerate_diagrams
+import brauerloop.kernel as kernel_module
+from brauerloop import (DEFECT, DiagramBasis, check_relations, compute_orbits, enumerate_diagrams,
+                        groundstate)
+from brauerloop.cli import main
 from brauerloop.diagrams import (_key, conjugate, encode_partners, inverse_of, shared_basis,
                                  shared_orbits)
 from brauerloop.generators import _image_keys, transition_table
@@ -88,8 +91,8 @@ class TestTransitionTable:
 
 
 def corrupting(patch, size, column, row, value):
-    """Make `transition_table` build entry (column, row) as `value`: rows 0 and L as
-    located, the others as conjugated, in the order 1..L-1, L+1..2L-1."""
+    """Make `site_pairs` build entry (column, row) of the table as `value`: rows 0 and L
+    as located, the others as conjugated, site by site: 1, L+1, 2, L+2, ..."""
     if column % size == 0:
         locate = DiagramBasis.locate
 
@@ -101,7 +104,7 @@ def corrupting(patch, size, column, row, value):
         patch.setattr(DiagramBasis, "locate", located)
         return
     calls = itertools.count()
-    built = [c for c in range(2 * size) if c % size].index(column)
+    built = [c for a in range(1, size) for c in (a, size + a)].index(column)
 
     def conjugated(image, perm, inverse):
         moved = conjugate(image, perm, inverse)
@@ -215,6 +218,70 @@ class TestEquivarianceProof:
         with pytest.raises(ArithmeticError, match=rf"^transition table column {family * length} "
                                                   "does not commute with the reflection$"):
             transition_table(shared_basis(length), shared_orbits(length))
+
+
+def perturbed_key(patch):
+    # Site 7's braid keys say otherwise than its conjugated rows.
+    def perturbed(partners, keys, site):
+        images = _image_keys(partners, keys, site)
+        if site == 6:
+            images[1, len(keys) // 2] += np.uint64(1)
+        return images
+
+    patch.setattr(generators_module, "_image_keys", perturbed)
+    return 7, shared_orbits(7), r"transition table rows of site 7 do not match their rank keys"
+
+
+def fooled_wrap(patch):
+    orbits = shared_orbits(8)
+    step = orbits.step.copy()
+    step[[3, 50]] = step[[50, 3]]
+    producing(patch, chained(table_of(8), step))
+    return (8, replace(orbits, step=step),
+            "transition table column 7 does not commute with the rotation")
+
+
+def broken_dihedral_relation(patch):
+    orbits = shared_orbits(6)
+    mirror = orbits.mirror.copy()
+    mirror[[2, 9]] = mirror[[9, 2]]
+    return 6, replace(orbits, mirror=mirror), (r"the reflection and the rotation do not satisfy "
+                                               r"s r s\^-1 = r\^-1")
+
+
+def other_axis(patch):
+    orbits = shared_orbits(7)
+    return (7, replace(orbits, mirror=orbits.step.take(orbits.mirror)),
+            "transition table column 0 does not commute with the reflection")
+
+
+def braid_reflection(patch):
+    table = table_of(6).copy()
+    rows = table[6:]
+    rows[:] = [rows[a].take(rows[(a + 1) % 6]) for a in range(6)]
+    producing(patch, table)
+    return 6, shared_orbits(6), "transition table column 6 does not commute with the reflection"
+
+
+@pytest.mark.parametrize("fault", [perturbed_key, fooled_wrap, broken_dihedral_relation,
+                                   other_axis, braid_reflection],
+                         ids=lambda fault: fault.__name__)
+def test_cold_groundstate_refuses_with_the_producers_text(monkeypatch, tmp_path, capsys, fault):
+    # A cold solve reads the rows from `site_pairs` as `transition_table` does, so
+    # each fault of the stream raises the same ArithmeticError text there, and the
+    # CLI exits 3 with it, caching nothing.
+    length, orbits, message = fault(monkeypatch)
+    with pytest.raises(ArithmeticError, match=f"^{message}$") as direct:
+        transition_table(shared_basis(length), orbits)
+    monkeypatch.setattr(kernel_module, "shared_orbits", lambda n: orbits)
+    with pytest.raises(ArithmeticError) as cold:
+        groundstate(length)
+    assert str(cold.value) == str(direct.value)
+    if fault is broken_dihedral_relation:
+        capsys.readouterr()
+        assert main(["groundstate", "--length", str(length), "--cache-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr() == ("", f"error: {direct.value}\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestImageKeys:

@@ -16,20 +16,26 @@ from brauerloop import (
     groundstate,
     kernel_vector,
 )
-from brauerloop.diagrams import shared_basis, shared_orbits
-from brauerloop.hamiltonian import IntensityMatrix
+import brauerloop.diagrams as diagrams_module
+from brauerloop.diagrams import inverse_of, rotation_minimum, shared_basis, shared_orbits
+from brauerloop.generators import transition_table
+from brauerloop.hamiltonian import IntensityMatrix, _rotation_sum
 
 from conftest import (
+    STRETCH,
     diagram,
     diagrams_of,
     index_of,
     intensity_columns,
     matrix_of,
     members_of,
+    reduced,
     regrouped,
+    rows_of,
     table_of,
 )
 from oracles import (
+    annihilates_by_table,
     apply_braid,
     apply_monoid,
     build_full,
@@ -38,6 +44,7 @@ from oracles import (
     equivariance_gate,
     expand,
     lump_by_rows,
+    product_by_table,
     reflect,
     rotate,
     validate_by_columns,
@@ -45,7 +52,7 @@ from oracles import (
 
 
 def each(basis):
-    """The grouping of `annihilates` that gives one weight per diagram."""
+    """The grouping of `annihilates_by_table` that gives one weight per diagram."""
     return np.arange(len(basis))
 
 
@@ -192,7 +199,7 @@ class TestBuildReduced:
     def test_l4_block_sums(self):
         basis = enumerate_diagrams(4)
         orbits = compute_orbits(basis)
-        matrix = build_reduced(basis, orbits, table_of(4))
+        matrix = reduced(basis, orbits)
         # orbit 0 = the two parallel diagrams, orbit 1 = the crossing
         assert orbits.sizes.tolist() == [2, 1]
         assert columns_of(matrix) == ({0: 4, 1: -4}, {0: -12, 1: 12})
@@ -200,7 +207,7 @@ class TestBuildReduced:
     @pytest.mark.parametrize("length", range(2, 11))
     def test_reduced_columns_sum_to_zero(self, length):
         basis = enumerate_diagrams(length)
-        matrix = build_reduced(basis, compute_orbits(basis), table_of(length))
+        matrix = reduced(basis, compute_orbits(basis))
         matrix.validate()
 
     def test_rejects_non_partition(self):
@@ -208,7 +215,7 @@ class TestBuildReduced:
         orbits = compute_orbits(basis)
         alone = regrouped(orbits, [members_of(orbits, 0)])
         with pytest.raises(ValueError, match="do not partition"):
-            build_reduced(basis, alone, table_of(4))
+            reduced(basis, alone)
 
     def test_rejects_broken_symmetry_grouping(self):
         # gluing the crossing onto one parallel diagram is not an orbit
@@ -216,7 +223,7 @@ class TestBuildReduced:
         orbits = compute_orbits(basis)
         fake = regrouped(orbits, [[0, 1], [2]])
         with pytest.raises(ArithmeticError):
-            build_reduced(basis, fake, table_of(4))
+            reduced(basis, fake)
 
 
 class TestRowSumOracle:
@@ -224,7 +231,7 @@ class TestRowSumOracle:
     def test_reduced_matches_row_sums(self, length):
         basis, orbits, table = shared_basis(length), shared_orbits(length), table_of(length)
         expected = triplets(lump_by_rows(basis, orbits, table))
-        assert triplets(build_reduced(basis, orbits, table)) == expected
+        assert triplets(reduced(basis, orbits)) == expected
 
     @pytest.mark.parametrize("length", range(2, 10))
     def test_full_matches_row_sums_over_singletons(self, length):
@@ -295,8 +302,7 @@ class TestEquivarianceGate:
         merged = np.concatenate([groups[j], groups[k]])
         rest = [g for i, g in enumerate(groups) if i not in (j, k)]
         with pytest.raises(ArithmeticError, match="^orbit 0 is not one orbit of the rotation"):
-            build_reduced(shared_basis(length), regrouped(orbits, [merged, *rest]),
-                          table_of(length))
+            reduced(shared_basis(length), regrouped(orbits, [merged, *rest]))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=4, max_value=10), st.data())
@@ -309,7 +315,7 @@ class TestEquivarianceGate:
         parts = [np.array(members[:cut]), np.array(members[cut:])]
         grouping = regrouped(orbits, [*groups[:k], *parts, *groups[k + 1 :]])
         with pytest.raises(ArithmeticError, match="is not closed under the"):
-            build_reduced(shared_basis(length), grouping, table_of(length))
+            reduced(shared_basis(length), grouping)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=4, max_value=10), st.data())
@@ -321,19 +327,19 @@ class TestEquivarianceGate:
         groups[k].append(groups[j].pop(data.draw(st.integers(0, len(groups[j]) - 1))))
         grouping = regrouped(orbits, [np.array(g) for g in groups])
         with pytest.raises(ArithmeticError, match="is not closed under the"):
-            build_reduced(shared_basis(length), grouping, table_of(length))
+            reduced(shared_basis(length), grouping)
 
-    def test_rejects_a_table_of_another_length(self):
-        basis = shared_basis(8)
-        with pytest.raises(ValueError, match=r"^transition table of shape \(12, 15\) given for "
-                                             r"a basis that needs \(16, 105\)$"):
-            build_reduced(basis, shared_orbits(8), table_of(6))
+    def test_rejects_columns_of_another_length(self):
+        columns = table_of(6)[:, shared_orbits(6).representatives]
+        with pytest.raises(ValueError, match=r"^representative columns of shape \(12, 5\) given "
+                                             r"for 17 orbits of length 8, which need \(16, 17\)$"):
+            build_reduced(shared_basis(8), shared_orbits(8), columns)
 
     def test_rejects_maps_that_are_not_permutations(self):
         basis, orbits = shared_basis(6), shared_orbits(6)
         constant = replace(orbits, step=np.zeros_like(orbits.step))
         with pytest.raises(ArithmeticError, match="rotation map is not a permutation"):
-            build_reduced(basis, constant, table_of(6))
+            reduced(basis, constant)
 
 
 class TestConnectivity:
@@ -347,7 +353,7 @@ class TestConnectivity:
     def test_full_and_reduced_connected(self, length):
         basis = enumerate_diagrams(length)
         assert connectivity_check(build_full(basis))
-        assert connectivity_check(build_reduced(basis, compute_orbits(basis), table_of(length)))
+        assert connectivity_check(reduced(basis, compute_orbits(basis)))
 
     def test_detects_disconnection(self):
         assert not connectivity_check(matrix_of(({}, {})))
@@ -355,56 +361,122 @@ class TestConnectivity:
 
 class TestAnnihilates:
     def test_l4_known_kernel(self):
-        basis = enumerate_diagrams(4)
+        basis, orbits = shared_basis(4), shared_orbits(4)
         values = [0] * 3
         values[index_of(basis, diagram(4, (1, 2), (3, 4)))] = 3
         values[index_of(basis, diagram(4, (2, 3), (4, 1)))] = 3
         values[index_of(basis, diagram(4, (1, 3), (2, 4)))] = 1
-        assert annihilates(basis, values, table_of(4), each(basis))
+        assert annihilates_by_table(basis, values, table_of(4), each(basis))
+        assert annihilates(basis, [3, 1], rows_of(4), orbits)
         values[0] += 1
-        assert not annihilates(basis, values, table_of(4), each(basis))
+        assert not annihilates_by_table(basis, values, table_of(4), each(basis))
+        assert not annihilates(basis, [4, 1], rows_of(4), orbits)
 
     @pytest.mark.parametrize("scale", (1, -1, 2**31, -(2**62), 3**80),
                              ids=("1", "-1", "2^31", "-2^62", "3^80"))
     def test_exact_for_large_weights(self, scale):
         # Perturbations at and above the 31-bit limb boundary must not cancel.
-        basis = enumerate_diagrams(6)
-        kernel = expand(groundstate(6))
-        values = [scale * w for w in kernel]
-        assert annihilates(basis, values, table_of(6), each(basis))
+        basis, orbits = shared_basis(6), shared_orbits(6)
+        weights = [scale * w for w in groundstate(6).weights]
+        values = [scale * w for w in expand(groundstate(6))]
+        assert annihilates(basis, weights, rows_of(6), orbits)
+        assert annihilates_by_table(basis, values, table_of(6), each(basis))
         for bump in (1, 2**31, 2**62, 2**93):
+            weights[3] += bump
             values[3] += bump
-            assert not annihilates(basis, values, table_of(6), each(basis))
+            assert not annihilates(basis, weights, rows_of(6), orbits)
+            assert not annihilates_by_table(basis, values, table_of(6), each(basis))
+            weights[3] -= bump
             values[3] -= bump
 
-    def test_rejects_a_table_of_another_length(self):
-        basis = shared_basis(8)
+    def test_rejects_rows_of_another_length(self):
+        with pytest.raises(ValueError, match=r"^site-1 rows of shape \(2, 15\) given for a basis "
+                                             r"that needs \(2, 105\)$"):
+            annihilates(shared_basis(8), groundstate(8).weights, rows_of(6), shared_orbits(8))
         with pytest.raises(ValueError, match=r"^transition table of shape \(12, 15\) given for "
                                              r"a basis that needs \(16, 105\)$"):
-            annihilates(basis, expand(groundstate(8)), table_of(6), each(basis))
+            annihilates_by_table(shared_basis(8), expand(groundstate(8)), table_of(6),
+                                 each(shared_basis(8)))
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            annihilates(enumerate_diagrams(4), [1, 2], table_of(4), np.arange(3))
+            annihilates(shared_basis(4), [1, 2, 3], rows_of(4), shared_orbits(4))
         with pytest.raises(ValueError):
-            annihilates(shared_basis(6), [1] * 4, table_of(6), shared_orbits(6).orbit_of)
+            annihilates(shared_basis(6), [1] * 4, rows_of(6), shared_orbits(6))
+        with pytest.raises(ValueError):
+            annihilates_by_table(enumerate_diagrams(4), [1, 2], table_of(4), np.arange(3))
+
+    @pytest.mark.parametrize("length", [4, 7, 10])
+    def test_refuses_orbits_not_closed_under_the_rotation(self, length):
+        # The lemma needs v = w[orbit_of] fixed by the rotation: a grouping that
+        # splits an orbit is refused, whatever the weights.
+        orbits = shared_orbits(length)
+        groups = [members_of(orbits, k) for k in range(len(orbits))]
+        k = next(k for k, g in enumerate(groups) if len(g) > 1)
+        split = regrouped(orbits, [*groups[:k], groups[k][:1], groups[k][1:], *groups[k + 1 :]])
+        with pytest.raises(ArithmeticError, match=r"^orbit \d+ is not closed under the rotation$"):
+            annihilates(shared_basis(length), [1] * len(split), rows_of(length), split)
+        constant = replace(orbits, step=np.zeros_like(orbits.step))
+        with pytest.raises(ArithmeticError, match="^the rotation map is not a permutation"):
+            annihilates(shared_basis(length), groundstate(length).weights, rows_of(length),
+                        constant)
 
 
 class TestOrbitWeights:
-    """`annihilates` given the per-orbit weights and `orbit_of`, as `groundstate` checks."""
+    """`annihilates` given the per-orbit weights, as `groundstate` checks, against the
+    oracle `annihilates_by_table` over the whole table."""
+
+    @staticmethod
+    def assert_agree(length, table):
+        basis, orbits = shared_basis(length), shared_orbits(length)
+        rows, state = table[0::length], groundstate(length)
+        assert annihilates(basis, state.weights, rows, orbits)
+        assert annihilates_by_table(basis, state.weights, table, orbits.orbit_of)
+        for k in sorted({0, len(orbits) // 2, len(orbits) - 1}):
+            weights = list(state.weights)
+            weights[k] += 1
+            assert (annihilates(basis, weights, rows, orbits)
+                    == annihilates_by_table(basis, weights, table, orbits.orbit_of)
+                    == (len(orbits) == 1))
+
+    @pytest.mark.parametrize("length", range(2, 15))
+    def test_agrees_with_the_table_oracle(self, length):
+        self.assert_agree(length, table_of(length))
+
+    @STRETCH
+    @pytest.mark.parametrize("length", [15, 16])
+    def test_agrees_with_the_table_oracle_at_the_longest_lengths(self, length):
+        basis, orbits = shared_basis(length), shared_orbits(length)
+        self.assert_agree(length, transition_table(basis, orbits))
+        for memo in (shared_orbits, shared_basis, diagrams_module._partner_rows):
+            memo.cache_clear()  # the later tests need not hold the arrays of L = 15, 16
 
     @pytest.mark.parametrize("length", range(2, 13))
-    def test_agrees_with_the_diagram_level_form(self, length):
+    def test_per_diagram_weights_agree_with_the_orbit_form(self, length):
         basis, orbits, table = shared_basis(length), shared_orbits(length), table_of(length)
         state = groundstate(length)
-        assert annihilates(basis, state.weights, table, orbits.orbit_of)
-        assert annihilates(basis, expand(state), table, each(basis))
+        assert annihilates_by_table(basis, expand(state), table, each(basis))
         for k in (0, len(orbits) - 1):
             weights = list(state.weights)
             weights[k] *= 2
             values = [weights[o] for o in orbits.orbit_of.tolist()]
-            assert (annihilates(basis, weights, table, orbits.orbit_of)
-                    == annihilates(basis, values, table, each(basis)))
+            assert (annihilates(basis, weights, table[0::length], orbits)
+                    == annihilates_by_table(basis, values, table, each(basis)))
+
+    @pytest.mark.parametrize("length", range(2, 11))
+    def test_rotation_sum_equals_the_table_product(self, length):
+        # H v entry by entry, on random int64 vectors fixed by the rotation: one
+        # random value per rotation class, read through `rotation_minimum`.
+        orbits, table = shared_orbits(length), table_of(length)
+        group = rotation_minimum(orbits.step, length)
+        back = inverse_of(orbits.step).astype(np.intp)
+        rng = np.random.default_rng(length)
+        for _ in range(3):
+            limb = rng.integers(-(2**31), 2**31, size=len(group), dtype=np.int64)
+            expected = product_by_table(table, limb.take(group))
+            got = _rotation_sum(limb, table[0::length], group, back, length)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expected)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=4, max_value=12), st.data())
@@ -413,15 +485,15 @@ class TestOrbitWeights:
         orbits = shared_orbits(length)
         weights = list(groundstate(length).weights)
         weights[data.draw(st.integers(0, len(orbits) - 1), label="orbit")] += 1
-        assert not annihilates(shared_basis(length), weights, table_of(length), orbits.orbit_of)
+        assert not annihilates(shared_basis(length), weights, rows_of(length), orbits)
 
     def test_check_peak_at_l13(self):
-        basis, orbits, table = shared_basis(13), shared_orbits(13), table_of(13)
+        basis, orbits, rows = shared_basis(13), shared_orbits(13), rows_of(13)
         weights = groundstate(13).weights
         tracemalloc.start()
         try:
-            assert annihilates(basis, weights, table, orbits.orbit_of)
+            assert annihilates(basis, weights, rows, orbits)
             peak = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
-        assert peak <= 5.6
+        assert peak <= 5.0

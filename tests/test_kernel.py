@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -23,7 +24,6 @@ from brauerloop import (
     KernelDimensionError,
     MixedSignsError,
     RefinementError,
-    build_reduced,
     compute_orbits,
     enumerate_diagrams,
     groundstate,
@@ -42,8 +42,7 @@ from brauerloop.kernel import (
     serialize_groundstate,
 )
 
-from conftest import (diagram, index_of, intensity_columns, matrix_of, members_of, settle,
-                      table_of)
+from conftest import diagram, index_of, intensity_columns, matrix_of, members_of, reduced, settle
 from oracles import (
     PRIMES,
     _bareiss_kernel,
@@ -118,7 +117,7 @@ class TestKernelVector:
 
     @pytest.mark.parametrize("length", range(3, 13))
     def test_integral_is_the_normalised_fraction_vector(self, length):
-        matrix = build_reduced(shared_basis(length), shared_orbits(length), table_of(length))
+        matrix = reduced(shared_basis(length), shared_orbits(length))
         ints = kernel_vector(matrix)
         assert all(type(v) is int for v in ints)
         assert ints == normalize_integer(ints)
@@ -126,14 +125,14 @@ class TestKernelVector:
 
     def test_l6_reduced_kernel_weights(self):
         basis = enumerate_diagrams(6)
-        matrix = build_reduced(basis, compute_orbits(basis), table_of(6))
+        matrix = reduced(basis, compute_orbits(basis))
         weights = normalize_integer(kernel_vector(matrix))
         assert sorted(weights, reverse=True) == [63, 31, 13, 3, 1]
 
     @pytest.mark.parametrize("length", range(2, 11))
     def test_modular_agrees_with_bareiss(self, length):
         basis = enumerate_diagrams(length)
-        matrix = build_reduced(basis, compute_orbits(basis), table_of(length))
+        matrix = reduced(basis, compute_orbits(basis))
         weights = kernel_vector(matrix)
         assert weights == exact(bareiss_kernel, matrix)
         assert weights == exact(modular_kernel, matrix)
@@ -151,7 +150,7 @@ class TestKernelVector:
 
     @pytest.mark.parametrize("length", (11, 12))
     def test_solver_equals_modular_oracle(self, length):
-        matrix = build_reduced(shared_basis(length), shared_orbits(length), table_of(length))
+        matrix = reduced(shared_basis(length), shared_orbits(length))
         assert kernel_vector(matrix) == exact(modular_kernel, matrix)
 
     @settings(max_examples=60, deadline=None)
@@ -237,7 +236,7 @@ class TestRefinementFailures:
 
         monkeypatch.setattr(kernel_module, "_reconstruct", off_by_one)
         monkeypatch.setattr(kernel_module, "_MAX_STEPS", 6)
-        matrix = build_reduced(shared_basis(8), shared_orbits(8), table_of(8))
+        matrix = reduced(shared_basis(8), shared_orbits(8))
         with pytest.raises(RefinementError, match=r"^L = 8, refinement step 6: no exact"):
             kernel_vector(matrix)
 
@@ -278,7 +277,7 @@ class TestSparseMinor:
         # L = 2 and 3 have a single orbit, hence no minor. A's entries are in
         # (row, column) order, each row starting at `starts`, B's products
         # come from them, and the int64 products are exact.
-        matrix = build_reduced(shared_basis(length), shared_orbits(length), table_of(length))
+        matrix = reduced(shared_basis(length), shared_orbits(length))
         n = matrix.dimension
         dense = np.zeros((n, n), dtype=np.int64)
         dense[matrix.rows, matrix.cols] = matrix.vals
@@ -409,7 +408,7 @@ class TestCoprimePositive:
                             lambda numer, denom: [1, -1] + [1] * (dimension - 2))
         monkeypatch.setattr(kernel_module, "product_is_zero", lambda apply, values, gain: True)
         with pytest.raises(MixedSignsError, match="both signs"):
-            kernel_vector(build_reduced(shared_basis(6), shared_orbits(6), table_of(6)))
+            kernel_vector(reduced(shared_basis(6), shared_orbits(6)))
         with pytest.raises(MixedSignsError, match="both signs"):
             groundstate(6, cache_dir=tmp_path)
         assert not cache_path(tmp_path, 6).exists()
@@ -445,28 +444,43 @@ class TestGroundState:
         with pytest.raises(ValueError):
             groundstate(1)
 
-    def test_transition_table_built_once(self, monkeypatch):
-        import brauerloop.hamiltonian as hamiltonian_module
-        import brauerloop.kernel as kernel_module
+    @pytest.mark.parametrize("length, digest", [
+        (5, "e838337feaceec88a8206b486949f231d5ed928e11043ed4179f97a72c9cbf0e"),
+        (12, "899ba34b2b85703db562fa03b76e1e59666347225a4b5bc8ea4557d325dff71d"),
+        (13, "4c3728288e7e7cc89a2ec696a6de72cbc93f3e4f34a136a39fbdc55a289e42e8"),
+    ])
+    def test_cold_solve_stores_no_transition_table(self, monkeypatch, length, digest):
+        # The assembly reads the representatives' columns and the full-basis check
+        # the site-1 rows, both taken from the stream of `site_pairs`; the state is
+        # the one solved from a stored table (SHA-256 of its cache text, as recorded
+        # in perfbench/golden.json).
+        import brauerloop.generators as generators_module
 
-        calls = []
-        original = kernel_module.transition_table
+        def refused(basis, orbits):
+            raise AssertionError("a cold solve built the (2L, N) transition table")
 
-        def counting(basis, orbits):
-            calls.append(basis.length)
-            return original(basis, orbits)
+        monkeypatch.setattr(generators_module, "transition_table", refused)
+        assert not hasattr(kernel_module, "transition_table")
+        text = serialize_groundstate(groundstate(length))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-        monkeypatch.setattr(kernel_module, "transition_table", counting)
-        # The assembly and the full-basis check are handed the table: they cannot build one.
-        assert not hasattr(hamiltonian_module, "transition_table")
-        assert min(groundstate(7).weights) == 1
-        assert calls == [7]
+    def test_cold_solve_peak_at_l13(self):
+        # Traced from after the orbits: the L = 13 table alone is 13.4 MiB, and a
+        # solve that stored it peaked at 21.9 MiB.
+        shared_orbits(13)
+        tracemalloc.start()
+        try:
+            groundstate(13)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12.0
 
     def test_serialization_deterministic_across_threads(self):
         # The modular oracle solves on a thread pool; with one thread or two
         # its weights serialise to the bytes of the production ground state.
         basis, orbits = shared_basis(8), shared_orbits(8)
-        matrix = build_reduced(basis, orbits, table_of(8))
+        matrix = reduced(basis, orbits)
         expected = serialize_groundstate(groundstate(8))
         for threads in (1, 2):
             weights = normalize_integer(modular_kernel(matrix, threads=threads))
