@@ -13,11 +13,11 @@ from .diagrams import (
     BasisTooLargeError,
     encode_partners,
     label_text,
+    orbit_summary,
     representative_codes,
     require_rankable,
     shared_basis,
     shared_orbit_labels,
-    shared_orbits,
 )
 from .kernel import groundstate, serialize_groundstate
 
@@ -59,7 +59,7 @@ def _orbit_labels(length: int) -> list[list[str]]:
 
 def cmd_enumerate(args) -> int:
     if args.classes:
-        sizes = shared_orbits(args.length).sizes.tolist()
+        sizes = orbit_summary(args.length).sizes
         for code, size in zip(representative_codes(args.length), sizes):
             print(f"{code} {size}")
     else:
@@ -144,7 +144,7 @@ def cmd_count_classes(args) -> int:
     for n in range(1, args.max_n + 1):
         formula = counting.class_count(n)
         if 2 * n <= args.max_enumerate_length:
-            enumerated = len(shared_orbits(2 * n))
+            enumerated = len(orbit_summary(2 * n))
             ok = enumerated == formula
             mismatch = mismatch or not ok
             print(f"{n} {formula} {enumerated} {'yes' if ok else 'NO'}")

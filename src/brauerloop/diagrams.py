@@ -16,8 +16,9 @@ diagram x as always, and the partners of site i over the whole basis,
 `partners[:, i]`, are one contiguous N-vector, so each per-site pass
 (validation, rank keys, the rotation sort, the label mask, the generators'
 image keys) reads one column. It is built in blocks keyed by the partner of
-site 0 from the memoised rows of the two shorter lengths, and validated
-with numpy one column, and one pair of columns, at a time.
+site 0 from the rows of the two shorter lengths (a held basis's, or built
+again for the call), and validated with numpy one column, and one pair of
+columns, at a time.
 Symmetry orbits group basis indices under the 2L rotations and reflections
 of the circle; they are one `Orbits` record of index arrays (representative,
 size, orbit of each diagram, and the maps that generate them), and the
@@ -38,6 +39,16 @@ by a partial permutation (the defect sits on the left). A label is a plain
 tuple, the one-line image of the left sites with None at the defect;
 `shared_orbit_labels` reads them off the partner array, orbit by orbit, and
 they drive the verification suite in :mod:`brauerloop.checks`.
+
+The memo per length has two tiers. The N-row arrays of a length (its basis,
+and the orbit maps of `shared_orbits`) are held by one memo, under one rule:
+a basis at least as large as every held one drops the held lengths of that
+largest size once it is enumerated, and smaller ones stay. What a finished
+length's readers need (the orbit count, the sizes, the representatives'
+rows and the labelled rows) is its `orbit_summary`, m rows rather than N,
+taken on first use or before its N rows are dropped, and kept for every
+length. Ground states, cache texts, labels and the command tables read only
+the summary.
 """
 
 from __future__ import annotations
@@ -46,7 +57,7 @@ __all__ = ["DEFECT", "BasisTooLargeError", "DiagramBasis", "Orbits", "compute_or
            "enumerate_diagrams"]
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -238,12 +249,14 @@ def enumerate_diagrams(length: int) -> DiagramBasis:
     """All chord diagrams of the given length, lexicographically ordered.
 
     Raises `BasisTooLargeError` before allocating anything when the
-    length's rank keys would not fit in 64 bits.
+    length's rank keys would not fit in 64 bits. The blocks of the basis
+    reuse the rows of each shorter length that the memo holds.
     """
     if length < 2:
         raise ValueError(f"diagram enumeration needs length >= 2, got {length}")
     require_rankable(length)
-    return DiagramBasis(length, _partner_rows(length))
+    held = {n: kit.basis.partners for n, kit in _kits.items()}
+    return DiagramBasis(length, _partner_rows(length, held))
 
 
 def require_rankable(length: int) -> None:
@@ -260,8 +273,7 @@ def require_rankable(length: int) -> None:
         )
 
 
-@lru_cache(maxsize=16)
-def _partner_rows(length: int) -> np.ndarray:
+def _partner_rows(length: int, known: dict[int, np.ndarray]) -> np.ndarray:
     """The sorted partner rows of every diagram on `length` >= 0 sites, read-only.
 
     The rows come in blocks by the partner of site 0, in increasing order.
@@ -270,24 +282,33 @@ def _partner_rows(length: int) -> np.ndarray:
     block pairing site 0 with j fills the remaining sites with the rows of
     L-2, relabelled q -> q + 1 + (q >= j-1) with DEFECT kept: increasing
     and keeping DEFECT lowest, so each block is sorted and so is the whole.
+    `known` maps lengths to their rows: each length missing from it is built
+    once and added, so the rows live only as long as the caller's dict. The
+    rows of an even length are read back from the first block of the next
+    odd length when that one is known.
     """
-    if length < 2:
+    if length in known:
+        return known[length]
+    odd = known.get(length + 1)
+    if odd is not None and length % 2 == 0:
+        rows = odd[: len(odd) // (length + 1), 1:] - 1
+    elif length < 2:
         rows = np.full((1, length), DEFECT, dtype=np.int8)
-        rows.flags.writeable = False
-        return rows
-    shorter = _partner_rows(length - 2)
-    start = len(_partner_rows(length - 1)) if length % 2 else 0
-    rows = np.empty((start + (length - 1) * len(shorter), length), dtype=np.int8, order="F")
-    if start:
-        rows[:start, 0], rows[:start, 1:] = DEFECT, _partner_rows(length - 1) + 1
-    lifted = shorter + (shorter != DEFECT)  # q + 1, and DEFECT stays -1 < j
-    for j in range(1, length):
-        moved = lifted + (lifted >= j)
-        block = rows[start : start + len(shorter)]
-        block[:, 0], block[:, j] = j, 0
-        block[:, 1:j], block[:, j + 1 :] = moved[:, : j - 1], moved[:, j - 1 :]
-        start += len(shorter)
+    else:
+        shorter = _partner_rows(length - 2, known)
+        start = len(_partner_rows(length - 1, known)) if length % 2 else 0
+        rows = np.empty((start + (length - 1) * len(shorter), length), dtype=np.int8, order="F")
+        if start:
+            rows[:start, 0], rows[:start, 1:] = DEFECT, known[length - 1] + 1
+        lifted = shorter + (shorter != DEFECT)  # q + 1, and DEFECT stays -1 < j
+        for j in range(1, length):
+            moved = lifted + (lifted >= j)
+            block = rows[start : start + len(shorter)]
+            block[:, 0], block[:, j] = j, 0
+            block[:, 1:j], block[:, j + 1 :] = moved[:, : j - 1], moved[:, j - 1 :]
+            start += len(shorter)
     rows.flags.writeable = False
+    known[length] = rows
     return rows
 
 
@@ -424,36 +445,121 @@ def conjugate(row: np.ndarray, perm: np.ndarray, inverse: np.ndarray) -> np.ndar
     return perm.take(row.take(inverse))
 
 
-@lru_cache(maxsize=16)
+class _Kit:
+    """The N-row arrays of one length: its basis, and its orbits once computed."""
+
+    __slots__ = ("basis", "orbits")
+
+    def __init__(self, basis: DiagramBasis):
+        self.basis, self.orbits = basis, None
+
+
+# The one memo of N-row arrays, by length; `_kit` keeps it bounded.
+_kits: dict[int, _Kit] = {}
+
+
+def _kit(length: int) -> _Kit:
+    """The memo entry of one length, enumerated on first use.
+
+    One rule bounds the memo: a basis at least as large as every held one
+    drops the held lengths of that largest size once it is enumerated (their
+    rows may seed its blocks), before its orbits are computed, and smaller
+    lengths stay. A ladder of increasing lengths so holds one length of its
+    largest size at a time, while the shorter lengths that a longer one's
+    checks come back to stay. A dropped length whose orbits were computed
+    keeps its `orbit_summary`, taken before its rows go, so no reader of the
+    summary enumerates again.
+    """
+    kit = _kits.get(length)
+    if kit is None:
+        basis = enumerate_diagrams(length)
+        largest = max((len(held.basis) for held in _kits.values()), default=0)
+        if len(basis) >= largest:
+            for n, held in list(_kits.items()):
+                if len(held.basis) == largest:
+                    if held.orbits is not None:
+                        orbit_summary(n)
+                    del _kits[n]
+        kit = _kits[length] = _Kit(basis)
+    return kit
+
+
 def shared_basis(length: int) -> DiagramBasis:
     """Process-wide memoised basis; enumeration is deterministic, so sharing is safe."""
-    return enumerate_diagrams(length)
+    return _kit(length).basis
 
 
-@lru_cache(maxsize=16)
 def shared_orbits(length: int) -> Orbits:
-    return compute_orbits(shared_basis(length))
+    """Process-wide memoised orbits of the shared basis."""
+    kit = _kit(length)
+    if kit.orbits is None:
+        kit.orbits = compute_orbits(kit.basis)
+    return kit.orbits
 
 
-@lru_cache(maxsize=16)
+class OrbitSummary:
+    """The orbit data of one length that is kept for every length: m rows, not N.
+
+    `sizes[k]` is the size of orbit k and `rows[k]` its representative's
+    partner row, (m, L) int8. `labelled` holds the left sites' partners of
+    every labelled diagram (see `shared_orbit_labels`) as int8 rows, orbit by
+    orbit and members in basis order, and `owners` the orbit of each.
+    `len()` is the orbit count.
+    """
+
+    __slots__ = ("sizes", "rows", "labelled", "owners")
+
+    def __init__(self, sizes: tuple[int, ...], rows: np.ndarray, labelled: np.ndarray,
+                 owners: np.ndarray):
+        self.sizes, self.rows, self.labelled, self.owners = sizes, rows, labelled, owners
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+
+@cache
+def orbit_summary(length: int) -> OrbitSummary:
+    """The `OrbitSummary` of the shared orbits, kept for every length.
+
+    The representatives' rows are gathered from the site-major basis by fancy
+    indexing, which reads it several times faster than `take(..., axis=0)`
+    does. The labelled rows are picked with one mask over the partner array:
+    with L = 2n the rows whose left block {0..n-1} pairs only into the right
+    block, with L = 2n+1 those whose right block {n+1..L-1} pairs only into
+    the left block {0..n}.
+    """
+    partners, orbits = shared_basis(length).partners, shared_orbits(length)
+    half, odd = length // 2, length % 2
+    if odd:
+        right = partners[:, half + 1 :]
+        labelled = np.all((right != DEFECT) & (right <= half), axis=1)
+    else:
+        labelled = np.all(partners[:, :half] >= half, axis=1)
+    members = np.flatnonzero(labelled)
+    owners = orbits.orbit_of.take(members)
+    order = np.argsort(owners, kind="stable")  # orbit by orbit, members in basis order
+    return OrbitSummary(tuple(orbits.sizes.tolist()), partners[orbits.representatives],
+                        partners[members[order], : half + odd], owners[order])
+
+
+@cache
 def representative_codes(length: int) -> tuple[str, ...]:
     """The encoded orbit representatives of the shared orbits, in orbit order.
 
-    Their rows are gathered from the site-major basis by fancy indexing, which
-    reads it several times faster than `take(..., axis=0)` does. Each partner
-    becomes a 3-byte token, its text and then a comma (a newline at the last
-    site), padded with NUL bytes; the tokens of all rows are one byte buffer,
-    which drops the NULs and splits into lines.
+    Each partner of the summary's rows becomes a 3-byte token, its text and
+    then a comma (a newline at the last site), padded with NUL bytes; the
+    tokens of all rows are one byte buffer, which drops the NULs and splits
+    into lines.
     """
     text = [".", *map(str, range(1, length + 1))]
     tokens = np.array([*(t + "," for t in text), *(t + "\n" for t in text)], dtype="S3")
     # Partner j is token j + 1 (after DEFECT's), or j + L + 2 at the last site.
-    rows = shared_basis(length).partners[shared_orbits(length).representatives] + 1
+    rows = orbit_summary(length).rows + 1
     rows[:, -1] += length + 1
     return tuple(tokens[rows].tobytes().replace(b"\0", b"").decode().splitlines())
 
 
-@lru_cache(maxsize=16)
+@cache
 def shared_orbit_labels(length: int) -> tuple[tuple[tuple, ...], ...]:
     """The labels of each shared orbit's labelled members, in member order.
 
@@ -463,26 +569,15 @@ def shared_orbit_labels(length: int) -> tuple[tuple[tuple, ...], ...]:
     diagram whose right block {n+2..L} pairs only into the left block
     {1..n+1} is labelled by the partial permutation sending left site i to
     its partner minus (n + 1), as its image of the n+1 left sites with None
-    at the defect. The labelled rows are picked with one mask over the
-    partner array, gathered by fancy indexing (as in `representative_codes`)
-    and read through one value table, so only those n! (even) or (n+1)!
-    (odd) rows become tuples.
+    at the defect. The summary's labelled rows are read through one value
+    table, so only those n! (even) or (n+1)! (odd) rows become tuples.
     """
-    partners = shared_basis(length).partners
-    orbits = shared_orbits(length)
+    summary = orbit_summary(length)
     half, odd = length // 2, length % 2
-    if odd:
-        right = partners[:, half + 1 :]
-        labelled = np.all((right != DEFECT) & (right <= half), axis=1)
-    else:
-        labelled = np.all(partners[:, :half] >= half, axis=1)
-    rows = np.flatnonzero(labelled)
-    owner = orbits.orbit_of.take(rows)
-    rows = rows[np.argsort(owner, kind="stable")]  # orbit by orbit, members in basis order
     # Partner j reads as j - n + 1 (even L) or j - n (odd L), at index j + 1 after DEFECT's.
     values = np.array([None, *range(1 - half - odd, length + 1 - half - odd)], dtype=object)
-    labels = list(map(tuple, values[partners[rows, : half + odd] + 1].tolist()))
-    ends = np.cumsum(np.bincount(owner, minlength=len(orbits))).tolist()
+    labels = list(map(tuple, values[summary.labelled + 1].tolist()))
+    ends = np.cumsum(np.bincount(summary.owners, minlength=len(summary))).tolist()
     return tuple(tuple(labels[start:end]) for start, end in zip([0, *ends], ends))
 
 

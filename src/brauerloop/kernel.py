@@ -20,13 +20,15 @@ basis, from its per-orbit weights, before it is returned or cached. A cold
 solve reads the generator rows once, as the proved stream of `site_pairs`:
 it gathers the representatives' columns for the assembly and keeps the
 site-1 rows for that check, so no (2L, N) transition table is stored. A
-`GroundState` is the length and the weight of each orbit of
-`shared_orbits(length)`, in orbit order; the cache payload adds each orbit's
-encoded representative and size. A cache text is read back, with no JSON
-parser, only when it is the text written for the state read from it, byte
-for byte; any other text is refused as failing its checksum, holding another
-length, or leaving the written text at a named byte. A load decodes a file
-again only when the SHA-256 of its bytes has changed.
+`GroundState` is the length and the weight of each orbit, in orbit order;
+the cache payload adds each orbit's encoded representative and size. Both
+are read from `orbit_summary(length)`, which is kept for every length, so a
+state, its text and its checks need no N-row array once the orbits were
+computed. A cache text is read back, with no JSON parser, only when it is
+the text written for the state read from it, byte for byte; any other text
+is refused as failing its checksum, holding another length, or leaving the
+written text at a named byte. A load decodes a file again only when the
+SHA-256 of its bytes has changed.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagrams import representative_codes, require_rankable, shared_basis, shared_orbits
+from .diagrams import (orbit_summary, representative_codes, require_rankable, shared_basis,
+                       shared_orbits)
 from .generators import site_pairs
 from .hamiltonian import (
     IntensityMatrix,
@@ -288,22 +291,22 @@ def _coprime_positive(ints: list[int]) -> tuple[int, ...]:
 class GroundState:
     """Exact per-orbit weights of the kernel vector, gcd-normalised.
 
-    `weights[k]` is the weight of orbit k of `shared_orbits(length)`, which
-    holds the representatives and sizes. The minimum weight being 1 is not
-    assumed: normalisation divides by the gcd, so a counterexample would
-    survive in `weights`.
+    `weights[k]` is the weight of orbit k of the length, and
+    `orbit_summary(length)` holds the orbits' sizes and representatives. The
+    minimum weight being 1 is not assumed: normalisation divides by the gcd,
+    so a counterexample would survive in `weights`.
     """
 
     length: int
     weights: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.weights) != len(shared_orbits(self.length)):
+        if len(self.weights) != len(orbit_summary(self.length)):
             raise ValueError("ground state orbits do not match the enumerated orbits")
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(shared_orbits(self.length).sizes.tolist())
+        return orbit_summary(self.length).sizes
 
     @property
     def total(self) -> int:
@@ -370,7 +373,7 @@ def deserialize_groundstate(text: str, length: int) -> GroundState:
         except ValueError as exc:  # another orbit count, or a weight longer than int() reads
             read = len(_WEIGHT_FIELD.findall(text, field.end()))
             fault = (f"it holds {read} positive decimal weights for "
-                     f"{len(shared_orbits(length))} orbits ({exc})")
+                     f"{len(orbit_summary(length))} orbits ({exc})")
         else:
             written = serialize_groundstate(state)
             if written == text:
@@ -439,10 +442,8 @@ def groundstate(length: int, *, cache_dir=None) -> GroundState:
     """Enumerate, assemble, solve, verify, and (optionally) cache one length.
 
     The kernel is solved on the orbit-reduced matrix and the returned state
-    is re-verified against the full diagram basis in exact arithmetic. The
-    stream of `site_pairs` is exhausted, so all its proofs have passed,
-    before either reads what was gathered from it. A valid cache entry
-    short-circuits the whole pipeline.
+    is re-verified against the full diagram basis in exact arithmetic. A
+    valid cache entry short-circuits the whole pipeline.
     """
     if length < 2:
         raise ValueError(f"ground states need length >= 2, got {length}")
@@ -451,7 +452,21 @@ def groundstate(length: int, *, cache_dir=None) -> GroundState:
         cached = load_cached_groundstate(cache_dir, length)
         if cached is not None:
             return cached
+    state = _solve(length)
+    if cache_dir is not None:
+        save_cached_groundstate(cache_dir, state)
+    return state
 
+
+def _solve(length: int) -> GroundState:
+    """The verified ground state of one length, solved cold.
+
+    The stream of `site_pairs` is exhausted, so all its proofs have passed,
+    before either reads what was gathered from it. The gathered columns and
+    the matrix are freed once read, so the full-basis check runs without
+    them, and the site-1 rows on return, so the caller writes the cache text
+    without any of them.
+    """
     basis = shared_basis(length)
     orbits = shared_orbits(length)
     columns = np.empty((2 * length, len(orbits)), dtype=np.int32)
@@ -460,10 +475,9 @@ def groundstate(length: int, *, cache_dir=None) -> GroundState:
         if not a:
             rows = np.stack(pair)  # the site-1 rows, for the full-basis check
     matrix = build_reduced(basis, orbits, columns)
+    del columns
     state = GroundState(length, kernel_vector(matrix))
+    del matrix
     if not annihilates(basis, state.weights, rows, orbits):
         raise ArithmeticError("expanded ground state is not annihilated on the full basis")
-    if cache_dir is not None:
-        save_cached_groundstate(cache_dir, state)
     return state
-

@@ -13,7 +13,10 @@ from hypothesis import strategies as st
 
 from brauerloop import IntensityMatrix, Orbits
 from brauerloop.checks import MonteCarloReport, OrbitEstimate
-from brauerloop.diagrams import _key, encode_partners, reflect_partners, shared_basis, shared_orbits
+import brauerloop.diagrams as diagrams_module
+from brauerloop.diagrams import (_key, encode_partners, orbit_summary, reflect_partners,
+                                 representative_codes, shared_basis, shared_orbit_labels,
+                                 shared_orbits)
 from brauerloop.generators import transition_table
 from brauerloop.hamiltonian import build_reduced
 
@@ -31,6 +34,28 @@ def defined_in_package(name):
     """The package modules that define `name`."""
     return [module for module in PACKAGE_MODULES
             if hasattr(importlib.import_module(module), name)]
+
+
+def clear_memos():
+    """Empty the package's per-length memos, so that the next reader builds from cold:
+    the N-row arrays, the orbit summaries, and the codes and labels read from them."""
+    diagrams_module._kits.clear()
+    for memo in (orbit_summary, representative_codes, shared_orbit_labels):
+        memo.cache_clear()
+    shared_orbit_labels.cache_clear()
+
+
+def count_enumerations(monkeypatch) -> list[int]:
+    """The lengths passed to `diagrams.enumerate_diagrams` from now on, in call order."""
+    calls = []
+    original = diagrams_module.enumerate_diagrams
+
+    def counting(length):
+        calls.append(length)
+        return original(length)
+
+    monkeypatch.setattr(diagrams_module, "enumerate_diagrams", counting)
+    return calls
 
 
 @lru_cache(maxsize=None)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from brauerloop import (
 )
 from brauerloop.diagrams import shared_basis, shared_orbits
 
-from conftest import assert_orbits_are, orbits_by_image_keys, table_of
+from conftest import assert_orbits_are, clear_memos, orbits_by_image_keys, table_of
 from oracles import (annihilates_by_table, build_full, expand, normalize_integer,
                      validate_by_columns)
 
@@ -45,15 +46,10 @@ def criterion(num, ok, desc):
     assert ok, f"criterion {num}: {desc}"
 
 
-def clear_shared_caches():
-    shared_basis.cache_clear()
-    shared_orbits.cache_clear()
-
-
 @pytest.fixture(scope="module")
 def states():
     """Ground states for L = 2..12 computed cold, with the elapsed wall time."""
-    clear_shared_caches()
+    clear_memos()
     start = time.perf_counter()
     computed = {length: groundstate(length) for length in range(2, 13)}
     elapsed = time.perf_counter() - start
@@ -65,7 +61,7 @@ def weight_size_pairs(gs):
 
 
 def test_criterion_01_groundstate_l4():
-    clear_shared_caches()
+    clear_memos()
     start = time.perf_counter()
     gs = groundstate(4)
     elapsed = time.perf_counter() - start
@@ -78,7 +74,7 @@ def test_criterion_01_groundstate_l4():
 
 
 def test_criterion_02_groundstate_l5():
-    clear_shared_caches()
+    clear_memos()
     start = time.perf_counter()
     gs = groundstate(5)
     elapsed = time.perf_counter() - start
@@ -91,7 +87,7 @@ def test_criterion_02_groundstate_l5():
 
 
 def test_criterion_03_groundstate_l6_l8():
-    clear_shared_caches()
+    clear_memos()
     start = time.perf_counter()
     gs6 = groundstate(6)
     gs8 = groundstate(8)
@@ -228,7 +224,7 @@ def test_criterion_12_monte_carlo(states):
 
 
 def test_stretch_sequence_n7():
-    clear_shared_caches()
+    clear_memos()
     start = time.perf_counter()
     gs = groundstate(14)
     table = permutation_weight_table(gs)
@@ -238,18 +234,32 @@ def test_stretch_sequence_n7():
               f"stretch: n=7 reversal weight {value} at L=14 in {elapsed:.1f}s")
 
 
-# Opt-in criteria at the two longest rankable lengths; each ground state is
-# solved cold in its own interpreter, so its wall time and peak RSS are its own.
+# Criteria at the two longest rankable lengths; each ground state is solved cold
+# in its own interpreter, so its wall time and peak RSS are its own. The oracle
+# comparisons and the ladder stay opt-in.
 stretch = pytest.mark.skipif(os.environ.get("BRAUER_STRETCH") != "1",
-                             reason="set BRAUER_STRETCH=1 for the L = 15 and 16 criteria")
+                             reason="set BRAUER_STRETCH=1 for the L = 15 and 16 oracles and ladder")
 # Measured on 2 vCPU, three fresh runs each: L = 15 in 4.9-5.8 s at 0.31 GB, L = 16 in
 # 6.1-6.7 s at 0.30 GB. The RSS bound leaves room for glibc's heap placement (8-24 MiB at
 # L = 16) and other hosts, and fails at the 0.52-0.54 GB that a solve storing the (2L, N)
 # transition table took. The peak is the child's own VmHWM, not its ru_maxrss, which
 # keeps the peak of this test process (about 0.46 GB after the L = 16 orbit oracle).
 STRETCH_BOUNDS = {15: (30.0, 0.40e9), 16: (30.0, 0.40e9)}
+# A ladder up to L = 16 may peak at most this much above L = 16 alone, as a finished
+# length keeps only its orbit summary: 1.05-1.08 measured, and 1.37 while every
+# finished length kept its N-row arrays.
+LADDER_PEAK_RATIO = 1.1
 
-SOLVE_ONE = """
+# The peak of the child's own address space: ru_maxrss would also keep the peak of
+# the process that started it, as execve carries it over.
+PEAK = """
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status
+                    if line.startswith("VmHWM:"))
+"""
+
+SOLVE_ONE = PEAK + """
 import json, sys, time
 from brauerloop import groundstate, permutation_weight_table, verify_sum_rule
 length = int(sys.argv[1])
@@ -259,35 +269,59 @@ result = {"sum_rule": verify_sum_rule(state).status, "reversal": None}
 if length % 2 == 0:
     result["reversal"] = permutation_weight_table(state)[tuple(range(length // 2, 0, -1))]
 result["elapsed"] = time.perf_counter() - start
-# The peak of this process's own address space: ru_maxrss would also keep the
-# peak of the process that started it, as execve carries it over.
-with open("/proc/self/status") as status:
-    result["rss"] = next(int(line.split()[1]) * 1024 for line in status
-                         if line.startswith("VmHWM:"))
+result["rss"] = peak()
 print(json.dumps(result))
 """
+
+# `verify --max-length L` on an empty cache, counting the lengths enumerated.
+LADDER = PEAK + """
+import contextlib, io, json, sys, tempfile
+import brauerloop.diagrams as diagrams
+from brauerloop.cli import main
+calls, enumerate_diagrams = [], diagrams.enumerate_diagrams
+diagrams.enumerate_diagrams = lambda length: calls.append(length) or enumerate_diagrams(length)
+with tempfile.TemporaryDirectory() as cache, contextlib.redirect_stdout(io.StringIO()):
+    code = main(["verify", "--max-length", sys.argv[1], "--cache-dir", cache])
+print(json.dumps({"exit": code, "calls": calls, "rss": peak()}))
+"""
+
+
+@lru_cache(maxsize=None)
+def child(script, length):
+    """The JSON result of a script run in a fresh interpreter for one length, run once."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", script, str(length)], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
 
 
 @stretch
 @pytest.mark.parametrize("length", [15, 16])
 def test_stretch_orbits_match_image_key_oracle(length):
-    clear_shared_caches()
+    clear_memos()
     assert_orbits_are(shared_orbits(length), orbits_by_image_keys(shared_basis(length)))
-    clear_shared_caches()  # the later tests need not hold these 2 M-row arrays
+    clear_memos()  # the later tests need not hold these 2 M-row arrays
 
 
-@stretch
 @pytest.mark.parametrize("length", [15, 16])
 def test_stretch_groundstate(length):
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", SOLVE_ONE, str(length)], env=env,
-                          capture_output=True, text=True, timeout=600)
-    assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout)
+    result = child(SOLVE_ONE, length)
     seconds, rss = STRETCH_BOUNDS[length]
     expected = REFERENCE.long_permutation_weights[7] if length == 16 else None
     ok = (result["sum_rule"] == "PASS" and result["reversal"] == expected
           and result["elapsed"] <= seconds and result["rss"] <= rss)
     criterion(0, ok, f"stretch: L={length} sum rule {result['sum_rule']}, reversal "
               f"{result['reversal']}, {result['elapsed']:.1f}s, {result['rss'] / 1e9:.2f} GB")
+
+
+@stretch
+def test_stretch_ladder_peak():
+    ladder, alone = child(LADDER, 16), child(SOLVE_ONE, 16)
+    ratio = ladder["rss"] / alone["rss"]
+    ok = (ladder["exit"] == 0 and ladder["calls"] == list(range(2, 17))
+          and ratio <= LADDER_PEAK_RATIO)
+    criterion(0, ok, f"stretch: verify --max-length 16 exits {ladder['exit']}, enumerates "
+              f"{ladder['calls']}, peaks at {ladder['rss'] / 2**20:.0f} MiB, {ratio:.3f} "
+              f"times L = 16 alone")

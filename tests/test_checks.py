@@ -32,16 +32,11 @@ from brauerloop.checks import (
     _trajectory,
 )
 from brauerloop.cli import main
-from brauerloop.diagrams import (
-    _key,
-    representative_codes,
-    shared_basis,
-    shared_orbit_labels,
-    shared_orbits,
-)
+from brauerloop.diagrams import _key, shared_basis, shared_orbits
 
 from conftest import (
     STRETCH,
+    clear_memos,
     defined_in_package,
     diagram,
     diagram_at,
@@ -141,8 +136,7 @@ class TestWeightTableOracle:
         assert len(table) == math.factorial(n + odd) == len(labels)
         assert [table[label] for label in labels] == found.tolist()
         if length > 14:
-            for memo in (shared_basis, shared_orbits, shared_orbit_labels):
-                memo.cache_clear()  # later tests need not hold these 2 M-row arrays
+            clear_memos()  # later tests need not hold these 2 M-row arrays
 
     def test_unknown_representative_rejected(self):
         state = numbered_state(6)
@@ -154,8 +148,7 @@ class TestWeightTableOracle:
         # From cold shared caches through the solve and the cache file to the
         # table: the package has no single-diagram type, so it builds none,
         # neither per basis row nor per orbit.
-        for memo in (shared_basis, shared_orbits, representative_codes):
-            memo.cache_clear()
+        clear_memos()
         table = permutation_weight_table(groundstate(length, cache_dir=tmp_path))
         assert len(table) == math.factorial(length // 2 + length % 2)
         assert defined_in_package("ChordDiagram") == []
@@ -169,8 +162,7 @@ class TestWeightTableOracle:
         for path in tmp_path.iterdir():
             settle(path)
         kernel_module._loaded.clear()
-        for memo in (shared_basis, shared_orbits, representative_codes, shared_orbit_labels):
-            memo.cache_clear()
+        clear_memos()
         decoded = []
         original_decode = kernel_module.deserialize_groundstate
 

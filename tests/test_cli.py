@@ -9,9 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from brauerloop import BasisTooLargeError, enumerate_diagrams, groundstate
+import brauerloop.kernel as kernel_module
+from brauerloop import BasisTooLargeError, check_relations, enumerate_diagrams, groundstate
 from brauerloop.cli import build_parser, main, resolve_cache_dir
 from brauerloop.kernel import cache_path, serialize_groundstate
+
+from conftest import clear_memos, count_enumerations
 
 
 def run(capsys, *argv):
@@ -206,7 +209,7 @@ class TestErrors:
             pytest.fail("no length may be solved or enumerated before the ceiling check")
 
         monkeypatch.setattr(cli_module, "groundstate", fail)
-        monkeypatch.setattr(cli_module, "shared_orbits", fail)
+        monkeypatch.setattr(cli_module, "orbit_summary", fail)
         with pytest.raises(BasisTooLargeError) as refused:
             enumerate_diagrams(largest)
         argv = [str(tmp_path / "cache") if arg == "CACHE" else arg for arg in argv]
@@ -356,6 +359,41 @@ def test_commands_in_one_process_match_separate_processes(tmp_path):
         separate.append([alone.stdout, alone.stderr, alone.returncode])
     assert record["results"] == separate
     assert [code for _, _, code in separate] == [0, 2, 0, 2, 0, 0, 2, 0]
+
+
+class TestOneEnumerationPerLength:
+    """A finished length keeps its orbit summary, so no ladder enumerates a length twice."""
+
+    def test_cold_verify(self, monkeypatch, capsys, tmp_path):
+        clear_memos()
+        calls = count_enumerations(monkeypatch)
+        assert run(capsys, "verify", "--max-length", "13", "--cache-dir", str(tmp_path))[0] == 0
+        assert calls == list(range(2, 14))
+
+    def test_cold_sequence(self, monkeypatch, capsys, tmp_path):
+        clear_memos()
+        calls = count_enumerations(monkeypatch)
+        assert run(capsys, "sequence", "--max-n", "6", "--cache-dir", str(tmp_path))[0] == 0
+        assert calls == list(range(2, 13, 2))
+
+    def test_warm_checks(self, monkeypatch, capsys, tmp_path):
+        # The operations of the benchmark's warm workload, on a filled cache,
+        # in one process from cold memos.
+        cache = str(tmp_path)
+        for length in range(2, 14):
+            groundstate(length, cache_dir=cache)
+        kernel_module._loaded.clear()
+        clear_memos()
+        calls = count_enumerations(monkeypatch)
+        for argv in (["groundstate", "--length", "13", "--format", "json", "--cache-dir", cache],
+                     ["verify", "--max-length", "13", "--cache-dir", cache],
+                     ["sequence", "--max-n", "6", "--cache-dir", cache],
+                     ["count-classes", "--max-n", "7"],
+                     ["simulate", "--length", "8", "--samples", "1000000", "--seed", "1",
+                      "--z-limit", "5", "--cache-dir", cache]):
+            assert run(capsys, *argv)[0] == 0, argv
+        assert all(check_relations(length).all_passed for length in range(3, 11))
+        assert sorted(calls) == list(range(2, 15))
 
 
 @pytest.mark.parametrize("length", [12, 14])

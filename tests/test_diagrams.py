@@ -1,9 +1,11 @@
+import gc
 import os
 import re
 import resource
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -21,14 +23,16 @@ from brauerloop import (
 import brauerloop.diagrams as diagrams_module
 from brauerloop.counting import class_count, double_factorial
 from brauerloop.diagrams import (_key, _step_keys, _validated, conjugate, encode_partners,
-                                 inverse_of, label_text, representative_codes, rotation_minimum,
-                                 shared_basis, shared_orbit_labels, shared_orbits)
+                                 inverse_of, label_text, orbit_summary, representative_codes,
+                                 rotation_minimum, shared_basis, shared_orbit_labels, shared_orbits)
 
 from conftest import (
     STRETCH,
     assert_orbits_are,
     brute_force_count,
     brute_force_diagrams,
+    clear_memos,
+    count_enumerations,
     diagram,
     diagram_at,
     diagrams_of,
@@ -135,18 +139,10 @@ class TestEnumeration:
         assert partners.tobytes() == expected.tobytes()
 
     def test_one_enumeration_per_length(self, monkeypatch):
-        # The blocks reuse shorter lengths through a private memo, so a
+        # The blocks build the shorter lengths' rows within the call, so a
         # cold basis costs exactly one call of the public function.
-        calls = []
-        original = diagrams_module.enumerate_diagrams
-
-        def counting(length):
-            calls.append(length)
-            return original(length)
-
-        monkeypatch.setattr(diagrams_module, "enumerate_diagrams", counting)
-        shared_basis.cache_clear()
-        diagrams_module._partner_rows.cache_clear()
+        calls = count_enumerations(monkeypatch)
+        clear_memos()
         assert len(shared_basis(13)) == 135135
         assert calls == [13]
 
@@ -461,8 +457,7 @@ class TestRotationMap:
         assert step.dtype == np.int32
         assert np.array_equal(step, step_by_search(shared_basis(length)))
         if length > 14:  # the later tests need not hold these 2 M-row arrays
-            for memo in (shared_orbits, shared_basis, diagrams_module._partner_rows):
-                memo.cache_clear()
+            clear_memos()
 
     @pytest.mark.parametrize("length", [8, 9])
     @pytest.mark.parametrize("kept", ["all but the first", "all but the last", "the first half"])
@@ -497,8 +492,7 @@ class TestRotationMinimum:
         assert rmin.dtype == np.int32
         assert np.array_equal(rmin, rotation_minimum_by_powers(step, length))
         if length > 14:  # the later tests need not hold these 2 M-row arrays
-            for memo in (shared_orbits, shared_basis, diagrams_module._partner_rows):
-                memo.cache_clear()
+            clear_memos()
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=2, max_value=16), st.data())
@@ -516,6 +510,46 @@ class TestRotationMinimum:
         assert np.array_equal(rotation_minimum(step, size), rotation_minimum_by_powers(step, size))
 
 
+class TestMemo:
+    """One memo holds the N-row arrays; every length keeps its `orbit_summary`."""
+
+    def test_a_basis_as_large_as_any_held_drops_that_size(self):
+        # L = 13 and 14 both have 135,135 diagrams: building L = 14 frees the
+        # arrays of L = 13, while the smaller L <= 12 stay, the same objects.
+        clear_memos()
+        basis, orbits = shared_basis(13), shared_orbits(13)
+        summary = orbit_summary(13)
+        dropped = [weakref.ref(array) for array in (
+            basis.partners, basis._keys, orbits.orbit_of, orbits.step, orbits.mirror)]
+        del basis, orbits
+        kept = {length: (shared_basis(length), shared_orbits(length)) for length in range(2, 13)}
+        shared_orbits(14)
+        gc.collect()
+        assert [ref() for ref in dropped] == [None] * len(dropped)
+        for length, (basis, orbits) in kept.items():
+            assert shared_basis(length) is basis and shared_orbits(length) is orbits
+        assert orbit_summary(13) is summary
+
+    def test_a_dropped_length_keeps_its_summary(self, monkeypatch):
+        # The summary of L = 11 is taken when L = 12 drops it, not built
+        # again; codes and labels come from the summary alone.
+        clear_memos()
+        shared_orbits(11)
+        shared_orbits(12)
+        calls = count_enumerations(monkeypatch)
+        assert len(orbit_summary(11)) == len(representative_codes(11))
+        assert len(shared_orbit_labels(11)) == len(orbit_summary(11))
+        assert calls == []
+
+    @pytest.mark.parametrize("length", [8, 9])
+    def test_summary_matches_the_orbits(self, length):
+        basis, orbits = shared_basis(length), shared_orbits(length)
+        summary = orbit_summary(length)
+        assert summary.sizes == tuple(orbits.sizes.tolist())
+        assert np.array_equal(summary.rows, basis.partners[orbits.representatives])
+        assert summary.rows.dtype == summary.labelled.dtype == np.int8
+
+
 class TestMemory:
     """Deterministic Python-level peaks (tracemalloc) of the diagram layer at L = 13 and 14."""
 
@@ -529,7 +563,7 @@ class TestMemory:
             tracemalloc.stop()
 
     def test_enumerate_peak(self):
-        diagrams_module._partner_rows.cache_clear()  # build every shorter length again
+        clear_memos()  # build every shorter length again
         assert self.peak_mib(lambda: enumerate_diagrams(13)) <= 4.2  # 4.12 measured
 
     def test_orbits_peak(self):

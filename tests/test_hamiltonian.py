@@ -16,13 +16,13 @@ from brauerloop import (
     groundstate,
     kernel_vector,
 )
-import brauerloop.diagrams as diagrams_module
 from brauerloop.diagrams import inverse_of, rotation_minimum, shared_basis, shared_orbits
 from brauerloop.generators import transition_table
 from brauerloop.hamiltonian import IntensityMatrix, _rotation_sum
 
 from conftest import (
     STRETCH,
+    clear_memos,
     diagram,
     diagrams_of,
     index_of,
@@ -448,8 +448,7 @@ class TestOrbitWeights:
     def test_agrees_with_the_table_oracle_at_the_longest_lengths(self, length):
         basis, orbits = shared_basis(length), shared_orbits(length)
         self.assert_agree(length, transition_table(basis, orbits))
-        for memo in (shared_orbits, shared_basis, diagrams_module._partner_rows):
-            memo.cache_clear()  # the later tests need not hold the arrays of L = 15, 16
+        clear_memos()  # the later tests need not hold the arrays of L = 15, 16
 
     @pytest.mark.parametrize("length", range(2, 13))
     def test_per_diagram_weights_agree_with_the_orbit_form(self, length):

@@ -31,7 +31,6 @@ from brauerloop import (
     permutation_weight_table,
 )
 from brauerloop.cli import main
-import brauerloop.diagrams as diagrams_module
 from brauerloop.diagrams import encode_partners, representative_codes, shared_basis, shared_orbits
 from brauerloop.kernel import (
     CacheCorruptError,
@@ -42,7 +41,8 @@ from brauerloop.kernel import (
     serialize_groundstate,
 )
 
-from conftest import diagram, index_of, intensity_columns, matrix_of, members_of, reduced, settle
+from conftest import (clear_memos, diagram, index_of, intensity_columns, matrix_of, members_of,
+                      reduced, settle)
 from oracles import (
     PRIMES,
     _bareiss_kernel,
@@ -511,9 +511,7 @@ class TestWriter:
         for length in range(2, 17):
             codes = representative_codes(length)
             assert all(re.fullmatch(r"[0-9.,]+", code) for code in codes), length
-        for memo in (representative_codes, shared_orbits, shared_basis,
-                     diagrams_module._partner_rows):
-            memo.cache_clear()  # the later tests need not hold the arrays of L = 15, 16
+        clear_memos()  # the later tests need not hold the arrays of L = 15, 16
 
 
 class TestGroundstateText:
@@ -693,9 +691,11 @@ class TestCache:
         for module, name in [(diagrams_module, "enumerate_diagrams"),
                              (diagrams_module, "shared_basis"),
                              (diagrams_module, "shared_orbits"),
+                             (diagrams_module, "orbit_summary"),
                              (diagrams_module, "representative_codes"),
                              (kernel_module, "shared_basis"),
                              (kernel_module, "shared_orbits"),
+                             (kernel_module, "orbit_summary"),
                              (kernel_module, "representative_codes")]:
             monkeypatch.setattr(module, name, no_enumeration)
         with pytest.raises(CacheCorruptError,
