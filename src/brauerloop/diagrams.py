@@ -283,16 +283,11 @@ def _partner_rows(length: int, known: dict[int, np.ndarray]) -> np.ndarray:
     L-2, relabelled q -> q + 1 + (q >= j-1) with DEFECT kept: increasing
     and keeping DEFECT lowest, so each block is sorted and so is the whole.
     `known` maps lengths to their rows: each length missing from it is built
-    once and added, so the rows live only as long as the caller's dict. The
-    rows of an even length are read back from the first block of the next
-    odd length when that one is known.
+    once and added, so the rows live only as long as the caller's dict.
     """
     if length in known:
         return known[length]
-    odd = known.get(length + 1)
-    if odd is not None and length % 2 == 0:
-        rows = odd[: len(odd) // (length + 1), 1:] - 1
-    elif length < 2:
+    if length < 2:
         rows = np.full((1, length), DEFECT, dtype=np.int8)
     else:
         shorter = _partner_rows(length - 2, known)
@@ -445,13 +440,12 @@ def conjugate(row: np.ndarray, perm: np.ndarray, inverse: np.ndarray) -> np.ndar
     return perm.take(row.take(inverse))
 
 
+@dataclass(eq=False, slots=True)
 class _Kit:
     """The N-row arrays of one length: its basis, and its orbits once computed."""
 
-    __slots__ = ("basis", "orbits")
-
-    def __init__(self, basis: DiagramBasis):
-        self.basis, self.orbits = basis, None
+    basis: DiagramBasis
+    orbits: Orbits | None = None
 
 
 # The one memo of N-row arrays, by length; `_kit` keeps it bounded.
@@ -497,21 +491,21 @@ def shared_orbits(length: int) -> Orbits:
     return kit.orbits
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class OrbitSummary:
     """The orbit data of one length that is kept for every length: m rows, not N.
 
     `sizes[k]` is the size of orbit k and `rows[k]` its representative's
     partner row, (m, L) int8. `labelled` holds the left sites' partners of
     every labelled diagram (see `shared_orbit_labels`) as int8 rows, orbit by
-    orbit and members in basis order, and `owners` the orbit of each.
-    `len()` is the orbit count.
+    orbit and members in basis order, and `owners` the orbit of each. The
+    arrays are read-only. `len()` is the orbit count.
     """
 
-    __slots__ = ("sizes", "rows", "labelled", "owners")
-
-    def __init__(self, sizes: tuple[int, ...], rows: np.ndarray, labelled: np.ndarray,
-                 owners: np.ndarray):
-        self.sizes, self.rows, self.labelled, self.owners = sizes, rows, labelled, owners
+    sizes: tuple[int, ...]
+    rows: np.ndarray
+    labelled: np.ndarray
+    owners: np.ndarray
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -538,8 +532,11 @@ def orbit_summary(length: int) -> OrbitSummary:
     members = np.flatnonzero(labelled)
     owners = orbits.orbit_of.take(members)
     order = np.argsort(owners, kind="stable")  # orbit by orbit, members in basis order
-    return OrbitSummary(tuple(orbits.sizes.tolist()), partners[orbits.representatives],
-                        partners[members[order], : half + odd], owners[order])
+    summary = OrbitSummary(tuple(orbits.sizes.tolist()), partners[orbits.representatives],
+                           partners[members[order], : half + odd], owners[order])
+    for array in (summary.rows, summary.labelled, summary.owners):
+        array.flags.writeable = False  # shared through the `orbit_summary` memo
+    return summary
 
 
 @cache

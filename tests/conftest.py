@@ -42,7 +42,6 @@ def clear_memos():
     diagrams_module._kits.clear()
     for memo in (orbit_summary, representative_codes, shared_orbit_labels):
         memo.cache_clear()
-    shared_orbit_labels.cache_clear()
 
 
 def count_enumerations(monkeypatch) -> list[int]:

@@ -548,6 +548,8 @@ class TestMemo:
         assert summary.sizes == tuple(orbits.sizes.tolist())
         assert np.array_equal(summary.rows, basis.partners[orbits.representatives])
         assert summary.rows.dtype == summary.labelled.dtype == np.int8
+        for array in (summary.rows, summary.labelled, summary.owners):
+            assert not array.flags.writeable
 
 
 class TestMemory:
