@@ -224,7 +224,7 @@ class Orbits:
     members and its representative `representatives[k]` is the smallest of
     them. `representatives` and `orbit_of` are int32, like the maps `step`
     and `mirror` of `compute_orbits` that generate the orbits; `sizes` is
-    int64. `len()` is the orbit count.
+    int64. `len()` is the orbit count. A record proves itself as it is constructed.
     """
 
     representatives: np.ndarray
@@ -233,15 +233,44 @@ class Orbits:
     step: np.ndarray
     mirror: np.ndarray
 
+    def __post_init__(self) -> None:
+        """Prove the groups of `orbit_of` a partition with these sizes and representatives
+        (else ValueError), and `step` and `mirror` permutations under which each group is
+        closed and one orbit (else ArithmeticError names the map or the orbit); then make
+        the arrays read-only. A closed group is one orbit when each member rotates from its
+        representative or that one's mirror in `sizes.max()` rotations. Lemma: a group closed
+        under r holds the r-cycle of its representative, so that cycle is no longer."""
+        orbit_of, step, mirror, m = self.orbit_of, self.step, self.mirror, len(self.sizes)
+        if not (np.array_equal(np.bincount(orbit_of, minlength=m), self.sizes)
+                and np.array_equal(orbit_of.take(self.representatives), np.arange(m))):
+            raise ValueError("orbits do not partition the basis")
+        for name, image in (("rotation", step), ("reflection", mirror)):
+            _prove_permutation(image, len(orbit_of), name)
+            moved = np.flatnonzero(orbit_of.take(image) != orbit_of)
+            if moved.size:
+                raise ArithmeticError(f"orbit {orbit_of[moved[0]]} is not closed under the {name}")
+        reached = np.zeros(len(orbit_of), dtype=bool)
+        for images in (self.representatives, mirror.take(self.representatives)):
+            for _ in range(int(self.sizes.max(initial=0))):
+                reached[images.astype(np.intp, copy=False)] = True
+                images = step.take(images)
+        if not reached.all():
+            k = orbit_of[np.argmin(reached)]
+            raise ArithmeticError(f"orbit {k} is not one orbit of the rotation and reflection")
+        for array in (self.representatives, self.sizes, orbit_of, step, mirror):
+            array.flags.writeable = False  # shared through `shared_orbits`
+
     def __len__(self) -> int:
         return len(self.sizes)
 
 
-def prove_permutation(image: np.ndarray, count: int, name: str) -> None:
-    """ArithmeticError unless the map `image` is a permutation of range(count): it has
-    `count` values, each in range(count) and none missing, so each exactly once."""
-    counts = np.bincount(image, minlength=count)
-    if not (len(image) == len(counts) == count and counts.all()):
+def _prove_permutation(image: np.ndarray, count: int, name: str) -> None:
+    """ArithmeticError unless `image` is a permutation of range(count): `count` values,
+    each in range(count) (checked first, so that no negative index wraps), none missing."""
+    hit = np.zeros(count, dtype=bool)
+    if len(image) == count and (not count or 0 <= image.min() and image.max() < count):
+        hit[image] = True
+    if len(image) != count or not hit.all():
         raise ArithmeticError(f"the {name} map is not a permutation of the basis")
 
 
@@ -373,7 +402,7 @@ def compute_orbits(basis: DiagramBasis) -> Orbits:
     key proof, the doubling for rmin, the mirror fill, rmin[mirror], the
     numbers) is an `ndarray.take`, which skips fancy indexing's slower int32
     path at the cost of one intp copy of the index, and the mirror fill
-    scatters through an intp copy for the same reason.
+    scatters through an intp copy for the same reason. The record proves itself (`Orbits`).
     """
     size, count = basis.length, len(basis)
     assert count < 2**31, "basis indices must fit in int32"
@@ -399,11 +428,7 @@ def compute_orbits(basis: DiagramBasis) -> Orbits:
     number[representatives] = np.arange(len(representatives), dtype=np.int32)
     orbit_of = number.take(smallest)
     del number, smallest
-    arrays = (representatives.astype(np.int32),
-              np.bincount(orbit_of, minlength=len(representatives)), orbit_of, step, mirror)
-    for array in arrays:
-        array.flags.writeable = False  # shared through `shared_orbits`
-    return Orbits(*arrays)
+    return Orbits(representatives.astype(np.int32), np.bincount(orbit_of), orbit_of, step, mirror)
 
 
 def rotation_minimum(step: np.ndarray, size: int) -> np.ndarray:

@@ -34,7 +34,7 @@ from itertools import chain
 import numpy as np
 
 from .diagrams import (DiagramBasis, Orbits, _ranks_fit, conjugate, encode_partners,
-                       inverse_of, prove_permutation, shared_basis, shared_orbits)
+                       inverse_of, shared_basis, shared_orbits)
 
 
 def site_pairs(basis: DiagramBasis, orbits: Orbits) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -46,24 +46,21 @@ def site_pairs(basis: DiagramBasis, orbits: Orbits) -> Iterator[tuple[np.ndarray
     r = `orbits.step` (`conjugate`), proved entry by entry before it is
     yielded: the basis keys of its images must equal the key arithmetic of
     `_image_keys`, and keys are injective on the basis. Equivariance is
-    proved after the last pair, for the permutations r and s =
-    `orbits.mirror` (`build_reduced` checks both): the pairs commute with r
-    by construction, so per family only the wrap r g_{L-1} r^-1 = g_0 is
-    checked, then s r s^-1 = r^-1 (as s r = r^-1 s) and s g_0 s^-1 = g_{L-2}.
-    Lemma: s g_a s^-1 = g_{L-2-a} (mod L) for all a, as g_a = r^a g_0 r^-a
-    gives s g_a s^-1 = (s r s^-1)^a (s g_0 s^-1) (s r^-1 s^-1)^a = r^-a
-    g_{L-2} r^a. So a reader must exhaust the stream before it trusts a row.
+    proved after the last pair, for r and s = `orbits.mirror`, permutations
+    as the record proved (one of another basis size raises ValueError): the
+    pairs commute with r by construction, so per family only the wrap
+    r g_{L-1} r^-1 = g_0 is checked, then s r s^-1 = r^-1 (as s r = r^-1 s)
+    and s g_0 s^-1 = g_{L-2}. Lemma: s g_a s^-1 = g_{L-2-a} (mod L) for all a,
+    as g_a = r^a g_0 r^-a gives s g_a s^-1 = (s r s^-1)^a (s g_0 s^-1) (s r^-1 s^-1)^a
+    = r^-a g_{L-2} r^a. So a reader must exhaust the stream before it trusts a row.
     ArithmeticError names the site, the relation or generator c of the
     table rows (monoid c = a, braid c = L + a) as "column c": a reflection
-    fault is named by column 0 or L, whichever family holds it. Both maps
-    are first proved to be permutations, as `build_reduced` does, before
-    either is inverted. Only the pairs of site 1, of site L-1 (0-based
-    L-2) and the current one are kept.
+    fault is named by column 0 or L, whichever family holds it. Only the
+    pairs of site 1, of site L-1 (0-based L-2) and the current one are kept.
     """
-    size = basis.length
-    step, mirror = orbits.step, orbits.mirror
-    prove_permutation(step, len(basis), "rotation")
-    prove_permutation(mirror, len(basis), "reflection")
+    size, step, mirror = basis.length, orbits.step, orbits.mirror
+    if len(step) != len(basis):
+        raise ValueError(f"orbits of {len(step)} diagrams given for a basis of {len(basis)}")
     first = pair = tuple(basis.locate(_image_keys(basis.partners, basis._keys, 0))
                          .astype(np.int32))
     inverse = inverse_of(step)

@@ -16,8 +16,8 @@ whole orbit blocks. Equivariance implies representative independence: as the
 generator action commutes with rotations and reflections, each row of an
 orbit takes, and each column gives, the same per-orbit sums (Buchholz, J.
 Appl. Probab. 31, 1994). `site_pairs` proves that equivariance as it
-produces the rows, and assembly proves the orbits; the lumped matrix has
-zero column sums and the per-orbit weights as its kernel, and
+produces the rows, and each `Orbits` record proves the orbits as it is made;
+the lumped matrix has zero column sums and the per-orbit weights as its kernel, and
 `build_reduced` reads only the representatives' (2L, m) columns. The
 operator over the full basis is applied to a vector by `annihilates` and
 never assembled: from the site-1 rows alone, since every other row is a
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagrams import DiagramBasis, Orbits, inverse_of, prove_permutation
+from .diagrams import DiagramBasis, Orbits, inverse_of
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,36 +86,18 @@ def build_reduced(basis: DiagramBasis, orbits: Orbits, columns: np.ndarray) -> I
     order of the `transition_table` (`table[:, representatives]`), gathered
     from `site_pairs` of the basis over these orbits, which proved the
     action equivariant under their `step` and `mirror` (another shape
-    raises ValueError). That implies representative independence once the
-    orbits are proved: the groups of `orbit_of` partition the basis
-    (else ValueError), and `step` and `mirror` are permutations under which
-    each group is closed and one orbit; else ArithmeticError names the map
-    or the orbit. Entry (R, C), the block sum, is then |C| times rep(C)'s
-    column summed over R.
+    raises ValueError). That implies representative independence, as the record
+    proved itself the orbits of those maps when it was constructed; only its size
+    is checked here (else ValueError). Entry (R, C), the block sum, is then |C|
+    times rep(C)'s column summed over R.
     """
-    n, size, m = len(basis), basis.length, len(orbits)
+    size, m = basis.length, len(orbits)
     if columns.shape != (2 * size, m):
         raise ValueError(f"representative columns of shape {columns.shape} given for "
                          f"{m} orbits of length {size}, which need {(2 * size, m)}")
-    orbit_of, representatives = orbits.orbit_of, orbits.representatives
-    sized = len(orbit_of) == n and np.array_equal(np.bincount(orbit_of, minlength=m), orbits.sizes)
-    if not (sized and np.array_equal(orbit_of.take(representatives), np.arange(m))):
+    if len(orbits.orbit_of) != len(basis):
         raise ValueError("orbits do not partition the basis")
-    for name, image in (("rotation", orbits.step), ("reflection", orbits.mirror)):
-        prove_permutation(image, n, name)
-        moved = np.flatnonzero(orbit_of.take(image) != orbit_of)
-        if moved.size:
-            raise ArithmeticError(f"orbit {orbit_of[moved[0]]} is not closed under the {name}")
-    # A closed group is one orbit when each member rotates from its representative or its mirror.
-    reached = np.zeros(n, dtype=bool)
-    for images in (representatives, orbits.mirror.take(representatives)):
-        for _ in range(size):
-            reached[images.astype(np.intp, copy=False)] = True
-            images = orbits.step.take(images)
-    if not reached.all():
-        k = orbit_of[np.argmin(reached)]
-        raise ArithmeticError(f"orbit {k} is not one orbit of the rotation and reflection")
-    entries = _summed_entries(columns, representatives, orbit_of, orbits.sizes)
+    entries = _summed_entries(columns, orbits.representatives, orbits.orbit_of, orbits.sizes)
     return IntensityMatrix(basis.length, m, *entries)
 
 
@@ -169,8 +151,7 @@ def annihilates(basis: DiagramBasis, weights, rows: np.ndarray, orbits: Orbits) 
     fixed by r, H v = sum over a < L of u o r^-a, u = (3 - 2 e_0 - b_0) v:
     the site-a term (3 - 2 e_a - b_a) v scatters v[d] to e_a(d) = r^a
     e_0(r^-a d), and with d' = r^-a d and v[r^a d'] = v[d'] that is u
-    read at r^-a. So `orbit_of.take(step) == orbit_of` is proved first,
-    with `step` a permutation (else ArithmeticError). `product_is_zero`
+    read at r^-a. v is fixed by r, as the record proved. `product_is_zero`
     pushes the weights through in 31-bit limbs, each gathered to the N
     diagrams in int64 and scattered through the two rows into u, then
     summed in Horner's form: S <- u, and L-1 times S <- S o r^-1 + u, with
@@ -184,10 +165,6 @@ def annihilates(basis: DiagramBasis, weights, rows: np.ndarray, orbits: Orbits) 
     if rows.shape != (2, n):
         raise ValueError(f"site-1 rows of shape {rows.shape} given for a basis "
                          f"that needs {(2, n)}")
-    prove_permutation(step, n, "rotation")
-    moved = np.flatnonzero(orbit_of.take(step) != orbit_of)
-    if moved.size:
-        raise ArithmeticError(f"orbit {orbit_of[moved[0]]} is not closed under the rotation")
     back = inverse_of(step).astype(np.intp)
     # A column's entries sum to 6L in magnitude, so no row exceeds 6L * n.
     return product_is_zero(lambda limb: _rotation_sum(limb, rows, orbit_of, back, size),

@@ -106,7 +106,8 @@ def members_of(orbits, k):
 def regrouped(orbits, groups):
     """An `Orbits` record with the maps of `orbits` that labels the members of each
     group by the group's position, its first member as representative; a diagram
-    in no group is labelled 0."""
+    in no group is labelled 0. Like every record it proves itself on construction,
+    so groups that are not the orbits of the maps are refused here."""
     members = np.concatenate(groups).astype(np.intp)
     sizes = np.array([len(g) for g in groups], dtype=np.int64)
     orbit_of = np.zeros(len(orbits.orbit_of), dtype=np.int32)

@@ -566,15 +566,18 @@ def annihilates_by_table(basis: DiagramBasis, weights, table: np.ndarray, orbit_
                            weights, 3 * len(table) * len(basis))
 
 
-def lump_by_rows(basis: DiagramBasis, orbits: Orbits, table: np.ndarray) -> IntensityMatrix:
+def lump_by_rows(basis: DiagramBasis, orbit_of: np.ndarray, sizes: np.ndarray,
+                 table: np.ndarray) -> IntensityMatrix:
     """`build_reduced` over any grouping of the basis indices, proved row by row.
 
-    Sums every full entry per (row, column group), then checks that all rows
-    of a group hold the same sum before scaling it by the group size. The
-    oracle of `build_reduced` and of `build_full`.
+    `orbit_of` groups the diagrams into groups of `sizes`: the fields of an
+    `Orbits` record, or any grouping that no record would accept, such as one
+    group per diagram. Sums every full entry per (row, column group), then
+    checks that all rows of a group hold the same sum before scaling it by
+    the group size. The oracle of `build_reduced` and of `build_full`.
     """
-    m, sizes = len(orbits), orbits.sizes
-    orbit_of = orbits.orbit_of.astype(np.int64)
+    m = len(sizes)
+    orbit_of = orbit_of.astype(np.int64)
     if len(orbit_of) != len(basis) or not np.array_equal(np.bincount(orbit_of, minlength=m),
                                                           sizes):
         raise ValueError("orbits do not partition the basis")

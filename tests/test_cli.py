@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import brauerloop.diagrams as diagrams_module
 import brauerloop.kernel as kernel_module
 from brauerloop import BasisTooLargeError, check_relations, enumerate_diagrams, groundstate
 from brauerloop.cli import build_parser, main, resolve_cache_dir
@@ -394,6 +395,24 @@ class TestOneEnumerationPerLength:
             assert run(capsys, *argv)[0] == 0, argv
         assert all(check_relations(length).all_passed for length in range(3, 11))
         assert sorted(calls) == list(range(2, 15))
+
+
+def test_cold_verify_proves_each_orbit_record_once(monkeypatch, capsys, tmp_path):
+    # The record proves its two maps as it is constructed, and its readers (the
+    # producer, assembly and the full-basis check) take it as proved: two
+    # permutation proofs per solved length, in one process from cold memos.
+    clear_memos()
+    proved = []
+    original = diagrams_module._prove_permutation
+
+    def counting(image, count, name):
+        proved.append((count, name))
+        original(image, count, name)
+
+    monkeypatch.setattr(diagrams_module, "_prove_permutation", counting)
+    assert run(capsys, "verify", "--max-length", "10", "--cache-dir", str(tmp_path))[0] == 0
+    assert proved == [(count, name) for count in (1, 3, 3, 15, 15, 105, 105, 945, 945)
+                      for name in ("rotation", "reflection")]
 
 
 @pytest.mark.parametrize("length", [12, 14])

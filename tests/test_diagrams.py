@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import os
 import re
@@ -695,6 +696,18 @@ class TestOrbits:
                 array[0] = 1
         with pytest.raises(ValueError):
             shared_basis(6).partners[0, 0] = 1
+
+    @pytest.mark.parametrize("field, name", [("step", "rotation"), ("mirror", "reflection")])
+    @pytest.mark.parametrize("outside", [-1, "count"])
+    def test_refuses_a_map_with_an_image_outside_the_basis(self, field, name, outside):
+        # The image of one diagram is moved to -1 or N: by index, -1 would wrap to
+        # N - 1, the one value now missing, and pass for a permutation.
+        orbits = shared_orbits(8)
+        image = getattr(orbits, field).copy()
+        image[image == len(image) - 1] = len(image) if outside == "count" else outside
+        with pytest.raises(ArithmeticError, match=rf"^the {name} map is not a permutation "
+                                                  "of the basis$"):
+            dataclasses.replace(orbits, **{field: image})
 
     @pytest.mark.parametrize("length", range(2, 10))
     def test_dihedral_maps_match_scalar_images(self, length):

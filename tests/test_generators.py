@@ -28,6 +28,14 @@ from oracles import (
 )
 
 
+def swapped(orbits, field, pair):
+    """A copy of the map `field` ("step" or "mirror") of the record with the images of
+    the two diagrams of `pair` swapped."""
+    image = getattr(orbits, field).copy()
+    image[list(pair)] = image[list(pair[::-1])]
+    return image
+
+
 def scalar_row(basis, d):
     """Table row of one diagram computed with the scalar generators."""
     sites = range(1, basis.length + 1)
@@ -66,14 +74,26 @@ class TestTransitionTable:
         basis = shared_basis(length)
         assert np.array_equal(transition_table_by_search(basis).T, table_of(length))
 
-    @pytest.mark.parametrize("length, swapped", [(5, (0, 1)), (8, (3, 50)), (9, (0, -1))])
-    def test_rejects_a_step_with_two_entries_swapped(self, length, swapped):
+    @pytest.mark.parametrize("length, pair", [(5, (0, 1)), (8, (3, 50)), (9, (0, -1))])
+    def test_refuses_a_step_swapped_across_orbits(self, length, pair):
+        # The record refuses itself on construction, so no producer sees it.
         orbits = shared_orbits(length)
-        step = orbits.step.copy()
-        step[list(swapped)] = step[list(swapped[::-1])]
+        with pytest.raises(ArithmeticError, match=r"^orbit \d+ is not closed under the rotation$"):
+            replace(orbits, step=swapped(orbits, "step", pair))
+
+    @pytest.mark.parametrize("length, pair", [(5, (0, 4)), (8, (1, 3)), (9, (0, 124))])
+    def test_rejects_a_step_with_two_entries_swapped(self, length, pair):
+        # Swapped within one orbit, the step passes the record's proofs; the key
+        # proof of the first conjugated site refuses it.
+        orbits = shared_orbits(length)
+        wrong = replace(orbits, step=swapped(orbits, "step", pair))
         with pytest.raises(ArithmeticError,
                            match=r"^transition table rows of site 2 do not match their rank keys$"):
-            transition_table(shared_basis(length), replace(orbits, step=step))
+            transition_table(shared_basis(length), wrong)
+
+    def test_rejects_orbits_of_another_length(self):
+        with pytest.raises(ValueError, match="^orbits of 15 diagrams given for a basis of 105$"):
+            transition_table(shared_basis(8), shared_orbits(6))
 
     @pytest.mark.parametrize("length, a, family", [(6, 1, 0), (7, 6, 1), (10, 4, 0)])
     def test_rejects_one_perturbed_image_key(self, monkeypatch, length, a, family):
@@ -163,37 +183,43 @@ class TestEquivarianceProof:
                                                   "do not match their rank keys$"):
             transition_table(shared_basis(length), shared_orbits(length))
 
-    @pytest.mark.parametrize("length, swapped", [(5, (0, 1)), (8, (3, 50)), (9, (0, -1))])
-    def test_wrap_rejects_a_rotation_that_fools_the_key_proof(self, monkeypatch, length,
-                                                              swapped):
-        # Rows conjugated by a wrong step agree with keys made to describe them;
-        # only the wrap r g_{L-1} r^-1 = g_0 is left to refuse them.
+    @pytest.mark.parametrize("length, pair", [(5, (0, 4)), (8, (1, 3)), (9, (0, 124))])
+    def test_wrap_rejects_a_rotation_that_fools_the_key_proof(self, monkeypatch, length, pair):
+        # Rows conjugated by a wrong step (swapped within one orbit, so the record
+        # accepts it) agree with keys made to describe them; only the wrap
+        # r g_{L-1} r^-1 = g_0 is left to refuse them.
         orbits = shared_orbits(length)
-        step = orbits.step.copy()
-        step[list(swapped)] = step[list(swapped[::-1])]
-        producing(monkeypatch, chained(table_of(length), step))
+        wrong = replace(orbits, step=swapped(orbits, "step", pair))
+        producing(monkeypatch, chained(table_of(length), wrong.step))
         with pytest.raises(ArithmeticError, match=rf"^transition table column {length - 1} "
                                                   "does not commute with the rotation$"):
-            transition_table(shared_basis(length), replace(orbits, step=step))
+            transition_table(shared_basis(length), wrong)
 
-    @pytest.mark.parametrize("length, swapped", [(3, (0, 1)), (6, (2, 9)), (9, (5, -1))])
-    def test_rejects_a_mirror_that_breaks_the_dihedral_relation(self, length, swapped):
+    @pytest.mark.parametrize("length, pair", [(6, (2, 9)), (9, (5, -1))])
+    def test_refuses_a_mirror_swapped_across_orbits(self, length, pair):
         orbits = shared_orbits(length)
-        mirror = orbits.mirror.copy()
-        mirror[list(swapped)] = mirror[list(swapped[::-1])]
+        with pytest.raises(ArithmeticError,
+                           match=r"^orbit \d+ is not closed under the reflection$"):
+            replace(orbits, mirror=swapped(orbits, "mirror", pair))
+
+    @pytest.mark.parametrize("length, pair", [(3, (0, 1)), (6, (1, 3)), (9, (0, 105))])
+    def test_rejects_a_mirror_that_breaks_the_dihedral_relation(self, length, pair):
+        # Swapped within one orbit, the mirror passes the record's proofs.
+        orbits = shared_orbits(length)
+        wrong = replace(orbits, mirror=swapped(orbits, "mirror", pair))
         with pytest.raises(ArithmeticError, match=r"^the reflection and the rotation do not "
                                                   r"satisfy s r s\^-1 = r\^-1$"):
-            transition_table(shared_basis(length), replace(orbits, mirror=mirror))
+            transition_table(shared_basis(length), wrong)
 
     @pytest.mark.parametrize("length", [6, 9, 12])
     @pytest.mark.parametrize("name, field", [("rotation", "step"), ("reflection", "mirror")])
     def test_rejects_maps_that_are_not_permutations(self, length, name, field):
-        # A constant map has no inverse: it is refused before any gather through one.
+        # A constant map has no inverse: the record refuses it on construction, so
+        # no producer gathers through one.
         orbits = shared_orbits(length)
-        constant = replace(orbits, **{field: np.zeros_like(orbits.step)})
         with pytest.raises(ArithmeticError, match=rf"^the {name} map is not a permutation "
                                                   "of the basis$"):
-            transition_table(shared_basis(length), constant)
+            replace(orbits, **{field: np.zeros_like(orbits.step)})
 
     @pytest.mark.parametrize("length", range(3, 11))
     def test_rejects_the_reflection_about_another_axis(self, length):
@@ -234,19 +260,15 @@ def perturbed_key(patch):
 
 def fooled_wrap(patch):
     orbits = shared_orbits(8)
-    step = orbits.step.copy()
-    step[[3, 50]] = step[[50, 3]]
-    producing(patch, chained(table_of(8), step))
-    return (8, replace(orbits, step=step),
-            "transition table column 7 does not commute with the rotation")
+    wrong = replace(orbits, step=swapped(orbits, "step", (1, 3)))
+    producing(patch, chained(table_of(8), wrong.step))
+    return 8, wrong, "transition table column 7 does not commute with the rotation"
 
 
 def broken_dihedral_relation(patch):
     orbits = shared_orbits(6)
-    mirror = orbits.mirror.copy()
-    mirror[[2, 9]] = mirror[[9, 2]]
-    return 6, replace(orbits, mirror=mirror), (r"the reflection and the rotation do not satisfy "
-                                               r"s r s\^-1 = r\^-1")
+    return 6, replace(orbits, mirror=swapped(orbits, "mirror", (1, 3))), (
+        r"the reflection and the rotation do not satisfy s r s\^-1 = r\^-1")
 
 
 def other_axis(patch):

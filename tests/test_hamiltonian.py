@@ -211,42 +211,45 @@ class TestBuildReduced:
         matrix.validate()
 
     def test_rejects_non_partition(self):
-        basis = enumerate_diagrams(4)
-        orbits = compute_orbits(basis)
-        alone = regrouped(orbits, [members_of(orbits, 0)])
+        # The record refuses itself on construction, so no assembly sees it.
+        orbits = compute_orbits(enumerate_diagrams(4))
         with pytest.raises(ValueError, match="do not partition"):
-            reduced(basis, alone)
+            regrouped(orbits, [members_of(orbits, 0)])
 
     def test_rejects_broken_symmetry_grouping(self):
         # gluing the crossing onto one parallel diagram is not an orbit
-        basis = enumerate_diagrams(4)
-        orbits = compute_orbits(basis)
-        fake = regrouped(orbits, [[0, 1], [2]])
+        orbits = compute_orbits(enumerate_diagrams(4))
         with pytest.raises(ArithmeticError):
-            reduced(basis, fake)
+            regrouped(orbits, [[0, 1], [2]])
+
+    def test_rejects_orbits_of_another_basis(self):
+        # The 5 orbits of length 6 group 15 diagrams; length 7 has 105.
+        columns = np.zeros((14, 5), dtype=np.int32)
+        with pytest.raises(ValueError, match="^orbits do not partition the basis$"):
+            build_reduced(shared_basis(7), shared_orbits(6), columns)
 
 
 class TestRowSumOracle:
     @pytest.mark.parametrize("length", range(2, 13))
     def test_reduced_matches_row_sums(self, length):
         basis, orbits, table = shared_basis(length), shared_orbits(length), table_of(length)
-        expected = triplets(lump_by_rows(basis, orbits, table))
+        expected = triplets(lump_by_rows(basis, orbits.orbit_of, orbits.sizes, table))
         assert triplets(reduced(basis, orbits)) == expected
 
     @pytest.mark.parametrize("length", range(2, 10))
     def test_full_matches_row_sums_over_singletons(self, length):
         basis = shared_basis(length)
         n = len(basis)
-        orbits = shared_orbits(length)
-        singletons = regrouped(orbits, np.arange(n).reshape(n, 1))
-        expected = triplets(lump_by_rows(basis, singletons, table_of(length)))
+        expected = triplets(lump_by_rows(basis, np.arange(n), np.ones(n, dtype=np.int64),
+                                         table_of(length)))
         assert triplets(build_full(basis)) == expected
 
 
 class TestEquivarianceGate:
-    """The orbit checks of `build_reduced`, and the 4L-conjugation `equivariance_gate`
-    oracle on corrupted tables: `transition_table` proves the tables that reach
-    assembly (`test_generators.TestEquivarianceProof` refuses each fault there)."""
+    """The orbit proofs of the `Orbits` record, which assembly takes as proved, and the
+    4L-conjugation `equivariance_gate` oracle on corrupted tables: `transition_table`
+    proves the tables that reach assembly (`test_generators.TestEquivarianceProof`
+    refuses each fault there)."""
 
     @pytest.mark.parametrize("length", range(2, 13))
     def test_oracle_accepts_the_table(self, length):
@@ -290,7 +293,7 @@ class TestEquivarianceGate:
         # sufficient condition and refuses it all the same.
         if length >= 7:
             with pytest.raises(ArithmeticError, match="not representative-independent"):
-                lump_by_rows(basis, orbits, table)
+                lump_by_rows(basis, orbits.orbit_of, orbits.sizes, table)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=4, max_value=10), st.data())
@@ -302,7 +305,7 @@ class TestEquivarianceGate:
         merged = np.concatenate([groups[j], groups[k]])
         rest = [g for i, g in enumerate(groups) if i not in (j, k)]
         with pytest.raises(ArithmeticError, match="^orbit 0 is not one orbit of the rotation"):
-            reduced(shared_basis(length), regrouped(orbits, [merged, *rest]))
+            regrouped(orbits, [merged, *rest])
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=4, max_value=10), st.data())
@@ -313,9 +316,8 @@ class TestEquivarianceGate:
         members = data.draw(st.permutations(groups[k].tolist()))
         cut = data.draw(st.integers(min_value=1, max_value=len(members) - 1))
         parts = [np.array(members[:cut]), np.array(members[cut:])]
-        grouping = regrouped(orbits, [*groups[:k], *parts, *groups[k + 1 :]])
         with pytest.raises(ArithmeticError, match="is not closed under the"):
-            reduced(shared_basis(length), grouping)
+            regrouped(orbits, [*groups[:k], *parts, *groups[k + 1 :]])
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=4, max_value=10), st.data())
@@ -325,9 +327,8 @@ class TestEquivarianceGate:
         j = data.draw(st.sampled_from([k for k, g in enumerate(groups) if len(g) > 1]))
         k = data.draw(st.sampled_from([k for k in range(len(groups)) if k != j]))
         groups[k].append(groups[j].pop(data.draw(st.integers(0, len(groups[j]) - 1))))
-        grouping = regrouped(orbits, [np.array(g) for g in groups])
         with pytest.raises(ArithmeticError, match="is not closed under the"):
-            reduced(shared_basis(length), grouping)
+            regrouped(orbits, [np.array(g) for g in groups])
 
     def test_rejects_columns_of_another_length(self):
         columns = table_of(6)[:, shared_orbits(6).representatives]
@@ -336,10 +337,9 @@ class TestEquivarianceGate:
             build_reduced(shared_basis(8), shared_orbits(8), columns)
 
     def test_rejects_maps_that_are_not_permutations(self):
-        basis, orbits = shared_basis(6), shared_orbits(6)
-        constant = replace(orbits, step=np.zeros_like(orbits.step))
+        orbits = shared_orbits(6)
         with pytest.raises(ArithmeticError, match="rotation map is not a permutation"):
-            reduced(basis, constant)
+            replace(orbits, step=np.zeros_like(orbits.step))
 
 
 class TestConnectivity:
@@ -409,17 +409,15 @@ class TestAnnihilates:
     @pytest.mark.parametrize("length", [4, 7, 10])
     def test_refuses_orbits_not_closed_under_the_rotation(self, length):
         # The lemma needs v = w[orbit_of] fixed by the rotation: a grouping that
-        # splits an orbit is refused, whatever the weights.
+        # splits an orbit, or a step that is no permutation, is refused as the
+        # record is constructed, so `annihilates` never sees it.
         orbits = shared_orbits(length)
         groups = [members_of(orbits, k) for k in range(len(orbits))]
         k = next(k for k, g in enumerate(groups) if len(g) > 1)
-        split = regrouped(orbits, [*groups[:k], groups[k][:1], groups[k][1:], *groups[k + 1 :]])
         with pytest.raises(ArithmeticError, match=r"^orbit \d+ is not closed under the rotation$"):
-            annihilates(shared_basis(length), [1] * len(split), rows_of(length), split)
-        constant = replace(orbits, step=np.zeros_like(orbits.step))
+            regrouped(orbits, [*groups[:k], groups[k][:1], groups[k][1:], *groups[k + 1 :]])
         with pytest.raises(ArithmeticError, match="^the rotation map is not a permutation"):
-            annihilates(shared_basis(length), groundstate(length).weights, rows_of(length),
-                        constant)
+            replace(orbits, step=np.zeros_like(orbits.step))
 
 
 class TestOrbitWeights:
